@@ -15,9 +15,11 @@ import random
 import sys
 from fractions import Fraction
 
-from .coeffs import Coeff, parse_coeff
+from .coeffs import FLOAT_TOL, Coeff, close, parse_coeff
 from .deform import (
     GL2,
+    AlphaPoint,
+    alpha_matrix,
     biorthogonality_check,
     deformed_generating_series,
     deformed_hermite,
@@ -29,6 +31,7 @@ from .deform import (
 )
 from .hermite import (
     HermiteTable,
+    _check_lmax,
     generating_series_complex,
     generating_series_real,
     hermite_sum,
@@ -44,7 +47,7 @@ from .lie import (
     rescale,
     structure_constants,
 )
-from .ncqm import FLOAT_TOL, AlphaPoint, alpha_matrix, ncqm_commutator_suite, qp_representation_suite
+from .ncqm import ncqm_commutator_suite, qp_representation_suite
 from .report import Report
 
 VERIFY_SUITES = (
@@ -92,6 +95,11 @@ def emit(obj, fmt: str, pretty_text: str | None = None, csv_rows=None):
         print(pretty_text if pretty_text is not None else json.dumps(obj, indent=2))
 
 
+def _csv_rows(p) -> list:
+    """Coefficient table of a polynomial: its exponent columns, then re and im."""
+    return [(*p.KEYS, "re", "im")] + [(*key, str(c.re), str(c.im)) for key, c in p.sorted_terms()]
+
+
 def cmd_hermite(args) -> int:
     if args.table:
         table = HermiteTable(args.Lmax)
@@ -109,14 +117,11 @@ def cmd_hermite(args) -> int:
     m, n = args.m, args.n
     h = hermite_sum(m, n)
     payload = {"m": m, "n": n, "normalizer_sq": normalizer_sq(m, n), **h.to_json_dict()}
-    csv_rows = [("z", "zbar", "re", "im")] + [
-        (a, b, str(c.re), str(c.im)) for (a, b), c in h.sorted_terms()
-    ]
     emit(
         payload,
         args.format,
         f"H[{m},{n}] = {h.pretty()}   (normalizer sqrt({normalizer_sq(m, n)}))",
-        csv_rows=csv_rows,
+        csv_rows=_csv_rows(h),
     )
     return 0
 
@@ -124,10 +129,7 @@ def cmd_hermite(args) -> int:
 def cmd_real_hermite(args) -> int:
     h = real_hermite(args.n)
     payload = {"n": args.n, **h.to_json_dict()}
-    csv_rows = [("x1", "x2", "re", "im")] + [
-        (a, b, str(c.re), str(c.im)) for (a, b), c in h.sorted_terms()
-    ]
-    emit(payload, args.format, f"H_{args.n} = {h.pretty()}", csv_rows=csv_rows)
+    emit(payload, args.format, f"H_{args.n} = {h.pretty()}", csv_rows=_csv_rows(h))
     return 0
 
 
@@ -137,10 +139,7 @@ def cmd_deform(args) -> int:
     m, n = args.m, args.n
     h = deformed_hermite(g, m, n)
     payload = {"m": m, "n": n, "normalizer_sq": normalizer_sq(m, n), **h.to_json_dict()}
-    csv_rows = [("z", "zbar", "re", "im")] + [
-        (a, b, str(c.re), str(c.im)) for (a, b), c in h.sorted_terms()
-    ]
-    emit(payload, args.format, f"Hg[{m},{n}] = {h.pretty()}", csv_rows=csv_rows)
+    emit(payload, args.format, f"Hg[{m},{n}] = {h.pretty()}", csv_rows=_csv_rows(h))
     return 0
 
 
@@ -184,13 +183,10 @@ def cmd_genfun(args) -> int:
         series = generating_series_real(N)
     else:
         series = deformed_generating_series(parse_gl2(args, exact), N)
-    entries = []
     pretty_lines = [f"{args.kind} generating series, total order <= {N}"]
-    for (j, k) in sorted(series.terms, key=lambda jk: (jk[0] + jk[1], jk[0])):
-        poly = series.terms[(j, k)]
-        entries.append({"u": j, "ubar": k, **poly.to_json_dict()})
-        pretty_lines.append(f"u^{j} ubar^{k}: {poly.pretty()}")
-    emit({"order": N, "kind": args.kind, "coefficients": entries}, args.format, "\n".join(pretty_lines))
+    pretty_lines += [f"u^{j} ubar^{k}: {poly.pretty()}" for (j, k), poly in series.sorted_terms()]
+    payload = {"order": N, "kind": args.kind, "coefficients": series.to_json_dict()["terms"]}
+    emit(payload, args.format, "\n".join(pretty_lines))
     return 0
 
 
@@ -213,6 +209,7 @@ def _random_rational_gl2(rng: random.Random, exact: bool) -> GL2:
 
 
 def _verify_repmat(args, exact: bool, tol: float) -> Report:
+    _check_lmax(args.Lmax)
     rng = random.Random(args.seed)
     g = _random_rational_gl2(rng, exact)
     h = _random_rational_gl2(rng, exact)
@@ -221,9 +218,9 @@ def _verify_repmat(args, exact: bool, tol: float) -> Report:
         Mg, Mh = rep_matrix(g, L), rep_matrix(h, L)
         checks = {
             "identity": rep_matrix(GL2.identity(exact), L).is_identity(),
-            "product": _match(Mg @ Mh, rep_matrix(g @ h, L), tol),
-            "adjoint": _match(Mg.adjoint(), rep_matrix(g.conj_transpose(), L), tol),
-            "inverse": _match(Mg.inverse(), rep_matrix(g.inverse(), L), tol),
+            "product": close((Mg @ Mh).entries, rep_matrix(g @ h, L).entries, tol),
+            "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries, tol),
+            "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries, tol),
         }
         action = rep_action_check(g, L, tol)
         if not action.ok:
@@ -239,11 +236,8 @@ def _verify_repmat(args, exact: bool, tol: float) -> Report:
     )
 
 
-def _match(a, b, tol: float) -> bool:
-    return a == b if tol == 0.0 else a.close_to(b, tol)
-
-
 def _verify_eigen(args, exact: bool, tol: float) -> Report:
+    _check_lmax(args.Lmax)
     cases = [
         ("diagonal", GL2.diagonal(2, 3)),
         ("triangular", GL2(2, 1, 0, 3)),
@@ -305,7 +299,7 @@ def cmd_verify(args) -> int:
             # one broken suite must not mask the others in the battery
             try:
                 reports[name] = run_suite(name, _suite_defaults(name, args))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 reports[name] = Report("error", f"{name}: {exc}", {"status": "error"})
         else:
             reports[name] = run_suite(name, _suite_defaults(name, args))
@@ -359,8 +353,9 @@ def _add_common(p, backend=True):
 
 
 def _add_matrix_args(p):
-    p.add_argument("--alpha", help="rational deformation parameter, e.g. 3/5")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--alpha", help="rational deformation parameter, e.g. 3/5")
+    group.add_argument(
         "--g", nargs=4, metavar=("G11", "G12", "G21", "G22"), help="matrix entries, e.g. 3/5 4/5i -4/5i 3/5"
     )
 

@@ -23,6 +23,8 @@ from fractions import Fraction
 
 __all__ = [
     "Coeff",
+    "FLOAT_TOL",
+    "close",
     "rational_sqrt",
     "parse_coeff",
     "ZERO",
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+# residual tolerance for float-backend identity checks
+FLOAT_TOL = 1e-10
 
 
 def rational_sqrt(value) -> Fraction | None:
@@ -347,6 +352,29 @@ def parse_coeff(text: str, exact: bool = True) -> Coeff:
     if exact:
         return Coeff(re_part, im_part)
     return Coeff(re_f, im_f, exact=False)
+
+
+def close(a, b, tol: float = 0.0) -> bool:
+    """Exact ``a == b`` when tol is 0; otherwise every pair of entries x, y
+    satisfies |x - y| <= tol * max(1, |x|, |y|).
+
+    a and b are scalars, sparse maps (objects with a ``terms`` dict, compared
+    over the union of their keys with a missing key reading as zero, and never
+    equal across types) or equal-shape nested lists of either.
+    """
+    if tol == 0.0:
+        return a == b
+    if isinstance(a, list):
+        if not isinstance(b, list) or len(a) != len(b):
+            return False
+        return all(close(x, y, tol) for x, y in zip(a, b))
+    if hasattr(a, "terms"):
+        if type(a) is not type(b):
+            return False
+        zero = Coeff(0, exact=False)
+        keys = a.terms.keys() | b.terms.keys()
+        return all(close(a.terms.get(k, zero), b.terms.get(k, zero), tol) for k in keys)
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 ZERO = Coeff(0)

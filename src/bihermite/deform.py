@@ -11,27 +11,33 @@ and the deformed polynomials are Hg[k,l] = R1^k R2^l applied to 1.  Each
 total degree L spans an (L+1)-dimensional invariant subspace on which the
 action has the closed-form matrix M(g, L); column k of M(g, L) holds the
 coordinates of Hg[k, L-k] over the undeformed basis [H[r, L-r]]_r.
+
+The hermitian family is parametrized by a real alpha with 0 < |alpha| < 1:
+the deformation matrix is [[alpha, i b], [-i b, alpha]] with b = sqrt(1 -
+alpha^2), and theta = 2 alpha b measures the induced noncommutativity.  On
+the exact backend alpha must make b rational (Pythagorean points such as
+3/5, 5/13, 8/17); any other alpha runs on the float backend.
 """
 
 from __future__ import annotations
 
 import cmath
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 
-from .coeffs import Coeff
-from .hermite import hermite_sum, normalizer_sq, SeriesTruncation
-from .linalg import identity_matrix, mat_equal, mat_inverse, mat_mul
+from .coeffs import Coeff, close, rational_sqrt
+from .hermite import SeriesTruncation, _check_lmax, hermite_sum, normalizer_sq
+from .linalg import identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, inner_product
 from .report import Report
 from .weyl import WeylOp
 
 __all__ = [
+    "AlphaPoint",
+    "alpha_matrix",
     "GL2",
     "RepMatrix",
     "LevelBasis",
@@ -113,6 +119,51 @@ class GL2:
         return f"GL2([[{g[0]}, {g[1]}], [{g[2]}, {g[3]}]])"
 
 
+@dataclass(frozen=True)
+class AlphaPoint:
+    """Validated deformation parameter with its derived quantities."""
+
+    alpha: Fraction | float
+    beta_im: Fraction | float  # sqrt(1 - alpha^2)
+    exact: bool
+
+    @classmethod
+    def make(cls, alpha, exact: bool = True) -> AlphaPoint:
+        if exact:
+            alpha = Fraction(alpha)
+            if not 0 < abs(alpha) < 1:
+                raise ValueError("alpha must satisfy 0 < |alpha| < 1")
+            beta_im = rational_sqrt(1 - alpha * alpha)
+            if beta_im is None:
+                raise ValueError(
+                    f"sqrt(1 - alpha^2) is irrational for alpha = {alpha}; "
+                    "use the float backend for this point"
+                )
+            return cls(alpha, beta_im, True)
+        alpha = float(alpha)
+        if not 0 < abs(alpha) < 1:
+            raise ValueError("alpha must satisfy 0 < |alpha| < 1")
+        return cls(alpha, (1 - alpha * alpha) ** 0.5, False)
+
+    @property
+    def theta(self):
+        return 2 * self.alpha * self.beta_im
+
+    def theta_coeff(self) -> Coeff:
+        return Coeff(self.theta, exact=self.exact) if self.exact else Coeff.from_complex(self.theta)
+
+
+def alpha_matrix(point: AlphaPoint) -> GL2:
+    """Hermitian deformation matrix [[alpha, i b], [-i b, alpha]]."""
+    a = Coeff(point.alpha, exact=point.exact) if point.exact else Coeff.from_complex(point.alpha)
+    b = (
+        Coeff(0, point.beta_im, exact=point.exact)
+        if point.exact
+        else Coeff.from_complex(1j * point.beta_im)
+    )
+    return GL2(a, b, -b, a)
+
+
 class RepMatrix:
     """(L+1)x(L+1) matrix acting on one level of the Hermite decomposition."""
 
@@ -170,11 +221,8 @@ class RepMatrix:
         return (
             isinstance(other, RepMatrix)
             and self.L == other.L
-            and mat_equal(self.entries, other.entries)
+            and self.entries == other.entries
         )
-
-    def close_to(self, other: RepMatrix, tol: float) -> bool:
-        return self.L == other.L and mat_equal(self.entries, other.entries, tol)
 
     def is_identity(self) -> bool:
         return self == RepMatrix.identity(self.L, exact=all(c.exact for r in self.entries for c in r))
@@ -292,18 +340,6 @@ def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
     return LevelBasis(L, indices, polys, [normalizer_sq(m, n) for m, n in indices])
 
 
-def _coeff_equal(a: Coeff, b: Coeff, tol: float) -> bool:
-    if tol == 0.0:
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _poly_equal(p: BiPoly, q: BiPoly, tol: float) -> bool:
-    if tol == 0.0:
-        return p == q
-    return (p - q).max_abs() <= tol * max(1.0, p.max_abs(), q.max_abs())
-
-
 def rep_action_check(g: GL2, L: int, tol: float = 0.0) -> Report:
     """Certify the index convention: expanding each deformed Hg[k, L-k] over
     the undeformed scaled basis reproduces column k of M(g, L).
@@ -319,12 +355,12 @@ def rep_action_check(g: GL2, L: int, tol: float = 0.0) -> Report:
         recon = BiPoly.zero()
         for r in range(L + 1):
             coord = inner_product(basis[r], hg) / normalizer_sq(r, L - r)
-            if not _coeff_equal(coord, M[r, k], tol):
+            if not close(coord, M[r, k], tol):
                 mismatches.append(
                     {"r": r, "k": k, "coordinate": str(coord), "matrix_entry": str(M[r, k])}
                 )
             recon = recon + basis[r] * coord
-        if not _poly_equal(recon, hg, tol):
+        if not close(recon, hg, tol):
             mismatches.append({"k": k, "error": "expansion does not close within the level"})
     status = "pass" if not mismatches else "fail"
     return Report(
@@ -370,32 +406,16 @@ def dual_family(g: GL2, L: int) -> DualFamily:
     )
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HERMITE_DEFORM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
     """Exact pairing of the deformed family with its dual across levels.
 
     <Hdual[L-n, n], Hg[M-k, k]> must be (L-n)! n! when (L,n) == (M,k) and 0
     otherwise, including all cross-level pairs up to Lmax.
     """
+    _check_lmax(Lmax)
     g_dual = g.conj_transpose().inverse()
-
-    def level_pair(L):
-        return level_basis(L, g_dual), level_basis(L, g)
-
-    workers = _max_workers()
-    levels = list(range(Lmax + 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(level_pair, levels))
-    else:
-        built = [level_pair(L) for L in levels]
-
+    levels = range(Lmax + 1)
+    built = [(level_basis(L, g_dual), level_basis(L, g)) for L in levels]
     violations = []
     pairs = 0
     for L in levels:
@@ -411,7 +431,7 @@ def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
                         if (L == M and n == k)
                         else Coeff(0)
                     )
-                    if not _coeff_equal(got, want, tol):
+                    if not close(got, want, tol):
                         violations.append(
                             {
                                 "L": L,
@@ -433,8 +453,7 @@ def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
 def dual_matrix_scaling_check(point, Lmax: int, tol: float = 0.0) -> Report:
     """With the sign-flipped hermitian partner g' of the alpha matrix,
     M(g', L) M(g, L) must equal det(g)^L times the identity."""
-    from .ncqm import alpha_matrix
-
+    _check_lmax(Lmax)
     g = alpha_matrix(point)
     gp = GL2(g.g11, -g.g12, -g.g21, g.g22)
     delta = g.det
@@ -444,7 +463,7 @@ def dual_matrix_scaling_check(point, Lmax: int, tol: float = 0.0) -> Report:
         want = RepMatrix.identity(L, exact=g.is_exact()).scaled(delta**L)
         got = rep_matrix(gp, L) @ rep_matrix(g, L)
         kappas[str(L)] = str(delta**L)
-        if not (got == want if tol == 0.0 else got.close_to(want, tol)):
+        if not close(got.entries, want.entries, tol):
             failures.append({"L": L})
     status = "pass" if not failures else "fail"
     return Report(
@@ -550,11 +569,12 @@ def intertwine_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
     level L <= Lmax and column k, applying E to sum_r M[r,k] z^r zbar^(L-r)
     gives the deformed polynomial Hg[k, L-k].
     """
+    _check_lmax(Lmax)
     failures = []
     for total in range(Lmax + 1):
         for m in range(total + 1):
             n = total - m
-            if not _poly_equal(monomial_to_hermite(BiPoly.monomial(m, n)), hermite_sum(m, n), tol):
+            if not close(monomial_to_hermite(BiPoly.monomial(m, n)), hermite_sum(m, n), tol):
                 failures.append({"kind": "monomial", "m": m, "n": n})
     for L in range(Lmax + 1):
         M = rep_matrix(g, L)
@@ -562,7 +582,7 @@ def intertwine_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
             combo = BiPoly.zero()
             for r in range(L + 1):
                 combo = combo + BiPoly.monomial(r, L - r, M[r, k])
-            if not _poly_equal(monomial_to_hermite(combo), deformed_hermite(g, k, L - k), tol):
+            if not close(monomial_to_hermite(combo), deformed_hermite(g, k, L - k), tol):
                 failures.append({"kind": "operator", "L": L, "k": k})
     status = "pass" if not failures else "fail"
     return Report(

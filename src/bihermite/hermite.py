@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .coeffs import Coeff
-from .poly import BiPoly, RealPoly, inner_product, real_inner_product
+from .poly import BiPoly, RealPoly, SparseMap, _convolve, inner_product, real_inner_product
 from .report import Report
 from .weyl import WeylOp
 
@@ -125,20 +125,28 @@ class HermiteTable:
         return rows
 
 
-class SeriesTruncation:
+class SeriesTruncation(SparseMap):
     """Power series in (u, ubar) up to a total order, coefficients in any ring
     supporting +, * and scalar multiplication (BiPoly, RealPoly, Coeff)."""
 
-    __slots__ = ("order", "terms", "ring_one")
+    __slots__ = ("order", "ring_one")
+    KEYS = SYMBOLS = ("u", "ubar")
 
     def __init__(self, order: int, terms=None, ring_one=None):
         self.order = order
         self.ring_one = BiPoly.one() if ring_one is None else ring_one
-        self.terms = {}
-        if terms:
-            for (j, k), val in terms.items():
-                if j + k <= order and val:
-                    self.terms[(j, k)] = val
+        terms = terms or {}
+        super().__init__({jk: v for jk, v in terms.items() if jk[0] + jk[1] <= order})
+
+    @staticmethod
+    def _lift(value):
+        # coefficients are ring elements, stored as given
+        return value
+
+    def _like(self, terms):
+        out = super()._like(terms)
+        out.order, out.ring_one = self.order, self.ring_one
+        return out
 
     def coeff(self, j: int, k: int):
         val = self.terms.get((j, k))
@@ -146,44 +154,12 @@ class SeriesTruncation:
             return self.ring_one * 0
         return val
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            cur = out.get(key)
-            s = val if cur is None else cur + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SeriesTruncation(self.order, out, self.ring_one)
-
     def __mul__(self, other):
         if not isinstance(other, SeriesTruncation):
-            scaled = {k: v * other for k, v in self.terms.items()}
-            return SeriesTruncation(self.order, scaled, self.ring_one)
-        out = {}
-        for (j1, k1), v1 in self.terms.items():
-            for (j2, k2), v2 in other.terms.items():
-                j, k = j1 + j2, k1 + k2
-                if j + k > self.order:
-                    continue
-                v = v1 * v2
-                cur = out.get((j, k))
-                s = v if cur is None else cur + v
-                if s:
-                    out[(j, k)] = s
-                else:
-                    out.pop((j, k), None)
-        return SeriesTruncation(self.order, out, self.ring_one)
+            return super().__mul__(other)
+        return self._like(_convolve(self.terms, other.terms, self.order))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesTruncation)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
 
     def exp(self) -> SeriesTruncation:
         """Exact exponential; the argument must have no constant term."""
@@ -246,8 +222,15 @@ def generating_series_real(N: int) -> SeriesTruncation:
     return seed.exp()
 
 
+def _check_lmax(Lmax: int):
+    """Reject a negative level bound, which would leave a suite nothing to check."""
+    if Lmax < 0:
+        raise ValueError(f"Lmax must be nonnegative, got {Lmax}")
+
+
 def orthonormality_check(Lmax: int) -> Report:
     """Exact check that <H[m,n], H[k,l]> = m! n! delta delta for m+n, k+l <= Lmax."""
+    _check_lmax(Lmax)
     table = HermiteTable(Lmax)
     keys = table.ordered_keys()
     violations = []

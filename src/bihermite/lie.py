@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import Coeff, rational_sqrt
+from .coeffs import FLOAT_TOL, Coeff, rational_sqrt
+from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .linalg import det, nullspace, rank, solve_in_span
-from .ncqm import FLOAT_TOL, AlphaPoint, undeformed_rotation_generators
 from .report import Report
 from .weyl import WeylOp, commutator
 
@@ -55,20 +55,29 @@ class LieBasisSet:
         return list(zip(self.names, self.ops))
 
 
-def bilinear_generators(point: AlphaPoint | None = None, exact: bool = True) -> LieBasisSet:
-    """The J1..J4 bilinears; deformed at an alpha point, undeformed otherwise."""
-    if point is None:
-        gens = undeformed_rotation_generators(exact=exact)
-        return LieBasisSet(("J1", "J2", "J3", "J4"), tuple(gens.values()), Fraction(0), exact)
-    from .ncqm import _deformed_rotation_generators
-
-    gens = _deformed_rotation_generators(point)
-    return LieBasisSet(
-        ("J1", "J2", "J3", "J4"),
-        (gens["J1_alpha"], gens["J2_alpha"], gens["J3_alpha"], gens["J4_alpha"]),
-        point.theta,
-        point.exact,
+def _bilinears(a1, a2, ad1, ad2, exact: bool) -> tuple:
+    """J1..J4 of a ladder quadruple: the angular-momentum set plus the total number."""
+    half = Coeff(Fraction(1, 2), exact=exact)
+    neg_i_half = Coeff(0, Fraction(-1, 2), exact=exact)
+    return (
+        (ad1 * a2 + ad2 * a1) * half,
+        (ad1 * a2 - ad2 * a1) * neg_i_half,
+        (ad1 * a1 - ad2 * a2) * half,
+        (ad1 * a1 + ad2 * a2) * half,
     )
+
+
+def bilinear_generators(point: AlphaPoint | None = None, exact: bool = True) -> LieBasisSet:
+    """The J1..J4 bilinears of the deformed ladders at an alpha point, of the
+    bare ladders otherwise."""
+    if point is None:
+        ladders = (WeylOp.a(1), WeylOp.a(2), WeylOp.adag(1), WeylOp.adag(2))
+        theta = Fraction(0)
+    else:
+        g = alpha_matrix(point)
+        ladders = (*deformed_lowering(g), *deformed_raising(g))
+        theta, exact = point.theta, point.exact
+    return LieBasisSet(("J1", "J2", "J3", "J4"), _bilinears(*ladders, exact), theta, exact)
 
 
 def basis_change(jbasis: LieBasisSet) -> LieBasisSet:

@@ -16,7 +16,6 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "mat_inverse",
-    "mat_equal",
     "solve_in_span",
     "nullspace",
     "rank",
@@ -62,20 +61,6 @@ def mat_vec(a, v):
             acc = acc + x * y
         out.append(acc)
     return out
-
-
-def mat_equal(a, b, tol: float = 0.0) -> bool:
-    """Entrywise equality; a nonzero tol compares relative to entry magnitude."""
-    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-        return False
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if tol == 0.0:
-                if x != y:
-                    return False
-            elif abs(x - y) > tol * max(1.0, abs(x), abs(y)):
-                return False
-    return True
 
 
 def _pivot_index(column, start, tol):

@@ -1,11 +1,5 @@
-"""Noncommutative position/momentum operators and the hermitian one-parameter
-deformation family.
-
-The hermitian family is parametrized by a real alpha with 0 < |alpha| < 1:
-the deformation matrix is [[alpha, i b], [-i b, alpha]] with b = sqrt(1 -
-alpha^2), and theta = 2 alpha b measures the induced noncommutativity.  On
-the exact backend alpha must make b rational (Pythagorean points such as
-3/5, 5/13, 8/17); any other alpha runs on the float backend.
+"""Noncommutative position/momentum operators over the hermitian
+one-parameter deformation family (``AlphaPoint``, defined in ``deform``).
 
 Position/momentum pairs Q_i, P_i realizing
 
@@ -22,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import Coeff, rational_sqrt
-from .deform import GL2, deformed_lowering, deformed_raising
+from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
+from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
+from .lie import basis_change, bilinear_generators, rescale
 from .poly import BiPoly
 from .report import Report
-from .weyl import WeylOp, commutator, operators_equal, position_momentum_ops
+from .weyl import WeylOp, _qp_from_ladders, commutator, position_momentum_ops
 
 __all__ = [
     "AlphaPoint",
@@ -38,89 +33,6 @@ __all__ = [
     "FLOAT_TOL",
 ]
 
-# residual tolerance for float-backend identity checks
-FLOAT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AlphaPoint:
-    """Validated deformation parameter with its derived quantities."""
-
-    alpha: Fraction | float
-    beta_im: Fraction | float  # sqrt(1 - alpha^2)
-    exact: bool
-
-    @classmethod
-    def make(cls, alpha, exact: bool = True) -> AlphaPoint:
-        if exact:
-            alpha = Fraction(alpha)
-            if not 0 < abs(alpha) < 1:
-                raise ValueError("alpha must satisfy 0 < |alpha| < 1")
-            beta_im = rational_sqrt(1 - alpha * alpha)
-            if beta_im is None:
-                raise ValueError(
-                    f"sqrt(1 - alpha^2) is irrational for alpha = {alpha}; "
-                    "use the float backend for this point"
-                )
-            return cls(alpha, beta_im, True)
-        alpha = float(alpha)
-        if not 0 < abs(alpha) < 1:
-            raise ValueError("alpha must satisfy 0 < |alpha| < 1")
-        return cls(alpha, (1 - alpha * alpha) ** 0.5, False)
-
-    @property
-    def theta(self):
-        return 2 * self.alpha * self.beta_im
-
-    def theta_coeff(self) -> Coeff:
-        return Coeff(self.theta, exact=self.exact) if self.exact else Coeff.from_complex(self.theta)
-
-
-def alpha_matrix(point: AlphaPoint) -> GL2:
-    """Hermitian deformation matrix [[alpha, i b], [-i b, alpha]]."""
-    a = Coeff(point.alpha, exact=point.exact) if point.exact else Coeff.from_complex(point.alpha)
-    b = (
-        Coeff(0, point.beta_im, exact=point.exact)
-        if point.exact
-        else Coeff.from_complex(1j * point.beta_im)
-    )
-    return GL2(a, b, -b, a)
-
-
-def _qp_from_ladders(low: WeylOp, raise_: WeylOp, exact: bool) -> tuple[WeylOp, WeylOp]:
-    """(q, p) from a lowering/raising pair: q = (a + ad)/sqrt2, p = (a - ad)/(i sqrt2)."""
-    half_rt2 = Coeff(0, 0, Fraction(1, 2), exact=exact)
-    neg_i_half_rt2 = Coeff(0, 0, 0, Fraction(-1, 2), exact=exact)
-    return (low + raise_) * half_rt2, (low - raise_) * neg_i_half_rt2
-
-
-def undeformed_rotation_generators(exact: bool = True) -> dict[str, WeylOp]:
-    """Bilinears J1..J4: the standard angular-momentum set plus the total number."""
-    a1, a2 = WeylOp.a(1), WeylOp.a(2)
-    ad1, ad2 = WeylOp.adag(1), WeylOp.adag(2)
-    half = Coeff(Fraction(1, 2), exact=exact)
-    neg_i_half = Coeff(0, Fraction(-1, 2), exact=exact)
-    return {
-        "J1": (ad1 * a2 + ad2 * a1) * half,
-        "J2": (ad1 * a2 - ad2 * a1) * neg_i_half,
-        "J3": (ad1 * a1 - ad2 * a2) * half,
-        "J4": (ad1 * a1 + ad2 * a2) * half,
-    }
-
-
-def _deformed_rotation_generators(point: AlphaPoint) -> dict[str, WeylOp]:
-    g = alpha_matrix(point)
-    a1, a2 = deformed_lowering(g)
-    ad1, ad2 = deformed_raising(g)
-    half = Coeff(Fraction(1, 2), exact=point.exact)
-    neg_i_half = Coeff(0, Fraction(-1, 2), exact=point.exact)
-    return {
-        "J1_alpha": (ad1 * a2 + ad2 * a1) * half,
-        "J2_alpha": (ad1 * a2 - ad2 * a1) * neg_i_half,
-        "J3_alpha": (ad1 * a1 - ad2 * a2) * half,
-        "J4_alpha": (ad1 * a1 + ad2 * a2) * half,
-    }
-
 
 def _qp_from_canonical(theta, gamma, branch: int, exact: bool) -> dict[str, WeylOp]:
     """Q_i, P_i from the canonical pairs via the (c, d) substitution.
@@ -130,9 +42,11 @@ def _qp_from_canonical(theta, gamma, branch: int, exact: bool) -> dict[str, Weyl
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    theta, gamma = (Fraction(theta), Fraction(gamma)) if exact else (float(theta), float(gamma))
+    if not theta:
+        raise ValueError("theta must be nonzero")
+    kappa = 1 - gamma * theta
     if exact:
-        theta, gamma = Fraction(theta), Fraction(gamma)
-        kappa = 1 - gamma * theta
         if gamma * theta == 1:
             raise ValueError("gamma = 1/theta is excluded")
         root = rational_sqrt(kappa)
@@ -141,16 +55,12 @@ def _qp_from_canonical(theta, gamma, branch: int, exact: bool) -> dict[str, Weyl
                 f"sqrt(kappa) is irrational for (theta, gamma) = ({theta}, {gamma}); "
                 "use the float backend"
             )
-        c = Fraction(1 + branch * root, 2)
-        d = (1 - branch * root) / theta
     else:
-        theta, gamma = float(theta), float(gamma)
-        kappa = 1 - gamma * theta
         if kappa < 0:
             raise ValueError("kappa = 1 - gamma*theta must be nonnegative")
         root = kappa**0.5
-        c = (1 + branch * root) / 2
-        d = (1 - branch * root) / theta
+    c = (1 + branch * root) / 2
+    d = (1 - branch * root) / theta
     qp = position_momentum_ops(exact=exact)
     q1, q2, p1, p2 = qp["q1"], qp["q2"], qp["p1"], qp["p2"]
     half_theta = theta / 2
@@ -197,8 +107,6 @@ def build_dictionary(
     canonical substitution on the requested sign branch, plus the derived
     A_i = (Q_i + i P_i)/sqrt2 pairs.
     """
-    from .lie import basis_change, bilinear_generators, rescale
-
     ops: dict[str, WeylOp] = {
         "a1": WeylOp.a(1),
         "a2": WeylOp.a(2),
@@ -206,7 +114,7 @@ def build_dictionary(
         "ad2": WeylOp.adag(2),
     }
     ops.update(position_momentum_ops(exact=exact))
-    ops.update(undeformed_rotation_generators(exact=exact))
+    ops.update(bilinear_generators(exact=exact).items())
     params: dict = {"exact": exact}
 
     if alpha is not None and (theta is not None or gamma is not None):
@@ -235,8 +143,8 @@ def build_dictionary(
         q1, p1 = _qp_from_ladders(low1, rai1, point.exact)
         q2, p2 = _qp_from_ladders(low2, rai2, point.exact)
         ops.update({"Q1": q1, "P1": p1, "Q2": q2, "P2": p2})
-        ops.update(_deformed_rotation_generators(point))
         jbasis = bilinear_generators(point)
+        ops.update({f"{name}_alpha": op for name, op in jbasis.items()})
         xbasis = basis_change(jbasis)
         ops.update(dict(zip(xbasis.names, xbasis.ops)))
         if point.theta != 1:
@@ -266,7 +174,7 @@ def build_dictionary(
 
 
 def _check(name, got: WeylOp, want: WeylOp, tol: float):
-    ok = operators_equal(got, want, tol)
+    ok = close(got, want, tol)
     return ok, {"relation": name, "ok": ok, "got": got.pretty(), "expected": want.pretty()}
 
 
@@ -293,7 +201,7 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     ]
     for name, lowering in (("a1_alpha", a1), ("a2_alpha", a2)):
         image = lowering.apply(BiPoly.one(exact=point.exact))
-        ok_vac = image.max_abs() <= tol if not point.exact else not image
+        ok_vac = close(image, BiPoly.zero(), tol)
         checks.append(
             (ok_vac, {"relation": f"vacuum: {name}(1) == 0", "ok": ok_vac, "got": image.pretty()})
         )

@@ -6,10 +6,14 @@ Complex polynomials are maps {(z-degree, zbar-degree): Coeff}; the inner
 product uses the monomial moment rule of the measure exp(-|z|^2) dxdy/pi,
 so exact coefficients give exact inner products.  Real polynomials carry the
 weight exp(-x^2) on the line, with sqrt(pi) kept symbolic.
+
+``SparseMap`` is the map arithmetic shared by both polynomial types, the
+operators of ``weyl`` and the truncated series of ``hermite``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +22,7 @@ from math import factorial
 from .coeffs import Coeff
 
 __all__ = [
+    "SparseMap",
     "BiPoly",
     "RealPoly",
     "SqrtPiValue",
@@ -26,26 +31,48 @@ __all__ = [
 ]
 
 
-def _clean(terms):
-    out = {}
-    for key, c in terms.items():
-        c = Coeff.lift(c)
-        if not c:
-            continue
-        a, b = key
-        if a < 0 or b < 0:
-            raise ValueError(f"negative exponent in {key}")
-        out[(int(a), int(b))] = c
-    return out
+class SparseMap:
+    """Finite map {exponent tuple: value} whose zero values are never stored.
 
-
-class BiPoly:
-    """Polynomial in z and zbar with Coeff coefficients, zero terms never stored."""
+    The subclasses are the polynomials here, ``WeylOp`` and
+    ``SeriesTruncation``.  Each one names its key slots (``KEYS``, the JSON
+    field names; ``SYMBOLS``, the printed letters), validates its input and
+    extends ``__mul__`` from scalars to its own product.  Everything linear
+    lives here.  Equality is exact-type: maps of different subclasses never
+    compare equal.
+    """
 
     __slots__ = ("terms",)
+    KEYS: tuple = ()
+    SYMBOLS: tuple = ()
 
     def __init__(self, terms=None):
-        self.terms = _clean(terms) if terms else {}
+        out = {}
+        if terms:
+            for key, c in terms.items():
+                c = self._lift(c)
+                if not c:
+                    continue
+                key = tuple(int(e) for e in key)
+                if len(key) != len(self.KEYS) or min(key) < 0:
+                    raise ValueError(f"bad exponent key {key}")
+                out[key] = c
+        self.terms = out
+
+    _lift = staticmethod(Coeff.lift)
+
+    def _like(self, terms):
+        """A map of this type holding terms, which are already clean."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _coerce(self, other):
+        """other as a map of this type; a scalar becomes the constant term."""
+        if isinstance(other, type(self)):
+            return other
+        c = self._lift(other)
+        return self._like({(0,) * len(self.KEYS): c} if c else {})
 
     @classmethod
     def zero(cls):
@@ -53,7 +80,121 @@ class BiPoly:
 
     @classmethod
     def one(cls, exact=True):
-        return cls.monomial(0, 0, Coeff(1, exact=exact))
+        return cls({(0,) * len(cls.KEYS): Coeff(1, exact=exact)})
+
+    # -- linear structure ---------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        """Scalar multiple; subclasses extend this to their own product."""
+        s = self._lift(other)
+        return self._like({k: c * s for k, c in self.terms.items()} if s else {})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_exact(self) -> bool:
+        return all(c.exact for c in self.terms.values())
+
+    def max_abs(self) -> float:
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def sorted_terms(self):
+        """Terms in the canonical (total degree, key) order."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    # -- serialization ------------------------------------------------------
+
+    def to_json_dict(self):
+        return {
+            "terms": [
+                {**dict(zip(self.KEYS, key)), **c.to_json_value()} for key, c in self.sorted_terms()
+            ]
+        }
+
+    # a map is itself a JSON-able value of a map one level up (series coefficients)
+    to_json_value = to_json_dict
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        return cls({tuple(t[k] for k in cls.KEYS): Coeff.from_json_value(t) for t in obj["terms"]})
+
+    def pretty(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for key, c in reversed(self.sorted_terms()):
+            mono = " ".join(s if e == 1 else f"{s}^{e}" for s, e in zip(self.SYMBOLS, key) if e)
+            chunks.append(_term_str(c, mono))
+        out = chunks[0]
+        for c in chunks[1:]:
+            out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.pretty()})"
+
+
+def _convolve(p: dict, q: dict, order=math.inf) -> dict:
+    """Terms of the product of two maps keyed by exponent pairs.  Pairs whose
+    total degree exceeds order are skipped before their product is formed."""
+    out = {}
+    for (a, b), c1 in p.items():
+        for (c, d), c2 in q.items():
+            if a + b + c + d > order:
+                continue
+            key = (a + c, b + d)
+            v = c1 * c2
+            s = out.get(key)
+            s = v if s is None else s + v
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+class BiPoly(SparseMap):
+    """Polynomial in z and zbar with Coeff coefficients, zero terms never stored."""
+
+    __slots__ = ()
+    KEYS = ("z", "zbar")
+    SYMBOLS = ("z", "z~")
 
     @classmethod
     def z(cls):
@@ -67,75 +208,12 @@ class BiPoly:
     def monomial(cls, a, b, coeff=1):
         return cls({(a, b): Coeff.lift(coeff)})
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.monomial(0, 0, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        p = BiPoly()
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = BiPoly()
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.monomial(0, 0, other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, BiPoly):
-            s = Coeff.lift(other)
-            p = BiPoly()
-            if s:
-                p.terms = {k: c * s for k, c in self.terms.items()}
-            return p
-        out = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                key = (a + c, b + d)
-                v = c1 * c2
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        p = BiPoly()
-        p.terms = out
-        return p
+            return super().__mul__(other)
+        return self._like(_convolve(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BiPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- calculus and structure ---------------------------------------------
 
@@ -153,16 +231,12 @@ class BiPoly:
                     continue
                 key = (a - 1, b) if idx == 0 else (a, b - 1)
                 out[key] = c * e
-            nxt = BiPoly()
-            nxt.terms = out
-            cur = nxt
+            cur = self._like(out)
         return cur
 
     def conjugate(self) -> BiPoly:
         """Complex conjugate: conj swaps z and zbar and conjugates coefficients."""
-        p = BiPoly()
-        p.terms = {(b, a): c.conj() for (a, b), c in self.terms.items()}
-        return p
+        return self._like({(b, a): c.conj() for (a, b), c in self.terms.items()})
 
     def degree(self) -> int:
         return max((a + b for a, b in self.terms), default=0)
@@ -171,61 +245,17 @@ class BiPoly:
         zb = z.conjugate()
         return sum((c.to_complex() * z**a * zb**b for (a, b), c in self.terms.items()), 0j)
 
-    def is_exact(self) -> bool:
-        return all(c.exact for c in self.terms.values())
 
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def sorted_terms(self):
-        """Terms in the canonical (total degree, z-degree) order."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "terms": [
-                {"z": a, "zbar": b, **c.to_json_value()} for (a, b), c in self.sorted_terms()
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj) -> BiPoly:
-        return cls({(t["z"], t["zbar"]): Coeff.from_json_value(t) for t in obj["terms"]})
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (a, b), c in reversed(self.sorted_terms()):
-            mono = _mono_str(a, b, "z", "z~")
-            chunks.append(_term_str(c, mono))
-        return _join_terms(chunks)
-
-    def __repr__(self):
-        return f"BiPoly({self.pretty()})"
-
-
-class RealPoly:
+class RealPoly(SparseMap):
     """Polynomial in two real variables x1, x2 with real coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    KEYS = SYMBOLS = ("x1", "x2")
 
     def __init__(self, terms=None):
-        clean = _clean(terms) if terms else {}
-        for c in clean.values():
-            if not c.is_real():
-                raise ValueError("RealPoly coefficients must be real")
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls, exact=True):
-        return cls.monomial(0, 0, Coeff(1, exact=exact))
+        super().__init__(terms)
+        if not all(c.is_real() for c in self.terms.values()):
+            raise ValueError("RealPoly coefficients must be real")
 
     @classmethod
     def x1(cls):
@@ -239,79 +269,15 @@ class RealPoly:
     def monomial(cls, a, b, coeff=1):
         return cls({(a, b): Coeff.lift(coeff)})
 
-    def __add__(self, other):
-        if not isinstance(other, RealPoly):
-            other = RealPoly.monomial(0, 0, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        p = RealPoly()
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = RealPoly()
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        if not isinstance(other, RealPoly):
-            other = RealPoly.monomial(0, 0, other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, RealPoly):
-            s = Coeff.lift(other)
-            p = RealPoly()
-            if s:
-                p.terms = {k: c * s for k, c in self.terms.items()}
-            return p
-        out = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                key = (a + c, b + d)
-                v = c1 * c2
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        p = RealPoly()
-        p.terms = out
-        return p
+            return super().__mul__(other)
+        return self._like(_convolve(self.terms, other.terms))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = RealPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, RealPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def evaluate(self, x1, x2=0.0) -> float:
         return sum(float(c.to_complex().real) * x1**a * x2**b for (a, b), c in self.terms.items())
-
-    def is_exact(self) -> bool:
-        return all(c.exact for c in self.terms.values())
 
     def variables_used(self) -> set:
         used = set()
@@ -321,29 +287,6 @@ class RealPoly:
             if b:
                 used.add(1)
         return used
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
-
-    def to_json_dict(self):
-        return {
-            "terms": [{"x1": a, "x2": b, **c.to_json_value()} for (a, b), c in self.sorted_terms()]
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj) -> RealPoly:
-        return cls({(t["x1"], t["x2"]): Coeff.from_json_value(t) for t in obj["terms"]})
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = [
-            _term_str(c, _mono_str(a, b, "x1", "x2")) for (a, b), c in reversed(self.sorted_terms())
-        ]
-        return _join_terms(chunks)
-
-    def __repr__(self):
-        return f"RealPoly({self.pretty()})"
 
 
 @dataclass(frozen=True)
@@ -357,8 +300,6 @@ class SqrtPiValue:
         return f"({self.coeff}) * sqrt(pi)^{self.sqrt_pi_power}"
 
     def to_float(self) -> float:
-        import math
-
         return self.coeff.to_complex().real * math.pi ** (self.sqrt_pi_power / 2)
 
 
@@ -409,19 +350,7 @@ def real_inner_product(p: RealPoly, q: RealPoly) -> SqrtPiValue:
     return SqrtPiValue(acc, 1)
 
 
-# -- shared pretty-printing helpers ----------------------------------------
-
-
-def _mono_str(a, b, va, vb) -> str:
-    parts = []
-    if a:
-        parts.append(va if a == 1 else f"{va}^{a}")
-    if b:
-        parts.append(vb if b == 1 else f"{vb}^{b}")
-    return " ".join(parts)
-
-
-def _term_str(c: Coeff, mono: str) -> str:
+def _term_str(c, mono: str) -> str:
     ctxt = str(c)
     if not mono:
         return ctxt
@@ -432,10 +361,3 @@ def _term_str(c: Coeff, mono: str) -> str:
     if ("+" in ctxt[1:]) or ("-" in ctxt[1:]) or "sqrt2" in ctxt:
         ctxt = f"({ctxt})"
     return f"{ctxt} {mono}"
-
-
-def _join_terms(chunks) -> str:
-    out = chunks[0]
-    for c in chunks[1:]:
-        out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
-    return out

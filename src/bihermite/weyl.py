@@ -17,36 +17,17 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .coeffs import Coeff
-from .poly import BiPoly
+from .poly import BiPoly, SparseMap
 
-__all__ = ["WeylOp", "commutator", "operators_equal", "position_momentum_ops"]
+__all__ = ["WeylOp", "commutator", "position_momentum_ops"]
 
 
-class WeylOp:
+class WeylOp(SparseMap):
     """Normal-ordered two-boson operator: map {(c1, c2, d1, d2): Coeff}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        out = {}
-        if terms:
-            for key, c in terms.items():
-                c = Coeff.lift(c)
-                if not c:
-                    continue
-                c1, c2, d1, d2 = key
-                if min(c1, c2, d1, d2) < 0:
-                    raise ValueError(f"negative power in {key}")
-                out[(c1, c2, d1, d2)] = c
-        self.terms = out
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls, exact=True):
-        return cls({(0, 0, 0, 0): Coeff(1, exact=exact)})
+    __slots__ = ()
+    KEYS = ("c1", "c2", "d1", "d2")
+    SYMBOLS = ("ad1", "ad2", "a1", "a2")
 
     @classmethod
     def scalar(cls, value):
@@ -68,40 +49,9 @@ class WeylOp:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.scalar(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        w = WeylOp()
-        w.terms = out
-        return w
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        w = WeylOp()
-        w.terms = {k: -c for k, c in self.terms.items()}
-        return w
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.scalar(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, WeylOp):
-            s = Coeff.lift(other)
-            w = WeylOp()
-            if s:
-                w.terms = {k: c * s for k, c in self.terms.items()}
-            return w
+            return super().__mul__(other)
         out = {}
         for (c1, c2, d1, d2), ca in self.terms.items():
             for (e1, e2, f1, f2), cb in other.terms.items():
@@ -119,40 +69,20 @@ class WeylOp:
                             out[key] = s
                         else:
                             out.pop(key, None)
-        w = WeylOp()
-        w.terms = out
-        return w
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self * Coeff.lift(other).inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative operator power")
-        out = WeylOp.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, WeylOp) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def commutator(self, other: WeylOp) -> WeylOp:
         return self * other - other * self
 
     def dagger(self) -> WeylOp:
         """Formal adjoint; the reversed word is already normal ordered."""
-        w = WeylOp()
-        w.terms = {(d1, d2, c1, c2): c.conj() for (c1, c2, d1, d2), c in self.terms.items()}
-        return w
+        terms = self.terms.items()
+        return self._like({(d1, d2, c1, c2): c.conj() for (c1, c2, d1, d2), c in terms})
 
     # -- representation on polynomials --------------------------------------
 
@@ -169,82 +99,22 @@ class WeylOp:
             total = total + q * c
         return total
 
-    def is_exact(self) -> bool:
-        return all(c.exact for c in self.terms.values())
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "terms": [
-                {"c1": k[0], "c2": k[1], "d1": k[2], "d2": k[3], **c.to_json_value()}
-                for k, c in self.sorted_terms()
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj) -> WeylOp:
-        return cls(
-            {
-                (t["c1"], t["c2"], t["d1"], t["d2"]): Coeff.from_json_value(t)
-                for t in obj["terms"]
-            }
-        )
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (c1, c2, d1, d2), c in reversed(self.sorted_terms()):
-            word = " ".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in (("ad1", c1), ("ad2", c2), ("a1", d1), ("a2", d2))
-                if e
-            )
-            ctxt = str(c)
-            if not word:
-                chunks.append(ctxt)
-            elif ctxt == "1":
-                chunks.append(word)
-            elif ctxt == "-1":
-                chunks.append(f"-{word}")
-            else:
-                if ("+" in ctxt[1:]) or ("-" in ctxt[1:]) or "sqrt2" in ctxt:
-                    ctxt = f"({ctxt})"
-                chunks.append(f"{ctxt} {word}")
-        out = chunks[0]
-        for ch in chunks[1:]:
-            out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-        return out
-
-    def __repr__(self):
-        return f"WeylOp({self.pretty()})"
-
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return a.commutator(b)
 
 
-def operators_equal(a: WeylOp, b: WeylOp, tol: float = 0.0) -> bool:
-    """Exact equality when tol == 0, otherwise within tol relative to magnitude."""
-    if tol == 0.0:
-        return a == b
-    return (a - b).max_abs() <= tol * max(1.0, a.max_abs(), b.max_abs())
+def _qp_from_ladders(low: WeylOp, raise_: WeylOp, exact: bool) -> tuple[WeylOp, WeylOp]:
+    """(q, p) from a lowering/raising pair: q = (a + ad)/sqrt2, p = (a - ad)/(i sqrt2)."""
+    half_rt2 = Coeff(0, 0, Fraction(1, 2), exact=exact)  # 1/sqrt2
+    neg_i_half_rt2 = Coeff(0, 0, 0, Fraction(-1, 2), exact=exact)  # 1/(i sqrt2)
+    return (low + raise_) * half_rt2, (low - raise_) * neg_i_half_rt2
 
 
 def position_momentum_ops(exact=True) -> dict[str, WeylOp]:
     """Canonical pairs q_i = (a_i + ad_i)/sqrt2, p_i = (a_i - ad_i)/(i sqrt2)."""
-    half_rt2 = Coeff(0, 0, Fraction(1, 2), exact=exact)  # 1/sqrt2
-    neg_i_half_rt2 = Coeff(0, 0, 0, Fraction(-1, 2), exact=exact)  # 1/(i sqrt2)
     ops = {}
     for mode in (1, 2):
         a, ad = WeylOp.a(mode), WeylOp.adag(mode)
-        ops[f"q{mode}"] = (a + ad) * half_rt2
-        ops[f"p{mode}"] = (a - ad) * neg_i_half_rt2
+        ops[f"q{mode}"], ops[f"p{mode}"] = _qp_from_ladders(a, ad, exact)
     return ops

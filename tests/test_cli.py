@@ -204,3 +204,29 @@ def test_lie_report_undeformed(capsys):
     obj = json.loads(out)
     assert code == 0 and obj["class"] == "su2_plus_u1"
     assert obj["basis"] == ["J1", "J2", "J3", "J4"]
+
+
+def test_verify_negative_lmax_is_an_error(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--Lmax", "-1", "--format", "json")
+    obj = json.loads(out)
+    assert code == 1
+    for suite in ("orthonormal", "biorth", "repmat", "eigen", "intertwine"):
+        assert obj[suite]["status"] == "error", suite
+    code, _, err = run(capsys, "verify", "repmat", "--Lmax", "-1")
+    assert code == 2 and "Lmax" in err
+
+
+def test_verify_theta_zero_keeps_the_battery(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--theta", "0", "--format", "json")
+    obj = json.loads(out)
+    assert code == 1 and obj["qp"]["status"] == "error" and "theta" in obj["qp"]["summary"]
+    assert all(rep["status"] == "pass" for name, rep in obj.items() if name != "qp")
+    code, _, err = run(capsys, "verify", "qp", "--theta", "0", "--backend", "float")
+    assert code == 2 and "theta" in err
+
+
+def test_alpha_and_g_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "2", "3", "--alpha", "3/5", "--g", "1", "0", "0", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from bihermite.coeffs import Coeff, I, ONE, SQRT2, ZERO, parse_coeff, rational_sqrt
+from bihermite.coeffs import Coeff, I, ONE, SQRT2, ZERO, close, parse_coeff, rational_sqrt
+from bihermite.poly import BiPoly, RealPoly
 
 from conftest import coeffs, nonzero_coeffs
 
@@ -114,3 +115,25 @@ def test_conj_involution(c):
 @settings(max_examples=60)
 def test_multiplicative_inverse(c):
     assert c * c.inverse() == ONE
+
+
+def test_close_is_equality_at_zero_tolerance():
+    assert close(ONE, Coeff(1), 0.0) and not close(ONE, Coeff(1, 0, 0, 1), 0.0)
+    assert close([[ONE, ZERO]], [[ONE, ZERO]], 0.0) and not close([[ONE]], [[ONE, ZERO]], 0.0)
+    p = BiPoly({(1, 0): ONE})
+    assert close(p, BiPoly.z(), 0.0) and not close(p, RealPoly({(1, 0): ONE}), 0.0)
+
+
+def test_close_is_relative_per_entry_over_the_union_of_keys():
+    tol = 1e-10
+    big = Coeff(1e6, exact=False)
+    assert close(big, big + 1e-5, tol) and not close(big, big + 1e-3, tol)
+    assert not close(Coeff(0.0, exact=False), Coeff(1e-9, exact=False), tol)
+    # a key present on one side only compares against zero
+    p = BiPoly({(0, 0): big, (1, 0): Coeff(1e-12, exact=False)})
+    assert close(p, BiPoly({(0, 0): big}), tol)
+    # the scale is each entry's own, not the largest entry of the map
+    assert not close(p, BiPoly({(0, 0): big, (1, 0): Coeff(1e-9, exact=False)}), tol)
+    assert not close(p, RealPoly({(0, 0): big}), tol)
+    assert close([[big, ONE]], [[big, ONE + 1e-11]], tol)
+    assert not close([[big, ONE]], [[big]], tol)

@@ -21,7 +21,7 @@ from bihermite.deform import (
     rep_action_check,
     rep_matrix,
 )
-from bihermite.hermite import generating_series_complex, hermite_sum
+from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, inner_product
 
@@ -199,12 +199,18 @@ def test_biorthogonality_random_rational():
     assert biorthogonality_check(rational_gl2(rng), 2).ok
 
 
-def test_biorthogonality_thread_pool_is_deterministic(monkeypatch):
-    serial = biorthogonality_check(G_ALPHA, 3)
-    monkeypatch.setenv("HERMITE_DEFORM_THREADS", "4")
-    threaded = biorthogonality_check(G_ALPHA, 3)
-    assert threaded.ok
-    assert threaded.payload == serial.payload
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: orthonormality_check(-1),
+        lambda: biorthogonality_check(G_ALPHA, -1),
+        lambda: intertwine_check(G_ALPHA, -1),
+        lambda: dual_matrix_scaling_check(POINT, -1),
+    ],
+)
+def test_negative_lmax_rejected(check):
+    with pytest.raises(ValueError, match="Lmax"):
+        check()
 
 
 def test_dual_matrix_scaling():
