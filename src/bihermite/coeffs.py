@@ -13,11 +13,23 @@ reduces to literal equality of rationals.
 The float backend stores the same value with the radical folded into re/im.
 It is used for numerical cross-checks (eigenvalues, quadrature) and for
 parameter points whose square roots are irrational.
+
+Exact arithmetic takes short paths that give the same Fractions as the
+general formula.  A product is formed from its Q(i) halves,
+(x1 + y1 sqrt2)(x2 + y2 sqrt2), and a zero half, or a zero real or imaginary
+part, costs no Fraction product: Q(i) x Q(i) takes at most four products
+instead of sixteen.  A plain int or Fraction factor scales the slots without
+being lifted to a Coeff, and a sum skips its zero terms.  The float backend
+keeps the general formula, because its radical slots hold zeros whose sign
+(-0.0 after a negation) reaches the sign of zero results.  Every value
+hashes through its float image, so equal Coeffs hash alike on either
+backend, and so do a Coeff and an equal int below 2**53.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re as _regex
 from fractions import Fraction
 
@@ -49,6 +61,40 @@ def rational_sqrt(value) -> Fraction | None:
     if rn * rn == value.numerator and rd * rd == value.denominator:
         return Fraction(rn, rd)
     return None
+
+
+_ZERO_Q = Fraction(0)
+
+
+def _add(x: Fraction, y: Fraction) -> Fraction:
+    """x + y without a Fraction sum when either term is zero."""
+    if not x:
+        return y
+    if not y:
+        return x
+    return x + y
+
+
+def _scale(x: Fraction, n) -> Fraction:
+    return x * n if x else x
+
+
+def _qi_mul(xr, xi, yr, yi) -> tuple:
+    """(xr + xi i)(yr + yi i) as a (re, im) pair, with no Fraction product
+    for a zero real or imaginary part."""
+    if not xi:
+        if not yi:
+            return xr * yr, _ZERO_Q
+        return _scale(yr, xr), xr * yi
+    if not xr:
+        if not yi:
+            return _ZERO_Q, xi * yr
+        return -(xi * yi), _scale(yr, xi)
+    if not yi:
+        return xr * yr, xi * yr
+    if not yr:
+        return -(xi * yi), xr * yi
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 class Coeff:
@@ -125,7 +171,10 @@ class Coeff:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return Coeff._raw(a.re + b.re, a.im + b.im, a.re2 + b.re2, a.im2 + b.im2, a.exact)
+        add = _add if a.exact else operator.add
+        return Coeff._raw(
+            add(a.re, b.re), add(a.im, b.im), add(a.re2, b.re2), add(a.im2, b.im2), a.exact
+        )
 
     __radd__ = __add__
 
@@ -139,8 +188,42 @@ class Coeff:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        # (x1 + y1 r)(x2 + y2 r) = (x1 x2 + 2 y1 y2) + (x1 y2 + y1 x2) r, r = sqrt2
+        if not isinstance(other, Coeff):
+            if self.exact and isinstance(other, (int, Fraction)):
+                # rational scaling: one product per nonzero slot, no lift
+                return Coeff._raw(
+                    _scale(self.re, other),
+                    _scale(self.im, other),
+                    _scale(self.re2, other),
+                    _scale(self.im2, other),
+                    True,
+                )
+            other = Coeff.lift(other)
+        a, b = self, other
+        if a.exact != b.exact:
+            a, b = a.to_float(), b.to_float()
+        # (x1 + y1 r)(x2 + y2 r) = (x1 x2 + 2 y1 y2) + (x1 y2 + y1 x2) r with
+        # r = sqrt2 and x, y in Q(i).  An exact product skips its zero halves.
+        # Floats always take all 16 terms: their radical slots are zeros whose
+        # sign (-0.0 after a negation) reaches the sign of zero results.
+        if a.exact:
+            y1, y2 = a.re2 or a.im2, b.re2 or b.im2
+            if not (y1 or y2):
+                re, im = _qi_mul(a.re, a.im, b.re, b.im)
+                return Coeff._raw(re, im, _ZERO_Q, _ZERO_Q, True)
+            x1, x2 = a.re or a.im, b.re or b.im
+            if not (x1 and x2 and y1 and y2):
+                re = im = re2 = im2 = _ZERO_Q
+                if x1 and x2:
+                    re, im = _qi_mul(a.re, a.im, b.re, b.im)
+                elif y1 and y2:
+                    u, v = _qi_mul(a.re2, a.im2, b.re2, b.im2)
+                    re, im = 2 * u, 2 * v
+                if x1 and y2:
+                    re2, im2 = _qi_mul(a.re, a.im, b.re2, b.im2)
+                elif y1 and x2:
+                    re2, im2 = _qi_mul(a.re2, a.im2, b.re, b.im)
+                return Coeff._raw(re, im, re2, im2, True)
         return Coeff._raw(
             a.re * b.re - a.im * b.im + 2 * (a.re2 * b.re2 - a.im2 * b.im2),
             a.re * b.im + a.im * b.re + 2 * (a.re2 * b.im2 + a.im2 * b.re2),
@@ -210,9 +293,15 @@ class Coeff:
         return a.re == b.re and a.im == b.im and a.re2 == b.re2 and a.im2 == b.im2
 
     def __hash__(self):
-        if self.exact:
+        # through the float image, because == compares in float whenever one
+        # side is float (Coeff(1) == 1 == Coeff(1.0, exact=False)).  An exact
+        # value equal to an int or Fraction that no float represents (1/3)
+        # still hashes apart from it: Coeff(1/3) equals both Fraction(1, 3)
+        # and the float 1/3, which differ, so no hash can match both.
+        try:
+            return hash(self.to_complex())
+        except OverflowError:  # too large for a float, so equal to no float
             return hash((self.re, self.im, self.re2, self.im2))
-        return hash(complex(self.re, self.im))
 
     def is_real(self) -> bool:
         return not self.im and not self.im2

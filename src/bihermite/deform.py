@@ -294,24 +294,31 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
 
     M[r,k] = sum_q C(k,q) C(L-k, r-q) g11^q g21^(k-q) g12^(r-q) g22^(L-k+q-r),
     the coefficient of s^r t^(L-r) in (g11 s + g21 t)^k (g12 s + g22 t)^(L-k).
+    Column k is the convolution of the binomial rows of the two factors, built
+    from one power table per entry of g.
     """
     if L < 0:
         raise ValueError("level must be nonnegative")
-    g11, g12, g21, g22 = g.entries()
     exact = g.is_exact()
+
+    def powers(c):
+        out = [Coeff(1, exact=exact)]
+        for _ in range(L):
+            out.append(out[-1] * c)
+        return out
+
+    p11, p12, p21, p22 = (powers(c) for c in g.entries())
+    # left[n][q] = C(n,q) g11^q g21^(n-q), right[n][p] = C(n,p) g12^p g22^(n-p)
+    left = [[p11[q] * p21[n - q] * comb(n, q) for q in range(n + 1)] for n in range(L + 1)]
+    right = [[p12[p] * p22[n - p] * comb(n, p) for p in range(n + 1)] for n in range(L + 1)]
     rows = []
     for r in range(L + 1):
         row = []
         for k in range(L + 1):
+            a, b = left[k], right[L - k]
             acc = Coeff(0, exact=exact)
             for q in range(max(0, r + k - L), min(r, k) + 1):
-                w = (
-                    (g11**q)
-                    * (g21 ** (k - q))
-                    * (g12 ** (r - q))
-                    * (g22 ** (L - k + q - r))
-                )
-                acc = acc + w * (comb(k, q) * comb(L - k, r - q))
+                acc = acc + a[q] * b[r - q]
             row.append(acc)
         rows.append(row)
     return RepMatrix(L, rows)

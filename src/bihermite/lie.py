@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -155,21 +156,27 @@ class StructureConstants:
         return [-c for c in self.table[(j, i)]]
 
     def jacobi_ok(self, tol: float | None = None) -> bool:
+        """[[g_i, g_j], g_k] + cyclic = 0 for every triple of generators.
+
+        bracket() is antisymmetric, so the Jacobiator is totally antisymmetric
+        and vanishes on repeated indices: the triples i < j < k decide it.
+        Zero structure constants contribute no products.
+        """
         if tol is None:
             tol = 0.0 if self.exact else FLOAT_TOL
         n = self.dim
-        c = [[self.bracket(i, j) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc = Coeff(0, exact=self.exact)
-                        for m in range(n):
-                            acc = acc + c[i][j][m] * c[m][k][l]
-                            acc = acc + c[j][k][m] * c[m][i][l]
-                            acc = acc + c[k][i][m] * c[m][j][l]
-                        if (tol == 0.0 and acc) or (tol > 0.0 and abs(acc) > tol):
-                            return False
+        nonzero = [
+            [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
+            for a in range(n)
+        ]
+        for i, j, k in combinations(range(n), 3):
+            jac = [Coeff(0, exact=self.exact)] * n
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in nonzero[a][b]:
+                    for l, e in nonzero[m][d]:
+                        jac[l] = jac[l] + c * e
+            if any((tol == 0.0 and x) or (tol > 0.0 and abs(x) > tol) for x in jac):
+                return False
         return True
 
     def to_json(self, klass: str | None = None) -> dict:

@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for the property tests."""
 
+from fractions import Fraction
+
 import hypothesis.strategies as st
 
 from bihermite import BiPoly, Coeff, GL2, WeylOp
@@ -9,6 +11,25 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 coeffs = st.builds(Coeff, small_fractions, small_fractions)
 
 nonzero_coeffs = coeffs.filter(bool)
+
+# every slot of Q(i, sqrt2), each one zero often, so that zero halves and
+# zero parts reach every branch of the exact product
+_slots = st.one_of(st.just(Fraction(0)), small_fractions)
+radical_coeffs = st.builds(Coeff, _slots, _slots, _slots, _slots)
+
+
+def _float_coeff(re, im, form):
+    c = Coeff(re, im, exact=False)
+    # negation and conjugation leave signed zeros in the radical slots
+    return {"plain": c, "neg": -c, "conj": c.conj()}[form]
+
+
+float_coeffs = st.builds(
+    _float_coeff,
+    st.floats(-8, 8, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+    st.floats(-8, 8, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+    st.sampled_from(["plain", "neg", "conj"]),
+)
 
 bipolys = st.dictionaries(
     keys=st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -32,6 +53,11 @@ def _gl2_or_none(entries):
         return None
 
 
-invertible_gl2 = (
-    st.tuples(coeffs, coeffs, coeffs, coeffs).map(_gl2_or_none).filter(lambda g: g is not None)
-)
+def gl2s(entries):
+    """Invertible GL2 matrices with entries drawn from a coefficient strategy."""
+    return st.tuples(entries, entries, entries, entries).map(_gl2_or_none).filter(
+        lambda g: g is not None
+    )
+
+
+invertible_gl2 = gl2s(coeffs)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from bihermite import cli
 from bihermite.cli import main
-from bihermite.coeffs import Coeff
+from bihermite.coeffs import FLOAT_TOL, Coeff
 from bihermite.poly import BiPoly
 
 
@@ -230,3 +231,23 @@ def test_alpha_and_g_are_mutually_exclusive(capsys):
         main(["deform", "2", "3", "--alpha", "3/5", "--g", "1", "0", "0", "1"])
     assert exc.value.code == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_verify_eigen_runs_on_the_requested_backend(capsys, monkeypatch, backend):
+    seen = []
+    check = cli.eigenvalue_structure_check
+
+    def recording(g, L, *args, **kwargs):
+        rep = check(g, L, *args, **kwargs)
+        seen.append((g.is_exact(), rep.payload["mode"], rep.payload.get("tolerance")))
+        return rep
+
+    monkeypatch.setattr(cli, "eigenvalue_structure_check", recording)
+    code, _, _ = run(capsys, "verify", "eigen", "--backend", backend, "--Lmax", "8")
+    assert code == 0 and len(seen) == 3 * 9
+    if backend == "float":
+        assert all(not exact and mode == "float" and tol == FLOAT_TOL for exact, mode, tol in seen)
+    else:
+        assert all(exact for exact, _, _ in seen)
+        assert {mode for _, mode, _ in seen} == {"exact-triangular", "float"}

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihermite.coeffs import Coeff, I, ONE, SQRT2, ZERO, close, parse_coeff, rational_sqrt
 from bihermite.poly import BiPoly, RealPoly
 
-from conftest import coeffs, nonzero_coeffs
+from conftest import coeffs, float_coeffs, nonzero_coeffs, radical_coeffs
 
 
 def test_field_constants():
@@ -137,3 +138,120 @@ def test_close_is_relative_per_entry_over_the_union_of_keys():
     assert not close(p, RealPoly({(0, 0): big}), tol)
     assert close([[big, ONE]], [[big, ONE + 1e-11]], tol)
     assert not close([[big, ONE]], [[big]], tol)
+
+
+# -- every product path against the general formula it replaces ------------
+
+
+def reference_mul(self, other):
+    """The general 16-product formula in Q(i, sqrt2)."""
+    a, b = self._pair(other)
+    # (x1 + y1 r)(x2 + y2 r) = (x1 x2 + 2 y1 y2) + (x1 y2 + y1 x2) r, r = sqrt2
+    return Coeff._raw(
+        a.re * b.re - a.im * b.im + 2 * (a.re2 * b.re2 - a.im2 * b.im2),
+        a.re * b.im + a.im * b.re + 2 * (a.re2 * b.im2 + a.im2 * b.re2),
+        a.re * b.re2 - a.im * b.im2 + a.re2 * b.re - a.im2 * b.im,
+        a.re * b.im2 + a.im * b.re2 + a.re2 * b.im + a.im2 * b.re,
+        a.exact,
+    )
+
+
+def reference_add(self, other):
+    a, b = self._pair(other)
+    return Coeff._raw(a.re + b.re, a.im + b.im, a.re2 + b.re2, a.im2 + b.im2, a.exact)
+
+
+def assert_identical(got, want):
+    """Same backend and slots; exact slots stay Fractions, float slots match
+    by repr, which tells -0.0 from 0.0."""
+    assert got.exact == want.exact
+    slots = lambda c: (c.re, c.im, c.re2, c.im2)  # noqa: E731
+    if want.exact:
+        assert slots(got) == slots(want)
+        assert all(type(x) is F for x in slots(got))
+    else:
+        assert [repr(x) for x in slots(got)] == [repr(x) for x in slots(want)]
+    assert repr(got) == repr(want)
+
+
+@given(radical_coeffs, radical_coeffs)
+@settings(max_examples=300, deadline=None)
+def test_exact_product_matches_general_formula(a, b):
+    assert_identical(a * b, reference_mul(a, b))
+    assert_identical(a + b, reference_add(a, b))
+
+
+@given(radical_coeffs | float_coeffs, st.integers(-40, 40) | st.sampled_from([0, -1]))
+@settings(max_examples=200, deadline=None)
+def test_int_scaling_matches_general_formula(a, n):
+    want = reference_mul(a, n)
+    assert_identical(a * n, want)
+    assert_identical(n * a, want)
+
+
+@given(radical_coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=9))
+@settings(max_examples=100, deadline=None)
+def test_fraction_scaling_matches_general_formula(a, q):
+    assert_identical(a * q, reference_mul(a, q))
+
+
+@given(float_coeffs, float_coeffs)
+@settings(max_examples=300, deadline=None)
+def test_float_product_matches_general_formula(a, b):
+    assert_identical(a * b, reference_mul(a, b))
+    assert_identical(a + b, reference_add(a, b))
+
+
+@given(radical_coeffs, float_coeffs, st.floats(-4, 4) | st.sampled_from([0.0, -0.0]))
+@settings(max_examples=200, deadline=None)
+def test_mixed_backend_product_matches_general_formula(a, b, x):
+    assert_identical(a * b, reference_mul(a, b))
+    assert_identical(b * a, reference_mul(b, a))
+    assert_identical(a * x, reference_mul(a, x))
+    assert_identical(a * complex(x, 1.5), reference_mul(a, complex(x, 1.5)))
+
+
+def test_float_product_keeps_the_sign_of_zero():
+    # a negated float carries -0.0 radical slots; the general formula lets
+    # that sign through to a zero imaginary part, and the output shows it
+    a, b = Coeff(0.0, 0.8, exact=False), -Coeff(0.0, 0.8, exact=False)
+    assert repr(reference_mul(a, b).im) == repr((a * b).im) == "-0.0"
+
+
+# -- hashing ------------------------------------------------------------------
+
+
+def twins(c):
+    """Values equal to c on another backend or as a plain number."""
+    out = [c, Coeff.from_complex(c.to_complex()), c.to_float(), -(-c)]
+    if c.exact and c.is_rational() and c.re.denominator == 1:
+        out.append(int(c.re))
+    if not c.exact and not c.im and c.re.is_integer():
+        out.append(int(c.re))
+    return out
+
+
+@given(
+    radical_coeffs | float_coeffs | st.integers(-3, 3).map(Coeff),
+    radical_coeffs | float_coeffs | st.integers(-3, 3).map(Coeff) | st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_equal_values_hash_equally(a, b):
+    for x in twins(a):
+        assert x == a and hash(x) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_equal_across_backends_and_ints_hash_equally():
+    pairs = [
+        (Coeff(1), Coeff(1.0, exact=False)),
+        (Coeff(1), 1),
+        (Coeff(-2, 3), Coeff(-2.0, 3.0, exact=False)),
+        (Coeff(F(1, 2), 0, F(3, 4)), Coeff(F(1, 2), 0, F(3, 4)).to_float()),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({Coeff(1), Coeff(1.0, exact=False), 1}) == 1
+    # beyond the float range the exact slots are hashed instead
+    assert len({Coeff(10**400), Coeff(10**400), Coeff(0, 10**400)}) == 2

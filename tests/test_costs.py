@@ -1,0 +1,61 @@
+"""Operation-count guards for the exact hot paths.
+
+Wall time is too noisy to gate on a shared host; the number of scalar
+products a computation performs is not.  The bounds sit well above the
+counts of the current routes and far below those of the per-term routes
+they replaced.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction as F
+
+from bihermite.coeffs import Coeff
+from bihermite.deform import AlphaPoint, alpha_matrix, rep_matrix
+from bihermite.lie import basis_change, bilinear_generators, rescale, structure_constants
+
+POINT = AlphaPoint.make(F(3, 5))
+
+
+@contextmanager
+def counted_products():
+    """Count Coeff products, whichever operand side starts them."""
+    calls = [0]
+    mul, rmul = Coeff.__dict__["__mul__"], Coeff.__dict__["__rmul__"]
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    Coeff.__mul__ = Coeff.__rmul__ = counting
+    try:
+        yield calls
+    finally:
+        Coeff.__mul__, Coeff.__rmul__ = mul, rmul
+
+
+def test_rep_matrix_products_at_level_twelve():
+    g = alpha_matrix(POINT)
+    with counted_products() as calls:
+        rep_matrix(g, 12)
+    assert 0 < calls[0] <= 1500  # 7,412 with powers formed per term
+
+
+def test_jacobi_products_on_the_alpha_tables():
+    jbasis = bilinear_generators(POINT)
+    tables = [structure_constants(b) for b in (jbasis, basis_change(jbasis))]
+    tables.append(structure_constants(rescale(basis_change(jbasis))))
+    counts = []
+    for sc in tables:
+        with counted_products() as calls:
+            assert sc.jacobi_ok()
+        counts.append(calls[0])
+    # 3,072 each over every index combination.  In the X and Z tables every
+    # Jacobi term has a zero structure constant; the J table's do not all.
+    assert counts[0] > 0 and all(c <= 400 for c in counts)
+
+
+def test_counter_is_removed_afterwards():
+    before = Coeff.__dict__["__mul__"]
+    with counted_products():
+        Coeff(1) * Coeff(2)
+    assert Coeff.__dict__["__mul__"] is before and Coeff.__dict__["__rmul__"] is before

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bihermite.coeffs import Coeff
+from bihermite.coeffs import FLOAT_TOL, Coeff, close
 from bihermite.deform import (
     GL2,
     RepMatrix,
@@ -25,7 +26,7 @@ from bihermite.hermite import generating_series_complex, hermite_sum, orthonorma
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, inner_product
 
-from conftest import invertible_gl2
+from conftest import gl2s, invertible_gl2, radical_coeffs
 
 Z, ZB, ONE = BiPoly.z(), BiPoly.zbar(), BiPoly.one()
 POINT = AlphaPoint.make(F(3, 5))
@@ -269,3 +270,43 @@ def test_rep_matrix_homomorphism_property(g):
     L = 2
     assert rep_matrix(g, L) @ rep_matrix(g.inverse(), L) == RepMatrix.identity(L)
     assert rep_matrix(g, L).adjoint() == rep_matrix(g.conj_transpose(), L)
+
+
+def reference_rep_matrix(g: GL2, L: int) -> RepMatrix:
+    """M(g, L) by the triple sum over (r, k, q) with powers formed per term."""
+    g11, g12, g21, g22 = g.entries()
+    exact = g.is_exact()
+    rows = []
+    for r in range(L + 1):
+        row = []
+        for k in range(L + 1):
+            acc = Coeff(0, exact=exact)
+            for q in range(max(0, r + k - L), min(r, k) + 1):
+                w = (
+                    (g11**q)
+                    * (g21 ** (k - q))
+                    * (g12 ** (r - q))
+                    * (g22 ** (L - k + q - r))
+                )
+                acc = acc + w * (comb(k, q) * comb(L - k, r - q))
+            row.append(acc)
+        rows.append(row)
+    return RepMatrix(L, rows)
+
+
+@given(gl2s(radical_coeffs), st.integers(0, 8))
+@settings(max_examples=30, deadline=None)
+def test_rep_matrix_matches_triple_sum(g, L):
+    assert rep_matrix(g, L) == reference_rep_matrix(g, L)
+
+
+def test_rep_matrix_matches_triple_sum_on_the_battery_matrices():
+    rng = random.Random(23)
+    for g in (G_ALPHA, GL2.diagonal(2, 3), GL2(2, 1, 0, 3), rational_gl2(rng)):
+        for L in (0, 1, 5, 8):
+            assert rep_matrix(g, L) == reference_rep_matrix(g, L)
+    # the float route sums in another order, so it agrees to rounding
+    gf = GL2(*(c.to_float() for c in G_ALPHA.entries()))
+    for L in (1, 5, 8):
+        got, want = rep_matrix(gf, L), reference_rep_matrix(gf, L)
+        assert not got[0, 0].exact and close(got.entries, want.entries, FLOAT_TOL)

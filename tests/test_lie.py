@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihermite.coeffs import Coeff
 from bihermite.lie import (
@@ -197,3 +201,76 @@ def test_operator_level_jacobi():
 
     total = br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b)
     assert total == WeylOp.zero()
+
+
+def full_jacobi_ok(sc: StructureConstants, tol: float = 0.0) -> bool:
+    """The Jacobi identity over every index combination (i, j, k, l)."""
+    n = sc.dim
+    c = [[sc.bracket(i, j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    acc = Coeff(0, exact=sc.exact)
+                    for m in range(n):
+                        acc = acc + c[i][j][m] * c[m][k][l]
+                        acc = acc + c[j][k][m] * c[m][i][l]
+                        acc = acc + c[k][i][m] * c[m][j][l]
+                    if (tol == 0.0 and acc) or (tol > 0.0 and abs(acc) > tol):
+                        return False
+    return True
+
+
+_ENTRIES = [0, 0, 0, 1, -1, 2, F(1, 2), Coeff(0, 1), Coeff(0, -2), Coeff(1, 1)]
+_SCALES = [1, -1, 2, F(-3, 2), Coeff(0, 1), Coeff(1, -1)]
+# genuine Lie algebras; in each, the first three generators close on their own
+_ALGEBRAS = [
+    structure_constants(bilinear_generators(None)),
+    structure_constants(basis_change(bilinear_generators(POINT))),
+    structure_constants(rescale(basis_change(bilinear_generators(POINT)))),
+]
+
+
+def random_table(rng: random.Random, n: int, exact: bool = True) -> StructureConstants:
+    """A dense random table (Jacobi almost always fails), or a genuine algebra
+    under a random permutation and rescaling of its basis, perturbed in one
+    entry half of the time."""
+    if rng.random() < 1 / 3:
+        table = {
+            ij: [Coeff.lift(rng.choice(_ENTRIES)) for _ in range(n)]
+            for ij in combinations(range(n), 2)
+        }
+    else:
+        base = rng.choice(_ALGEBRAS)
+        perm = rng.sample(range(n), n)  # f_i = s_i e_perm[i]
+        s = [Coeff.lift(rng.choice(_SCALES)) for _ in range(n)]
+        table = {}
+        for i, j in combinations(range(n), 2):
+            v = base.bracket(perm[i], perm[j])
+            table[(i, j)] = [v[perm[m]] * s[i] * s[j] / s[m] for m in range(n)]
+        if rng.random() < 0.5:
+            ij = rng.choice(list(table))
+            table[ij][rng.randrange(n)] += rng.choice(_SCALES)
+    if not exact:
+        table = {ij: [c.to_float() for c in v] for ij, v in table.items()}
+    names = tuple(f"e{i}" for i in range(n))
+    return StructureConstants(names, table, {ij: 0.0 for ij in table}, exact)
+
+
+@given(st.integers(0, 2**32), st.integers(3, 4), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_jacobi_on_triples_matches_the_full_loop(seed, n, exact):
+    sc = random_table(random.Random(seed), n, exact)
+    assert sc.jacobi_ok() == full_jacobi_ok(sc, 0.0 if exact else 1e-10)
+
+
+def test_random_tables_reach_both_jacobi_outcomes():
+    rng = random.Random(29)
+    outcomes = []
+    for n in (3, 4):
+        for _ in range(60):
+            sc = random_table(rng, n)
+            ok = sc.jacobi_ok()
+            assert ok == full_jacobi_ok(sc)
+            outcomes.append(ok)
+    assert 10 <= sum(outcomes) <= len(outcomes) - 10

@@ -1,4 +1,5 @@
-"""Differential oracle: polynomial, operator and series arithmetic against sympy.
+"""Differential oracle: polynomial, operator and series arithmetic, and the
+Hermite and deformed Hermite families, against sympy.
 
 The oracle shares no code with the library.  Library objects are read only
 through their ``terms`` maps and the four rational slots of each coefficient;
@@ -7,6 +8,7 @@ sympy realises the operators as differential operators on (z, zbar):
     a1 = d/dz,   ad1 = z - d/dzbar,   a2 = d/dzbar,   ad2 = zbar - d/dz.
 """
 
+from fractions import Fraction as F
 from math import factorial
 
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import given, settings
 
 sympy = pytest.importorskip("sympy")
 
-from bihermite.hermite import generating_series_complex  # noqa: E402
+from bihermite.coeffs import Coeff  # noqa: E402
+from bihermite.deform import GL2, deformed_hermite  # noqa: E402
+from bihermite.hermite import generating_series_complex, hermite_sum  # noqa: E402
 from bihermite.weyl import commutator  # noqa: E402
 
 from conftest import bipolys, weylops  # noqa: E402
@@ -84,3 +88,34 @@ def test_complex_generating_series():
             want = sympy.diff(gen, u, j, ub, k).subs({u: 0, ub: 0}) / (factorial(j) * factorial(k))
             assert same(expr(series.coeff(j, k)), want), (j, k)
     assert all(j + k <= N for j, k in series.terms)
+
+
+def test_hermite_family_by_rodrigues_formula():
+    # H[m,n] = (-1)^(m+n) e^(z zbar) d^m/dzbar^m d^n/dz^n e^(-z zbar), with z
+    # and zbar independent symbols
+    w = sympy.exp(-z * zb)
+    for total in range(7):
+        for m in range(total + 1):
+            n = total - m
+            want = (-1) ** total * sympy.exp(z * zb) * sympy.diff(w, zb, m, z, n)
+            assert same(expr(hermite_sum(m, n)), sympy.simplify(want)), (m, n)
+
+
+def test_deformed_family_by_raising_operators():
+    # g = [[1 + sqrt2, i], [1/2, -1 + sqrt2 i]], written out for each side
+    r2 = sympy.sqrt(2)
+    s11, s12, s21, s22 = 1 + r2, sympy.I, sympy.Rational(1, 2), -1 + r2 * sympy.I
+    g = GL2(Coeff(1, 0, 1), Coeff(0, 1), Coeff(F(1, 2)), Coeff(-1, 0, 0, 1))
+
+    def raise_(cz, czb, f):
+        # cz (z - d/dzbar) + czb (zbar - d/dz) applied to f
+        return cz * (z * f - sympy.diff(f, zb)) + czb * (zb * f - sympy.diff(f, z))
+
+    for total in range(5):
+        for k in range(total + 1):
+            f = sympy.Integer(1)
+            for _ in range(total - k):
+                f = raise_(s12, s22, f)
+            for _ in range(k):
+                f = raise_(s11, s21, f)
+            assert same(expr(deformed_hermite(g, k, total - k)), f), (k, total - k)
