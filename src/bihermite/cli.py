@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .coeffs import FLOAT_TOL, Coeff, close, parse_coeff
+from .coeffs import Coeff, backend_tol, close, parse_coeff
 from .deform import (
     GL2,
     AlphaPoint,
@@ -49,18 +49,6 @@ from .lie import (
 )
 from .ncqm import ncqm_commutator_suite, qp_representation_suite
 from .report import Report
-
-VERIFY_SUITES = (
-    "orthonormal",
-    "biorth",
-    "repmat",
-    "eigen",
-    "intertwine",
-    "ncqm",
-    "qp",
-    "lie",
-    "all",
-)
 
 
 def parse_alpha(text: str, exact: bool) -> AlphaPoint:
@@ -228,11 +216,10 @@ def _verify_repmat(args, exact: bool, tol: float) -> Report:
         for name, ok in checks.items():
             if not ok:
                 failures.append({"L": L, "law": name})
-    status = "pass" if not failures else "fail"
-    return Report(
-        status,
-        f"representation-matrix laws up to level {args.Lmax}: {status}",
-        {"Lmax": args.Lmax, "seed": args.seed, "failures": failures, "status": status},
+    return Report.verdict(
+        not failures,
+        f"representation-matrix laws up to level {args.Lmax}",
+        {"Lmax": args.Lmax, "seed": args.seed, "failures": failures},
     )
 
 
@@ -244,7 +231,6 @@ def _verify_eigen(args, exact: bool, tol: float) -> Report:
         ("generic", GL2(Coeff(1, 2), Coeff(Fraction(3, 7)), Coeff(Fraction(-1, 3)), Coeff(2, -1))),
     ]
     sub = []
-    ok = True
     for name, g in cases:
         if not exact:
             g = GL2(*(c.to_float() for c in g.entries()))
@@ -252,61 +238,62 @@ def _verify_eigen(args, exact: bool, tol: float) -> Report:
             # on the exact backend only the generic case is numerical, and it
             # keeps the check's own tolerance
             rep = eigenvalue_structure_check(g, L, tol) if tol else eigenvalue_structure_check(g, L)
-            ok = ok and rep.ok
             sub.append({"case": name, "L": L, "status": rep.status})
-    status = "pass" if ok else "fail"
-    return Report(status, f"eigenvalue structure: {status}", {"cases": sub, "status": status})
+    ok = all(c["status"] == "pass" for c in sub)
+    return Report.verdict(ok, "eigenvalue structure", {"cases": sub})
+
+
+def _verify_qp(args, exact: bool, tol: float) -> Report:
+    theta = Fraction(args.theta) if exact else float(Fraction(args.theta))
+    gamma = Fraction(args.gamma) if exact else float(Fraction(args.gamma))
+    return qp_representation_suite(theta, gamma, exact)
+
+
+def _point(args, exact: bool) -> AlphaPoint:
+    return parse_alpha("3/5" if args.alpha is None else args.alpha, exact)
+
+
+def _matrix(args, exact: bool) -> GL2:
+    return alpha_matrix(_point(args, exact))
+
+
+# suite name -> (default --Lmax, runner(args, exact, tol)), in `verify all`
+# order.  Runners call the library through module globals, so whatever
+# rebinds those (a tracer, a test) sees every call.
+VERIFY_SUITES = {
+    "orthonormal": (6, lambda a, exact, tol: orthonormality_check(a.Lmax)),
+    "biorth": (4, lambda a, exact, tol: biorthogonality_check(_matrix(a, exact), a.Lmax, tol)),
+    "repmat": (5, _verify_repmat),
+    "eigen": (4, _verify_eigen),
+    "intertwine": (5, lambda a, exact, tol: intertwine_check(_matrix(a, exact), a.Lmax, tol)),
+    "ncqm": (None, lambda a, exact, tol: ncqm_commutator_suite(_point(a, exact))),
+    "qp": (None, _verify_qp),
+    "lie": (None, lambda a, exact, tol: lie_report(_point(a, exact))),
+}
 
 
 def run_suite(name: str, args) -> Report:
+    if name not in VERIFY_SUITES:
+        raise ValueError(f"unknown suite {name!r}")
     exact = args.backend == "exact"
-    tol = 0.0 if exact else FLOAT_TOL
-    alpha_default = args.alpha if args.alpha is not None else "3/5"
-    if name == "orthonormal":
-        return orthonormality_check(args.Lmax)
-    if name == "biorth":
-        g = alpha_matrix(parse_alpha(alpha_default, exact))
-        return biorthogonality_check(g, args.Lmax, tol)
-    if name == "repmat":
-        return _verify_repmat(args, exact, tol)
-    if name == "eigen":
-        return _verify_eigen(args, exact, tol)
-    if name == "intertwine":
-        g = alpha_matrix(parse_alpha(alpha_default, exact))
-        return intertwine_check(g, args.Lmax, tol)
-    if name == "ncqm":
-        return ncqm_commutator_suite(parse_alpha(alpha_default, exact))
-    if name == "qp":
-        theta = Fraction(args.theta) if exact else float(Fraction(args.theta))
-        gamma = Fraction(args.gamma) if exact else float(Fraction(args.gamma))
-        return qp_representation_suite(theta, gamma, exact)
-    if name == "lie":
-        return lie_report(parse_alpha(alpha_default, exact))
-    raise ValueError(f"unknown suite {name!r}")
-
-
-def _suite_defaults(name: str, args) -> argparse.Namespace:
-    """Per-suite default level bounds when --Lmax was not given."""
-    lmax = {"orthonormal": 6, "biorth": 4, "repmat": 5, "eigen": 4, "intertwine": 5}.get(name, 4)
-    ns = argparse.Namespace(**vars(args))
-    if ns.Lmax is None:
-        ns.Lmax = lmax
-    return ns
+    return VERIFY_SUITES[name][1](args, exact, backend_tol(exact))
 
 
 def cmd_verify(args) -> int:
     run_all = args.suite == "all"
-    names = list(VERIFY_SUITES[:-1]) if run_all else [args.suite]
+    names = list(VERIFY_SUITES) if run_all else [args.suite]
     reports = {}
     for name in names:
-        if run_all:
+        ns = argparse.Namespace(**vars(args))
+        if ns.Lmax is None:
+            ns.Lmax = VERIFY_SUITES[name][0]
+        try:
+            reports[name] = run_suite(name, ns)
+        except (ValueError, ZeroDivisionError) as exc:
+            if not run_all:
+                raise
             # one broken suite must not mask the others in the battery
-            try:
-                reports[name] = run_suite(name, _suite_defaults(name, args))
-            except (ValueError, ZeroDivisionError) as exc:
-                reports[name] = Report("error", f"{name}: {exc}", {"status": "error"})
-        else:
-            reports[name] = run_suite(name, _suite_defaults(name, args))
+            reports[name] = Report("error", f"{name}: {exc}")
     all_ok = all(r.ok for r in reports.values())
     if args.seed_manifest:
         doc = {
@@ -411,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genfun)
 
     p = sub.add_parser("verify", help="run a verification suite (exit 0 iff pass)")
-    p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("suite", choices=(*VERIFY_SUITES, "all"))
     p.add_argument("--alpha")
     p.add_argument("--theta", default="3/5")
     p.add_argument("--gamma", default="16/15")

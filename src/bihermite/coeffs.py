@@ -36,6 +36,7 @@ from fractions import Fraction
 __all__ = [
     "Coeff",
     "FLOAT_TOL",
+    "backend_tol",
     "close",
     "rational_sqrt",
     "parse_coeff",
@@ -49,6 +50,12 @@ _SQRT2 = math.sqrt(2.0)
 
 # residual tolerance for float-backend identity checks
 FLOAT_TOL = 1e-10
+
+
+def backend_tol(exact: bool) -> float:
+    """Identity-check tolerance of a backend: literal equality (0.0) when
+    exact, FLOAT_TOL on the float backend."""
+    return 0.0 if exact else FLOAT_TOL
 
 
 def rational_sqrt(value) -> Fraction | None:

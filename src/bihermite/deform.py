@@ -369,10 +369,9 @@ def rep_action_check(g: GL2, L: int, tol: float = 0.0) -> Report:
             recon = recon + basis[r] * coord
         if not close(recon, hg, tol):
             mismatches.append({"k": k, "error": "expansion does not close within the level"})
-    status = "pass" if not mismatches else "fail"
-    return Report(
-        status,
-        f"level-{L} matrix action: {status}",
+    return Report.verdict(
+        not mismatches,
+        f"level-{L} matrix action",
         {
             "L": L,
             "index_convention": (
@@ -381,7 +380,6 @@ def rep_action_check(g: GL2, L: int, tol: float = 0.0) -> Report:
                 "[(L,0), ..., (0,L)] corresponds to matrix index L-j"
             ),
             "mismatches": mismatches,
-            "status": status,
         },
     )
 
@@ -449,11 +447,11 @@ def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
                                 "expected": str(want),
                             }
                         )
-    status = "pass" if not violations else "fail"
-    return Report(
-        status,
-        f"biorthogonality up to level {Lmax}: {status} ({pairs} pairings)",
-        {"Lmax": Lmax, "violations": violations, "status": status},
+    return Report.verdict(
+        not violations,
+        f"biorthogonality up to level {Lmax}",
+        {"Lmax": Lmax, "violations": violations},
+        f" ({pairs} pairings)",
     )
 
 
@@ -472,17 +470,10 @@ def dual_matrix_scaling_check(point, Lmax: int, tol: float = 0.0) -> Report:
         kappas[str(L)] = str(delta**L)
         if not close(got.entries, want.entries, tol):
             failures.append({"L": L})
-    status = "pass" if not failures else "fail"
-    return Report(
-        status,
-        f"dual-matrix scaling up to level {Lmax}: {status}",
-        {
-            "Lmax": Lmax,
-            "determinant": str(delta),
-            "kappa": kappas,
-            "failures": failures,
-            "status": status,
-        },
+    return Report.verdict(
+        not failures,
+        f"dual-matrix scaling up to level {Lmax}",
+        {"Lmax": Lmax, "determinant": str(delta), "kappa": kappas, "failures": failures},
     )
 
 
@@ -505,16 +496,10 @@ def eigenvalue_structure_check(g: GL2, L: int, tol: float = 1e-9) -> Report:
             ((g.g11**k) * (g.g22 ** (L - k)) for k in range(L + 1)), key=_sort_key_exact
         )
         actual = sorted(M.diagonal(), key=_sort_key_exact)
-        ok = expected == actual
-        return Report(
-            "pass" if ok else "fail",
-            f"eigenvalue structure (exact, triangular), L={L}: {'pass' if ok else 'fail'}",
-            {
-                "L": L,
-                "mode": "exact-triangular",
-                "eigenvalues": [str(c) for c in actual],
-                "status": "pass" if ok else "fail",
-            },
+        return Report.verdict(
+            expected == actual,
+            f"eigenvalue structure (exact, triangular), L={L}",
+            {"L": L, "mode": "exact-triangular", "eigenvalues": [str(c) for c in actual]},
         )
 
     lam = np.linalg.eigvals(g.to_numpy())
@@ -524,7 +509,7 @@ def eigenvalue_structure_check(g: GL2, L: int, tol: float = 1e-9) -> Report:
         return Report(
             "error",
             "eigenvalue structure: repeated eigenvalues are unsupported",
-            {"L": L, "mode": "float", "status": "error"},
+            {"L": L, "mode": "float"},
         )
     expected = sorted(
         (lam[0] ** k * lam[1] ** (L - k) for k in range(L + 1)),
@@ -537,17 +522,10 @@ def eigenvalue_structure_check(g: GL2, L: int, tol: float = 1e-9) -> Report:
     deviation = max(
         abs(a - b) / max(1.0, abs(b)) for a, b in zip(actual, expected)
     )
-    ok = deviation <= tol
-    return Report(
-        "pass" if ok else "fail",
-        f"eigenvalue structure (float), L={L}: {'pass' if ok else 'fail'}",
-        {
-            "L": L,
-            "mode": "float",
-            "max_relative_deviation": deviation,
-            "tolerance": tol,
-            "status": "pass" if ok else "fail",
-        },
+    return Report.verdict(
+        deviation <= tol,
+        f"eigenvalue structure (float), L={L}",
+        {"L": L, "mode": "float", "max_relative_deviation": deviation, "tolerance": tol},
     )
 
 
@@ -591,9 +569,8 @@ def intertwine_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
                 combo = combo + BiPoly.monomial(r, L - r, M[r, k])
             if not close(monomial_to_hermite(combo), deformed_hermite(g, k, L - k), tol):
                 failures.append({"kind": "operator", "L": L, "k": k})
-    status = "pass" if not failures else "fail"
-    return Report(
-        status,
-        f"intertwining up to level {Lmax}: {status}",
-        {"Lmax": Lmax, "failures": failures, "status": status},
+    return Report.verdict(
+        not failures,
+        f"intertwining up to level {Lmax}",
+        {"Lmax": Lmax, "failures": failures},
     )

@@ -243,11 +243,10 @@ def orthonormality_check(Lmax: int) -> Report:
                 violations.append(
                     {"m": m, "n": n, "k": k, "l": l, "value": str(got), "expected": str(want)}
                 )
-    status = "pass" if not violations else "fail"
-    return Report(
-        status,
-        f"orthonormality up to total degree {Lmax}: {status}",
-        {"Lmax": Lmax, "pairs": len(keys) ** 2, "violations": violations, "status": status},
+    return Report.verdict(
+        not violations,
+        f"orthonormality up to total degree {Lmax}",
+        {"Lmax": Lmax, "pairs": len(keys) ** 2, "violations": violations},
     )
 
 
@@ -261,9 +260,8 @@ def real_orthogonality_check(nmax: int) -> Report:
             want = Coeff(2**n * factorial(n)) if m == n else Coeff(0)
             if got.coeff != want or got.sqrt_pi_power != 1:
                 violations.append({"m": m, "n": n, "value": str(got), "expected": str(want)})
-    status = "pass" if not violations else "fail"
-    return Report(
-        status,
-        f"real orthogonality up to degree {nmax}: {status}",
-        {"nmax": nmax, "violations": violations, "status": status},
+    return Report.verdict(
+        not violations,
+        f"real orthogonality up to degree {nmax}",
+        {"nmax": nmax, "violations": violations},
     )

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coeffs import FLOAT_TOL, Coeff, rational_sqrt
+from .coeffs import FLOAT_TOL, Coeff, backend_tol, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .linalg import det, nullspace, rank, solve_in_span
 from .report import Report
@@ -143,7 +143,7 @@ class StructureConstants:
 
     @property
     def closed(self) -> bool:
-        tol = 0.0 if self.exact else FLOAT_TOL
+        tol = backend_tol(self.exact)
         return all(r <= tol for r in self.residuals.values())
 
     def bracket(self, i: int, j: int):
@@ -163,7 +163,7 @@ class StructureConstants:
         Zero structure constants contribute no products.
         """
         if tol is None:
-            tol = 0.0 if self.exact else FLOAT_TOL
+            tol = backend_tol(self.exact)
         n = self.dim
         nonzero = [
             [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
@@ -203,7 +203,7 @@ def structure_constants(basis: LieBasisSet) -> StructureConstants:
     Raises if the generators are linearly dependent; a nonzero residual
     (bracket escaping the span) is recorded, not raised.
     """
-    tol = 0.0 if basis.exact else FLOAT_TOL
+    tol = backend_tol(basis.exact)
     vectors = [op.terms for op in basis.ops]
     keys = sorted({k for v in vectors for k in v})
     matrix = [[v.get(k, Coeff(0, exact=basis.exact)) for v in vectors] for k in keys]
@@ -255,7 +255,7 @@ def _realified_table(sc: StructureConstants):
     """Real structure constants, multiplying the basis by i when every bracket
     coefficient is purely imaginary; None when the table mixes the two."""
     coeffs = [c for v in sc.table.values() for c in v]
-    tol = 0.0 if sc.exact else FLOAT_TOL
+    tol = backend_tol(sc.exact)
     def real_part_small(c):
         return (not c.re and not c.re2) if sc.exact else abs(c.re) <= tol
     def imag_part_small(c):
@@ -278,9 +278,14 @@ def classify(sc: StructureConstants) -> str:
     the three-dimensional derived case negative definiteness of the Killing
     form restricted to it (the compact signature).
     """
-    tol = 0.0 if sc.exact else FLOAT_TOL
     if not sc.closed or not sc.jacobi_ok():
         raise ValueError("structure-constant table is not a closed Lie algebra")
+    return _classify(sc)
+
+
+def _classify(sc: StructureConstants) -> str:
+    """classify() on a table already known to close and satisfy Jacobi."""
+    tol = backend_tol(sc.exact)
     c = _realified_table(sc)
     if c is None:
         return "unknown"
@@ -366,35 +371,36 @@ def lie_report(point: AlphaPoint | None) -> Report:
     xbasis = basis_change(jbasis)
     stages = {}
     if at_limit:
-        sc_x = theta_one_limit_table(xbasis)
-        stages["X"] = sc_x
-        final_class = classify(sc_x)
+        stages["X"] = theta_one_limit_table(xbasis)
     else:
         stages["J"] = structure_constants(jbasis)
-        sc_x = structure_constants(xbasis)
-        stages["X"] = sc_x
-        zbasis = rescale(xbasis)
-        sc_z = structure_constants(zbasis)
-        stages["Z"] = sc_z
-        final_class = classify(sc_z)
+        stages["X"] = structure_constants(xbasis)
+        stages["Z"] = structure_constants(rescale(xbasis))
+    final = "X" if at_limit else "Z"
     problems = []
     for label, sc in stages.items():
-        if not sc.closed:
+        closed, jacobi = sc.closed, sc.jacobi_ok()
+        if not closed:
             problems.append(f"{label}-basis table does not close")
-        if not sc.jacobi_ok():
+        if not jacobi:
             problems.append(f"{label}-basis table violates the Jacobi identity")
+        if label == final:
+            # these checks are classify's guard, so they are not run twice
+            final_class = _classify(sc) if closed and jacobi else "unknown"
     expected = "heisenberg_plus_u1" if at_limit else "su2_plus_u1"
     if final_class != expected:
         problems.append(f"classified as {final_class}, expected {expected}")
-    status = "pass" if not problems else "fail"
     payload = {
         "theta": str(theta),
         "class": final_class,
         "degenerate_limit": at_limit,
         "problems": problems,
-        "status": status,
         "tables": {label: sc.to_json() for label, sc in stages.items()},
     }
-    payload["tables"]["X" if at_limit else "Z"]["class"] = final_class
-    summary = f"bilinear-algebra suite at theta = {theta}: {status} (class {final_class})"
-    return Report(status, summary, payload)
+    payload["tables"][final]["class"] = final_class
+    return Report.verdict(
+        not problems,
+        f"bilinear-algebra suite at theta = {theta}",
+        payload,
+        f" (class {final_class})",
+    )

@@ -9,12 +9,13 @@ and determinants in the Lie-algebra classification.
 
 from __future__ import annotations
 
+import math
+
 from .coeffs import Coeff
 
 __all__ = [
     "identity_matrix",
     "mat_mul",
-    "mat_vec",
     "mat_inverse",
     "solve_in_span",
     "nullspace",
@@ -50,16 +51,6 @@ def mat_mul(a, b):
                 acc = acc + a[i][k] * b[k][j]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
     return out
 
 
@@ -145,8 +136,9 @@ def solve_in_span(vectors, target, tol: float = 0.0):
     """Write target as a combination of the given coefficient vectors.
 
     vectors and target are dicts mapping arbitrary hashable keys to Coeff.
-    Returns (coeffs, residual_max_abs); with tol == 0 the residual is exact
-    and 0.0 means literally zero.
+    Returns (coeffs, residual_max_abs).  On exact input the residual is 0.0
+    exactly when every residual entry is literally zero: a nonzero entry whose
+    float modulus rounds to 0.0 reads as the smallest positive float.
     """
     keys = set(target)
     for v in vectors:
@@ -174,7 +166,7 @@ def solve_in_span(vectors, target, tol: float = 0.0):
         acc = row[nv]
         for j in range(nv):
             acc = acc - row[j] * coeffs[j]
-        residual = max(residual, abs(acc))
+        residual = max(residual, abs(acc) or (math.ulp(0.0) if acc else 0.0))
     return coeffs, residual
 
 

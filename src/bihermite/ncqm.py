@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
+from .coeffs import FLOAT_TOL, Coeff, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .lie import basis_change, bilinear_generators, rescale
 from .poly import BiPoly
@@ -173,9 +173,9 @@ def build_dictionary(
     return OperatorDictionary(ops, params)
 
 
-def _check(name, got: WeylOp, want: WeylOp, tol: float):
+def _check(name, got: WeylOp, want: WeylOp, tol: float) -> dict:
     ok = close(got, want, tol)
-    return ok, {"relation": name, "ok": ok, "got": got.pretty(), "expected": want.pretty()}
+    return {"relation": name, "ok": ok, "got": got.pretty(), "expected": want.pretty()}
 
 
 def ncqm_commutator_suite(point: AlphaPoint) -> Report:
@@ -184,7 +184,7 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     [a_i, ad_i] = 1, all annihilator and all creator pairs commute, and the
     cross commutator [a_1, ad_2] equals i*theta (its mirror -i*theta).
     """
-    tol = 0.0 if point.exact else FLOAT_TOL
+    tol = backend_tol(point.exact)
     g = alpha_matrix(point)
     a1, a2 = deformed_lowering(g)
     ad1, ad2 = deformed_raising(g)
@@ -202,19 +202,11 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     for name, lowering in (("a1_alpha", a1), ("a2_alpha", a2)):
         image = lowering.apply(BiPoly.one(exact=point.exact))
         ok_vac = close(image, BiPoly.zero(), tol)
-        checks.append(
-            (ok_vac, {"relation": f"vacuum: {name}(1) == 0", "ok": ok_vac, "got": image.pretty()})
-        )
-    ok = all(c[0] for c in checks)
-    return Report(
-        "pass" if ok else "fail",
-        f"deformed-ladder commutators at alpha = {point.alpha}: {'pass' if ok else 'fail'}",
-        {
-            "alpha": str(point.alpha),
-            "theta": str(point.theta),
-            "checks": [c[1] for c in checks],
-            "status": "pass" if ok else "fail",
-        },
+        checks.append({"relation": f"vacuum: {name}(1) == 0", "ok": ok_vac, "got": image.pretty()})
+    return Report.verdict(
+        all(c["ok"] for c in checks),
+        f"deformed-ladder commutators at alpha = {point.alpha}",
+        {"alpha": str(point.alpha), "theta": str(point.theta), "checks": checks},
     )
 
 
@@ -224,7 +216,7 @@ def qp_representation_suite(theta, gamma, exact: bool = True) -> Report:
     [Q_i, P_j] = i delta_ij, [Q_1, Q_2] = i theta, [P_1, P_2] = i gamma; when
     theta == gamma the derived A_i also satisfy the modified-boson relations.
     """
-    tol = 0.0 if exact else FLOAT_TOL
+    tol = backend_tol(exact)
     i_unit = Coeff(0, 1, exact=exact)
     th = Coeff(Fraction(theta) if exact else float(theta), exact=exact)
     ga = Coeff(Fraction(gamma) if exact else float(gamma), exact=exact)
@@ -256,15 +248,8 @@ def qp_representation_suite(theta, gamma, exact: bool = True) -> Report:
                     tol,
                 ),
             ]
-    ok = all(c[0] for c in checks)
-    return Report(
-        "pass" if ok else "fail",
-        f"Q/P representation at (theta, gamma) = ({theta}, {gamma}): "
-        f"{'pass' if ok else 'fail'}",
-        {
-            "theta": str(theta),
-            "gamma": str(gamma),
-            "checks": [c[1] for c in checks],
-            "status": "pass" if ok else "fail",
-        },
+    return Report.verdict(
+        all(c["ok"] for c in checks),
+        f"Q/P representation at (theta, gamma) = ({theta}, {gamma})",
+        {"theta": str(theta), "gamma": str(gamma), "checks": checks},
     )

@@ -238,13 +238,6 @@ class BiPoly(SparseMap):
         """Complex conjugate: conj swaps z and zbar and conjugates coefficients."""
         return self._like({(b, a): c.conj() for (a, b), c in self.terms.items()})
 
-    def degree(self) -> int:
-        return max((a + b for a, b in self.terms), default=0)
-
-    def evaluate(self, z: complex) -> complex:
-        zb = z.conjugate()
-        return sum((c.to_complex() * z**a * zb**b for (a, b), c in self.terms.items()), 0j)
-
 
 class RealPoly(SparseMap):
     """Polynomial in two real variables x1, x2 with real coefficients."""
@@ -275,9 +268,6 @@ class RealPoly(SparseMap):
         return self._like(_convolve(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def evaluate(self, x1, x2=0.0) -> float:
-        return sum(float(c.to_complex().real) * x1**a * x2**b for (a, b), c in self.terms.items())
 
     def variables_used(self) -> set:
         used = set()

@@ -19,6 +19,13 @@ class Report:
     summary: str
     payload: dict = field(default_factory=dict)
 
+    @classmethod
+    def verdict(cls, ok: bool, title: str, payload: dict, note: str = "") -> Report:
+        """A pass report when ok, else a fail report; the summary reads
+        "{title}: {status}{note}"."""
+        status = "pass" if ok else "fail"
+        return cls(status, f"{title}: {status}{note}", payload)
+
     @property
     def ok(self) -> bool:
         return self.status == "pass"

@@ -9,9 +9,18 @@ they replaced.
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+import pytest
+
 from bihermite.coeffs import Coeff
 from bihermite.deform import AlphaPoint, alpha_matrix, rep_matrix
-from bihermite.lie import basis_change, bilinear_generators, rescale, structure_constants
+from bihermite.lie import (
+    StructureConstants,
+    basis_change,
+    bilinear_generators,
+    lie_report,
+    rescale,
+    structure_constants,
+)
 
 POINT = AlphaPoint.make(F(3, 5))
 
@@ -52,6 +61,25 @@ def test_jacobi_products_on_the_alpha_tables():
     # 3,072 each over every index combination.  In the X and Z tables every
     # Jacobi term has a zero structure constant; the J table's do not all.
     assert counts[0] > 0 and all(c <= 400 for c in counts)
+
+
+@pytest.mark.parametrize(
+    "point, tables",
+    [(POINT, 3), (AlphaPoint.make(0.5**0.5, exact=False), 1)],
+    ids=["alpha 3/5", "theta 1"],
+)
+def test_lie_report_checks_each_table_once(monkeypatch, point, tables):
+    jacobi_ok = StructureConstants.jacobi_ok
+    calls = []
+
+    def counting(self, tol=None):
+        calls.append(self.names)
+        return jacobi_ok(self, tol)
+
+    monkeypatch.setattr(StructureConstants, "jacobi_ok", counting)
+    assert lie_report(point).ok
+    # J, X and Z at alpha 3/5; the limit table alone at theta = 1
+    assert len(calls) == tables and len(set(calls)) == tables
 
 
 def test_counter_is_removed_afterwards():

@@ -183,7 +183,7 @@ def test_dual_family_alpha():
 def test_biorthogonality_alpha():
     rep = biorthogonality_check(G_ALPHA, 3)
     assert rep.ok, rep.payload["violations"][:3]
-    assert rep.payload["status"] == "pass" and rep.payload["violations"] == []
+    assert rep.to_json()["status"] == "pass" and rep.payload["violations"] == []
 
 
 def test_biorthogonality_cross_level_blocks():

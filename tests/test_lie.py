@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihermite import lie
 from bihermite.coeffs import Coeff
 from bihermite.lie import (
     LieBasisSet,
@@ -18,6 +19,7 @@ from bihermite.lie import (
     structure_constants,
     theta_one_limit_table,
 )
+from bihermite.linalg import solve_in_span
 from bihermite.ncqm import AlphaPoint
 from bihermite.weyl import WeylOp
 
@@ -189,6 +191,34 @@ def test_lie_report_exact_and_float():
     rep = lie_report(AlphaPoint.make(0.5**0.5, exact=False))
     assert rep.ok and rep.payload["class"] == "heisenberg_plus_u1"
     assert rep.payload["degenerate_limit"] is True
+
+
+def test_lie_report_fails_when_the_final_table_does_not_close(monkeypatch):
+    # a fourth generator X1^2 is independent, but its brackets leave the span
+    def broken_rescale(xbasis):
+        x1, x2, x3, _ = xbasis.ops
+        return LieBasisSet(("Z1", "Z2", "Z3", "Y"), (x1, x2, x3, x1 * x1), xbasis.theta, True)
+
+    monkeypatch.setattr(lie, "rescale", broken_rescale)
+    rep = lie_report(POINT)
+    assert rep.status == "fail" and rep.payload["class"] == "unknown"
+    assert "Z-basis table does not close" in rep.payload["problems"]
+    assert rep.payload["tables"]["Z"]["class"] == "unknown"
+
+
+@pytest.mark.parametrize(
+    "outside",
+    [Coeff(F(1, 10**400)), Coeff(F(14142135623730951, 10**16), 0, -1)],
+    ids=["underflows", "cancels-in-float"],
+)
+def test_exact_residual_is_zero_only_for_a_zero_remainder(outside):
+    # both entries are nonzero in Q(i, sqrt2) but have float modulus 0.0
+    assert outside and abs(outside) == 0.0
+    coeffs, residual = solve_in_span([{(0,): Coeff(1)}], {(1,): outside})
+    assert residual > 0.0
+    sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual}, True)
+    assert not sc.closed
+    assert solve_in_span([{(0,): Coeff(1)}], {(0,): Coeff(3)}) == ([Coeff(3)], 0.0)
 
 
 def test_operator_level_jacobi():
