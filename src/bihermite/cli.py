@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .coeffs import Coeff, backend_tol, close, parse_coeff
+from .coeffs import Coeff, close, parse_coeff
 from .deform import (
     GL2,
     AlphaPoint,
@@ -196,7 +196,7 @@ def _random_rational_gl2(rng: random.Random, exact: bool) -> GL2:
             continue
 
 
-def _verify_repmat(args, exact: bool, tol: float) -> Report:
+def _verify_repmat(args, exact: bool) -> Report:
     _check_lmax(args.Lmax)
     rng = random.Random(args.seed)
     g = _random_rational_gl2(rng, exact)
@@ -206,11 +206,11 @@ def _verify_repmat(args, exact: bool, tol: float) -> Report:
         Mg, Mh = rep_matrix(g, L), rep_matrix(h, L)
         checks = {
             "identity": rep_matrix(GL2.identity(exact), L).is_identity(),
-            "product": close((Mg @ Mh).entries, rep_matrix(g @ h, L).entries, tol),
-            "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries, tol),
-            "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries, tol),
+            "product": close((Mg @ Mh).entries, rep_matrix(g @ h, L).entries),
+            "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),
+            "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
         }
-        action = rep_action_check(g, L, tol)
+        action = rep_action_check(g, L)
         if not action.ok:
             checks["action"] = False
         for name, ok in checks.items():
@@ -223,7 +223,7 @@ def _verify_repmat(args, exact: bool, tol: float) -> Report:
     )
 
 
-def _verify_eigen(args, exact: bool, tol: float) -> Report:
+def _verify_eigen(args, exact: bool) -> Report:
     _check_lmax(args.Lmax)
     cases = [
         ("diagonal", GL2.diagonal(2, 3)),
@@ -235,15 +235,13 @@ def _verify_eigen(args, exact: bool, tol: float) -> Report:
         if not exact:
             g = GL2(*(c.to_float() for c in g.entries()))
         for L in range(args.Lmax + 1):
-            # on the exact backend only the generic case is numerical, and it
-            # keeps the check's own tolerance
-            rep = eigenvalue_structure_check(g, L, tol) if tol else eigenvalue_structure_check(g, L)
+            rep = eigenvalue_structure_check(g, L)
             sub.append({"case": name, "L": L, "status": rep.status})
     ok = all(c["status"] == "pass" for c in sub)
     return Report.verdict(ok, "eigenvalue structure", {"cases": sub})
 
 
-def _verify_qp(args, exact: bool, tol: float) -> Report:
+def _verify_qp(args, exact: bool) -> Report:
     theta = Fraction(args.theta) if exact else float(Fraction(args.theta))
     gamma = Fraction(args.gamma) if exact else float(Fraction(args.gamma))
     return qp_representation_suite(theta, gamma, exact)
@@ -257,26 +255,25 @@ def _matrix(args, exact: bool) -> GL2:
     return alpha_matrix(_point(args, exact))
 
 
-# suite name -> (default --Lmax, runner(args, exact, tol)), in `verify all`
+# suite name -> (default --Lmax, runner(args, exact)), in `verify all`
 # order.  Runners call the library through module globals, so whatever
 # rebinds those (a tracer, a test) sees every call.
 VERIFY_SUITES = {
-    "orthonormal": (6, lambda a, exact, tol: orthonormality_check(a.Lmax)),
-    "biorth": (4, lambda a, exact, tol: biorthogonality_check(_matrix(a, exact), a.Lmax, tol)),
+    "orthonormal": (6, lambda a, exact: orthonormality_check(a.Lmax)),
+    "biorth": (4, lambda a, exact: biorthogonality_check(_matrix(a, exact), a.Lmax)),
     "repmat": (5, _verify_repmat),
     "eigen": (4, _verify_eigen),
-    "intertwine": (5, lambda a, exact, tol: intertwine_check(_matrix(a, exact), a.Lmax, tol)),
-    "ncqm": (None, lambda a, exact, tol: ncqm_commutator_suite(_point(a, exact))),
+    "intertwine": (5, lambda a, exact: intertwine_check(_matrix(a, exact), a.Lmax)),
+    "ncqm": (None, lambda a, exact: ncqm_commutator_suite(_point(a, exact))),
     "qp": (None, _verify_qp),
-    "lie": (None, lambda a, exact, tol: lie_report(_point(a, exact))),
+    "lie": (None, lambda a, exact: lie_report(_point(a, exact))),
 }
 
 
 def run_suite(name: str, args) -> Report:
     if name not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    exact = args.backend == "exact"
-    return VERIFY_SUITES[name][1](args, exact, backend_tol(exact))
+    return VERIFY_SUITES[name][1](args, args.backend == "exact")
 
 
 def cmd_verify(args) -> int:

@@ -53,8 +53,8 @@ FLOAT_TOL = 1e-10
 
 
 def backend_tol(exact: bool) -> float:
-    """Identity-check tolerance of a backend: literal equality (0.0) when
-    exact, FLOAT_TOL on the float backend."""
+    """Pivot and residual threshold of a backend: 0.0 (literal zero) when
+    exact, FLOAT_TOL on float.  close() reads the backend off the values."""
     return 0.0 if exact else FLOAT_TOL
 
 
@@ -450,27 +450,29 @@ def parse_coeff(text: str, exact: bool = True) -> Coeff:
     return Coeff(re_f, im_f, exact=False)
 
 
-def close(a, b, tol: float = 0.0) -> bool:
-    """Exact ``a == b`` when tol is 0; otherwise every pair of entries x, y
-    satisfies |x - y| <= tol * max(1, |x|, |y|).
+def close(a, b) -> bool:
+    """Whether a and b agree entry by entry.  Two exact entries must be equal;
+    where either entry is a float, |x - y| <= FLOAT_TOL * max(1, |x|, |y|).
 
     a and b are scalars, sparse maps (objects with a ``terms`` dict, compared
-    over the union of their keys with a missing key reading as zero, and never
-    equal across types) or equal-shape nested lists of either.
+    over the union of their keys with a missing key reading as the exact
+    ZERO, and never equal across types) or equal-shape nested lists of either.
     """
-    if tol == 0.0:
-        return a == b
+    if a == b:
+        return True
     if isinstance(a, list):
         if not isinstance(b, list) or len(a) != len(b):
             return False
-        return all(close(x, y, tol) for x, y in zip(a, b))
+        return all(close(x, y) for x, y in zip(a, b))
     if hasattr(a, "terms"):
         if type(a) is not type(b):
             return False
-        zero = Coeff(0, exact=False)
         keys = a.terms.keys() | b.terms.keys()
-        return all(close(a.terms.get(k, zero), b.terms.get(k, zero), tol) for k in keys)
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+        return all(close(a.terms.get(k, ZERO), b.terms.get(k, ZERO)) for k in keys)
+    a, b = Coeff.lift(a), Coeff.lift(b)
+    if a.exact and b.exact:
+        return False
+    return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
 
 
 ZERO = Coeff(0)

@@ -28,7 +28,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .coeffs import Coeff, close, rational_sqrt
+from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, inner_product
@@ -347,7 +347,7 @@ def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
     return LevelBasis(L, indices, polys, [normalizer_sq(m, n) for m, n in indices])
 
 
-def rep_action_check(g: GL2, L: int, tol: float = 0.0) -> Report:
+def rep_action_check(g: GL2, L: int) -> Report:
     """Certify the index convention: expanding each deformed Hg[k, L-k] over
     the undeformed scaled basis reproduces column k of M(g, L).
 
@@ -362,12 +362,12 @@ def rep_action_check(g: GL2, L: int, tol: float = 0.0) -> Report:
         recon = BiPoly.zero()
         for r in range(L + 1):
             coord = inner_product(basis[r], hg) / normalizer_sq(r, L - r)
-            if not close(coord, M[r, k], tol):
+            if not close(coord, M[r, k]):
                 mismatches.append(
                     {"r": r, "k": k, "coordinate": str(coord), "matrix_entry": str(M[r, k])}
                 )
             recon = recon + basis[r] * coord
-        if not close(recon, hg, tol):
+        if not close(recon, hg):
             mismatches.append({"k": k, "error": "expansion does not close within the level"})
     return Report.verdict(
         not mismatches,
@@ -397,7 +397,7 @@ class DualFamily:
     @property
     def consistent(self) -> bool:
         """The two constructions of the dual matrix must coincide."""
-        return self.matrix_direct == self.matrix_inverse_route
+        return close(self.matrix_direct.entries, self.matrix_inverse_route.entries)
 
 
 def dual_family(g: GL2, L: int) -> DualFamily:
@@ -411,7 +411,7 @@ def dual_family(g: GL2, L: int) -> DualFamily:
     )
 
 
-def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
+def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     """Exact pairing of the deformed family with its dual across levels.
 
     <Hdual[L-n, n], Hg[M-k, k]> must be (L-n)! n! when (L,n) == (M,k) and 0
@@ -436,7 +436,7 @@ def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
                         if (L == M and n == k)
                         else Coeff(0)
                     )
-                    if not close(got, want, tol):
+                    if not close(got, want):
                         violations.append(
                             {
                                 "L": L,
@@ -455,7 +455,7 @@ def biorthogonality_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
     )
 
 
-def dual_matrix_scaling_check(point, Lmax: int, tol: float = 0.0) -> Report:
+def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     """With the sign-flipped hermitian partner g' of the alpha matrix,
     M(g', L) M(g, L) must equal det(g)^L times the identity."""
     _check_lmax(Lmax)
@@ -468,7 +468,7 @@ def dual_matrix_scaling_check(point, Lmax: int, tol: float = 0.0) -> Report:
         want = RepMatrix.identity(L, exact=g.is_exact()).scaled(delta**L)
         got = rep_matrix(gp, L) @ rep_matrix(g, L)
         kappas[str(L)] = str(delta**L)
-        if not close(got.entries, want.entries, tol):
+        if not close(got.entries, want.entries):
             failures.append({"L": L})
     return Report.verdict(
         not failures,
@@ -481,13 +481,13 @@ def _sort_key_exact(c: Coeff):
     return (c.re, c.im, c.re2, c.im2)
 
 
-def eigenvalue_structure_check(g: GL2, L: int, tol: float = 1e-9) -> Report:
+def eigenvalue_structure_check(g: GL2, L: int) -> Report:
     """Eigenvalues of M(g, L) must be the products l1^k l2^(L-k) of the
     eigenvalues of g itself.
 
     Triangular or diagonal exact g is checked by exact multiset equality of
-    the diagonal; any other g goes through the float backend and needs
-    numerically distinct eigenvalues.
+    the diagonal; any other g goes through numpy, needs distinct eigenvalues
+    and matches within 1e-9 relative (FLOAT_TOL when g is float).
     """
     M = rep_matrix(g, L)
     triangular = (not g.g21) or (not g.g12)
@@ -519,6 +519,7 @@ def eigenvalue_structure_check(g: GL2, L: int, tol: float = 1e-9) -> Report:
         np.linalg.eigvals(M.to_numpy()).tolist(),
         key=lambda v: (round(abs(v), 9), round(cmath.phase(v), 9)),
     )
+    tol = 1e-9 if g.is_exact() else FLOAT_TOL
     deviation = max(
         abs(a - b) / max(1.0, abs(b)) for a, b in zip(actual, expected)
     )
@@ -546,7 +547,7 @@ def monomial_to_hermite(p: BiPoly) -> BiPoly:
         out = out + term * Fraction((-1) ** j, factorial(j))
 
 
-def intertwine_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
+def intertwine_check(g: GL2, Lmax: int) -> Report:
     """Two exact facts about E = exp(-d/dz d/dzbar).
 
     First, E maps each monomial z^m zbar^n (m+n <= Lmax) to H[m,n].  Second,
@@ -559,7 +560,7 @@ def intertwine_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
     for total in range(Lmax + 1):
         for m in range(total + 1):
             n = total - m
-            if not close(monomial_to_hermite(BiPoly.monomial(m, n)), hermite_sum(m, n), tol):
+            if not close(monomial_to_hermite(BiPoly.monomial(m, n)), hermite_sum(m, n)):
                 failures.append({"kind": "monomial", "m": m, "n": n})
     for L in range(Lmax + 1):
         M = rep_matrix(g, L)
@@ -567,7 +568,7 @@ def intertwine_check(g: GL2, Lmax: int, tol: float = 0.0) -> Report:
             combo = BiPoly.zero()
             for r in range(L + 1):
                 combo = combo + BiPoly.monomial(r, L - r, M[r, k])
-            if not close(monomial_to_hermite(combo), deformed_hermite(g, k, L - k), tol):
+            if not close(monomial_to_hermite(combo), deformed_hermite(g, k, L - k)):
                 failures.append({"kind": "operator", "L": L, "k": k})
     return Report.verdict(
         not failures,

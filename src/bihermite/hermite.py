@@ -94,12 +94,12 @@ def real_hermite(n: int, var: int = 0) -> RealPoly:
 class HermiteTable:
     """All H[m,n] with m+n <= max_total, with the squared normalizers."""
 
-    def __init__(self, max_total: int, route=hermite_sum):
+    def __init__(self, max_total: int):
         self.max_total = max_total
         self.entries = {}
         for total in range(max_total + 1):
             for m in range(total + 1):
-                self.entries[(m, total - m)] = route(m, total - m)
+                self.entries[(m, total - m)] = hermite_sum(m, total - m)
 
     def __getitem__(self, key):
         return self.entries[key]

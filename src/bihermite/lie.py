@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coeffs import FLOAT_TOL, Coeff, backend_tol, rational_sqrt
+from .coeffs import FLOAT_TOL, ZERO, Coeff, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .linalg import det, nullspace, rank, solve_in_span
 from .report import Report
@@ -155,15 +155,13 @@ class StructureConstants:
             return list(self.table[(i, j)])
         return [-c for c in self.table[(j, i)]]
 
-    def jacobi_ok(self, tol: float | None = None) -> bool:
+    def jacobi_ok(self) -> bool:
         """[[g_i, g_j], g_k] + cyclic = 0 for every triple of generators.
 
         bracket() is antisymmetric, so the Jacobiator is totally antisymmetric
         and vanishes on repeated indices: the triples i < j < k decide it.
         Zero structure constants contribute no products.
         """
-        if tol is None:
-            tol = backend_tol(self.exact)
         n = self.dim
         nonzero = [
             [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
@@ -175,7 +173,7 @@ class StructureConstants:
                 for m, c in nonzero[a][b]:
                     for l, e in nonzero[m][d]:
                         jac[l] = jac[l] + c * e
-            if any((tol == 0.0 and x) or (tol > 0.0 and abs(x) > tol) for x in jac):
+            if not all(close(x, ZERO) for x in jac):
                 return False
         return True
 
@@ -203,18 +201,17 @@ def structure_constants(basis: LieBasisSet) -> StructureConstants:
     Raises if the generators are linearly dependent; a nonzero residual
     (bracket escaping the span) is recorded, not raised.
     """
-    tol = backend_tol(basis.exact)
     vectors = [op.terms for op in basis.ops]
     keys = sorted({k for v in vectors for k in v})
     matrix = [[v.get(k, Coeff(0, exact=basis.exact)) for v in vectors] for k in keys]
-    if rank(matrix, tol) < len(basis.ops):
+    if rank(matrix) < len(basis.ops):
         raise ValueError("generators are linearly dependent")
     n = len(basis.ops)
     table, residuals = {}, {}
     for i in range(n):
         for j in range(i + 1, n):
             br = commutator(basis.ops[i], basis.ops[j])
-            coeffs, residual = solve_in_span(vectors, br.terms, tol)
+            coeffs, residual = solve_in_span(vectors, br.terms)
             table[(i, j)] = coeffs
             residuals[(i, j)] = residual
     return StructureConstants(basis.names, table, residuals, basis.exact)
@@ -255,11 +252,10 @@ def _realified_table(sc: StructureConstants):
     """Real structure constants, multiplying the basis by i when every bracket
     coefficient is purely imaginary; None when the table mixes the two."""
     coeffs = [c for v in sc.table.values() for c in v]
-    tol = backend_tol(sc.exact)
     def real_part_small(c):
-        return (not c.re and not c.re2) if sc.exact else abs(c.re) <= tol
+        return (not c.re and not c.re2) if sc.exact else abs(c.re) <= FLOAT_TOL
     def imag_part_small(c):
-        return (not c.im and not c.im2) if sc.exact else abs(c.im) <= tol
+        return (not c.im and not c.im2) if sc.exact else abs(c.im) <= FLOAT_TOL
     if all(imag_part_small(c) for c in coeffs):
         factor = Coeff(1, exact=sc.exact)
     elif all(real_part_small(c) for c in coeffs):
@@ -285,25 +281,24 @@ def classify(sc: StructureConstants) -> str:
 
 def _classify(sc: StructureConstants) -> str:
     """classify() on a table already known to close and satisfy Jacobi."""
-    tol = backend_tol(sc.exact)
     c = _realified_table(sc)
     if c is None:
         return "unknown"
     n = sc.dim
 
     bracket_rows = [c[i][j] for i in range(n) for j in range(i + 1, n)]
-    derived_dim = rank(bracket_rows, tol)
+    derived_dim = rank(bracket_rows)
 
     # center: x_i with sum_i x_i c[i][j] = 0 for all j (all components)
     adj_rows = []
     for j in range(n):
         for l in range(n):
             adj_rows.append([c[i][j][l] for i in range(n)])
-    center = nullspace(adj_rows, tol)
+    center = nullspace(adj_rows)
     center_dim = len(center)
 
     if derived_dim == 3 and center_dim == 1 and n == 4:
-        if _killing_negative_definite(c, bracket_rows, tol):
+        if _killing_negative_definite(c, bracket_rows):
             return "su2_plus_u1"
         return "unknown"
     if derived_dim == 1 and center_dim == 2 and n == 4:
@@ -311,13 +306,13 @@ def _classify(sc: StructureConstants) -> str:
         # row so float noise rows cannot be mistaken for it
         derived_vec = max(bracket_rows, key=lambda r: max((abs(x) for x in r), default=0.0))
         combined = [list(v) for v in center] + [list(derived_vec)]
-        if rank(combined, tol) == center_dim:
+        if rank(combined) == center_dim:
             return "heisenberg_plus_u1"
         return "unknown"
     return "unknown"
 
 
-def _killing_negative_definite(c, bracket_rows, tol: float) -> bool:
+def _killing_negative_definite(c, bracket_rows) -> bool:
     n = len(c)
     exact = all(x.exact for row in bracket_rows for x in row)
     killing = [
@@ -331,7 +326,7 @@ def _killing_negative_definite(c, bracket_rows, tol: float) -> bool:
     rows = [list(r) for r in bracket_rows]
     basis = []
     for r in rows:
-        if rank(basis + [r], tol) > len(basis):
+        if rank(basis + [r]) > len(basis):
             basis.append(r)
     m = len(basis)
     restricted = [
@@ -355,7 +350,7 @@ def _killing_negative_definite(c, bracket_rows, tol: float) -> bool:
     eig = np.linalg.eigvalsh(
         np.array([[x.to_complex().real for x in row] for row in restricted])
     )
-    return bool(np.all(eig < -tol))
+    return bool(np.all(eig < -FLOAT_TOL))
 
 
 def lie_report(point: AlphaPoint | None) -> Report:
@@ -367,7 +362,7 @@ def lie_report(point: AlphaPoint | None) -> Report:
     """
     jbasis = bilinear_generators(point)
     theta = jbasis.theta
-    at_limit = (theta == 1) if jbasis.exact else abs(theta - 1) <= FLOAT_TOL
+    at_limit = close(theta, 1)
     xbasis = basis_change(jbasis)
     stages = {}
     if at_limit:

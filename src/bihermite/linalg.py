@@ -1,17 +1,17 @@
 """Small dense linear algebra over Coeff matrices.
 
 Everything here runs on lists of lists of Coeff and works for both scalar
-backends: with exact coefficients a zero pivot is a literal zero, with float
-coefficients callers pass a pivot tolerance.  Used for matrix inverses, for
-expressing commutators in the span of a generator set, and for nullspaces
-and determinants in the Lie-algebra classification.
+backends: a pivot is a nonzero entry, on float input (mat_inverse aside) one
+above FLOAT_TOL.  Used for matrix inverses, for expressing commutators in the
+span of a generator set, and for nullspaces and determinants in the
+Lie-algebra classification.
 """
 
 from __future__ import annotations
 
 import math
 
-from .coeffs import Coeff
+from .coeffs import Coeff, backend_tol
 
 __all__ = [
     "identity_matrix",
@@ -69,10 +69,9 @@ def _pivot_index(column, start, tol):
     return best
 
 
-def _eliminate(rows, tol):
-    """In-place forward elimination; returns list of (row, col) pivots."""
+def _eliminate(rows, tol, ncols):
+    """In-place forward elimination over columns < ncols; returns (row, col) pivots."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -87,7 +86,7 @@ def _eliminate(rows, tol):
             if i == r:
                 continue
             f = rows[i][c]
-            if (tol == 0.0 and f) or (tol > 0.0 and abs(f) > 0.0):
+            if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append((r, c))
         r += 1
@@ -96,12 +95,14 @@ def _eliminate(rows, tol):
     return pivots
 
 
-def mat_inverse(a, tol: float = 0.0):
+def mat_inverse(a):
     n = len(a)
     exact = _is_exact(a)
     rows = [list(a[i]) + list(identity_matrix(n, exact)[i]) for i in range(n)]
-    pivots = _eliminate(rows, tol)
-    if len(pivots) < n or any(c != r for r, c in pivots):
+    # first nonzero pivot on both backends: a largest-pivot search would move
+    # float results, such as which `verify repmat --backend float` seeds fail
+    pivots = _eliminate(rows, 0.0, n)
+    if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in rows]
 
@@ -132,13 +133,16 @@ def det(a) -> Coeff:
     return result
 
 
-def solve_in_span(vectors, target, tol: float = 0.0):
+def solve_in_span(vectors, target):
     """Write target as a combination of the given coefficient vectors.
 
     vectors and target are dicts mapping arbitrary hashable keys to Coeff.
-    Returns (coeffs, residual_max_abs).  On exact input the residual is 0.0
-    exactly when every residual entry is literally zero: a nonzero entry whose
-    float modulus rounds to 0.0 reads as the smallest positive float.
+    Returns (coeffs, residual_max_abs).  Pivots are taken in the vector
+    columns only, so coeffs is the in-span part of target even when target
+    leaves the span.  On exact input the residual is 0.0 exactly when every
+    residual entry is literally zero: a nonzero entry whose float modulus
+    rounds to 0.0 reads as the smallest positive float, one beyond float
+    range as inf.
     """
     keys = set(target)
     for v in vectors:
@@ -155,29 +159,32 @@ def solve_in_span(vectors, target, tol: float = 0.0):
         row.append(target.get(key, zero))
         rows.append(row)
     work = [list(r) for r in rows]
-    pivots = _eliminate(work, tol)
+    pivots = _eliminate(work, backend_tol(exact), nv)
     coeffs = [zero] * nv
     for r, c in pivots:
-        if c < nv:
-            coeffs[c] = work[r][nv]
+        coeffs[c] = work[r][nv]
     # residual against the original, unreduced system
     residual = 0.0
     for row in rows:
         acc = row[nv]
         for j in range(nv):
             acc = acc - row[j] * coeffs[j]
-        residual = max(residual, abs(acc) or (math.ulp(0.0) if acc else 0.0))
+        try:
+            size = abs(acc) or (math.ulp(0.0) if acc else 0.0)
+        except OverflowError:
+            size = math.inf
+        residual = max(residual, size)
     return coeffs, residual
 
 
-def rank(a, tol: float = 0.0) -> int:
+def rank(a) -> int:
     rows = [list(r) for r in a]
     if not rows:
         return 0
-    return len(_eliminate(rows, tol))
+    return len(_eliminate(rows, backend_tol(_is_exact(rows)), len(rows[0])))
 
 
-def nullspace(a, tol: float = 0.0):
+def nullspace(a):
     """Basis of the right nullspace of a (rows x cols), as coordinate vectors."""
     nrows = len(a)
     if nrows == 0:
@@ -185,7 +192,7 @@ def nullspace(a, tol: float = 0.0):
     ncols = len(a[0])
     exact = _is_exact(a)
     rows = [list(r) for r in a]
-    pivots = _eliminate(rows, tol)
+    pivots = _eliminate(rows, backend_tol(exact), ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import FLOAT_TOL, Coeff, backend_tol, close, rational_sqrt
+from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .lie import basis_change, bilinear_generators, rescale
 from .poly import BiPoly
@@ -173,8 +173,8 @@ def build_dictionary(
     return OperatorDictionary(ops, params)
 
 
-def _check(name, got: WeylOp, want: WeylOp, tol: float) -> dict:
-    ok = close(got, want, tol)
+def _check(name, got: WeylOp, want: WeylOp) -> dict:
+    ok = close(got, want)
     return {"relation": name, "ok": ok, "got": got.pretty(), "expected": want.pretty()}
 
 
@@ -184,7 +184,6 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     [a_i, ad_i] = 1, all annihilator and all creator pairs commute, and the
     cross commutator [a_1, ad_2] equals i*theta (its mirror -i*theta).
     """
-    tol = backend_tol(point.exact)
     g = alpha_matrix(point)
     a1, a2 = deformed_lowering(g)
     ad1, ad2 = deformed_raising(g)
@@ -192,16 +191,16 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     zero = WeylOp.zero()
     itheta = WeylOp.scalar(Coeff(0, 1, exact=point.exact) * point.theta_coeff())
     checks = [
-        _check("[a1_alpha, ad1_alpha] == 1", commutator(a1, ad1), one, tol),
-        _check("[a2_alpha, ad2_alpha] == 1", commutator(a2, ad2), one, tol),
-        _check("[a1_alpha, a2_alpha] == 0", commutator(a1, a2), zero, tol),
-        _check("[ad1_alpha, ad2_alpha] == 0", commutator(ad1, ad2), zero, tol),
-        _check("[a1_alpha, ad2_alpha] == i*theta", commutator(a1, ad2), itheta, tol),
-        _check("[a2_alpha, ad1_alpha] == -i*theta", commutator(a2, ad1), -itheta, tol),
+        _check("[a1_alpha, ad1_alpha] == 1", commutator(a1, ad1), one),
+        _check("[a2_alpha, ad2_alpha] == 1", commutator(a2, ad2), one),
+        _check("[a1_alpha, a2_alpha] == 0", commutator(a1, a2), zero),
+        _check("[ad1_alpha, ad2_alpha] == 0", commutator(ad1, ad2), zero),
+        _check("[a1_alpha, ad2_alpha] == i*theta", commutator(a1, ad2), itheta),
+        _check("[a2_alpha, ad1_alpha] == -i*theta", commutator(a2, ad1), -itheta),
     ]
     for name, lowering in (("a1_alpha", a1), ("a2_alpha", a2)):
         image = lowering.apply(BiPoly.one(exact=point.exact))
-        ok_vac = close(image, BiPoly.zero(), tol)
+        ok_vac = close(image, BiPoly.zero())
         checks.append({"relation": f"vacuum: {name}(1) == 0", "ok": ok_vac, "got": image.pretty()})
     return Report.verdict(
         all(c["ok"] for c in checks),
@@ -216,7 +215,6 @@ def qp_representation_suite(theta, gamma, exact: bool = True) -> Report:
     [Q_i, P_j] = i delta_ij, [Q_1, Q_2] = i theta, [P_1, P_2] = i gamma; when
     theta == gamma the derived A_i also satisfy the modified-boson relations.
     """
-    tol = backend_tol(exact)
     i_unit = Coeff(0, 1, exact=exact)
     th = Coeff(Fraction(theta) if exact else float(theta), exact=exact)
     ga = Coeff(Fraction(gamma) if exact else float(gamma), exact=exact)
@@ -227,25 +225,22 @@ def qp_representation_suite(theta, gamma, exact: bool = True) -> Report:
         q1, q2, p1, p2 = d["Q1"], d["Q2"], d["P1"], d["P2"]
         tag = f"branch {branch:+d}: "
         checks += [
-            _check(tag + "[Q1, P1] == i", commutator(q1, p1), WeylOp.scalar(i_unit), tol),
-            _check(tag + "[Q2, P2] == i", commutator(q2, p2), WeylOp.scalar(i_unit), tol),
-            _check(tag + "[Q1, P2] == 0", commutator(q1, p2), zero, tol),
-            _check(tag + "[Q2, P1] == 0", commutator(q2, p1), zero, tol),
-            _check(tag + "[Q1, Q2] == i*theta", commutator(q1, q2), WeylOp.scalar(i_unit * th), tol),
-            _check(tag + "[P1, P2] == i*gamma", commutator(p1, p2), WeylOp.scalar(i_unit * ga), tol),
+            _check(tag + "[Q1, P1] == i", commutator(q1, p1), WeylOp.scalar(i_unit)),
+            _check(tag + "[Q2, P2] == i", commutator(q2, p2), WeylOp.scalar(i_unit)),
+            _check(tag + "[Q1, P2] == 0", commutator(q1, p2), zero),
+            _check(tag + "[Q2, P1] == 0", commutator(q2, p1), zero),
+            _check(tag + "[Q1, Q2] == i*theta", commutator(q1, q2), WeylOp.scalar(i_unit * th)),
+            _check(tag + "[P1, P2] == i*gamma", commutator(p1, p2), WeylOp.scalar(i_unit * ga)),
         ]
         if th == ga:
             a1, a2, ad1, ad2 = d["A1"], d["A2"], d["Ad1"], d["Ad2"]
             one = WeylOp.one(exact=exact)
             checks += [
-                _check(tag + "[A1, Ad1] == 1", commutator(a1, ad1), one, tol),
-                _check(tag + "[A2, Ad2] == 1", commutator(a2, ad2), one, tol),
-                _check(tag + "[A1, A2] == 0", commutator(a1, a2), zero, tol),
+                _check(tag + "[A1, Ad1] == 1", commutator(a1, ad1), one),
+                _check(tag + "[A2, Ad2] == 1", commutator(a2, ad2), one),
+                _check(tag + "[A1, A2] == 0", commutator(a1, a2), zero),
                 _check(
-                    tag + "[A1, Ad2] == i*theta",
-                    commutator(a1, ad2),
-                    WeylOp.scalar(i_unit * th),
-                    tol,
+                    tag + "[A1, Ad2] == i*theta", commutator(a1, ad2), WeylOp.scalar(i_unit * th)
                 ),
             ]
     return Report.verdict(

@@ -161,7 +161,7 @@ def test_criterion_07_eigenvalue_structure():
             assert rep.ok and rep.payload["mode"] == "exact-triangular"
     generic = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
     for L in range(5):
-        rep = eigenvalue_structure_check(generic, L, tol=1e-9)
+        rep = eigenvalue_structure_check(generic, L)
         assert rep.ok and rep.payload["mode"] == "float"
     ok(7, "eigenvalues of M(g, L) are the products of the eigenvalues of g: "
           "exact for triangular g (L <= 4), within 1e-9 for a generic complex g")

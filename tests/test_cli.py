@@ -102,6 +102,12 @@ def test_dual_family_command(capsys):
     assert code == 0 and obj["dual_matrix_consistent"] is True
 
 
+def test_dual_family_command_float_routes_agree_to_rounding(capsys):
+    argv = ["dual", "--L", "3", "--alpha", "0.3", "--backend", "float", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["dual_matrix_consistent"] is True
+
+
 def test_genfun_complex(capsys):
     code, out, _ = run(capsys, "genfun", "complex", "--order", "2", "--format", "json")
     obj = json.loads(out)

@@ -119,25 +119,44 @@ def test_multiplicative_inverse(c):
 
 
 def test_close_is_equality_at_zero_tolerance():
-    assert close(ONE, Coeff(1), 0.0) and not close(ONE, Coeff(1, 0, 0, 1), 0.0)
-    assert close([[ONE, ZERO]], [[ONE, ZERO]], 0.0) and not close([[ONE]], [[ONE, ZERO]], 0.0)
+    assert close(ONE, Coeff(1)) and not close(ONE, Coeff(1, 0, 0, 1))
+    assert close([[ONE, ZERO]], [[ONE, ZERO]]) and not close([[ONE]], [[ONE, ZERO]])
     p = BiPoly({(1, 0): ONE})
-    assert close(p, BiPoly.z(), 0.0) and not close(p, RealPoly({(1, 0): ONE}), 0.0)
+    assert close(p, BiPoly.z()) and not close(p, RealPoly({(1, 0): ONE}))
 
 
 def test_close_is_relative_per_entry_over_the_union_of_keys():
-    tol = 1e-10
     big = Coeff(1e6, exact=False)
-    assert close(big, big + 1e-5, tol) and not close(big, big + 1e-3, tol)
-    assert not close(Coeff(0.0, exact=False), Coeff(1e-9, exact=False), tol)
+    assert close(big, big + 1e-5) and not close(big, big + 1e-3)
+    assert not close(Coeff(0.0, exact=False), Coeff(1e-9, exact=False))
     # a key present on one side only compares against zero
     p = BiPoly({(0, 0): big, (1, 0): Coeff(1e-12, exact=False)})
-    assert close(p, BiPoly({(0, 0): big}), tol)
+    assert close(p, BiPoly({(0, 0): big}))
     # the scale is each entry's own, not the largest entry of the map
-    assert not close(p, BiPoly({(0, 0): big, (1, 0): Coeff(1e-9, exact=False)}), tol)
-    assert not close(p, RealPoly({(0, 0): big}), tol)
-    assert close([[big, ONE]], [[big, ONE + 1e-11]], tol)
-    assert not close([[big, ONE]], [[big]], tol)
+    assert not close(p, BiPoly({(0, 0): big, (1, 0): Coeff(1e-9, exact=False)}))
+    assert not close(p, RealPoly({(0, 0): big}))
+    assert close([[big, ONE]], [[big, ONE + 1e-11]])
+    assert not close([[big, ONE]], [[big]])
+
+
+@given(radical_coeffs, radical_coeffs)
+@settings(max_examples=80)
+def test_close_is_equality_on_exact_values(a, b):
+    assert close(a, b) == (a == b)
+    assert close([[a], [b]], [[b], [a]]) == (a == b)
+    assert close(BiPoly({(1, 0): a, (0, 0): ONE}), BiPoly({(1, 0): b, (0, 0): ONE})) == (a == b)
+
+
+def test_close_reads_a_missing_key_as_exact_zero():
+    # the extra term rounds to 0.0 as a float, but is not zero
+    tiny = Coeff(F(1, 10**400))
+    assert tiny and abs(tiny) == 0.0
+    p = BiPoly({(0, 0): ONE})
+    q = p + BiPoly({(1, 0): tiny})
+    assert not close(p, q) and not close(q, p)
+    assert not close(ONE, ONE + tiny)
+    # an exact value against a float one compares by the float rule
+    assert close(Coeff(F(1, 3)), Coeff(1 / 3, exact=False)) and close(F(1, 3), 1 / 3)
 
 
 # -- every product path against the general formula it replaces ------------

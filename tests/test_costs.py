@@ -72,9 +72,9 @@ def test_lie_report_checks_each_table_once(monkeypatch, point, tables):
     jacobi_ok = StructureConstants.jacobi_ok
     calls = []
 
-    def counting(self, tol=None):
+    def counting(self):
         calls.append(self.names)
-        return jacobi_ok(self, tol)
+        return jacobi_ok(self)
 
     monkeypatch.setattr(StructureConstants, "jacobi_ok", counting)
     assert lie_report(point).ok

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihermite.coeffs import FLOAT_TOL, Coeff, close
+from bihermite.coeffs import Coeff, close
 from bihermite.deform import (
     GL2,
     RepMatrix,
@@ -309,4 +309,4 @@ def test_rep_matrix_matches_triple_sum_on_the_battery_matrices():
     gf = GL2(*(c.to_float() for c in G_ALPHA.entries()))
     for L in (1, 5, 8):
         got, want = rep_matrix(gf, L), reference_rep_matrix(gf, L)
-        assert not got[0, 0].exact and close(got.entries, want.entries, FLOAT_TOL)
+        assert not got[0, 0].exact and close(got.entries, want.entries)

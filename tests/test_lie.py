@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -219,6 +220,21 @@ def test_exact_residual_is_zero_only_for_a_zero_remainder(outside):
     sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual}, True)
     assert not sc.closed
     assert solve_in_span([{(0,): Coeff(1)}], {(0,): Coeff(3)}) == ([Coeff(3)], 0.0)
+
+
+def test_solve_in_span_pivots_on_the_vectors_only():
+    # the out-of-span entry is no pivot: coeffs are the in-span part of the
+    # target, and the residual is the tiny remainder, not the whole target
+    target = {(0,): Coeff(3), (1,): Coeff(F(1, 10**400))}
+    coeffs, residual = solve_in_span([{(0,): Coeff(1)}], target)
+    assert coeffs == [Coeff(3)] and 0.0 < residual < 1e-300
+
+
+def test_exact_residual_beyond_float_range_reads_inf():
+    coeffs, residual = solve_in_span([{(0,): Coeff(1)}], {(1,): Coeff(10**400)})
+    assert coeffs == [Coeff(0)] and residual == math.inf
+    sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual}, True)
+    assert not sc.closed
 
 
 def test_operator_level_jacobi():
