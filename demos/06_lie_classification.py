@@ -49,7 +49,7 @@ print(f"  classification: {classify(scz)}")
 print()
 print("at the maximal deformation theta = 1 (alpha^2 = 1/2, float backend)")
 print("two generators vanish identically; the limiting table is Heisenberg:")
-pt1 = AlphaPoint.make(0.5**0.5, exact=False)
+pt1 = AlphaPoint.make(0.5**0.5)
 limit = theta_one_limit_table(basis_change(bilinear_generators(pt1)))
 print(f"  largest residual of the limiting relations: "
       f"{max(limit.residuals.values()):.2e}")

@@ -51,15 +51,21 @@ from .ncqm import ncqm_commutator_suite, qp_representation_suite
 from .report import Report
 
 
+def parse_number(text: str, exact: bool) -> Fraction | float:
+    """A rational ("3/5", "0.6"): a Fraction, or a float on the float backend."""
+    value = Fraction(text)
+    try:
+        return value if exact else float(value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is beyond float range") from None
+
+
 def parse_alpha(text: str, exact: bool) -> AlphaPoint:
-    s = text.strip()
-    if s in ("1/sqrt2", "sqrt(1/2)"):
+    if text.strip() in ("1/sqrt2", "sqrt(1/2)"):
         if exact:
             raise ValueError("alpha = 1/sqrt2 is irrational; pass --backend float")
-        return AlphaPoint.make(0.5**0.5, exact=False)
-    if exact:
-        return AlphaPoint.make(Fraction(s), exact=True)
-    return AlphaPoint.make(float(Fraction(s)) if "/" in s else float(s), exact=False)
+        return AlphaPoint.make(0.5**0.5)
+    return AlphaPoint.make(parse_number(text, exact))
 
 
 def parse_gl2(args, exact: bool) -> GL2:
@@ -242,9 +248,7 @@ def _verify_eigen(args, exact: bool) -> Report:
 
 
 def _verify_qp(args, exact: bool) -> Report:
-    theta = Fraction(args.theta) if exact else float(Fraction(args.theta))
-    gamma = Fraction(args.gamma) if exact else float(Fraction(args.gamma))
-    return qp_representation_suite(theta, gamma, exact)
+    return qp_representation_suite(parse_number(args.theta, exact), parse_number(args.gamma, exact))
 
 
 def _point(args, exact: bool) -> AlphaPoint:

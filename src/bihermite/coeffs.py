@@ -12,25 +12,29 @@ reduces to literal equality of rationals.
 
 The float backend stores the same value with the radical folded into re/im.
 It is used for numerical cross-checks (eigenvalues, quadrature) and for
-parameter points whose square roots are irrational.
+parameter points whose square roots are irrational.  Every value carries its
+backend, and an operation on both backends runs in float.
 
-Exact arithmetic takes short paths that give the same Fractions as the
+Both backends take the same short paths, which give the values of the
 general formula.  A product is formed from its Q(i) halves,
 (x1 + y1 sqrt2)(x2 + y2 sqrt2), and a zero half, or a zero real or imaginary
-part, costs no Fraction product: Q(i) x Q(i) takes at most four products
-instead of sixteen.  A plain int or Fraction factor scales the slots without
-being lifted to a Coeff, and a sum skips its zero terms.  The float backend
-keeps the general formula, because its radical slots hold zeros whose sign
-(-0.0 after a negation) reaches the sign of zero results.  Every value
-hashes through its float image, so equal Coeffs hash alike on either
-backend, and so do a Coeff and an equal int below 2**53.
+part, costs no product: Q(i) x Q(i) takes at most four products instead of
+sixteen.  A plain int or Fraction factor scales the slots without being
+lifted to a Coeff, and a sum skips its zero terms.  Only the sign of a float
+zero depends on the path, so JSON writes float zeros unsigned.
+
+``==`` compares the slots as Python compares numbers, with no conversion: an
+exact value equals a float only when they are the same number, and a value
+with a radical part equals no float.  So ``==`` is transitive, and equal
+Coeffs, ints, Fractions, floats and complex numbers hash alike.  ``close``
+compares across backends.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re as _regex
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -71,10 +75,11 @@ def rational_sqrt(value) -> Fraction | None:
 
 
 _ZERO_Q = Fraction(0)
+_HASH_MOD = 1 << sys.hash_info.width
 
 
-def _add(x: Fraction, y: Fraction) -> Fraction:
-    """x + y without a Fraction sum when either term is zero."""
+def _add(x, y):
+    """x + y, skipping the sum when either term is zero."""
     if not x:
         return y
     if not y:
@@ -82,20 +87,20 @@ def _add(x: Fraction, y: Fraction) -> Fraction:
     return x + y
 
 
-def _scale(x: Fraction, n) -> Fraction:
+def _scale(x, n):
     return x * n if x else x
 
 
-def _qi_mul(xr, xi, yr, yi) -> tuple:
-    """(xr + xi i)(yr + yi i) as a (re, im) pair, with no Fraction product
-    for a zero real or imaginary part."""
+def _qi_mul(xr, xi, yr, yi, zero) -> tuple:
+    """(xr + xi i)(yr + yi i) as a (re, im) pair, with no product for a zero
+    real or imaginary part; zero is the zero of the operands' backend."""
     if not xi:
         if not yi:
-            return xr * yr, _ZERO_Q
+            return xr * yr, zero
         return _scale(yr, xr), xr * yi
     if not xr:
         if not yi:
-            return _ZERO_Q, xi * yr
+            return zero, xi * yr
         return -(xi * yi), _scale(yr, xi)
     if not yi:
         return xr * yr, xi * yr
@@ -178,9 +183,8 @@ class Coeff:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        add = _add if a.exact else operator.add
         return Coeff._raw(
-            add(a.re, b.re), add(a.im, b.im), add(a.re2, b.re2), add(a.im2, b.im2), a.exact
+            _add(a.re, b.re), _add(a.im, b.im), _add(a.re2, b.re2), _add(a.im2, b.im2), a.exact
         )
 
     __radd__ = __add__
@@ -195,42 +199,37 @@ class Coeff:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Coeff):
-            if self.exact and isinstance(other, (int, Fraction)):
-                # rational scaling: one product per nonzero slot, no lift
-                return Coeff._raw(
-                    _scale(self.re, other),
-                    _scale(self.im, other),
-                    _scale(self.re2, other),
-                    _scale(self.im2, other),
-                    True,
-                )
-            other = Coeff.lift(other)
-        a, b = self, other
-        if a.exact != b.exact:
-            a, b = a.to_float(), b.to_float()
+        if isinstance(other, (int, Fraction)):
+            # rational scaling: one product per nonzero slot, no lift
+            return Coeff._raw(
+                _scale(self.re, other),
+                _scale(self.im, other),
+                _scale(self.re2, other),
+                _scale(self.im2, other),
+                self.exact,
+            )
+        a, b = self._pair(other)
+        zero = _ZERO_Q if a.exact else 0.0
         # (x1 + y1 r)(x2 + y2 r) = (x1 x2 + 2 y1 y2) + (x1 y2 + y1 x2) r with
-        # r = sqrt2 and x, y in Q(i).  An exact product skips its zero halves.
-        # Floats always take all 16 terms: their radical slots are zeros whose
-        # sign (-0.0 after a negation) reaches the sign of zero results.
-        if a.exact:
-            y1, y2 = a.re2 or a.im2, b.re2 or b.im2
-            if not (y1 or y2):
-                re, im = _qi_mul(a.re, a.im, b.re, b.im)
-                return Coeff._raw(re, im, _ZERO_Q, _ZERO_Q, True)
-            x1, x2 = a.re or a.im, b.re or b.im
-            if not (x1 and x2 and y1 and y2):
-                re = im = re2 = im2 = _ZERO_Q
-                if x1 and x2:
-                    re, im = _qi_mul(a.re, a.im, b.re, b.im)
-                elif y1 and y2:
-                    u, v = _qi_mul(a.re2, a.im2, b.re2, b.im2)
-                    re, im = 2 * u, 2 * v
-                if x1 and y2:
-                    re2, im2 = _qi_mul(a.re, a.im, b.re2, b.im2)
-                elif y1 and x2:
-                    re2, im2 = _qi_mul(a.re2, a.im2, b.re, b.im)
-                return Coeff._raw(re, im, re2, im2, True)
+        # r = sqrt2 and x, y in Q(i); zero halves cost nothing.  Float radical
+        # slots are zeros, so a float product is one Q(i) product.
+        y1, y2 = a.re2 or a.im2, b.re2 or b.im2
+        if not (y1 or y2):
+            re, im = _qi_mul(a.re, a.im, b.re, b.im, zero)
+            return Coeff._raw(re, im, zero, zero, a.exact)
+        x1, x2 = a.re or a.im, b.re or b.im
+        if not (x1 and x2 and y1 and y2):
+            re = im = re2 = im2 = zero
+            if x1 and x2:
+                re, im = _qi_mul(a.re, a.im, b.re, b.im, zero)
+            elif y1 and y2:
+                u, v = _qi_mul(a.re2, a.im2, b.re2, b.im2, zero)
+                re, im = 2 * u, 2 * v
+            if x1 and y2:
+                re2, im2 = _qi_mul(a.re, a.im, b.re2, b.im2, zero)
+            elif y1 and x2:
+                re2, im2 = _qi_mul(a.re2, a.im2, b.re, b.im, zero)
+            return Coeff._raw(re, im, re2, im2, a.exact)
         return Coeff._raw(
             a.re * b.re - a.im * b.im + 2 * (a.re2 * b.re2 - a.im2 * b.im2),
             a.re * b.im + a.im * b.re + 2 * (a.re2 * b.im2 + a.im2 * b.re2),
@@ -294,21 +293,21 @@ class Coeff:
 
     def __eq__(self, other) -> bool:
         try:
-            a, b = self._pair(other)
+            b = Coeff.lift(other)
         except TypeError:
             return NotImplemented
-        return a.re == b.re and a.im == b.im and a.re2 == b.re2 and a.im2 == b.im2
+        return self.re == b.re and self.im == b.im and self.re2 == b.re2 and self.im2 == b.im2
 
     def __hash__(self):
-        # through the float image, because == compares in float whenever one
-        # side is float (Coeff(1) == 1 == Coeff(1.0, exact=False)).  An exact
-        # value equal to an int or Fraction that no float represents (1/3)
-        # still hashes apart from it: Coeff(1/3) equals both Fraction(1, 3)
-        # and the float 1/3, which differ, so no hash can match both.
-        try:
-            return hash(self.to_complex())
-        except OverflowError:  # too large for a float, so equal to no float
+        # a value with a radical part equals only the Coeff with the same
+        # exact slots; any other value hashes as the equal complex number
+        if self.re2 or self.im2:
             return hash((self.re, self.im, self.re2, self.im2))
+        if not self.im:
+            return hash(self.re)
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % _HASH_MOD
+        h -= _HASH_MOD if h >= _HASH_MOD // 2 else 0
+        return -2 if h == -1 else h
 
     def is_real(self) -> bool:
         return not self.im and not self.im2
@@ -366,7 +365,8 @@ class Coeff:
 
     def to_json_value(self):
         if not self.exact:
-            return {"re": self.re, "im": self.im}
+            # + 0.0 writes a zero unsigned, whichever path formed it
+            return {"re": self.re + 0.0, "im": self.im + 0.0}
         out = {"re": str(self.re), "im": str(self.im)}
         if self.re2:
             out["re2"] = str(self.re2)
@@ -451,8 +451,9 @@ def parse_coeff(text: str, exact: bool = True) -> Coeff:
 
 
 def close(a, b) -> bool:
-    """Whether a and b agree entry by entry.  Two exact entries must be equal;
-    where either entry is a float, |x - y| <= FLOAT_TOL * max(1, |x|, |y|).
+    """Whether a and b agree entry by entry, the one comparison across
+    backends.  Two exact entries must be equal; where either entry is a float,
+    |x - y| <= FLOAT_TOL * max(1, |x|, |y|).
 
     a and b are scalars, sparse maps (objects with a ``terms`` dict, compared
     over the union of their keys with a missing key reading as the exact
@@ -472,7 +473,10 @@ def close(a, b) -> bool:
     a, b = Coeff.lift(a), Coeff.lift(b)
     if a.exact and b.exact:
         return False
-    return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
+    try:
+        return abs(a - b) <= FLOAT_TOL * max(1.0, abs(a), abs(b))
+    except OverflowError:  # an exact value beyond float range is close to no float
+        return False
 
 
 ZERO = Coeff(0)

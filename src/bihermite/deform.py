@@ -14,14 +14,14 @@ coordinates of Hg[k, L-k] over the undeformed basis [H[r, L-r]]_r.
 
 The hermitian family is parametrized by a real alpha with 0 < |alpha| < 1:
 the deformation matrix is [[alpha, i b], [-i b, alpha]] with b = sqrt(1 -
-alpha^2), and theta = 2 alpha b measures the induced noncommutativity.  On
-the exact backend alpha must make b rational (Pythagorean points such as
-3/5, 5/13, 8/17); any other alpha runs on the float backend.
+alpha^2), and theta = 2 alpha b measures the induced noncommutativity.  The
+type of alpha picks the backend: an int or Fraction alpha runs exactly and
+must make b rational (Pythagorean points such as 3/5, 5/13, 8/17); a float
+alpha runs on the float backend.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -125,42 +125,41 @@ class AlphaPoint:
 
     alpha: Fraction | float
     beta_im: Fraction | float  # sqrt(1 - alpha^2)
-    exact: bool
 
     @classmethod
-    def make(cls, alpha, exact: bool = True) -> AlphaPoint:
-        if exact:
-            alpha = Fraction(alpha)
+    def make(cls, alpha) -> AlphaPoint:
+        """A float alpha runs on the float backend, any other exactly."""
+        if isinstance(alpha, float):
             if not 0 < abs(alpha) < 1:
                 raise ValueError("alpha must satisfy 0 < |alpha| < 1")
-            beta_im = rational_sqrt(1 - alpha * alpha)
-            if beta_im is None:
-                raise ValueError(
-                    f"sqrt(1 - alpha^2) is irrational for alpha = {alpha}; "
-                    "use the float backend for this point"
-                )
-            return cls(alpha, beta_im, True)
-        alpha = float(alpha)
+            return cls(alpha, (1 - alpha * alpha) ** 0.5)
+        alpha = Fraction(alpha)
         if not 0 < abs(alpha) < 1:
             raise ValueError("alpha must satisfy 0 < |alpha| < 1")
-        return cls(alpha, (1 - alpha * alpha) ** 0.5, False)
+        beta_im = rational_sqrt(1 - alpha * alpha)
+        if beta_im is None:
+            raise ValueError(
+                f"sqrt(1 - alpha^2) is irrational for alpha = {alpha}; "
+                "use the float backend for this point"
+            )
+        return cls(alpha, beta_im)
+
+    @property
+    def exact(self) -> bool:
+        return not isinstance(self.alpha, float)
 
     @property
     def theta(self):
         return 2 * self.alpha * self.beta_im
 
     def theta_coeff(self) -> Coeff:
-        return Coeff(self.theta, exact=self.exact) if self.exact else Coeff.from_complex(self.theta)
+        return Coeff(self.theta, exact=self.exact)
 
 
 def alpha_matrix(point: AlphaPoint) -> GL2:
     """Hermitian deformation matrix [[alpha, i b], [-i b, alpha]]."""
-    a = Coeff(point.alpha, exact=point.exact) if point.exact else Coeff.from_complex(point.alpha)
-    b = (
-        Coeff(0, point.beta_im, exact=point.exact)
-        if point.exact
-        else Coeff.from_complex(1j * point.beta_im)
-    )
+    a = Coeff(point.alpha, exact=point.exact)
+    b = Coeff(0, point.beta_im, exact=point.exact)
     return GL2(a, b, -b, a)
 
 
@@ -225,7 +224,7 @@ class RepMatrix:
         )
 
     def is_identity(self) -> bool:
-        return self == RepMatrix.identity(self.L, exact=all(c.exact for r in self.entries for c in r))
+        return self == RepMatrix.identity(self.L)
 
     def diagonal(self):
         return [self.entries[k][k] for k in range(self.L + 1)]
@@ -477,57 +476,44 @@ def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     )
 
 
-def _sort_key_exact(c: Coeff):
-    return (c.re, c.im, c.re2, c.im2)
-
-
 def eigenvalue_structure_check(g: GL2, L: int) -> Report:
     """Eigenvalues of M(g, L) must be the products l1^k l2^(L-k) of the
-    eigenvalues of g itself.
+    eigenvalues of g itself, matched as multisets with close().
 
-    Triangular or diagonal exact g is checked by exact multiset equality of
-    the diagonal; any other g goes through numpy, needs distinct eigenvalues
-    and matches within 1e-9 relative (FLOAT_TOL when g is float).
+    Triangular or diagonal exact g is checked on the diagonal of M(g, L),
+    literally; any other g goes through numpy, needs distinct eigenvalues and
+    matches within FLOAT_TOL.
     """
     M = rep_matrix(g, L)
-    triangular = (not g.g21) or (not g.g12)
-    if triangular and g.is_exact():
-        expected = sorted(
-            ((g.g11**k) * (g.g22 ** (L - k)) for k in range(L + 1)), key=_sort_key_exact
-        )
-        actual = sorted(M.diagonal(), key=_sort_key_exact)
-        return Report.verdict(
-            expected == actual,
-            f"eigenvalue structure (exact, triangular), L={L}",
-            {"L": L, "mode": "exact-triangular", "eigenvalues": [str(c) for c in actual]},
-        )
-
-    lam = np.linalg.eigvals(g.to_numpy())
-    # defective pairs are only resolvable to ~sqrt(machine eps), so the
-    # distinctness cut is much looser than the matching tolerance
-    if abs(lam[0] - lam[1]) <= 1e-6 * max(1.0, abs(lam[0]), abs(lam[1])):
-        return Report(
-            "error",
-            "eigenvalue structure: repeated eigenvalues are unsupported",
-            {"L": L, "mode": "float"},
-        )
-    expected = sorted(
-        (lam[0] ** k * lam[1] ** (L - k) for k in range(L + 1)),
-        key=lambda v: (round(abs(v), 9), round(cmath.phase(v), 9)),
-    )
-    actual = sorted(
-        np.linalg.eigvals(M.to_numpy()).tolist(),
-        key=lambda v: (round(abs(v), 9), round(cmath.phase(v), 9)),
-    )
-    tol = 1e-9 if g.is_exact() else FLOAT_TOL
-    deviation = max(
-        abs(a - b) / max(1.0, abs(b)) for a, b in zip(actual, expected)
-    )
-    return Report.verdict(
-        deviation <= tol,
-        f"eigenvalue structure (float), L={L}",
-        {"L": L, "mode": "float", "max_relative_deviation": deviation, "tolerance": tol},
-    )
+    on_diagonal = g.is_exact() and not (g.g21 and g.g12)  # exact and triangular
+    payload = {"L": L, "mode": "exact-triangular" if on_diagonal else "float"}
+    if on_diagonal:
+        expected = [(g.g11**k) * (g.g22 ** (L - k)) for k in range(L + 1)]
+        actual = M.diagonal()
+        payload["eigenvalues"] = [
+            str(c) for c in sorted(actual, key=lambda c: (c.re, c.im, c.re2, c.im2))
+        ]
+    else:
+        lam = np.linalg.eigvals(g.to_numpy())
+        # defective pairs are only resolvable to ~sqrt(machine eps), so the
+        # distinctness cut is much looser than the matching tolerance
+        if abs(lam[0] - lam[1]) <= 1e-6 * max(1.0, abs(lam[0]), abs(lam[1])):
+            return Report(
+                "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
+            )
+        expected = [Coeff.from_complex(lam[0] ** k * lam[1] ** (L - k)) for k in range(L + 1)]
+        actual = [Coeff.from_complex(v) for v in np.linalg.eigvals(M.to_numpy())]
+        payload["tolerance"] = FLOAT_TOL
+    unmatched = []
+    for want in expected:
+        match = next((i for i, got in enumerate(actual) if close(got, want)), None)
+        if match is None:
+            unmatched.append(str(want))
+        else:
+            del actual[match]
+    payload["unmatched"] = unmatched
+    mode = "exact, triangular" if on_diagonal else "float"
+    return Report.verdict(not unmatched, f"eigenvalue structure ({mode}), L={L}", payload)
 
 
 def monomial_to_hermite(p: BiPoly) -> BiPoly:

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .coeffs import FLOAT_TOL, ZERO, Coeff, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .linalg import det, nullspace, rank, solve_in_span
@@ -50,7 +48,10 @@ class LieBasisSet:
     names: tuple
     ops: tuple
     theta: Fraction | float
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return not isinstance(self.theta, float)
 
     def items(self):
         return list(zip(self.names, self.ops))
@@ -70,15 +71,15 @@ def _bilinears(a1, a2, ad1, ad2, exact: bool) -> tuple:
 
 def bilinear_generators(point: AlphaPoint | None = None, exact: bool = True) -> LieBasisSet:
     """The J1..J4 bilinears of the deformed ladders at an alpha point, of the
-    bare ladders otherwise."""
+    bare ladders otherwise (on the backend that exact names)."""
     if point is None:
         ladders = (WeylOp.a(1), WeylOp.a(2), WeylOp.adag(1), WeylOp.adag(2))
-        theta = Fraction(0)
+        theta = Fraction(0) if exact else 0.0
     else:
         g = alpha_matrix(point)
         ladders = (*deformed_lowering(g), *deformed_raising(g))
         theta, exact = point.theta, point.exact
-    return LieBasisSet(("J1", "J2", "J3", "J4"), _bilinears(*ladders, exact), theta, exact)
+    return LieBasisSet(("J1", "J2", "J3", "J4"), _bilinears(*ladders, exact), theta)
 
 
 def basis_change(jbasis: LieBasisSet) -> LieBasisSet:
@@ -91,7 +92,7 @@ def basis_change(jbasis: LieBasisSet) -> LieBasisSet:
     x2 = j3 * i_unit
     x3 = (j2 + j4 * th) * i_unit
     y = j2 * th + j4
-    return LieBasisSet(("X1", "X2", "X3", "Y"), (x1, x2, x3, y), th, jbasis.exact)
+    return LieBasisSet(("X1", "X2", "X3", "Y"), (x1, x2, x3, y), th)
 
 
 def rescale(xbasis: LieBasisSet) -> LieBasisSet:
@@ -119,7 +120,6 @@ def rescale(xbasis: LieBasisSet) -> LieBasisSet:
         ("Z1", "Z2", "Z3", "Y"),
         (x1 * inv_s, x2 * inv_s, x3 * inv_c, y),
         th,
-        xbasis.exact,
     )
 
 
@@ -135,7 +135,10 @@ class StructureConstants:
     names: tuple
     table: dict
     residuals: dict
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return all(c.exact for v in self.table.values() for c in v)
 
     @property
     def dim(self) -> int:
@@ -148,9 +151,8 @@ class StructureConstants:
 
     def bracket(self, i: int, j: int):
         """Coordinates of [g_i, g_j], using antisymmetry below the diagonal."""
-        zero = Coeff(0, exact=self.exact)
         if i == j:
-            return [zero] * self.dim
+            return [Coeff(0, exact=self.exact)] * self.dim
         if i < j:
             return list(self.table[(i, j)])
         return [-c for c in self.table[(j, i)]]
@@ -162,13 +164,13 @@ class StructureConstants:
         and vanishes on repeated indices: the triples i < j < k decide it.
         Zero structure constants contribute no products.
         """
-        n = self.dim
+        n, zero = self.dim, Coeff(0, exact=self.exact)
         nonzero = [
             [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
             for a in range(n)
         ]
         for i, j, k in combinations(range(n), 3):
-            jac = [Coeff(0, exact=self.exact)] * n
+            jac = [zero] * n
             for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, c in nonzero[a][b]:
                     for l, e in nonzero[m][d]:
@@ -214,7 +216,7 @@ def structure_constants(basis: LieBasisSet) -> StructureConstants:
             coeffs, residual = solve_in_span(vectors, br.terms)
             table[(i, j)] = coeffs
             residuals[(i, j)] = residual
-    return StructureConstants(basis.names, table, residuals, basis.exact)
+    return StructureConstants(basis.names, table, residuals)
 
 
 def theta_one_limit_table(xbasis: LieBasisSet) -> StructureConstants:
@@ -245,21 +247,22 @@ def theta_one_limit_table(xbasis: LieBasisSet) -> StructureConstants:
         defect = commutator(xbasis.ops[i], xbasis.ops[j]) - rhs
         table[(i, j)] = coeffs
         residuals[(i, j)] = defect.max_abs()
-    return StructureConstants(xbasis.names, table, residuals, exact)
+    return StructureConstants(xbasis.names, table, residuals)
 
 
 def _realified_table(sc: StructureConstants):
     """Real structure constants, multiplying the basis by i when every bracket
     coefficient is purely imaginary; None when the table mixes the two."""
     coeffs = [c for v in sc.table.values() for c in v]
+    exact = sc.exact
     def real_part_small(c):
-        return (not c.re and not c.re2) if sc.exact else abs(c.re) <= FLOAT_TOL
+        return (not c.re and not c.re2) if exact else abs(c.re) <= FLOAT_TOL
     def imag_part_small(c):
-        return (not c.im and not c.im2) if sc.exact else abs(c.im) <= FLOAT_TOL
+        return (not c.im and not c.im2) if exact else abs(c.im) <= FLOAT_TOL
     if all(imag_part_small(c) for c in coeffs):
-        factor = Coeff(1, exact=sc.exact)
+        factor = Coeff(1, exact=exact)
     elif all(real_part_small(c) for c in coeffs):
-        factor = Coeff(0, 1, exact=sc.exact)
+        factor = Coeff(0, 1, exact=exact)
     else:
         return None
     n = sc.dim
@@ -339,18 +342,12 @@ def _killing_negative_definite(c, bracket_rows) -> bool:
         ]
         for p in range(m)
     ]
-    if exact:
-        # Sylvester: K negative definite iff (-1)^k det(K_k) > 0
-        for k in range(1, m + 1):
-            minor = [row[:k] for row in restricted[:k]]
-            d = det(minor)
-            if ((-1) ** k) * d.real_sign() <= 0:
-                return False
-        return True
-    eig = np.linalg.eigvalsh(
-        np.array([[x.to_complex().real for x in row] for row in restricted])
-    )
-    return bool(np.all(eig < -FLOAT_TOL))
+    # Sylvester: K negative definite iff (-1)^k det(K_k) > 0
+    for k in range(1, m + 1):
+        minor = [row[:k] for row in restricted[:k]]
+        if ((-1) ** k) * det(minor).real_sign() <= 0:
+            return False
+    return True
 
 
 def lie_report(point: AlphaPoint | None) -> Report:

@@ -34,7 +34,12 @@ __all__ = [
 ]
 
 
-def _qp_from_canonical(theta, gamma, branch: int, exact: bool) -> dict[str, WeylOp]:
+def _exact_params(*values) -> bool:
+    """The backend of a parameter set: float when any parameter is a float."""
+    return not any(isinstance(v, float) for v in values)
+
+
+def _qp_from_canonical(theta, gamma, branch: int) -> dict[str, WeylOp]:
     """Q_i, P_i from the canonical pairs via the (c, d) substitution.
 
     c = (1 + s sqrt(kappa))/2 and d = (1 - s sqrt(kappa))/theta with
@@ -42,6 +47,7 @@ def _qp_from_canonical(theta, gamma, branch: int, exact: bool) -> dict[str, Weyl
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    exact = _exact_params(theta, gamma)
     theta, gamma = (Fraction(theta), Fraction(gamma)) if exact else (float(theta), float(gamma))
     if not theta:
         raise ValueError("theta must be nonzero")
@@ -95,10 +101,9 @@ class OperatorDictionary:
         }
 
 
-def build_dictionary(
-    alpha=None, theta=None, gamma=None, branch: int = 1, exact: bool = True
-) -> OperatorDictionary:
-    """Assemble the named operators for a parameter point.
+def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> OperatorDictionary:
+    """Assemble the named operators for a parameter point, on the float
+    backend when a parameter is a float.
 
     Always includes the bare ladder operators, canonical q/p pairs, and the
     undeformed bilinears J1..J4.  With alpha it adds the deformed ladder set,
@@ -107,6 +112,10 @@ def build_dictionary(
     canonical substitution on the requested sign branch, plus the derived
     A_i = (Q_i + i P_i)/sqrt2 pairs.
     """
+    if alpha is not None and (theta is not None or gamma is not None):
+        raise ValueError("pass either alpha or (theta, gamma), not both")
+    point = alpha if alpha is None or isinstance(alpha, AlphaPoint) else AlphaPoint.make(alpha)
+    exact = _exact_params(theta, gamma) if point is None else point.exact
     ops: dict[str, WeylOp] = {
         "a1": WeylOp.a(1),
         "a2": WeylOp.a(2),
@@ -117,11 +126,7 @@ def build_dictionary(
     ops.update(bilinear_generators(exact=exact).items())
     params: dict = {"exact": exact}
 
-    if alpha is not None and (theta is not None or gamma is not None):
-        raise ValueError("pass either alpha or (theta, gamma), not both")
-
-    if alpha is not None:
-        point = alpha if isinstance(alpha, AlphaPoint) else AlphaPoint.make(alpha, exact=exact)
+    if point is not None:
         params["alpha"] = str(point.alpha)
         params["theta"] = str(point.theta)
         g = alpha_matrix(point)
@@ -140,8 +145,8 @@ def build_dictionary(
                 "Ad2": rai2,
             }
         )
-        q1, p1 = _qp_from_ladders(low1, rai1, point.exact)
-        q2, p2 = _qp_from_ladders(low2, rai2, point.exact)
+        q1, p1 = _qp_from_ladders(low1, rai1, exact)
+        q2, p2 = _qp_from_ladders(low2, rai2, exact)
         ops.update({"Q1": q1, "P1": p1, "Q2": q2, "P2": p2})
         jbasis = bilinear_generators(point)
         ops.update({f"{name}_alpha": op for name, op in jbasis.items()})
@@ -160,10 +165,10 @@ def build_dictionary(
         if theta is None or gamma is None:
             raise ValueError("theta and gamma must be given together")
         params.update({"theta": str(theta), "gamma": str(gamma), "branch": branch})
-        qp = _qp_from_canonical(theta, gamma, branch, exact)
+        qp = _qp_from_canonical(theta, gamma, branch)
         ops.update(qp)
         half_rt2 = Coeff(0, 0, Fraction(1, 2), exact=exact)
-        i_unit = Coeff(0, 1, exact=exact) if exact else Coeff.from_complex(1j)
+        i_unit = Coeff(0, 1, exact=exact)
         for mode in (1, 2):
             q, p = qp[f"Q{mode}"], qp[f"P{mode}"]
             ops[f"A{mode}"] = (q + p * i_unit) * half_rt2
@@ -209,19 +214,20 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     )
 
 
-def qp_representation_suite(theta, gamma, exact: bool = True) -> Report:
-    """Verify the Q/P commutation table on both sign branches.
+def qp_representation_suite(theta, gamma) -> Report:
+    """Verify the Q/P commutation table on both sign branches, on the float
+    backend when theta or gamma is a float.
 
     [Q_i, P_j] = i delta_ij, [Q_1, Q_2] = i theta, [P_1, P_2] = i gamma; when
     theta == gamma the derived A_i also satisfy the modified-boson relations.
     """
+    exact = _exact_params(theta, gamma)
     i_unit = Coeff(0, 1, exact=exact)
-    th = Coeff(Fraction(theta) if exact else float(theta), exact=exact)
-    ga = Coeff(Fraction(gamma) if exact else float(gamma), exact=exact)
+    th, ga = Coeff(theta, exact=exact), Coeff(gamma, exact=exact)
     zero = WeylOp.zero()
     checks = []
     for branch in (1, -1):
-        d = build_dictionary(theta=theta, gamma=gamma, branch=branch, exact=exact)
+        d = build_dictionary(theta=theta, gamma=gamma, branch=branch)
         q1, q2, p1, p2 = d["Q1"], d["Q2"], d["P1"], d["P2"]
         tag = f"branch {branch:+d}: "
         checks += [

@@ -164,7 +164,7 @@ def test_criterion_07_eigenvalue_structure():
         rep = eigenvalue_structure_check(generic, L)
         assert rep.ok and rep.payload["mode"] == "float"
     ok(7, "eigenvalues of M(g, L) are the products of the eigenvalues of g: "
-          "exact for triangular g (L <= 4), within 1e-9 for a generic complex g")
+          "exact for triangular g (L <= 4), within FLOAT_TOL for a generic complex g")
 
 
 def test_criterion_08_intertwining():
@@ -243,7 +243,7 @@ def test_criterion_11_lie_suite():
         zb = rescale(basis_change(bilinear_generators(AlphaPoint.make(a))))
         assert classify(structure_constants(zb)) == "su2_plus_u1"
 
-    limit = theta_one_limit_table(basis_change(bilinear_generators(AlphaPoint.make(0.5**0.5, exact=False))))
+    limit = theta_one_limit_table(basis_change(bilinear_generators(AlphaPoint.make(0.5**0.5))))
     assert all(r < 1e-10 for r in limit.residuals.values())
     assert limit.jacobi_ok()
     assert classify(limit) == "heisenberg_plus_u1"

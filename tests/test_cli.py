@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -230,6 +231,28 @@ def test_verify_theta_zero_keeps_the_battery(capsys):
     assert all(rep["status"] == "pass" for name, rep in obj.items() if name != "qp")
     code, _, err = run(capsys, "verify", "qp", "--theta", "0", "--backend", "float")
     assert code == 2 and "theta" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genfun", "deformed", "--alpha", "0.6", "--order", "4"),
+        ("dual", "--L", "3", "--alpha", "0.3"),
+    ],
+    ids=["genfun", "dual"],
+)
+def test_float_json_has_no_signed_zero(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--backend", "float", "--format", "json")
+    assert code == 0 and json.loads(out)
+    assert not re.search(r"-0\.0\b", out)  # a negative zero, not -0.05
+
+
+def test_float_parameter_beyond_float_range_is_an_input_error(capsys):
+    code, _, err = run(capsys, "verify", "qp", "--theta", "1e400", "--backend", "float")
+    assert code == 2 and "beyond float range" in err
+    code, out, _ = run(capsys, "verify", "all", "--alpha", "1e400", "--backend", "float", "--format", "json")
+    obj = json.loads(out)
+    assert code == 1 and obj["lie"]["status"] == "error" and obj["orthonormal"]["status"] == "pass"
 
 
 def test_alpha_and_g_are_mutually_exclusive(capsys):

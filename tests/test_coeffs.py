@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from bihermite.coeffs import Coeff, I, ONE, SQRT2, ZERO, close, parse_coeff, rational_sqrt
 from bihermite.poly import BiPoly, RealPoly
 
-from conftest import coeffs, float_coeffs, nonzero_coeffs, radical_coeffs
+from conftest import coeffs, float_coeffs, nonzero_coeffs, radical_coeffs, small_fractions
 
 
 def test_field_constants():
@@ -182,14 +183,12 @@ def reference_add(self, other):
 
 def assert_identical(got, want):
     """Same backend and slots; exact slots stay Fractions, float slots match
-    by repr, which tells -0.0 from 0.0."""
+    by value (the sign of a zero is no part of a product)."""
     assert got.exact == want.exact
     slots = lambda c: (c.re, c.im, c.re2, c.im2)  # noqa: E731
+    assert slots(got) == slots(want)
     if want.exact:
-        assert slots(got) == slots(want)
         assert all(type(x) is F for x in slots(got))
-    else:
-        assert [repr(x) for x in slots(got)] == [repr(x) for x in slots(want)]
     assert repr(got) == repr(want)
 
 
@@ -230,24 +229,43 @@ def test_mixed_backend_product_matches_general_formula(a, b, x):
     assert_identical(a * complex(x, 1.5), reference_mul(a, complex(x, 1.5)))
 
 
-def test_float_product_keeps_the_sign_of_zero():
-    # a negated float carries -0.0 radical slots; the general formula lets
-    # that sign through to a zero imaginary part, and the output shows it
+def test_float_json_writes_zeros_unsigned():
+    # a negated float carries -0.0 radical slots, and a product may leave a
+    # signed zero; JSON writes every float zero as 0.0
     a, b = Coeff(0.0, 0.8, exact=False), -Coeff(0.0, 0.8, exact=False)
-    assert repr(reference_mul(a, b).im) == repr((a * b).im) == "-0.0"
+    for c in (a * b, Coeff.from_complex(complex(-0.0, -0.0)), -Coeff(0.0, exact=False)):
+        value = c.to_json_value()
+        assert [repr(x) for x in value.values()] == [repr(x + 0.0) for x in value.values()]
+        assert "-0.0" not in json.dumps(value)
+    assert (a * b).to_json_value()["im"] == 0.0
+
+
+def test_equality_with_a_float_beyond_its_range_is_false():
+    big = Coeff(10**400)
+    assert not big == 1.0 and big != 1.0
+    assert not close(big, Coeff(1.0, exact=False)) and not close(Coeff(1.0, exact=False), big)
+    assert big == Coeff(10**400) and close(big, Coeff(10**400))
 
 
 # -- hashing ------------------------------------------------------------------
 
 
 def twins(c):
-    """Values equal to c on another backend or as a plain number."""
-    out = [c, Coeff.from_complex(c.to_complex()), c.to_float(), -(-c)]
+    """Values equal to c on its own backend or as a plain number."""
+    out = [c, -(-c)]
     if c.exact and c.is_rational() and c.re.denominator == 1:
         out.append(int(c.re))
     if not c.exact and not c.im and c.re.is_integer():
         out.append(int(c.re))
     return out
+
+
+def float_represents(c) -> bool:
+    """Whether c has a float twin: no radical part and float real and
+    imaginary parts."""
+    if not c.exact:
+        return True
+    return not c.re2 and not c.im2 and all(F(float(x)) == x for x in (c.re, c.im))
 
 
 @given(
@@ -258,6 +276,12 @@ def twins(c):
 def test_equal_values_hash_equally(a, b):
     for x in twins(a):
         assert x == a and hash(x) == hash(a)
+    # rounded twins equal a only when a float represents it, else are close
+    for x in (Coeff.from_complex(a.to_complex()), a.to_float()):
+        if float_represents(a):
+            assert x == a and hash(x) == hash(a)
+        else:
+            assert x != a and close(x, a)
     if a == b:
         assert hash(a) == hash(b)
 
@@ -267,10 +291,55 @@ def test_equal_across_backends_and_ints_hash_equally():
         (Coeff(1), Coeff(1.0, exact=False)),
         (Coeff(1), 1),
         (Coeff(-2, 3), Coeff(-2.0, 3.0, exact=False)),
-        (Coeff(F(1, 2), 0, F(3, 4)), Coeff(F(1, 2), 0, F(3, 4)).to_float()),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
+    # no float represents 1/2 + 3/4 sqrt2: its rounded twin is close, not equal
+    a = Coeff(F(1, 2), 0, F(3, 4))
+    assert a != a.to_float() and close(a, a.to_float())
     assert len({Coeff(1), Coeff(1.0, exact=False), 1}) == 1
     # beyond the float range the exact slots are hashed instead
     assert len({Coeff(10**400), Coeff(10**400), Coeff(0, 10**400)}) == 2
+
+
+def test_a_coeff_and_its_fraction_are_one_set_member():
+    assert len({Coeff(F(1, 3)), F(1, 3)}) == 1
+    assert Coeff(F(1, 3)) != 1 / 3 and close(Coeff(F(1, 3)), 1 / 3)
+    assert hash(Coeff(F(2, 3), F(-1, 7))) == hash(Coeff(F(2, 3), F(-1, 7)))
+    assert hash(Coeff(0.5, -3.0, exact=False)) == hash(complex(0.5, -3.0))
+    assert len({Coeff(0.5, -3.0, exact=False), Coeff(F(1, 2), -3), complex(0.5, -3.0)}) == 1
+
+
+def _number(q: F, form: str):
+    return {
+        "int": int(q) if q.denominator == 1 else q,
+        "fraction": q,
+        "float": float(q),
+        "exact": Coeff(q),
+        "float coeff": Coeff(q, exact=False),
+        "complex exact": Coeff(q, q),
+        "complex float": Coeff(q, q, exact=False),
+        "radical": Coeff(0, 0, q),
+    }[form]
+
+
+FORMS = st.sampled_from(
+    ["int", "fraction", "float", "exact", "float coeff", "complex exact", "complex float", "radical"]
+)
+
+
+@given(
+    st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(1, 3)]) | small_fractions,
+    FORMS,
+    FORMS,
+    FORMS,
+)
+@settings(max_examples=300, deadline=None)
+def test_equality_is_transitive_across_backends(q, fa, fb, fc):
+    # one rational in three forms, some of which no float represents
+    a, b, c = _number(q, fa), _number(q, fb), _number(q, fc)
+    if a == b and b == c:
+        assert a == c
+    for x, y in ((a, b), (b, c), (a, c)):
+        if x == y:
+            assert hash(x) == hash(y)

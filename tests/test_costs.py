@@ -65,7 +65,7 @@ def test_jacobi_products_on_the_alpha_tables():
 
 @pytest.mark.parametrize(
     "point, tables",
-    [(POINT, 3), (AlphaPoint.make(0.5**0.5, exact=False), 1)],
+    [(POINT, 3), (AlphaPoint.make(0.5**0.5), 1)],
     ids=["alpha 3/5", "theta 1"],
 )
 def test_lie_report_checks_each_table_once(monkeypatch, point, tables):

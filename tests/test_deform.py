@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihermite import deform
 from bihermite.coeffs import Coeff, close
 from bihermite.deform import (
     GL2,
@@ -236,6 +237,33 @@ def test_eigenvalue_structure_generic_float():
     g = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
     rep = eigenvalue_structure_check(g, 4)
     assert rep.ok and rep.payload["mode"] == "float"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_eigenvalue_structure_of_a_rotation(exact):
+    # eigenvalues +-i: at even L some products are -1, on the branch cut of
+    # the phase, and must still be matched
+    g = GL2(0, -1, 1, 0)
+    if not exact:
+        g = GL2(*(c.to_float() for c in g.entries()))
+    for L in range(7):
+        rep = eigenvalue_structure_check(g, L)
+        assert rep.ok and rep.payload["unmatched"] == [], (L, rep.payload)
+
+
+def test_eigenvalue_structure_reports_unmatched_values(monkeypatch):
+    real_rep_matrix = deform.rep_matrix
+
+    def shifted(g, L):
+        M = real_rep_matrix(g, L)
+        M.entries[0][0] = M.entries[0][0] + 1
+        return M
+
+    monkeypatch.setattr(deform, "rep_matrix", shifted)
+    rep = eigenvalue_structure_check(GL2(2, 1, 0, 3), 2)
+    assert rep.status == "fail" and rep.payload["unmatched"] == ["9"]  # M[0][0] = 3^2 became 10
+    rep = eigenvalue_structure_check(GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1)), 2)
+    assert rep.status == "fail" and rep.payload["unmatched"]
 
 
 def test_eigenvalue_structure_repeated_unsupported():

@@ -1,7 +1,12 @@
-"""Package layering: every intra-package import is top-level and acyclic."""
+"""Package layering: every intra-package import is top-level and acyclic,
+numpy serves one check, and the public options stay few."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
+
+import bihermite
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bihermite"
 
@@ -51,3 +56,57 @@ def test_module_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_numpy_only_in_the_eigen_check():
+    importers = {
+        name for name, tree in _parse_package().items() if "numpy" in _imported_modules(tree)
+    }
+    assert importers == {"deform"}
+
+
+# constructors of constants, which have no input to read a backend off
+TAKES_EXACT = {
+    "Coeff",
+    "parse_coeff",
+    "one",
+    "identity",
+    "position_momentum_ops",
+    "bilinear_generators",
+}
+
+
+def _public_parameters():
+    """(qualified name, parameter names) of every function, constructor,
+    public method and dataclass field set reachable from bihermite.__all__."""
+    for name in bihermite.__all__:
+        obj = getattr(bihermite, name)
+        if not callable(obj):
+            continue
+        yield name, inspect.signature(obj).parameters
+        if not inspect.isclass(obj):
+            continue
+        if dataclasses.is_dataclass(obj):
+            yield name, [f.name for f in dataclasses.fields(obj)]
+        for attr in dir(obj):
+            member = getattr(obj, attr)
+            if not attr.startswith("_") and (inspect.isfunction(member) or inspect.ismethod(member)):
+                yield f"{name}.{attr}", inspect.signature(member).parameters
+
+
+def test_options_census():
+    """The values carry their backend and set the tolerance: no public
+    callable takes a tolerance, and only constant constructors take exact."""
+    params = list(_public_parameters())
+    assert len(params) > 100
+    assert [q for q, ps in params if any("tol" in p for p in ps)] == []
+    takes_exact = {q for q, ps in params if "exact" in ps}
+    assert {q.rsplit(".", 1)[-1] for q in takes_exact} == TAKES_EXACT, sorted(takes_exact)

@@ -93,7 +93,7 @@ def test_rescale_identity_at_theta_zero():
 
 
 def test_rescale_singular_at_theta_one():
-    pt = AlphaPoint.make(0.5**0.5, exact=False)
+    pt = AlphaPoint.make(0.5**0.5)
     with pytest.raises(ValueError, match="singular at theta = 1"):
         rescale(basis_change(bilinear_generators(pt)))
 
@@ -103,20 +103,20 @@ def test_rescale_rejects_irrational_factor_in_exact_mode():
         pass
 
     xb = basis_change(bilinear_generators(POINT))
-    bad = LieBasisSet(xb.names, xb.ops, F(1, 2), True)  # sqrt(3)/2 is irrational
+    bad = LieBasisSet(xb.names, xb.ops, F(1, 2))  # sqrt(3)/2 is irrational
     with pytest.raises(ValueError, match="float backend"):
         rescale(bad)
 
 
 def test_structure_constants_rejects_dependent_generators():
     j = bilinear_generators(None)
-    dep = LieBasisSet(("A", "B", "C", "D"), (j.ops[0], j.ops[1], j.ops[0], j.ops[3]), j.theta, True)
+    dep = LieBasisSet(("A", "B", "C", "D"), (j.ops[0], j.ops[1], j.ops[0], j.ops[3]), j.theta)
     with pytest.raises(ValueError, match="dependent"):
         structure_constants(dep)
 
 
 def test_degenerate_limit_at_theta_one():
-    pt = AlphaPoint.make(0.5**0.5, exact=False)
+    pt = AlphaPoint.make(0.5**0.5)
     xb = basis_change(bilinear_generators(pt))
     # X2 and X3 vanish as operators, so the span solve must refuse...
     with pytest.raises(ValueError, match="dependent"):
@@ -130,7 +130,7 @@ def test_degenerate_limit_at_theta_one():
 
 def test_limit_table_residuals_detect_wrong_operators():
     # handing the limit table a non-degenerate basis must show residuals
-    xb = basis_change(bilinear_generators(AlphaPoint.make(0.6, exact=False)))
+    xb = basis_change(bilinear_generators(AlphaPoint.make(0.6)))
     sc = theta_one_limit_table(xb)
     assert not sc.closed
 
@@ -148,7 +148,7 @@ def test_classify_unknown_for_solvable_table():
         (2, 3): ZERO4,
     }
     residuals = {k: 0.0 for k in table}
-    sc = StructureConstants(names, table, residuals, True)
+    sc = StructureConstants(names, table, residuals)
     assert sc.jacobi_ok()
     assert classify(sc) == "unknown"
 
@@ -157,7 +157,7 @@ def test_classify_rejects_non_closed_table():
     names = ("e1", "e2", "e3", "e4")
     table = {k: ZERO4 for k in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
     residuals = {k: 1.0 for k in table}
-    sc = StructureConstants(names, table, residuals, True)
+    sc = StructureConstants(names, table, residuals)
     with pytest.raises(ValueError):
         classify(sc)
 
@@ -173,7 +173,7 @@ def test_classify_mixed_real_imaginary_table_unknown():
         (2, 3): ZERO4,
     }
     residuals = {k: 0.0 for k in table}
-    sc = StructureConstants(names, table, residuals, True)
+    sc = StructureConstants(names, table, residuals)
     if sc.jacobi_ok():
         assert classify(sc) == "unknown"
 
@@ -189,7 +189,7 @@ def test_structure_constants_json():
 def test_lie_report_exact_and_float():
     assert lie_report(POINT).ok
     assert lie_report(None).payload["class"] == "su2_plus_u1"
-    rep = lie_report(AlphaPoint.make(0.5**0.5, exact=False))
+    rep = lie_report(AlphaPoint.make(0.5**0.5))
     assert rep.ok and rep.payload["class"] == "heisenberg_plus_u1"
     assert rep.payload["degenerate_limit"] is True
 
@@ -198,7 +198,7 @@ def test_lie_report_fails_when_the_final_table_does_not_close(monkeypatch):
     # a fourth generator X1^2 is independent, but its brackets leave the span
     def broken_rescale(xbasis):
         x1, x2, x3, _ = xbasis.ops
-        return LieBasisSet(("Z1", "Z2", "Z3", "Y"), (x1, x2, x3, x1 * x1), xbasis.theta, True)
+        return LieBasisSet(("Z1", "Z2", "Z3", "Y"), (x1, x2, x3, x1 * x1), xbasis.theta)
 
     monkeypatch.setattr(lie, "rescale", broken_rescale)
     rep = lie_report(POINT)
@@ -217,7 +217,7 @@ def test_exact_residual_is_zero_only_for_a_zero_remainder(outside):
     assert outside and abs(outside) == 0.0
     coeffs, residual = solve_in_span([{(0,): Coeff(1)}], {(1,): outside})
     assert residual > 0.0
-    sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual}, True)
+    sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual})
     assert not sc.closed
     assert solve_in_span([{(0,): Coeff(1)}], {(0,): Coeff(3)}) == ([Coeff(3)], 0.0)
 
@@ -233,7 +233,7 @@ def test_solve_in_span_pivots_on_the_vectors_only():
 def test_exact_residual_beyond_float_range_reads_inf():
     coeffs, residual = solve_in_span([{(0,): Coeff(1)}], {(1,): Coeff(10**400)})
     assert coeffs == [Coeff(0)] and residual == math.inf
-    sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual}, True)
+    sc = StructureConstants(("e1", "e2"), {(0, 1): coeffs + [Coeff(0)]}, {(0, 1): residual})
     assert not sc.closed
 
 
@@ -300,7 +300,7 @@ def random_table(rng: random.Random, n: int, exact: bool = True) -> StructureCon
     if not exact:
         table = {ij: [c.to_float() for c in v] for ij, v in table.items()}
     names = tuple(f"e{i}" for i in range(n))
-    return StructureConstants(names, table, {ij: 0.0 for ij in table}, exact)
+    return StructureConstants(names, table, {ij: 0.0 for ij in table})
 
 
 @given(st.integers(0, 2**32), st.integers(3, 4), st.booleans())

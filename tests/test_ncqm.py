@@ -27,8 +27,17 @@ def test_alpha_point_rejects_irrational_root_in_exact_mode():
     with pytest.raises(ValueError, match="float backend"):
         AlphaPoint.make(F(1, 3))
     # the same point is fine on the float backend
-    pt = AlphaPoint.make(1 / 3, exact=False)
+    pt = AlphaPoint.make(1 / 3)
     assert pt.beta_im == pytest.approx((8 / 9) ** 0.5)
+
+
+def test_alpha_point_backend_is_the_type_of_alpha():
+    pt = AlphaPoint.make(0.6)
+    assert not pt.exact and isinstance(pt.alpha, float) and isinstance(pt.beta_im, float)
+    assert not pt.theta_coeff().exact and not alpha_matrix(pt).is_exact()
+    pt = AlphaPoint.make(F(3, 5))
+    assert pt.exact and pt.beta_im == F(4, 5)
+    assert pt.theta_coeff().exact and alpha_matrix(pt).is_exact()
 
 
 def test_alpha_point_domain():
@@ -41,7 +50,7 @@ def test_theta_one_needs_float():
     # theta = 1 forces alpha^2 = 1/2, which has no exact representative
     with pytest.raises(ValueError):
         AlphaPoint.make(F(1, 2)).theta  # 1/2 itself has irrational beta
-    pt = AlphaPoint.make(0.5**0.5, exact=False)
+    pt = AlphaPoint.make(0.5**0.5)
     assert pt.theta == pytest.approx(1.0)
 
 
@@ -59,7 +68,7 @@ def test_ncqm_suite_exact_points():
 
 
 def test_ncqm_suite_float_point():
-    rep = ncqm_commutator_suite(AlphaPoint.make(0.3, exact=False))
+    rep = ncqm_commutator_suite(AlphaPoint.make(0.3))
     assert rep.ok
 
 
@@ -108,7 +117,7 @@ def test_qp_rejects_irrational_kappa_in_exact_mode():
     # kappa = 1 - 1/6 = 5/6 is not a rational square
     with pytest.raises(ValueError, match="float backend"):
         build_dictionary(theta=F(1, 2), gamma=F(1, 3))
-    rep = qp_representation_suite(0.5, 1 / 3, exact=False)
+    rep = qp_representation_suite(0.5, 1 / 3)
     assert rep.ok
 
 
