@@ -1,33 +1,44 @@
 """Exact complex scalars, with a float fallback, for the whole library.
 
-An exact coefficient is an element of the field Q(i, sqrt2),
+An exact coefficient is an element of the field Q(i, sqrt2), stored as four
+integer numerators over one shared denominator,
 
-    value = (re + im*i) + (re2 + im2*i) * sqrt(2),
+    value = (a + b*i + (c + d*i) * sqrt2) / q,   q >= 1,  gcd(a, b, c, d, q) = 1,
 
-stored as four :class:`fractions.Fraction` components.  Working in this field
-keeps every quantity in the library closed under arithmetic: the sqrt2 slots
-exist because the position/momentum combinations of ladder operators carry
-1/sqrt2 factors, and with them every orthogonality or commutator check
-reduces to literal equality of rationals.
+the layout of FLINT's ``fmpq_poly`` and Antic's ``nf_elem``.  Every result is
+reduced with one gcd, so a value has one form (zero is 0/1) and exact ``==``
+compares five ints.  Working in this field keeps every quantity in the
+library closed under arithmetic: the sqrt2 slots exist because the
+position/momentum combinations of ladder operators carry 1/sqrt2 factors, and
+with them every orthogonality or commutator check reduces to literal
+equality of integers.
 
-The float backend stores the same value with the radical folded into re/im.
+The float backend uses the same slots: a and b hold the real and imaginary
+parts with the radical folded in, c = d = 0.0 and q = 1.  A sum over equal
+denominators and a product (q * q = 1) then run the same code on both
+backends; only the reduction, which a denominator of 1 skips, is exact-only.
 It is used for numerical cross-checks (eigenvalues, quadrature) and for
 parameter points whose square roots are irrational.  Every value carries its
 backend, and an operation on both backends runs in float.
 
+``re``, ``im``, ``re2`` and ``im2`` are read-only views of the four
+components, ``Fraction(a, q)`` and so on for an exact value and the float
+slots otherwise; hashing, formatting and JSON go through them.  ``to_float``
+divides each numerator by q, which rounds like ``float(Fraction)``.
+
 Both backends take the same short paths, which give the values of the
-general formula.  A product is formed from its Q(i) halves,
+general formula.  A product is formed from its Gaussian-integer halves,
 (x1 + y1 sqrt2)(x2 + y2 sqrt2), and a zero half, or a zero real or imaginary
 part, costs no product: Q(i) x Q(i) takes at most four products instead of
-sixteen.  A plain int or Fraction factor scales the slots without being
-lifted to a Coeff, and a sum skips its zero terms.  Only the sign of a float
-zero depends on the path, so JSON writes float zeros unsigned.
+sixteen.  A plain int or Fraction factor scales the numerators and q without
+being lifted to a Coeff.  Only the sign of a float zero depends on the path,
+so JSON writes float zeros unsigned.
 
-``==`` compares the slots as Python compares numbers, with no conversion: an
-exact value equals a float only when they are the same number, and a value
-with a radical part equals no float.  So ``==`` is transitive, and equal
-Coeffs, ints, Fractions, floats and complex numbers hash alike.  ``close``
-compares across backends.
+``==`` compares the components as Python compares numbers, with no
+conversion: an exact value equals a float only when they are the same
+number, and a value with a radical part equals no float.  So ``==`` is
+transitive, and equal Coeffs, ints, Fractions, floats and complex numbers
+hash alike.  ``close`` compares across backends.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import math
 import re as _regex
 import sys
 from fractions import Fraction
+from math import gcd as _gcd
 
 __all__ = [
     "Coeff",
@@ -74,34 +86,39 @@ def rational_sqrt(value) -> Fraction | None:
     return None
 
 
-_ZERO_Q = Fraction(0)
 _HASH_MOD = 1 << sys.hash_info.width
+_new = object.__new__
 
 
-def _add(x, y):
-    """x + y, skipping the sum when either term is zero."""
-    if not x:
-        return y
-    if not y:
-        return x
-    return x + y
+def _make(a, b, c, d, q, exact) -> Coeff:
+    """The Coeff (a + b i + (c + d i) sqrt2)/q, reduced to lowest terms.
+    A float value has q = 1, which needs no reduction."""
+    if q != 1:
+        g = _gcd(a, b, c, d, q)
+        if g != 1:
+            a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+    out = _new(Coeff)
+    out.a = a
+    out.b = b
+    out.c = c
+    out.d = d
+    out.q = q
+    out.exact = exact
+    return out
 
 
-def _scale(x, n):
-    return x * n if x else x
-
-
-def _qi_mul(xr, xi, yr, yi, zero) -> tuple:
+def _qi_mul(xr, xi, yr, yi) -> tuple:
     """(xr + xi i)(yr + yi i) as a (re, im) pair, with no product for a zero
-    real or imaginary part; zero is the zero of the operands' backend."""
+    real or imaginary part.  A zero factor is returned as it came, and a
+    zero part as the unsigned zero of its type (0 or 0.0)."""
     if not xi:
         if not yi:
-            return xr * yr, zero
-        return _scale(yr, xr), xr * yi
+            return xr * yr, xi + 0
+        return yr and yr * xr, xr * yi
     if not xr:
         if not yi:
-            return zero, xi * yr
-        return -(xi * yi), _scale(yr, xi)
+            return xr + 0, xi * yr
+        return -(xi * yi), yr and yr * xi
     if not yi:
         return xr * yr, xi * yr
     if not yr:
@@ -109,39 +126,48 @@ def _qi_mul(xr, xi, yr, yi, zero) -> tuple:
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-class Coeff:
-    """Complex scalar (re + im*i) + (re2 + im2*i)*sqrt2 with an exact/float tag."""
+def _component(slot: str, doc: str) -> property:
+    def view(self):
+        x = getattr(self, slot)
+        return Fraction(x, self.q) if self.exact else x
 
-    __slots__ = ("re", "im", "re2", "im2", "exact")
+    return property(view, doc=doc)
+
+
+class Coeff:
+    """Complex scalar (a + b*i + (c + d*i)*sqrt2)/q with an exact/float tag."""
+
+    __slots__ = ("a", "b", "c", "d", "q", "exact")
+
+    re = _component("a", "Real rational part: a/q, a Fraction when exact.")
+    im = _component("b", "Imaginary rational part: b/q.")
+    re2 = _component("c", "Real coefficient of sqrt2: c/q (0.0 on float).")
+    im2 = _component("d", "Imaginary coefficient of sqrt2: d/q (0.0 on float).")
 
     def __init__(self, re=0, im=0, re2=0, im2=0, exact=True):
-        if exact:
-            self.re = Fraction(re)
-            self.im = Fraction(im)
-            self.re2 = Fraction(re2)
-            self.im2 = Fraction(im2)
+        if type(re) is type(im) is type(re2) is type(im2) is int and exact:
+            self.a, self.b, self.c, self.d = re, im, re2, im2
+            q = 1
+        elif exact:
+            parts = [
+                x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (re, im, re2, im2)
+            ]
+            # over the lcm of the reduced denominators the slots are coprime
+            q = math.lcm(*[x.denominator for x in parts])
+            self.a, self.b, self.c, self.d = [x.numerator * (q // x.denominator) for x in parts]
         else:
-            # the float backend folds the radical into re/im
-            self.re = float(re) + _SQRT2 * float(re2)
-            self.im = float(im) + _SQRT2 * float(im2)
-            self.re2 = 0.0
-            self.im2 = 0.0
+            # the float backend folds the radical into a and b
+            self.a = float(re) + _SQRT2 * float(re2)
+            self.b = float(im) + _SQRT2 * float(im2)
+            self.c = self.d = 0.0
+            q = 1
+        self.q = q
         self.exact = exact
-
-    @classmethod
-    def _raw(cls, re, im, re2, im2, exact):
-        c = object.__new__(cls)
-        c.re = re
-        c.im = im
-        c.re2 = re2
-        c.im2 = im2
-        c.exact = exact
-        return c
 
     @classmethod
     def from_complex(cls, z) -> Coeff:
         z = complex(z)
-        return cls._raw(z.real, z.imag, 0.0, 0.0, False)
+        return _make(z.real, z.imag, 0.0, 0.0, 1, False)
 
     @classmethod
     def lift(cls, value) -> Coeff:
@@ -149,31 +175,29 @@ class Coeff:
         if isinstance(value, Coeff):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls._raw(Fraction(value), Fraction(0), Fraction(0), Fraction(0), True)
+            return _make(value.numerator, 0, 0, 0, value.denominator, True)
         if isinstance(value, (float, complex)):
             return cls.from_complex(value)
         raise TypeError(f"cannot interpret {value!r} as a coefficient")
 
+    def _floats(self) -> tuple:
+        """(real, imaginary) parts as floats, each numerator divided by q."""
+        q = self.q
+        return self.a / q + _SQRT2 * (self.c / q), self.b / q + _SQRT2 * (self.d / q)
+
     def to_float(self) -> Coeff:
         if not self.exact:
             return self
-        return Coeff._raw(
-            float(self.re) + _SQRT2 * float(self.re2),
-            float(self.im) + _SQRT2 * float(self.im2),
-            0.0,
-            0.0,
-            False,
-        )
+        return _make(*self._floats(), 0.0, 0.0, 1, False)
 
     def to_complex(self) -> complex:
         if self.exact:
-            return complex(
-                float(self.re) + _SQRT2 * float(self.re2),
-                float(self.im) + _SQRT2 * float(self.im2),
-            )
-        return complex(self.re, self.im)
+            return complex(*self._floats())
+        return complex(self.a, self.b)
 
     def _pair(self, other):
+        """self and other on one backend, float when either is float; raises
+        TypeError when other is no scalar."""
         other = Coeff.lift(other)
         if self.exact == other.exact:
             return self, other
@@ -182,60 +206,89 @@ class Coeff:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return Coeff._raw(
-            _add(a.re, b.re), _add(a.im, b.im), _add(a.re2, b.re2), _add(a.im2, b.im2), a.exact
+        if type(other) is not Coeff or other.exact != self.exact:
+            try:
+                self, other = self._pair(other)
+            except TypeError:
+                return NotImplemented
+        q1, q2 = self.q, other.q
+        if q1 == q2:
+            return _make(
+                self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d, q1, self.exact
+            )
+        # cross-multiply over the lcm of the denominators
+        g = _gcd(q1, q2)
+        s1, s2 = q2 // g, q1 // g
+        return _make(
+            self.a * s1 + other.a * s2,
+            self.b * s1 + other.b * s2,
+            self.c * s1 + other.c * s2,
+            self.d * s1 + other.d * s2,
+            q1 * s1,
+            self.exact,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coeff._raw(-self.re, -self.im, -self.re2, -self.im2, self.exact)
+        return _make(-self.a, -self.b, -self.c, -self.d, self.q, self.exact)
 
     def __sub__(self, other):
-        return self + (-Coeff.lift(other))
+        if type(other) is not Coeff:
+            try:
+                other = Coeff.lift(other)
+            except TypeError:
+                return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # rational scaling: one product per nonzero slot, no lift
-            return Coeff._raw(
-                _scale(self.re, other),
-                _scale(self.im, other),
-                _scale(self.re2, other),
-                _scale(self.im2, other),
-                self.exact,
-            )
-        a, b = self._pair(other)
-        zero = _ZERO_Q if a.exact else 0.0
+        if type(other) is not Coeff:
+            if isinstance(other, int) or (isinstance(other, Fraction) and self.exact):
+                # rational scaling, no lift: n/m scales the numerators by n
+                # and q by m
+                n, m = other.numerator, other.denominator
+                return _make(
+                    self.a * n, self.b * n, self.c * n, self.d * n, self.q * m, self.exact
+                )
+            try:
+                self, other = self._pair(other)
+            except TypeError:
+                return NotImplemented
+        elif other.exact != self.exact:
+            self, other = self._pair(other)
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        q = self.q * other.q
         # (x1 + y1 r)(x2 + y2 r) = (x1 x2 + 2 y1 y2) + (x1 y2 + y1 x2) r with
-        # r = sqrt2 and x, y in Q(i); zero halves cost nothing.  Float radical
-        # slots are zeros, so a float product is one Q(i) product.
-        y1, y2 = a.re2 or a.im2, b.re2 or b.im2
-        if not (y1 or y2):
-            re, im = _qi_mul(a.re, a.im, b.re, b.im, zero)
-            return Coeff._raw(re, im, zero, zero, a.exact)
-        x1, x2 = a.re or a.im, b.re or b.im
+        # r = sqrt2 and x, y Gaussian integers; zero halves cost nothing.
+        # Float radical slots are zeros, so a float product is one Q(i) product.
+        if not (c1 or d1 or c2 or d2):
+            a, b = _qi_mul(a1, b1, a2, b2)
+            return _make(a, b, c1, d1, q, self.exact)
+        x1, x2 = a1 or b1, a2 or b2
+        y1, y2 = c1 or d1, c2 or d2
         if not (x1 and x2 and y1 and y2):
-            re = im = re2 = im2 = zero
+            a = b = c = d = 0
             if x1 and x2:
-                re, im = _qi_mul(a.re, a.im, b.re, b.im, zero)
+                a, b = _qi_mul(a1, b1, a2, b2)
             elif y1 and y2:
-                u, v = _qi_mul(a.re2, a.im2, b.re2, b.im2, zero)
-                re, im = 2 * u, 2 * v
+                u, v = _qi_mul(c1, d1, c2, d2)
+                a, b = 2 * u, 2 * v
             if x1 and y2:
-                re2, im2 = _qi_mul(a.re, a.im, b.re2, b.im2, zero)
+                c, d = _qi_mul(a1, b1, c2, d2)
             elif y1 and x2:
-                re2, im2 = _qi_mul(a.re2, a.im2, b.re, b.im, zero)
-            return Coeff._raw(re, im, re2, im2, a.exact)
-        return Coeff._raw(
-            a.re * b.re - a.im * b.im + 2 * (a.re2 * b.re2 - a.im2 * b.im2),
-            a.re * b.im + a.im * b.re + 2 * (a.re2 * b.im2 + a.im2 * b.re2),
-            a.re * b.re2 - a.im * b.im2 + a.re2 * b.re - a.im2 * b.im,
-            a.re * b.im2 + a.im * b.re2 + a.re2 * b.im + a.im2 * b.re,
-            a.exact,
+                c, d = _qi_mul(c1, d1, a2, b2)
+            return _make(a, b, c, d, q, self.exact)
+        return _make(
+            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            q,
+            self.exact,
         )
 
     __rmul__ = __mul__
@@ -244,20 +297,25 @@ class Coeff:
         if not self:
             raise ZeroDivisionError("inverse of zero coefficient")
         if not self.exact:
-            z = 1.0 / complex(self.re, self.im)
-            return Coeff._raw(z.real, z.imag, 0.0, 0.0, False)
-        # 1/(x + y r) = (x - y r)/(x^2 - 2 y^2); the denominator is in Q(i)
-        # and vanishes only for x = y = 0 since sqrt2 is not in Q(i).
-        dre = self.re * self.re - self.im * self.im - 2 * (self.re2 * self.re2 - self.im2 * self.im2)
-        dim = 2 * self.re * self.im - 4 * self.re2 * self.im2
-        n = dre * dre + dim * dim
-
-        def cdiv(u, v):
-            return (u * dre + v * dim) / n, (v * dre - u * dim) / n
-
-        re, im = cdiv(self.re, self.im)
-        re2, im2 = cdiv(-self.re2, -self.im2)
-        return Coeff._raw(re, im, re2, im2, True)
+            z = 1.0 / complex(self.a, self.b)
+            return _make(z.real, z.imag, 0.0, 0.0, 1, False)
+        a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
+        if not (c or d):
+            # q/(a + b i) = q (a - b i)/(a^2 + b^2)
+            return _make(q * a, -q * b, 0, 0, a * a + b * b, True)
+        # q/(A + C r) = q (A - C r) conj(D)/|D|^2 with D = A^2 - 2 C^2, a
+        # Gaussian integer that vanishes only for A = C = 0 since sqrt2 is
+        # not in Q(i)
+        dre = a * a - b * b - 2 * (c * c - d * d)
+        dim = 2 * (a * b - 2 * c * d)
+        return _make(
+            q * (a * dre + b * dim),
+            q * (b * dre - a * dim),
+            -q * (c * dre + d * dim),
+            -q * (d * dre - c * dim),
+            dre * dre + dim * dim,
+            True,
+        )
 
     def __truediv__(self, other):
         return self * Coeff.lift(other).inverse()
@@ -280,7 +338,7 @@ class Coeff:
     # -- structure -------------------------------------------------------
 
     def conj(self) -> Coeff:
-        return Coeff._raw(self.re, -self.im, self.re2, -self.im2, self.exact)
+        return _make(self.a, -self.b, self.c, -self.d, self.q, self.exact)
 
     def abs2(self) -> Coeff:
         return self * self.conj()
@@ -289,50 +347,52 @@ class Coeff:
         return abs(self.to_complex())
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im or self.re2 or self.im2)
+        return bool(self.a or self.b or self.c or self.d)
 
     def __eq__(self, other) -> bool:
         try:
             b = Coeff.lift(other)
         except TypeError:
             return NotImplemented
+        if self.exact == b.exact:
+            # one reduced form per exact value; a float value has q = 1
+            return self.a == b.a and self.b == b.b and self.c == b.c and self.d == b.d and self.q == b.q
         return self.re == b.re and self.im == b.im and self.re2 == b.re2 and self.im2 == b.im2
 
     def __hash__(self):
         # a value with a radical part equals only the Coeff with the same
         # exact slots; any other value hashes as the equal complex number
-        if self.re2 or self.im2:
+        if self.c or self.d:
             return hash((self.re, self.im, self.re2, self.im2))
-        if not self.im:
+        if not self.b:
             return hash(self.re)
         h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % _HASH_MOD
         h -= _HASH_MOD if h >= _HASH_MOD // 2 else 0
         return -2 if h == -1 else h
 
     def is_real(self) -> bool:
-        return not self.im and not self.im2
+        return not self.b and not self.d
 
     def is_rational(self) -> bool:
         """True when the value has no imaginary and no radical component."""
-        return not self.im and not self.im2 and not self.re2
+        return not self.b and not self.d and not self.c
 
     def real_sign(self) -> int:
-        """Exact sign of a real value a + b*sqrt2 without evaluating the radical."""
+        """Exact sign of a real value (a + c*sqrt2)/q without evaluating the
+        radical; q > 0, and c = 0.0 on float."""
         if not self.is_real():
             raise ValueError("real_sign of a non-real coefficient")
-        if not self.exact:
-            return (self.re > 0) - (self.re < 0)
-        a, b = self.re, self.re2
-        if a == 0 and b == 0:
+        a, c = self.a, self.c
+        if a == 0 and c == 0:
             return 0
-        if a >= 0 and b >= 0:
+        if a >= 0 and c >= 0:
             return 1
-        if a <= 0 and b <= 0:
+        if a <= 0 and c <= 0:
             return -1
-        # opposite signs: compare a^2 with 2 b^2
-        if a * a > 2 * b * b:
+        # opposite signs: compare a^2 with 2 c^2
+        if a * a > 2 * c * c:
             return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return 1 if c > 0 else -1
 
     # -- formatting / serialization --------------------------------------
 

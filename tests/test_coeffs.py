@@ -1,5 +1,7 @@
 import json
+import sys
 from fractions import Fraction as F
+from math import gcd, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 
 from bihermite.coeffs import Coeff, I, ONE, SQRT2, ZERO, close, parse_coeff, rational_sqrt
 from bihermite.poly import BiPoly, RealPoly
+from bihermite.weyl import WeylOp
 
 from conftest import coeffs, float_coeffs, nonzero_coeffs, radical_coeffs, small_fractions
+
+SQRT2_F = sqrt(2.0)
 
 
 def test_field_constants():
@@ -160,36 +165,192 @@ def test_close_reads_a_missing_key_as_exact_zero():
     assert close(Coeff(F(1, 3)), Coeff(1 / 3, exact=False)) and close(F(1, 3), 1 / 3)
 
 
-# -- every product path against the general formula it replaces ------------
+# -- every fast path against the Fraction-slot arithmetic it replaces ---------
+#
+# The reference is the arithmetic of the earlier layout, four Fraction slots
+# per exact value: a value is a tuple (re, im, re2, im2, exact) of Fractions,
+# or of floats with zero radical slots, combined by the general formulas.
+
+_MOD = 1 << sys.hash_info.width
 
 
-def reference_mul(self, other):
+def ref(x) -> tuple:
+    """x as reference slots, lifted the way Coeff.lift lifts it."""
+    if isinstance(x, tuple):
+        return x
+    if isinstance(x, Coeff):
+        return (x.re, x.im, x.re2, x.im2, x.exact)
+    if isinstance(x, (int, F)):
+        return (F(x), F(0), F(0), F(0), True)
+    z = complex(x)
+    return (z.real, z.imag, 0.0, 0.0, False)
+
+
+def ref_float(s) -> tuple:
+    re, im, re2, im2, exact = s
+    if not exact:
+        return s
+    return (float(re) + SQRT2_F * float(re2), float(im) + SQRT2_F * float(im2), 0.0, 0.0, False)
+
+
+def ref_pair(x, y):
+    s, t = ref(x), ref(y)
+    return (s, t) if s[4] == t[4] else (ref_float(s), ref_float(t))
+
+
+def reference_add(x, y) -> tuple:
+    s, t = ref_pair(x, y)
+    return (*(u + v for u, v in zip(s[:4], t[:4])), s[4])
+
+
+def ref_neg(x) -> tuple:
+    re, im, re2, im2, exact = ref(x)
+    return (-re, -im, -re2, -im2, exact)
+
+
+def ref_conj(x) -> tuple:
+    re, im, re2, im2, exact = ref(x)
+    return (re, -im, re2, -im2, exact)
+
+
+def reference_mul(x, y) -> tuple:
     """The general 16-product formula in Q(i, sqrt2)."""
-    a, b = self._pair(other)
+    (ar, ai, ar2, ai2, exact), (br, bi, br2, bi2, _) = ref_pair(x, y)
     # (x1 + y1 r)(x2 + y2 r) = (x1 x2 + 2 y1 y2) + (x1 y2 + y1 x2) r, r = sqrt2
-    return Coeff._raw(
-        a.re * b.re - a.im * b.im + 2 * (a.re2 * b.re2 - a.im2 * b.im2),
-        a.re * b.im + a.im * b.re + 2 * (a.re2 * b.im2 + a.im2 * b.re2),
-        a.re * b.re2 - a.im * b.im2 + a.re2 * b.re - a.im2 * b.im,
-        a.re * b.im2 + a.im * b.re2 + a.re2 * b.im + a.im2 * b.re,
-        a.exact,
+    return (
+        ar * br - ai * bi + 2 * (ar2 * br2 - ai2 * bi2),
+        ar * bi + ai * br + 2 * (ar2 * bi2 + ai2 * br2),
+        ar * br2 - ai * bi2 + ar2 * br - ai2 * bi,
+        ar * bi2 + ai * br2 + ar2 * bi + ai2 * br,
+        exact,
     )
 
 
-def reference_add(self, other):
-    a, b = self._pair(other)
-    return Coeff._raw(a.re + b.re, a.im + b.im, a.re2 + b.re2, a.im2 + b.im2, a.exact)
+def ref_inverse(x) -> tuple:
+    re, im, re2, im2, exact = ref(x)
+    if not exact:
+        z = 1.0 / complex(re, im)
+        return (z.real, z.imag, 0.0, 0.0, False)
+    # 1/(x + y r) = (x - y r)/(x^2 - 2 y^2), the denominator in Q(i)
+    dre = re * re - im * im - 2 * (re2 * re2 - im2 * im2)
+    dim = 2 * re * im - 4 * re2 * im2
+    n = dre * dre + dim * dim
+    return (
+        (re * dre + im * dim) / n,
+        (im * dre - re * dim) / n,
+        (-re2 * dre - im2 * dim) / n,
+        (-im2 * dre + re2 * dim) / n,
+        True,
+    )
+
+
+def ref_pow(x, n: int) -> tuple:
+    """Square and multiply, in the order Coeff.__pow__ multiplies."""
+    if n < 0:
+        return ref_pow(ref_inverse(x), -n)
+    base = ref(x)
+    out = (F(1), F(0), F(0), F(0), True) if base[4] else (1.0, 0.0, 0.0, 0.0, False)
+    while n:
+        if n & 1:
+            out = reference_mul(out, base)
+        base = reference_mul(base, base)
+        n >>= 1
+    return out
+
+
+def ref_hash(s) -> int:
+    re, im, re2, im2, _ = s
+    if re2 or im2:
+        return hash((re, im, re2, im2))
+    if not im:
+        return hash(re)
+    h = (hash(re) + sys.hash_info.imag * hash(im)) % _MOD
+    h -= _MOD if h >= _MOD // 2 else 0
+    return -2 if h == -1 else h
 
 
 def assert_identical(got, want):
-    """Same backend and slots; exact slots stay Fractions, float slots match
-    by value (the sign of a zero is no part of a product)."""
-    assert got.exact == want.exact
-    slots = lambda c: (c.re, c.im, c.re2, c.im2)  # noqa: E731
-    assert slots(got) == slots(want)
-    if want.exact:
-        assert all(type(x) is F for x in slots(got))
-    assert repr(got) == repr(want)
+    """got has want's backend and components (exact ones as Fractions, float
+    ones by value: the sign of a zero is no part of a result), is in
+    canonical form, and converts, prints and hashes like want."""
+    re, im, re2, im2, exact = want
+    assert got.exact == exact
+    slots = (got.re, got.im, got.re2, got.im2)
+    assert slots == (re, im, re2, im2)
+    if exact:
+        assert all(type(x) is F for x in slots)
+        assert all(type(x) is int for x in (got.a, got.b, got.c, got.d, got.q))
+        assert got.q > 0 and gcd(got.a, got.b, got.c, got.d, got.q) == 1
+        assert got or got.q == 1
+        # to_complex rounds each component like float(Fraction): bit for bit
+        old = complex(float(re) + SQRT2_F * float(re2), float(im) + SQRT2_F * float(im2))
+        assert repr(got.to_complex()) == repr(old) == repr(got.to_float().to_complex())
+    else:
+        assert got.q == 1 and got.c == got.d == 0.0
+        assert got.to_complex() == complex(re, im)
+    assert hash(got) == ref_hash(want)
+    assert repr(got) == repr(Coeff(re, im, re2, im2, exact=exact))
+
+
+exact_coeffs = radical_coeffs | coeffs
+scalars = st.integers(-40, 40) | st.sampled_from([0, -1]) | small_fractions
+float_scalars = st.floats(-4, 4) | st.sampled_from([0.0, -0.0])
+operands = exact_coeffs | float_coeffs | scalars | float_scalars | float_scalars.map(
+    lambda x: complex(x, 1.5)
+)
+
+
+@given(exact_coeffs | float_coeffs, operands)
+@settings(max_examples=400, deadline=None)
+def test_sums_match_reference(a, b):
+    assert_identical(a + b, reference_add(a, b))
+    assert_identical(b + a, reference_add(b, a))
+    assert_identical(a - b, reference_add(a, ref_neg(b)))
+    assert_identical(b - a, reference_add(b, ref_neg(a)))
+    assert_identical(-a, ref_neg(a))
+    assert_identical(a.conj(), ref_conj(a))
+
+
+@given(exact_coeffs | float_coeffs, operands)
+@settings(max_examples=400, deadline=None)
+def test_products_match_reference(a, b):
+    assert_identical(a * b, reference_mul(a, b))
+    assert_identical(b * a, reference_mul(b, a))
+
+
+invertible = radical_coeffs.filter(bool) | float_coeffs.filter(lambda c: abs(c) > 1e-3)
+
+
+@given(invertible, st.integers(-3, 5))
+@settings(max_examples=300, deadline=None)
+def test_inverse_and_powers_match_reference(a, n):
+    assert_identical(a.inverse(), ref_inverse(a))
+    assert_identical(a**n, ref_pow(a, n))
+    if a.exact:
+        assert_identical(ONE / a, ref_inverse(a))
+
+
+def test_constructor_reduces_to_one_denominator():
+    c = Coeff(F(2, 4), "-1/6", F(3, 9), 2)
+    assert (c.a, c.b, c.c, c.d, c.q) == (3, -1, 2, 12, 6)
+    assert (c.re, c.im, c.re2, c.im2) == (F(1, 2), F(-1, 6), F(1, 3), F(2))
+    assert (ZERO.a, ZERO.q) == (0, 1) and (Coeff(F(0, 7)).q, (ONE - ONE).q) == (1, 1)
+    assert Coeff(0.5) == Coeff(F(1, 2)) and Coeff(0.5).q == 2
+    f = Coeff(1, 2, 3, 4, exact=False)
+    assert (f.c, f.d, f.q) == (0.0, 0.0, 1)
+    with pytest.raises(AttributeError):
+        c.re = F(1)
+
+
+def test_to_complex_rounds_like_fraction_beyond_double_precision():
+    for x in (F(10**30 + 1, 3**40), F(-(2**80) + 7, 2**81 - 1), F(1, 10**400), F(3**200, 7)):
+        c = Coeff(x, -x, x / 3, x * 5)
+        want = complex(
+            float(c.re) + SQRT2_F * float(c.re2), float(c.im) + SQRT2_F * float(c.im2)
+        )
+        assert repr(c.to_complex()) == repr(want)
+    with pytest.raises(OverflowError):
+        Coeff(10**400).to_complex()
 
 
 @given(radical_coeffs, radical_coeffs)
@@ -245,6 +406,16 @@ def test_equality_with_a_float_beyond_its_range_is_false():
     assert not big == 1.0 and big != 1.0
     assert not close(big, Coeff(1.0, exact=False)) and not close(Coeff(1.0, exact=False), big)
     assert big == Coeff(10**400) and close(big, Coeff(10**400))
+
+
+def test_a_scalar_and_a_sparse_map_fall_through_to_the_map():
+    # Coeff defers to SparseMap.__rmul__/__radd__ instead of raising
+    two, z, a1 = Coeff(2), BiPoly.z(), WeylOp.a(1)
+    assert two * z == z * two and two + z == z + two
+    assert two * a1 == a1 * two
+    for bad in (lambda: two + "x", lambda: two - "x", lambda: two * "x"):
+        with pytest.raises(TypeError):
+            bad()
 
 
 # -- hashing ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Operation-count guards for the exact hot paths.
 
 Wall time is too noisy to gate on a shared host; the number of scalar
-products a computation performs is not.  The bounds sit well above the
-counts of the current routes and far below those of the per-term routes
-they replaced.
+products a computation performs is not, nor is the number of Fraction
+objects it builds.  The product bounds sit well above the counts of the
+current routes and far below those of the per-term routes they replaced.
 """
 
 from contextlib import contextmanager
@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from bihermite.coeffs import Coeff
-from bihermite.deform import AlphaPoint, alpha_matrix, rep_matrix
+from bihermite.deform import AlphaPoint, alpha_matrix, level_basis, rep_matrix
 from bihermite.lie import (
     StructureConstants,
     basis_change,
@@ -21,6 +21,7 @@ from bihermite.lie import (
     rescale,
     structure_constants,
 )
+from bihermite.poly import inner_product
 
 POINT = AlphaPoint.make(F(3, 5))
 
@@ -40,6 +41,49 @@ def counted_products():
         yield calls
     finally:
         Coeff.__mul__, Coeff.__rmul__ = mul, rmul
+
+
+@contextmanager
+def counted_fractions():
+    """Count Fraction objects built, by whichever module."""
+    calls = [0]
+    new = F.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = counting
+    try:
+        yield calls
+    finally:
+        F.__new__ = new
+
+
+def _biorth_inner_products(g, Lmax):
+    """Every dual x family inner product of the levels up to Lmax."""
+    g_dual = g.conj_transpose().inverse()
+    duals = [p for L in range(Lmax + 1) for p in level_basis(L, g_dual).polys]
+    family = [p for L in range(Lmax + 1) for p in level_basis(L, g).polys]
+    return lambda: [inner_product(p, q) for p in duals for q in family]
+
+
+@pytest.mark.parametrize(
+    "work",
+    [
+        lambda g: lambda: rep_matrix(g, 12),
+        lambda g: _biorth_inner_products(g, 6),
+        lambda g: lambda: level_basis(6, g),
+    ],
+    ids=["rep_matrix L12", "784 biorth inner products", "level_basis L6"],
+)
+def test_exact_hot_paths_build_no_fractions(work):
+    # integer numerators over one denominator: with four Fraction slots per
+    # value these built 1,948, 33,852 and 2,361 Fractions
+    run = work(alpha_matrix(POINT))
+    with counted_fractions() as calls:
+        run()
+    assert calls[0] == 0
 
 
 def test_rep_matrix_products_at_level_twelve():
@@ -87,3 +131,7 @@ def test_counter_is_removed_afterwards():
     with counted_products():
         Coeff(1) * Coeff(2)
     assert Coeff.__dict__["__mul__"] is before and Coeff.__dict__["__rmul__"] is before
+    new = F.__dict__["__new__"]
+    with counted_fractions() as calls:
+        F(1, 3)
+    assert calls[0] == 1 and F.__dict__["__new__"] is new
