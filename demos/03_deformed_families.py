@@ -52,4 +52,4 @@ diag = GL2.diagonal(2, 3)
 rep = eigenvalue_structure_check(diag, 3)
 print(f"  diag(2,3), L=3, exact: {rep.payload['eigenvalues']}")
 rep = eigenvalue_structure_check(g, 3)
-print(f"  alpha matrix, L=3, float check within {rep.payload['tolerance']}: {rep.ok}")
+print(f"  alpha matrix, L=3, {rep.payload['mode']}: {rep.status}")

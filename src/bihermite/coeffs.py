@@ -17,9 +17,9 @@ The float backend uses the same slots: a and b hold the real and imaginary
 parts with the radical folded in, c = d = 0.0 and q = 1.  A sum over equal
 denominators and a product (q * q = 1) then run the same code on both
 backends; only the reduction, which a denominator of 1 skips, is exact-only.
-It is used for numerical cross-checks (eigenvalues, quadrature) and for
-parameter points whose square roots are irrational.  Every value carries its
-backend, and an operation on both backends runs in float.
+It is used for numerical cross-checks and for parameter points whose
+square roots are irrational.  Every value carries its backend, and an
+operation on both backends runs in float.
 
 ``re``, ``im``, ``re2`` and ``im2`` are read-only views of the four
 components, ``Fraction(a, q)`` and so on for an exact value and the float

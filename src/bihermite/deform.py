@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-import numpy as np
-
 from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_lmax, hermite_sum, normalizer_sq
-from .linalg import identity_matrix, mat_inverse, mat_mul
+from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, inner_product
 from .report import Report
 from .weyl import WeylOp
@@ -110,9 +108,6 @@ class GL2:
 
     def is_exact(self) -> bool:
         return all(c.exact for c in self.entries())
-
-    def to_numpy(self):
-        return np.array([[c.to_complex() for c in row] for row in self.rows()])
 
     def __repr__(self):
         g = self.entries()
@@ -228,9 +223,6 @@ class RepMatrix:
 
     def diagonal(self):
         return [self.entries[k][k] for k in range(self.L + 1)]
-
-    def to_numpy(self):
-        return np.array([[c.to_complex() for c in row] for row in self.entries])
 
     def to_json(self):
         return {
@@ -476,43 +468,76 @@ def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     )
 
 
+def _power_sums(coeffs) -> list:
+    """p_1 .. p_n of the roots of a monic degree-n polynomial, given lowest
+    degree first, by Newton's identities: with e_j = coeffs[n - j],
+    p_j = -(j e_j + sum_(i<j) e_i p_(j-i))."""
+    n = len(coeffs) - 1
+    e = coeffs[::-1]
+    sums = []
+    for j in range(1, n + 1):
+        acc = e[j] * j
+        for i in range(1, j):
+            acc = acc + e[i] * sums[j - i - 1]
+        sums.append(-acc)
+    return sums
+
+
 def eigenvalue_structure_check(g: GL2, L: int) -> Report:
     """Eigenvalues of M(g, L) must be the products l1^k l2^(L-k) of the
-    eigenvalues of g itself, matched as multisets with close().
+    eigenvalues of g itself, counted with multiplicity.
 
     Triangular or diagonal exact g is checked on the diagonal of M(g, L),
-    literally; any other g goes through numpy, needs distinct eigenvalues and
-    matches within FLOAT_TOL.
+    literally.  Any other g is checked without eigenvalues: the power sums
+    p_j, j = 1..L+1, of the characteristic polynomial of M(g, L) fix its
+    spectrum, and the claimed spectrum has p_j = h_L(tr g^j, det g^j) with
+    h_0 = 1, h_1 = s and h_n = s h_(n-1) - q h_(n-2).  Both sides are compared
+    with close(), so the check is literal on exact g, repeated eigenvalues
+    included.  Float g needs distinct eigenvalues and matches within
+    FLOAT_TOL.
     """
     M = rep_matrix(g, L)
-    on_diagonal = g.is_exact() and not (g.g21 and g.g12)  # exact and triangular
-    payload = {"L": L, "mode": "exact-triangular" if on_diagonal else "float"}
+    exact = g.is_exact()
+    on_diagonal = exact and not (g.g21 and g.g12)  # exact and triangular
+    mode = "exact-triangular" if on_diagonal else ("exact-power-sums" if exact else "float")
+    payload = {"L": L, "mode": mode}
     if on_diagonal:
         expected = [(g.g11**k) * (g.g22 ** (L - k)) for k in range(L + 1)]
         actual = M.diagonal()
         payload["eigenvalues"] = [
             str(c) for c in sorted(actual, key=lambda c: (c.re, c.im, c.re2, c.im2))
         ]
+        unmatched = []
+        for want in expected:
+            match = next((i for i, got in enumerate(actual) if close(got, want)), None)
+            if match is None:
+                unmatched.append(str(want))
+            else:
+                del actual[match]
     else:
-        lam = np.linalg.eigvals(g.to_numpy())
-        # defective pairs are only resolvable to ~sqrt(machine eps), so the
-        # distinctness cut is much looser than the matching tolerance
-        if abs(lam[0] - lam[1]) <= 1e-6 * max(1.0, abs(lam[0]), abs(lam[1])):
-            return Report(
-                "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
-            )
-        expected = [Coeff.from_complex(lam[0] ** k * lam[1] ** (L - k)) for k in range(L + 1)]
-        actual = [Coeff.from_complex(v) for v in np.linalg.eigvals(M.to_numpy())]
-        payload["tolerance"] = FLOAT_TOL
-    unmatched = []
-    for want in expected:
-        match = next((i for i, got in enumerate(actual) if close(got, want)), None)
-        if match is None:
-            unmatched.append(str(want))
-        else:
-            del actual[match]
+        s, q = g.g11 + g.g22, g.det
+        if not exact:
+            # defective pairs are only resolvable to ~sqrt(machine eps), so
+            # the distinctness cut is much looser than the matching tolerance
+            if abs(s * s - 4 * q) <= 1e-6 * max(1.0, abs(s) ** 2):
+                return Report(
+                    "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
+                )
+            payload["tolerance"] = FLOAT_TOL
+        actual = _power_sums(charpoly(M.entries))
+        payload["power_sums"] = len(actual)
+        unmatched = []
+        # s_j = tr g^j and q_j = det g^j, from s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
+        zero, one = Coeff(0, exact=exact), Coeff(1, exact=exact)
+        s_prev, s_j, q_j = 2 * one, s, q
+        for j, got in enumerate(actual, 1):
+            h_prev, h = zero, one  # h_(-1) and h_0
+            for _ in range(L):
+                h_prev, h = h, s_j * h - q_j * h_prev
+            if not close(got, h):
+                unmatched.append(f"p_{j}")
+            s_prev, s_j, q_j = s_j, s * s_j - q * s_prev, q_j * q
     payload["unmatched"] = unmatched
-    mode = "exact, triangular" if on_diagonal else "float"
     return Report.verdict(not unmatched, f"eigenvalue structure ({mode}), L={L}", payload)
 
 

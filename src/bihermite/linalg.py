@@ -4,7 +4,8 @@ Everything here runs on lists of lists of Coeff and works for both scalar
 backends: a pivot is a nonzero entry, on float input (mat_inverse aside) one
 above FLOAT_TOL.  Used for matrix inverses, for expressing commutators in the
 span of a generator set, and for nullspaces and determinants in the
-Lie-algebra classification.
+Lie-algebra classification, and characteristic polynomials for the
+eigenvalue-structure check.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "nullspace",
     "rank",
     "det",
+    "charpoly",
 ]
 
 
@@ -131,6 +133,73 @@ def det(a) -> Coeff:
             if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return result
+
+
+def charpoly(rows) -> list:
+    """Coefficients of det(x I - A), lowest degree first and monic.
+
+    A is first reduced to upper Hessenberg form by elementary similarities
+    (swap two rows and the same two columns; subtract u times row m from row i
+    and add u times column i to column m), then the characteristic polynomial
+    of the Hessenberg matrix follows from the recurrence over its leading
+    blocks (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+    Pivots are the first nonzero entry when exact and the largest modulus
+    above FLOAT_TOL on float, so exact input gives the polynomial literally.
+    """
+    n = len(rows)
+    exact = _is_exact(rows)
+    h = [list(r) for r in rows]
+    tol = backend_tol(exact)
+    zero = _zero(exact)
+    for m in range(1, n - 1):
+        p = _pivot_index([h[i][m - 1] for i in range(n)], m, tol)
+        if p is None:
+            continue
+        if p != m:
+            h[m], h[p] = h[p], h[m]
+            for row in h:
+                row[m], row[p] = row[p], row[m]
+        pivot_row = h[m]
+        inv = pivot_row[m - 1].inverse()
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv
+            if not u:
+                continue
+            # negated once, so both updates are sums
+            nu = -u
+            row = h[i]
+            row[m - 1] = zero  # what the update leaves there, less float rounding
+            for j in range(m, n):
+                y = pivot_row[j]
+                if y:
+                    row[j] = row[j] + nu * y
+            for r in h:
+                y = r[i]
+                if y:
+                    r[m] = r[m] + u * y
+    # p_k = det(x I - H_k) over the leading k x k block of H:
+    # p_k = (x - h[k-1][k-1]) p_(k-1) - sum_i h[i-1][k-1] t_i p_(i-1), with t_i
+    # the product of the subdiagonal entries h[i][i-1] ... h[k-1][k-2]
+    one = _one(exact)
+    polys = [[one]]
+    for k in range(1, n + 1):
+        prev = polys[-1]
+        nd = -h[k - 1][k - 1]
+        out = [zero] + prev  # x p_(k-1)
+        for e, c in enumerate(prev):
+            out[e] = out[e] + nd * c
+        t = one
+        for i in range(k - 1, 0, -1):
+            t = t * h[i][i - 1]
+            if not t:
+                break
+            f = h[i - 1][k - 1]
+            if f:
+                nf = -(t * f)
+                for e, c in enumerate(polys[i - 1]):
+                    out[e] = out[e] + nf * c
+        polys.append(out)
+    return polys[-1]
 
 
 def solve_in_span(vectors, target):

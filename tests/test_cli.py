@@ -279,4 +279,5 @@ def test_verify_eigen_runs_on_the_requested_backend(capsys, monkeypatch, backend
         assert all(not exact and mode == "float" and tol == FLOAT_TOL for exact, mode, tol in seen)
     else:
         assert all(exact for exact, _, _ in seen)
-        assert {mode for _, mode, _ in seen} == {"exact-triangular", "float"}
+        assert {mode for _, mode, _ in seen} == {"exact-triangular", "exact-power-sums"}
+        assert all(tol is None for _, _, tol in seen)

@@ -2,8 +2,9 @@
 
 Wall time is too noisy to gate on a shared host; the number of scalar
 products a computation performs is not, nor is the number of Fraction
-objects it builds.  The product bounds sit well above the counts of the
-current routes and far below those of the per-term routes they replaced.
+objects it builds, nor whether an exact check leaves the exact field.  The
+product bounds sit well above the counts of the current routes and far
+below those of the per-term routes they replaced.
 """
 
 from contextlib import contextmanager
@@ -12,7 +13,14 @@ from fractions import Fraction as F
 import pytest
 
 from bihermite.coeffs import Coeff
-from bihermite.deform import AlphaPoint, alpha_matrix, level_basis, rep_matrix
+from bihermite.deform import (
+    GL2,
+    AlphaPoint,
+    alpha_matrix,
+    eigenvalue_structure_check,
+    level_basis,
+    rep_matrix,
+)
 from bihermite.lie import (
     StructureConstants,
     basis_change,
@@ -60,6 +68,28 @@ def counted_fractions():
         F.__new__ = new
 
 
+@contextmanager
+def counted_conversions():
+    """Count conversions of a Coeff to a float or a complex number."""
+    calls = [0]
+    saved = {name: Coeff.__dict__[name] for name in ("to_complex", "to_float")}
+
+    def counting(method):
+        def wrapper(self):
+            calls[0] += 1
+            return method(self)
+
+        return wrapper
+
+    for name, method in saved.items():
+        setattr(Coeff, name, counting(method))
+    try:
+        yield calls
+    finally:
+        for name, method in saved.items():
+            setattr(Coeff, name, method)
+
+
 def _biorth_inner_products(g, Lmax):
     """Every dual x family inner product of the levels up to Lmax."""
     g_dual = g.conj_transpose().inverse()
@@ -83,6 +113,23 @@ def test_exact_hot_paths_build_no_fractions(work):
     run = work(alpha_matrix(POINT))
     with counted_fractions() as calls:
         run()
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1)),
+        GL2(2, 1, -1, 4),
+        alpha_matrix(POINT),
+    ],
+    ids=["generic", "defective", "alpha 3/5"],
+)
+def test_exact_eigenvalue_check_never_leaves_the_field(g):
+    with counted_conversions() as calls:
+        for L in range(6):
+            rep = eigenvalue_structure_check(g, L)
+            assert rep.ok and rep.payload["mode"] == "exact-power-sums"
     assert calls[0] == 0
 
 
@@ -135,3 +182,9 @@ def test_counter_is_removed_afterwards():
     with counted_fractions() as calls:
         F(1, 3)
     assert calls[0] == 1 and F.__dict__["__new__"] is new
+    saved = Coeff.__dict__["to_complex"], Coeff.__dict__["to_float"]
+    with counted_conversions() as calls:
+        abs(Coeff(1, 1))
+        Coeff(1).to_float()
+    assert calls[0] == 2
+    assert (Coeff.__dict__["to_complex"], Coeff.__dict__["to_float"]) == saved

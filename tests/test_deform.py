@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihermite import deform
-from bihermite.coeffs import Coeff, close
+from bihermite.coeffs import FLOAT_TOL, Coeff, close
 from bihermite.deform import (
     GL2,
     RepMatrix,
@@ -233,10 +233,21 @@ def test_eigenvalue_structure_exact_cases():
     assert rep.ok and set(rep.payload["eigenvalues"]) == {"1"}
 
 
+GENERIC = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
+
+
+def _float_gl2(g):
+    return GL2(*(c.to_float() for c in g.entries()))
+
+
 def test_eigenvalue_structure_generic_float():
-    g = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
-    rep = eigenvalue_structure_check(g, 4)
+    rep = eigenvalue_structure_check(_float_gl2(GENERIC), 4)
     assert rep.ok and rep.payload["mode"] == "float"
+    assert rep.payload["tolerance"] == FLOAT_TOL and rep.payload["power_sums"] == 5
+    # the same g on the exact backend is compared literally
+    rep = eigenvalue_structure_check(GENERIC, 4)
+    assert rep.ok and rep.payload["mode"] == "exact-power-sums"
+    assert rep.payload["power_sums"] == 5 and "tolerance" not in rep.payload
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -245,7 +256,7 @@ def test_eigenvalue_structure_of_a_rotation(exact):
     # the phase, and must still be matched
     g = GL2(0, -1, 1, 0)
     if not exact:
-        g = GL2(*(c.to_float() for c in g.entries()))
+        g = _float_gl2(g)
     for L in range(7):
         rep = eigenvalue_structure_check(g, L)
         assert rep.ok and rep.payload["unmatched"] == [], (L, rep.payload)
@@ -262,14 +273,41 @@ def test_eigenvalue_structure_reports_unmatched_values(monkeypatch):
     monkeypatch.setattr(deform, "rep_matrix", shifted)
     rep = eigenvalue_structure_check(GL2(2, 1, 0, 3), 2)
     assert rep.status == "fail" and rep.payload["unmatched"] == ["9"]  # M[0][0] = 3^2 became 10
-    rep = eigenvalue_structure_check(GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1)), 2)
-    assert rep.status == "fail" and rep.payload["unmatched"]
+    rep = eigenvalue_structure_check(GENERIC, 2)
+    # the trace, p_1, moved by 1; p_2 and p_3 with it
+    assert rep.status == "fail" and rep.payload["unmatched"] == ["p_1", "p_2", "p_3"]
 
 
-def test_eigenvalue_structure_repeated_unsupported():
-    # trace 6, det 9: a double eigenvalue 3 on a non-triangular matrix
-    rep = eigenvalue_structure_check(GL2(2, 1, -1, 4), 2)
-    assert rep.status == "error"
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_eigenvalue_structure_fails_on_a_perturbed_off_diagonal_entry(monkeypatch, exact):
+    # a trace-preserving change: p_1 still matches, the higher power sums do not
+    real_rep_matrix = deform.rep_matrix
+
+    def perturbed(g, L):
+        M = real_rep_matrix(g, L)
+        M.entries[0][L] = M.entries[0][L] + 1
+        return M
+
+    g = GENERIC if exact else _float_gl2(GENERIC)
+    assert eigenvalue_structure_check(g, 3).ok
+    monkeypatch.setattr(deform, "rep_matrix", perturbed)
+    for L in range(1, 6):
+        rep = eigenvalue_structure_check(g, L)
+        assert rep.status == "fail", L
+        assert "p_1" not in rep.payload["unmatched"] and rep.payload["unmatched"], L
+
+
+def test_eigenvalue_structure_repeated_eigenvalues():
+    # trace 6, det 9: a double eigenvalue 3; trace 2, det 1: a double
+    # eigenvalue 1.  Neither matrix is triangular, and both are defective.
+    for g in (GL2(2, 1, -1, 4), GL2(2, 1, -1, 0)):
+        for L in range(7):
+            rep = eigenvalue_structure_check(g, L)
+            assert rep.ok and rep.payload["mode"] == "exact-power-sums", (g, L)
+        # on the float backend a double eigenvalue cannot be told from a
+        # close pair, so the check declines
+        rep = eigenvalue_structure_check(_float_gl2(g), 2)
+        assert rep.status == "error" and rep.payload["mode"] == "float"
 
 
 def test_intertwiner_on_monomials():

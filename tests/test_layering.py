@@ -1,9 +1,12 @@
 """Package layering: every intra-package import is top-level and acyclic,
-numpy serves one check, and the public options stay few."""
+the library loads no numpy, and the public options stay few."""
 
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bihermite
@@ -66,11 +69,23 @@ def _imported_modules(tree):
             yield node.module.split(".")[0]
 
 
-def test_numpy_only_in_the_eigen_check():
+def test_library_imports_no_numpy():
     importers = {
         name for name, tree in _parse_package().items() if "numpy" in _imported_modules(tree)
     }
-    assert importers == {"deform"}
+    assert importers == set()
+
+
+def test_cli_import_loads_no_numpy():
+    # a fresh interpreter: numpy's import would cost more than the rest of
+    # the start-up of the command line together
+    code = "import sys, bihermite.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # constructors of constants, which have no input to read a backend off

@@ -1,5 +1,6 @@
-"""Differential oracle: polynomial, operator and series arithmetic, and the
-Hermite and deformed Hermite families, against sympy.
+"""Differential oracle: polynomial, operator and series arithmetic, the
+Hermite and deformed Hermite families, and characteristic polynomials,
+against sympy.
 
 The oracle shares no code with the library.  Library objects are read only
 through their ``terms`` maps and the four rational slots of each coefficient;
@@ -8,6 +9,7 @@ sympy realises the operators as differential operators on (z, zbar):
     a1 = d/dz,   ad1 = z - d/dzbar,   a2 = d/dzbar,   ad2 = zbar - d/dz.
 """
 
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -16,9 +18,10 @@ from hypothesis import given, settings
 
 sympy = pytest.importorskip("sympy")
 
-from bihermite.coeffs import Coeff  # noqa: E402
-from bihermite.deform import GL2, deformed_hermite  # noqa: E402
+from bihermite.coeffs import Coeff, close  # noqa: E402
+from bihermite.deform import GL2, deformed_hermite, rep_matrix  # noqa: E402
 from bihermite.hermite import generating_series_complex, hermite_sum  # noqa: E402
+from bihermite.linalg import charpoly  # noqa: E402
 from bihermite.weyl import commutator  # noqa: E402
 
 from conftest import bipolys, weylops  # noqa: E402
@@ -119,3 +122,69 @@ def test_deformed_family_by_raising_operators():
             for _ in range(k):
                 f = raise_(s11, s21, f)
             assert same(expr(deformed_hermite(g, k, total - k)), f), (k, total - k)
+
+
+# sqrt2 and i as free generators r and j: sympy's charpoly over QQ[r, j]
+# takes a fraction of a second where one on entries in sqrt(2) and I took 25 s
+# for a 5 x 5 level matrix, and substituting r = sqrt2, j = i afterwards is a
+# ring homomorphism, so it commutes with the determinant
+r, j, x = sympy.symbols("r j x")
+
+
+def generic_scalar(c):
+    q = sympy.Rational
+    return q(c.re) + j * q(c.im) + r * (q(c.re2) + j * q(c.im2))
+
+
+def sympy_charpoly(rows):
+    """Coefficients of det(x I - A), lowest degree first, as sympy numbers."""
+    matrix = sympy.Matrix([[generic_scalar(c) for c in row] for row in rows])
+    coeffs = matrix.charpoly(x).all_coeffs()[::-1]
+    return [sympy.expand(sympy.sympify(c).subs({r: sympy.sqrt(2), j: sympy.I})) for c in coeffs]
+
+
+def random_field_coeff(rng):
+    def part():
+        return F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+
+    return Coeff(part(), part(), part(), part())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_charpoly_of_level_matrices(seed):
+    rng = random.Random(seed)
+    while True:
+        entries = [random_field_coeff(rng) for _ in range(4)]
+        if entries[0] * entries[3] - entries[1] * entries[2]:
+            break
+    g = GL2(*entries)
+    assert any(c.re2 or c.im2 for c in g.entries())
+    for L in range(6):
+        rows = rep_matrix(g, L).entries
+        got = charpoly(rows)
+        want = sympy_charpoly(rows)
+        assert len(got) == len(want) == L + 2 and got[-1] == 1
+        assert all(same(scalar(a), b) for a, b in zip(got, want)), (g, L)
+        # the float backend finds the same polynomial within FLOAT_TOL
+        floats = [[c.to_float() for c in row] for row in rows]
+        assert close(charpoly(floats), [c.to_float() for c in got]), (g, L)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a zero subdiagonal pivot: a row and column swap
+        [[1, 2, 0], [0, 1, 3], [5, 0, 1]],
+        # a zero column below the diagonal: no pivot, and the recurrence splits
+        [[2, 1, 0, 0], [0, 3, 0, 0], [0, 0, 1, 4], [0, 0, 0, 1]],
+        # a cyclic shift, x^4 - 1
+        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        [[7]],
+    ],
+    ids=["swap", "split", "shift", "one by one"],
+)
+def test_charpoly_at_pivot_edge_cases(rows):
+    rows = [[Coeff(v) for v in row] for row in rows]
+    assert all(same(scalar(a), b) for a, b in zip(charpoly(rows), sympy_charpoly(rows)))
+    floats = [[c.to_float() for c in row] for row in rows]
+    assert close(charpoly(floats), [c.to_float() for c in charpoly(rows)])
