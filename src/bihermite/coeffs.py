@@ -470,8 +470,7 @@ def parse_coeff(text: str, exact: bool = True) -> Coeff:
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty coefficient")
-    re_part, im_part = Fraction(0), Fraction(0)
-    re_f, im_f = 0.0, 0.0
+    re_part = im_part = Fraction(0) if exact else 0.0
     for tok in _TOKEN.findall(s):
         imag = tok.endswith(("i", "j", "I"))
         if imag:
@@ -480,34 +479,35 @@ def parse_coeff(text: str, exact: bool = True) -> Coeff:
                 tok = "1"
             elif tok == "-":
                 tok = "-1"
-        if exact:
-            # Fraction() would accept decimal strings losslessly, but exact
-            # mode deliberately takes p/q tokens only
-            if "." in tok or "e" in tok.lower():
-                raise ValueError(
-                    f"{text!r}: {tok!r} is not a p/q rational; "
-                    "use --backend float for decimal input"
-                )
+        # Fraction() would accept decimal strings losslessly, but exact
+        # mode deliberately takes p/q tokens only
+        if exact and ("." in tok or "e" in tok.lower()):
+            raise ValueError(
+                f"{text!r}: {tok!r} is not a p/q rational; "
+                "use --backend float for decimal input"
+            )
+        try:
+            val = Fraction(tok)
+        except (ValueError, ZeroDivisionError) as exc:
+            what = (
+                "an exact rational; use --backend float for decimal input"
+                if exact
+                else "a finite number"
+            )
+            raise ValueError(f"{text!r}: {tok!r} is not {what}") from exc
+        if not exact:
+            # float(Fraction(t)) rounds a decimal literal exactly as float(t)
             try:
-                val = Fraction(tok)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(
-                    f"{text!r}: {tok!r} is not an exact rational; "
-                    "use --backend float for decimal input"
-                ) from exc
-            if imag:
-                im_part += val
-            else:
-                re_part += val
+                val = float(val)
+            except OverflowError:
+                raise ValueError(f"{text!r}: {tok!r} is beyond float range") from None
+        if imag:
+            im_part += val
         else:
-            val = float(Fraction(tok)) if "/" in tok else float(tok)
-            if imag:
-                im_f += val
-            else:
-                re_f += val
-    if exact:
-        return Coeff(re_part, im_part)
-    return Coeff(re_f, im_f, exact=False)
+            re_part += val
+    if math.inf in (abs(re_part), abs(im_part)):  # finite float tokens whose sum overflows
+        raise ValueError(f"{text!r} is beyond float range")
+    return Coeff(re_part, im_part, exact=exact)
 
 
 def close(a, b) -> bool:

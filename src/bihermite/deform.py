@@ -487,56 +487,40 @@ def eigenvalue_structure_check(g: GL2, L: int) -> Report:
     """Eigenvalues of M(g, L) must be the products l1^k l2^(L-k) of the
     eigenvalues of g itself, counted with multiplicity.
 
-    Triangular or diagonal exact g is checked on the diagonal of M(g, L),
-    literally.  Any other g is checked without eigenvalues: the power sums
-    p_j, j = 1..L+1, of the characteristic polynomial of M(g, L) fix its
-    spectrum, and the claimed spectrum has p_j = h_L(tr g^j, det g^j) with
-    h_0 = 1, h_1 = s and h_n = s h_(n-1) - q h_(n-2).  Both sides are compared
-    with close(), so the check is literal on exact g, repeated eigenvalues
+    Checked without eigenvalues: the power sums p_j, j = 1..L+1, of the
+    characteristic polynomial of M(g, L) fix its spectrum, and the claimed
+    spectrum has p_j = h_L(tr g^j, det g^j) with h_0 = 1, h_1 = s and
+    h_n = s h_(n-1) - q h_(n-2).  Both sides are compared with close(), so
+    the check is literal on exact g, triangular and repeated eigenvalues
     included.  Float g needs distinct eigenvalues and matches within
     FLOAT_TOL.
     """
     M = rep_matrix(g, L)
     exact = g.is_exact()
-    on_diagonal = exact and not (g.g21 and g.g12)  # exact and triangular
-    mode = "exact-triangular" if on_diagonal else ("exact-power-sums" if exact else "float")
+    mode = "exact-power-sums" if exact else "float"
     payload = {"L": L, "mode": mode}
-    if on_diagonal:
-        expected = [(g.g11**k) * (g.g22 ** (L - k)) for k in range(L + 1)]
-        actual = M.diagonal()
-        payload["eigenvalues"] = [
-            str(c) for c in sorted(actual, key=lambda c: (c.re, c.im, c.re2, c.im2))
-        ]
-        unmatched = []
-        for want in expected:
-            match = next((i for i, got in enumerate(actual) if close(got, want)), None)
-            if match is None:
-                unmatched.append(str(want))
-            else:
-                del actual[match]
-    else:
-        s, q = g.g11 + g.g22, g.det
-        if not exact:
-            # defective pairs are only resolvable to ~sqrt(machine eps), so
-            # the distinctness cut is much looser than the matching tolerance
-            if abs(s * s - 4 * q) <= 1e-6 * max(1.0, abs(s) ** 2):
-                return Report(
-                    "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
-                )
-            payload["tolerance"] = FLOAT_TOL
-        actual = _power_sums(charpoly(M.entries))
-        payload["power_sums"] = len(actual)
-        unmatched = []
-        # s_j = tr g^j and q_j = det g^j, from s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
-        zero, one = Coeff(0, exact=exact), Coeff(1, exact=exact)
-        s_prev, s_j, q_j = 2 * one, s, q
-        for j, got in enumerate(actual, 1):
-            h_prev, h = zero, one  # h_(-1) and h_0
-            for _ in range(L):
-                h_prev, h = h, s_j * h - q_j * h_prev
-            if not close(got, h):
-                unmatched.append(f"p_{j}")
-            s_prev, s_j, q_j = s_j, s * s_j - q * s_prev, q_j * q
+    s, q = g.g11 + g.g22, g.det
+    if not exact:
+        # defective pairs are only resolvable to ~sqrt(machine eps), so
+        # the distinctness cut is much looser than the matching tolerance
+        if abs(s * s - 4 * q) <= 1e-6 * max(1.0, abs(s) ** 2):
+            return Report(
+                "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
+            )
+        payload["tolerance"] = FLOAT_TOL
+    actual = _power_sums(charpoly(M.entries))
+    payload["power_sums"] = len(actual)
+    unmatched = []
+    # s_j = tr g^j and q_j = det g^j, from s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
+    zero, one = Coeff(0, exact=exact), Coeff(1, exact=exact)
+    s_prev, s_j, q_j = 2 * one, s, q
+    for j, got in enumerate(actual, 1):
+        h_prev, h = zero, one  # h_(-1) and h_0
+        for _ in range(L):
+            h_prev, h = h, s_j * h - q_j * h_prev
+        if not close(got, h):
+            unmatched.append(f"p_{j}")
+        s_prev, s_j, q_j = s_j, s * s_j - q * s_prev, q_j * q
     payload["unmatched"] = unmatched
     return Report.verdict(not unmatched, f"eigenvalue structure ({mode}), L={L}", payload)
 

@@ -95,6 +95,7 @@ class HermiteTable:
     """All H[m,n] with m+n <= max_total, with the squared normalizers."""
 
     def __init__(self, max_total: int):
+        _check_lmax(max_total)
         self.max_total = max_total
         self.entries = {}
         for total in range(max_total + 1):
@@ -133,6 +134,8 @@ class SeriesTruncation(SparseMap):
     KEYS = SYMBOLS = ("u", "ubar")
 
     def __init__(self, order: int, terms=None, ring_one=None):
+        if order < 0:
+            raise ValueError(f"series order must be nonnegative, got {order}")
         self.order = order
         self.ring_one = BiPoly.one() if ring_one is None else ring_one
         terms = terms or {}
@@ -223,7 +226,8 @@ def generating_series_real(N: int) -> SeriesTruncation:
 
 
 def _check_lmax(Lmax: int):
-    """Reject a negative level bound, which would leave a suite nothing to check."""
+    """Reject a negative level bound, which would leave a suite nothing to
+    check and a table nothing to show."""
     if Lmax < 0:
         raise ValueError(f"Lmax must be nonnegative, got {Lmax}")
 

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .coeffs import FLOAT_TOL, ZERO, Coeff, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
-from .linalg import det, nullspace, rank, solve_in_span
+from .linalg import charpoly, nullspace, rank, solve_in_span
 from .report import Report
 from .weyl import WeylOp, commutator
 
@@ -222,13 +222,15 @@ def structure_constants(basis: LieBasisSet) -> StructureConstants:
 def theta_one_limit_table(xbasis: LieBasisSet) -> StructureConstants:
     """Limiting bracket table of the split basis at theta = 1.
 
-    At theta = 1 the operators X2 and X3 vanish identically (alpha^2 = 1/2
-    makes the two deformed number operators coincide), so the generators are
-    not independent and the span solve is ill posed.  The bracket relations
-    themselves survive the degeneration: [X1, X2] = X3 and every other pair
-    commutes.  This verifies those relations as operator identities, records
-    their numerical defects as residuals, and returns the limit table (the
-    split-basis constants with 1 - theta^2 = 0).
+    At theta = 1 (alpha^2 = 1/2) g is singular and the deformed ladders
+    collapse to one mode, so all four operators X1, X2, X3 and Y vanish
+    identically (up to rounding on float): the generators are not
+    independent and the span solve is ill posed.  This checks the limiting
+    relations, [X1, X2] = X3 with every other pair commuting, as operator
+    identities, records their numerical defects as residuals, and returns the
+    limit table (the split-basis constants with 1 - theta^2 = 0).  Both sides
+    of every relation are zero there, so the residuals only confirm the
+    degeneration; the table is the limit of the generic constants.
     """
     x1, x2, x3, y = xbasis.ops
     exact = xbasis.exact
@@ -342,12 +344,10 @@ def _killing_negative_definite(c, bracket_rows) -> bool:
         ]
         for p in range(m)
     ]
-    # Sylvester: K negative definite iff (-1)^k det(K_k) > 0
-    for k in range(1, m + 1):
-        minor = [row[:k] for row in restricted[:k]]
-        if ((-1) ** k) * det(minor).real_sign() <= 0:
-            return False
-    return True
+    # K is real symmetric, so det(x I - K) has real roots: it is negative
+    # definite exactly when every coefficient is positive (a coefficient
+    # within FLOAT_TOL of zero is not)
+    return all(c.real_sign() > 0 and not close(c, ZERO) for c in charpoly(restricted))
 
 
 def lie_report(point: AlphaPoint | None) -> Report:

@@ -2,10 +2,10 @@
 
 Everything here runs on lists of lists of Coeff and works for both scalar
 backends: a pivot is a nonzero entry, on float input (mat_inverse aside) one
-above FLOAT_TOL.  Used for matrix inverses, for expressing commutators in the
-span of a generator set, and for nullspaces and determinants in the
-Lie-algebra classification, and characteristic polynomials for the
-eigenvalue-structure check.
+above FLOAT_TOL.  One elimination (_eliminate) serves matrix inverses, span
+solves, ranks and nullspaces; one similarity reduction (charpoly) gives the
+characteristic polynomials that the eigenvalue-structure check and the
+Killing-form test of the Lie-algebra classification read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "solve_in_span",
     "nullspace",
     "rank",
-    "det",
     "charpoly",
 ]
 
@@ -107,32 +106,6 @@ def mat_inverse(a):
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def det(a) -> Coeff:
-    """Determinant by elimination with exact division."""
-    n = len(a)
-    exact = _is_exact(a)
-    rows = [list(r) for r in a]
-    result = _one(exact)
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            return _zero(exact)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            result = -result
-        result = result * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
 
 
 def charpoly(rows) -> list:

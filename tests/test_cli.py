@@ -255,6 +255,30 @@ def test_float_parameter_beyond_float_range_is_an_input_error(capsys):
     assert code == 1 and obj["lie"]["status"] == "error" and obj["orthonormal"]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [("nan", "not a finite number"), ("inf", "not a finite number"),
+     ("1e400", "beyond float range"), ("1e308+1e308", "beyond float range")],
+)
+def test_nonfinite_float_matrix_entry_is_an_input_error(capsys, entry, message):
+    code, out, err = run(capsys, "deform", "1", "0", "--g", entry, "0", "0", "1", "--backend", "float")
+    assert code == 2 and out == "" and message in err
+    argv = ("repmat", "--L", "2", "--g", entry, "0", "0", "1", "--backend", "float", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("genfun", "complex", "--order", "-1"), "order"),
+     (("genfun", "real", "--order", "-1"), "order"),
+     (("hermite", "--table", "--Lmax", "-1"), "Lmax")],
+)
+def test_negative_size_in_an_output_command_is_an_input_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and name in err
+
+
 def test_alpha_and_g_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["deform", "2", "3", "--alpha", "3/5", "--g", "1", "0", "0", "1"])
@@ -279,5 +303,5 @@ def test_verify_eigen_runs_on_the_requested_backend(capsys, monkeypatch, backend
         assert all(not exact and mode == "float" and tol == FLOAT_TOL for exact, mode, tol in seen)
     else:
         assert all(exact for exact, _, _ in seen)
-        assert {mode for _, mode, _ in seen} == {"exact-triangular", "exact-power-sums"}
+        assert {mode for _, mode, _ in seen} == {"exact-power-sums"}
         assert all(tol is None for _, _, tol in seen)

@@ -71,6 +71,10 @@ def test_parse_coeff_float_backend():
     c = parse_coeff("0.25+0.5i", exact=False)
     assert not c.exact
     assert c.to_complex() == 0.25 + 0.5j
+    # each token is rounded once, as float() rounds it
+    for text, value in [("0.1", 0.1), ("1e2", 100.0), ("1/3", 1 / 3), ("0.1+0.2", 0.1 + 0.2)]:
+        assert parse_coeff(text, exact=False).to_complex() == value
+    assert parse_coeff("-2.5i", exact=False).to_complex() == -2.5j
 
 
 def test_float_backend_folds_radical():

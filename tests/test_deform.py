@@ -24,6 +24,7 @@ from bihermite.deform import (
     rep_matrix,
 )
 from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
+from bihermite.linalg import charpoly
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, inner_product
 
@@ -134,13 +135,13 @@ def test_plain_conjugate_transpose_is_not_the_adjoint_beyond_level_one():
 
 
 def test_det_law():
-    # det M(g, L) = det(g)^(L(L+1)/2), a consequence of the eigenvalue structure
-    from bihermite.linalg import det
-
+    # det M(g, L) = det(g)^(L(L+1)/2), a consequence of the eigenvalue structure;
+    # the constant term of det(x I - M) is (-1)^(L+1) det M
     rng = random.Random(7)
     g = rational_gl2(rng)
     for L in range(4):
-        assert det(rep_matrix(g, L).entries) == g.det ** (L * (L + 1) // 2)
+        det_m = (-1) ** (L + 1) * charpoly(rep_matrix(g, L).entries)[0]
+        assert det_m == g.det ** (L * (L + 1) // 2)
 
 
 def test_rep_action_convention():
@@ -225,12 +226,10 @@ def test_dual_matrix_scaling():
 
 
 def test_eigenvalue_structure_exact_cases():
-    rep = eigenvalue_structure_check(GL2.diagonal(2, 3), 2)
-    assert rep.ok and rep.payload["eigenvalues"] == ["4", "6", "9"]
-    rep = eigenvalue_structure_check(GL2(2, 1, 0, 3), 2)
-    assert rep.ok and rep.payload["eigenvalues"] == ["4", "6", "9"]
-    rep = eigenvalue_structure_check(GL2.identity(), 3)
-    assert rep.ok and set(rep.payload["eigenvalues"]) == {"1"}
+    for g, L in ((GL2.diagonal(2, 3), 2), (GL2(2, 1, 0, 3), 2), (GL2.identity(), 3)):
+        rep = eigenvalue_structure_check(g, L)
+        assert rep.ok and rep.payload["mode"] == "exact-power-sums"
+        assert rep.payload["power_sums"] == L + 1
 
 
 GENERIC = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
@@ -271,11 +270,11 @@ def test_eigenvalue_structure_reports_unmatched_values(monkeypatch):
         return M
 
     monkeypatch.setattr(deform, "rep_matrix", shifted)
-    rep = eigenvalue_structure_check(GL2(2, 1, 0, 3), 2)
-    assert rep.status == "fail" and rep.payload["unmatched"] == ["9"]  # M[0][0] = 3^2 became 10
-    rep = eigenvalue_structure_check(GENERIC, 2)
-    # the trace, p_1, moved by 1; p_2 and p_3 with it
-    assert rep.status == "fail" and rep.payload["unmatched"] == ["p_1", "p_2", "p_3"]
+    # the trace, p_1, moved by 1; p_2 and p_3 with it (M[0][0] = 3^2 became
+    # 10 for the triangular g)
+    for g in (GL2(2, 1, 0, 3), GENERIC):
+        rep = eigenvalue_structure_check(g, 2)
+        assert rep.status == "fail" and rep.payload["unmatched"] == ["p_1", "p_2", "p_3"]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

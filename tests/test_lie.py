@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihermite import lie
-from bihermite.coeffs import Coeff
+from bihermite.coeffs import FLOAT_TOL, Coeff
 from bihermite.lie import (
     LieBasisSet,
     StructureConstants,
@@ -20,7 +20,7 @@ from bihermite.lie import (
     structure_constants,
     theta_one_limit_table,
 )
-from bihermite.linalg import solve_in_span
+from bihermite.linalg import identity_matrix, mat_inverse, rank, solve_in_span
 from bihermite.ncqm import AlphaPoint
 from bihermite.weyl import WeylOp
 
@@ -118,7 +118,7 @@ def test_structure_constants_rejects_dependent_generators():
 def test_degenerate_limit_at_theta_one():
     pt = AlphaPoint.make(0.5**0.5)
     xb = basis_change(bilinear_generators(pt))
-    # X2 and X3 vanish as operators, so the span solve must refuse...
+    # all four X-basis operators vanish, so the span solve must refuse...
     with pytest.raises(ValueError, match="dependent"):
         structure_constants(xb)
     # ...and the limit table takes over with tiny residuals
@@ -126,6 +126,14 @@ def test_degenerate_limit_at_theta_one():
     assert all(r <= 1e-10 for r in sc.residuals.values())
     assert sc.closed and sc.jacobi_ok()
     assert classify(sc) == "heisenberg_plus_u1"
+
+
+def test_every_split_basis_operator_vanishes_at_theta_one():
+    # g is singular at alpha = 1/sqrt2: the ladders collapse to one mode and
+    # X1, X2, X3 and Y are all zero up to rounding
+    xb = basis_change(bilinear_generators(AlphaPoint.make(0.5**0.5)))
+    assert xb.names == ("X1", "X2", "X3", "Y")
+    assert all(op.max_abs() <= FLOAT_TOL for op in xb.ops)
 
 
 def test_limit_table_residuals_detect_wrong_operators():
@@ -151,6 +159,73 @@ def test_classify_unknown_for_solvable_table():
     sc = StructureConstants(names, table, residuals)
     assert sc.jacobi_ok()
     assert classify(sc) == "unknown"
+
+
+def real_table(brackets):
+    """A four-dimensional table from {(i, j): {l: c}}, [e_i, e_j] = sum c e_l."""
+    table = {}
+    for ij in combinations(range(4), 2):
+        table[ij] = [Coeff.lift(brackets.get(ij, {}).get(l, 0)) for l in range(4)]
+    return StructureConstants(("e1", "e2", "e3", "e4"), table, {ij: 0.0 for ij in table})
+
+
+# [e4, e1] = e2, [e4, e2] = -e1, [e1, e2] = e3: solvable, e3 central and derived
+OSCILLATOR = real_table({(0, 1): {2: 1}, (0, 3): {1: -1}, (1, 3): {0: 1}})
+# (h, e, f, z): [h, e] = 2e, [h, f] = -2f, [e, f] = h, z central
+SL2R_PLUS_R = real_table({(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+# [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2, e4 central
+SU2_PLUS_R = real_table({(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+
+
+def random_rational_bases(count):
+    """Invertible 4 x 4 matrices whose rows have entries p/q, |p| <= 3, q <= 3."""
+    rng = random.Random(11)
+    bases = []
+    while len(bases) < count:
+        rows = [[Coeff(F(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(4)] for _ in range(4)]
+        if rank(rows) == 4:
+            bases.append(rows)
+    return bases
+
+
+def in_basis(sc, rows, exact):
+    """The table in the basis f_i = sum_a rows[i][a] e_a, computed exactly and
+    then, on the float backend, rounded entry by entry."""
+    inv = mat_inverse(rows)
+    table = {}
+    for i, j in combinations(range(4), 2):
+        v = [Coeff(0)] * 4  # [f_i, f_j] in e-coordinates
+        for a in range(4):
+            for b in range(4):
+                w = rows[i][a] * rows[j][b]
+                if w:
+                    v = [x + w * c for x, c in zip(v, sc.bracket(a, b))]
+        coords = [sum((v[a] * inv[a][m] for a in range(4)), Coeff(0)) for m in range(4)]
+        table[(i, j)] = coords if exact else [c.to_float() for c in coords]
+    return StructureConstants(sc.names, table, {ij: 0.0 for ij in table})
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_oscillator_algebra_is_not_compact_in_any_basis(exact):
+    # solvable with a three-dimensional derived algebra and a one-dimensional
+    # center inside it, so the restricted Killing form is zero: the counts
+    # alone match su(2) + u(1), and float rounding of zero must not pass the
+    # definiteness test
+    for rows in [identity_matrix(4)] + random_rational_bases(100):
+        assert classify(in_basis(OSCILLATOR, rows, exact)) == "unknown"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_sl2r_plus_r_is_not_compact(exact):
+    # the Killing form of sl(2, R) is indefinite
+    for rows in [identity_matrix(4)] + random_rational_bases(25):
+        assert classify(in_basis(SL2R_PLUS_R, rows, exact)) == "unknown"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_su2_plus_r_is_compact_in_random_bases(exact):
+    for rows in [identity_matrix(4)] + random_rational_bases(25):
+        assert classify(in_basis(SU2_PLUS_R, rows, exact)) == "su2_plus_u1"
 
 
 def test_classify_rejects_non_closed_table():
