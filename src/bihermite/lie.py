@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .coeffs import FLOAT_TOL, ZERO, Coeff, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
-from .linalg import charpoly, nullspace, rank, solve_in_span
+from .linalg import charpoly, mat_mul, nullspace, rank, solve_in_span
 from .report import Report
 from .weyl import WeylOp, commutator
 
@@ -252,9 +252,21 @@ def theta_one_limit_table(xbasis: LieBasisSet) -> StructureConstants:
     return StructureConstants(xbasis.names, table, residuals)
 
 
+def _unit_scaled(rows: list) -> list:
+    """The real matrix divided by its largest |entry| (unchanged when zero).
+    A positive factor keeps every sign the classifier reads, and a float cut
+    against FLOAT_TOL then measures against the entries' own size."""
+    top = max((x for row in rows for x in row), key=abs)
+    top = top if top.real_sign() >= 0 else -top
+    return [[x / top for x in row] for row in rows] if top else rows
+
+
 def _realified_table(sc: StructureConstants):
-    """Real structure constants, multiplying the basis by i when every bracket
-    coefficient is purely imaginary; None when the table mixes the two."""
+    """Real structure constants scaled to largest |c| = 1, multiplying the
+    basis by i when every bracket coefficient is purely imaginary (on float,
+    within FLOAT_TOL; the rest is dropped); None when the table mixes the two.
+    The positive scale is an isomorphism, so the float rank cuts below do not
+    depend on the size of the constants."""
     coeffs = [c for v in sc.table.values() for c in v]
     exact = sc.exact
     def real_part_small(c):
@@ -267,8 +279,12 @@ def _realified_table(sc: StructureConstants):
         factor = Coeff(0, 1, exact=exact)
     else:
         return None
+    def real(c):
+        c = c * factor
+        return c if exact else Coeff(c.re, exact=False)
     n = sc.dim
-    return [[[x * factor for x in sc.bracket(i, j)] for j in range(n)] for i in range(n)]
+    planes = _unit_scaled([[real(x) for x in sc.bracket(i, j)] for i in range(n) for j in range(n)])
+    return [planes[i * n : (i + 1) * n] for i in range(n)]
 
 
 def classify(sc: StructureConstants) -> str:
@@ -295,10 +311,7 @@ def _classify(sc: StructureConstants) -> str:
     derived_dim = rank(bracket_rows)
 
     # center: x_i with sum_i x_i c[i][j] = 0 for all j (all components)
-    adj_rows = []
-    for j in range(n):
-        for l in range(n):
-            adj_rows.append([c[i][j][l] for i in range(n)])
+    adj_rows = [[c[i][j][l] for i in range(n)] for j in range(n) for l in range(n)]
     center = nullspace(adj_rows)
     center_dim = len(center)
 
@@ -319,35 +332,29 @@ def _classify(sc: StructureConstants) -> str:
 
 def _killing_negative_definite(c, bracket_rows) -> bool:
     n = len(c)
-    exact = all(x.exact for row in bracket_rows for x in row)
     killing = [
-        [
-            sum((c[a][m][l] * c[b][l][m] for m in range(n) for l in range(n)), Coeff(0, exact=exact))
-            for b in range(n)
-        ]
+        [sum((c[a][m][l] * c[b][l][m] for m in range(n) for l in range(n)), ZERO) for b in range(n)]
         for a in range(n)
     ]
-    # basis of the derived subspace
-    rows = [list(r) for r in bracket_rows]
+    # basis of the derived subspace, each row scaled to largest entry 1
     basis = []
-    for r in rows:
+    for r in bracket_rows:
         if rank(basis + [r]) > len(basis):
-            basis.append(r)
-    m = len(basis)
-    restricted = [
-        [
-            sum(
-                (basis[p][a] * killing[a][b] * basis[q][b] for a in range(n) for b in range(n)),
-                Coeff(0, exact=exact),
-            )
-            for q in range(m)
-        ]
-        for p in range(m)
-    ]
+            basis.extend(_unit_scaled([r]))
+    restricted = mat_mul(mat_mul(basis, killing), [list(col) for col in zip(*basis)])
     # K is real symmetric, so det(x I - K) has real roots: it is negative
-    # definite exactly when every coefficient is positive (a coefficient
-    # within FLOAT_TOL of zero is not)
-    return all(c.real_sign() > 0 and not close(c, ZERO) for c in charpoly(restricted))
+    # definite exactly when every coefficient is positive.  The table and the
+    # basis rows have largest entry 1, so a K within FLOAT_TOL of zero is the
+    # zero form.  Otherwise K is scaled to largest entry 1 and, going down
+    # from the leading 1, a coefficient counts as positive only when its ratio
+    # to the one above is positive and not close to zero.  With eigenvalues
+    # -mu_i that ratio is e_k(mu) / e_(k-1)(mu), at least mu_min / m and at
+    # k = m at most mu_min: the float cut is on the smallest eigenvalue
+    # against the largest entry, not on the size of the constants
+    if all(close(k, ZERO) for row in restricted for k in row):
+        return False
+    poly = charpoly(_unit_scaled(restricted))[::-1]
+    return all(k.real_sign() > 0 and not close(k / above, ZERO) for above, k in zip(poly, poly[1:]))
 
 
 def lie_report(point: AlphaPoint | None) -> Report:

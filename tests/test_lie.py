@@ -228,6 +228,53 @@ def test_su2_plus_r_is_compact_in_random_bases(exact):
         assert classify(in_basis(SU2_PLUS_R, rows, exact)) == "su2_plus_u1"
 
 
+def scaled(sc, s):
+    return StructureConstants(sc.names, {ij: [c * s for c in v] for ij, v in sc.table.items()}, sc.residuals)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_verdict_does_not_depend_on_the_size_of_the_constants(exact):
+    # multiplying every constant by s > 0 is an isomorphism, while the
+    # Killing form's characteristic polynomial scales by powers of s up to s^12
+    for s in (F(1, 10), F(1, 1000), F(1, 10**6)):
+        for rows in [identity_matrix(4)] + random_rational_bases(25):
+            assert classify(in_basis(scaled(SU2_PLUS_R, s), rows, exact)) == "su2_plus_u1"
+            assert classify(in_basis(scaled(OSCILLATOR, s), rows, exact)) == "unknown"
+            assert classify(in_basis(scaled(SL2R_PLUS_R, s), rows, exact)) == "unknown"
+
+
+ALPHAS_NEAR_THETA_ONE = [F(20, 29), F(119, 169), F(696, 985)]
+
+
+@pytest.mark.parametrize(
+    "alpha", ALPHAS_NEAR_THETA_ONE + [0.65, 0.7, 0.75] + [float(a) for a in ALPHAS_NEAR_THETA_ONE], ids=str
+)
+def test_split_basis_with_small_constants_is_compact(alpha):
+    # [X2, X3] = c X1 and [X3, X1] = c X2 with c = (1 - 2 alpha^2)^2 beside
+    # [X1, X2] = X3: c is about 0.024 at alpha 0.65, 2.4e-3 at 20/29, 7e-5
+    # at 119/169 and 2e-6 at 696/985
+    sc = structure_constants(basis_change(bilinear_generators(AlphaPoint.make(alpha))))
+    assert classify(sc) == "su2_plus_u1"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_su2_with_one_small_constant_is_compact(exact):
+    # [e2, e3] = a e1 beside unit constants: K = diag(-2, -2a, -2a), so its
+    # smallest eigenvalue is a times its largest while det K is a^2 times
+    # the cube of its scale
+    for a in (F(1, 10**4), F(1, 10**6), F(1, 10**9)):
+        sc = real_table({(0, 1): {2: 1}, (1, 2): {0: a}, (0, 2): {1: -1}})
+        assert classify(in_basis(sc, identity_matrix(4), exact)) == "su2_plus_u1"
+
+
+def test_float_table_with_imaginary_rounding_is_classified():
+    # an imaginary part within FLOAT_TOL is rounding and reads as zero
+    sc = in_basis(SU2_PLUS_R, identity_matrix(4), exact=False)
+    sc.table[(0, 1)] = coords((2, Coeff(1.0, 1e-13, exact=False)))
+    assert sc.jacobi_ok()
+    assert classify(sc) == "su2_plus_u1"
+
+
 def test_classify_rejects_non_closed_table():
     names = ("e1", "e2", "e3", "e4")
     table = {k: ZERO4 for k in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
