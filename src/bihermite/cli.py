@@ -52,12 +52,12 @@ from .report import Report
 
 
 def parse_number(text: str, exact: bool) -> Fraction | float:
-    """A rational ("3/5", "0.6"): a Fraction, or a float on the float backend."""
-    value = Fraction(text)
-    try:
-        return value if exact else float(value)
-    except OverflowError:
-        raise ValueError(f"{text!r} is beyond float range") from None
+    """A real number in parse_coeff's grammar: a Fraction ("3/5"), or a float
+    ("0.6", "1e-3") on the float backend."""
+    value = parse_coeff(text, exact)
+    if not value.is_real():
+        raise ValueError(f"{text!r} is not a real number")
+    return value.re
 
 
 def parse_alpha(text: str, exact: bool) -> AlphaPoint:

@@ -22,6 +22,7 @@ alpha runs on the float backend.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -57,7 +58,8 @@ __all__ = [
 
 
 class GL2:
-    """Invertible 2x2 complex matrix; rejects singular input at construction."""
+    """Invertible 2x2 complex matrix; rejects singular or non-finite input at
+    construction."""
 
     __slots__ = ("g11", "g12", "g21", "g22")
 
@@ -66,6 +68,8 @@ class GL2:
         self.g12 = Coeff.lift(g12)
         self.g21 = Coeff.lift(g21)
         self.g22 = Coeff.lift(g22)
+        if not all(g.exact or cmath.isfinite(g.to_complex()) for g in self.entries()):
+            raise ValueError("matrix entry is not a finite number")
         if not self.det:
             raise ValueError("matrix is singular")
 

@@ -162,20 +162,24 @@ class StructureConstants:
 
         bracket() is antisymmetric, so the Jacobiator is totally antisymmetric
         and vanishes on repeated indices: the triples i < j < k decide it.
-        Zero structure constants contribute no products.
+        Zero structure constants contribute no products.  The exact check is
+        literal.  On float each entry, a sum of products of two constants, is
+        cut at FLOAT_TOL times the largest |c|^2, the scale of its rounding.
         """
         n, zero = self.dim, Coeff(0, exact=self.exact)
         nonzero = [
             [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
             for a in range(n)
         ]
+        constants = (c for row in nonzero for pairs in row for _, c in pairs)
+        cut = 0.0 if self.exact else FLOAT_TOL * max(map(abs, constants), default=0.0) ** 2
         for i, j, k in combinations(range(n), 3):
             jac = [zero] * n
             for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, c in nonzero[a][b]:
                     for l, e in nonzero[m][d]:
                         jac[l] = jac[l] + c * e
-            if not all(close(x, ZERO) for x in jac):
+            if any(x and (self.exact or abs(x) > cut) for x in jac):
                 return False
         return True
 

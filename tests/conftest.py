@@ -12,8 +12,8 @@ coeffs = st.builds(Coeff, small_fractions, small_fractions)
 
 nonzero_coeffs = coeffs.filter(bool)
 
-# every slot of Q(i, sqrt2), each one zero often, so that zero halves and
-# zero parts reach every branch of the exact product
+# every slot of Q(i, sqrt2), each one zero often, so that products reach
+# both the Gaussian and the full formula, with zero parts and halves
 _slots = st.one_of(st.just(Fraction(0)), small_fractions)
 radical_coeffs = st.builds(Coeff, _slots, _slots, _slots, _slots)
 

@@ -74,8 +74,15 @@ def test_deform_singular_matrix_fails(capsys):
 
 
 def test_deform_decimal_rejected_in_exact_mode(capsys):
-    code, _, err = run(capsys, "deform", "1", "0", "--g", "0.5", "0", "0", "1")
-    assert code == 2 and "float" in err
+    # exact mode reads every number flag as a p/q rational
+    for argv in [
+        ("deform", "1", "0", "--g", "0.5", "0", "0", "1"),
+        ("deform", "1", "0", "--g", "1e-3", "0", "0", "1"),
+        ("deform", "1", "0", "--alpha", "0.6"),
+        ("verify", "qp", "--theta", "0.6"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "float" in err, argv
 
 
 def test_repmat_identity(capsys):
@@ -236,15 +243,21 @@ def test_verify_theta_zero_keeps_the_battery(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("genfun", "deformed", "--alpha", "0.6", "--order", "4"),
-        ("dual", "--L", "3", "--alpha", "0.3"),
+        ("genfun", "deformed", "--alpha", "0.6", "--order", "4", "--format", "json"),
+        ("dual", "--L", "3", "--alpha", "0.3", "--format", "json"),
+        ("deform", "2", "1", "--alpha", "0.6", "--format", "csv"),
     ],
-    ids=["genfun", "dual"],
+    ids=["genfun", "dual", "deform-csv"],
 )
 def test_float_json_has_no_signed_zero(capsys, argv):
-    code, out, _ = run(capsys, *argv, "--backend", "float", "--format", "json")
-    assert code == 0 and json.loads(out)
+    code, out, _ = run(capsys, *argv, "--backend", "float")
+    assert code == 0 and (argv[-1] == "csv" or json.loads(out))
     assert not re.search(r"-0\.0\b", out)  # a negative zero, not -0.05
+
+
+def test_parameter_must_be_real(capsys):
+    code, _, err = run(capsys, "deform", "1", "0", "--alpha", "3/5i")
+    assert code == 2 and "not a real number" in err
 
 
 def test_float_parameter_beyond_float_range_is_an_input_error(capsys):

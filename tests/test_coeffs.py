@@ -72,7 +72,12 @@ def test_parse_coeff_float_backend():
     assert not c.exact
     assert c.to_complex() == 0.25 + 0.5j
     # each token is rounded once, as float() rounds it
-    for text, value in [("0.1", 0.1), ("1e2", 100.0), ("1/3", 1 / 3), ("0.1+0.2", 0.1 + 0.2)]:
+    cases = [
+        ("0.1", 0.1), ("1e2", 100.0), ("1/3", 1 / 3), ("0.1+0.2", 0.1 + 0.2),
+        # an exponent's sign stays inside its number
+        ("1e-3", 1e-3), ("2.5-1e-3i", 2.5 - 1e-3j), ("-1E+2i", -100j),
+    ]
+    for text, value in cases:
         assert parse_coeff(text, exact=False).to_complex() == value
     assert parse_coeff("-2.5i", exact=False).to_complex() == -2.5j
 

@@ -52,6 +52,13 @@ def test_singular_rejected():
         GL2(1, 2, 2, 4)
 
 
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(float("nan"), 0.0)], ids=str)
+def test_nonfinite_entry_rejected(entry):
+    # a NaN determinant is truthy, so the singular check alone lets it through
+    with pytest.raises(ValueError, match="not a finite number"):
+        GL2(entry, 0.0, 0.0, 1.0)
+
+
 def test_alpha_matrix_values():
     assert G_ALPHA.g11 == Coeff(F(3, 5))
     assert G_ALPHA.g12 == Coeff(0, F(4, 5))

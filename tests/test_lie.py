@@ -236,7 +236,8 @@ def scaled(sc, s):
 def test_verdict_does_not_depend_on_the_size_of_the_constants(exact):
     # multiplying every constant by s > 0 is an isomorphism, while the
     # Killing form's characteristic polynomial scales by powers of s up to s^12
-    for s in (F(1, 10), F(1, 1000), F(1, 10**6)):
+    # and each Jacobiator entry by s^2
+    for s in (F(1, 10), F(1, 1000), F(1, 10**6), 100, 1000):
         for rows in [identity_matrix(4)] + random_rational_bases(25):
             assert classify(in_basis(scaled(SU2_PLUS_R, s), rows, exact)) == "su2_plus_u1"
             assert classify(in_basis(scaled(OSCILLATOR, s), rows, exact)) == "unknown"
