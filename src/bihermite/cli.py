@@ -68,12 +68,11 @@ def parse_alpha(text: str, exact: bool) -> AlphaPoint:
     return AlphaPoint.make(parse_number(text, exact))
 
 
-def parse_gl2(args, exact: bool) -> GL2:
+def parse_gl2(args) -> GL2:
     if args.alpha is not None:
-        return alpha_matrix(parse_alpha(args.alpha, exact))
+        return alpha_matrix(parse_alpha(args.alpha, args.exact))
     if args.g is not None:
-        e = [parse_coeff(tok, exact) for tok in args.g]
-        return GL2(*e)
+        return GL2(*(parse_coeff(tok, args.exact) for tok in args.g))
     raise ValueError("pass either --alpha or --g g11 g12 g21 g22")
 
 
@@ -128,8 +127,7 @@ def cmd_real_hermite(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    exact = args.backend == "exact"
-    g = parse_gl2(args, exact)
+    g = parse_gl2(args)
     m, n = args.m, args.n
     h = deformed_hermite(g, m, n)
     payload = {"m": m, "n": n, "normalizer_sq": normalizer_sq(m, n), **h.to_json_dict()}
@@ -138,8 +136,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_repmat(args) -> int:
-    exact = args.backend == "exact"
-    g = parse_gl2(args, exact)
+    g = parse_gl2(args)
     M = rep_matrix(g, args.L)
     pretty = "\n".join("[" + ", ".join(str(c) for c in row) + "]" for row in M.entries)
     emit(M.to_json(), args.format, pretty)
@@ -147,8 +144,7 @@ def cmd_repmat(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    exact = args.backend == "exact"
-    g = parse_gl2(args, exact)
+    g = parse_gl2(args)
     fam = dual_family(g, args.L)
     payload = {
         "L": args.L,
@@ -169,14 +165,13 @@ def cmd_dual(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    exact = args.backend == "exact"
     N = args.order
     if args.kind == "complex":
         series = generating_series_complex(N)
     elif args.kind == "real":
         series = generating_series_real(N)
     else:
-        series = deformed_generating_series(parse_gl2(args, exact), N)
+        series = deformed_generating_series(parse_gl2(args), N)
     pretty_lines = [f"{args.kind} generating series, total order <= {N}"]
     pretty_lines += [f"u^{j} ubar^{k}: {poly.pretty()}" for (j, k), poly in series.sorted_terms()]
     payload = {"order": N, "kind": args.kind, "coefficients": series.to_json_dict()["terms"]}
@@ -190,7 +185,6 @@ def _random_rational_gl2(rng: random.Random, exact: bool) -> GL2:
             Coeff(
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                exact=True,
             )
             for _ in range(4)
         ]
@@ -202,16 +196,22 @@ def _random_rational_gl2(rng: random.Random, exact: bool) -> GL2:
             continue
 
 
-def _verify_repmat(args, exact: bool) -> Report:
+def _on_backend(g: GL2, args) -> GL2:
+    """g, or its float copy on the float backend."""
+    return g if args.exact else GL2(*(c.to_float() for c in g.entries()))
+
+
+def _verify_repmat(args) -> Report:
     _check_lmax(args.Lmax)
     rng = random.Random(args.seed)
-    g = _random_rational_gl2(rng, exact)
-    h = _random_rational_gl2(rng, exact)
+    g = _random_rational_gl2(rng, args.exact)
+    h = _random_rational_gl2(rng, args.exact)
+    identity = _on_backend(GL2.identity(), args)
     failures = []
     for L in range(args.Lmax + 1):
         Mg, Mh = rep_matrix(g, L), rep_matrix(h, L)
         checks = {
-            "identity": rep_matrix(GL2.identity(exact), L).is_identity(),
+            "identity": rep_matrix(identity, L).is_identity(),
             "product": close((Mg @ Mh).entries, rep_matrix(g @ h, L).entries),
             "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),
             "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
@@ -229,7 +229,7 @@ def _verify_repmat(args, exact: bool) -> Report:
     )
 
 
-def _verify_eigen(args, exact: bool) -> Report:
+def _verify_eigen(args) -> Report:
     _check_lmax(args.Lmax)
     cases = [
         ("diagonal", GL2.diagonal(2, 3)),
@@ -238,8 +238,7 @@ def _verify_eigen(args, exact: bool) -> Report:
     ]
     sub = []
     for name, g in cases:
-        if not exact:
-            g = GL2(*(c.to_float() for c in g.entries()))
+        g = _on_backend(g, args)
         for L in range(args.Lmax + 1):
             rep = eigenvalue_structure_check(g, L)
             sub.append({"case": name, "L": L, "status": rep.status})
@@ -247,37 +246,37 @@ def _verify_eigen(args, exact: bool) -> Report:
     return Report.verdict(ok, "eigenvalue structure", {"cases": sub})
 
 
-def _verify_qp(args, exact: bool) -> Report:
-    return qp_representation_suite(parse_number(args.theta, exact), parse_number(args.gamma, exact))
+def _verify_qp(args) -> Report:
+    return qp_representation_suite(*(parse_number(x, args.exact) for x in (args.theta, args.gamma)))
 
 
-def _point(args, exact: bool) -> AlphaPoint:
-    return parse_alpha("3/5" if args.alpha is None else args.alpha, exact)
+def _point(args) -> AlphaPoint:
+    return parse_alpha("3/5" if args.alpha is None else args.alpha, args.exact)
 
 
-def _matrix(args, exact: bool) -> GL2:
-    return alpha_matrix(_point(args, exact))
+def _matrix(args) -> GL2:
+    return alpha_matrix(_point(args))
 
 
-# suite name -> (default --Lmax, runner(args, exact)), in `verify all`
-# order.  Runners call the library through module globals, so whatever
-# rebinds those (a tracer, a test) sees every call.
+# suite name -> (default --Lmax, runner(args)), in `verify all` order.
+# Runners call the library through module globals, so whatever rebinds
+# those (a tracer, a test) sees every call.
 VERIFY_SUITES = {
-    "orthonormal": (6, lambda a, exact: orthonormality_check(a.Lmax)),
-    "biorth": (4, lambda a, exact: biorthogonality_check(_matrix(a, exact), a.Lmax)),
+    "orthonormal": (6, lambda a: orthonormality_check(a.Lmax)),
+    "biorth": (4, lambda a: biorthogonality_check(_matrix(a), a.Lmax)),
     "repmat": (5, _verify_repmat),
     "eigen": (4, _verify_eigen),
-    "intertwine": (5, lambda a, exact: intertwine_check(_matrix(a, exact), a.Lmax)),
-    "ncqm": (None, lambda a, exact: ncqm_commutator_suite(_point(a, exact))),
+    "intertwine": (5, lambda a: intertwine_check(_matrix(a), a.Lmax)),
+    "ncqm": (None, lambda a: ncqm_commutator_suite(_point(a))),
     "qp": (None, _verify_qp),
-    "lie": (None, lambda a, exact: lie_report(_point(a, exact))),
+    "lie": (None, lambda a: lie_report(_point(a))),
 }
 
 
 def run_suite(name: str, args) -> Report:
     if name not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return VERIFY_SUITES[name][1](args, args.backend == "exact")
+    return VERIFY_SUITES[name][1](args)
 
 
 def cmd_verify(args) -> int:
@@ -315,8 +314,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lie_report(args) -> int:
-    exact = args.backend == "exact"
-    point = None if args.alpha is None else parse_alpha(args.alpha, exact)
+    point = None if args.alpha is None else parse_alpha(args.alpha, args.exact)
     if args.basis == "report":
         rep = lie_report(point)
         emit(rep.to_json(), args.format, f"[{rep.status.upper()}] {rep.summary}")
@@ -424,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the one reading of --backend; the library reads the backend off the values
+    args.exact = getattr(args, "backend", "exact") == "exact"
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

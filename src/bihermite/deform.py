@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, inner_product
@@ -68,8 +68,13 @@ class GL2:
         self.g12 = Coeff.lift(g12)
         self.g21 = Coeff.lift(g21)
         self.g22 = Coeff.lift(g22)
-        if not all(g.exact or cmath.isfinite(g.to_complex()) for g in self.entries()):
-            raise ValueError("matrix entry is not a finite number")
+        # a matrix with a float entry computes in float
+        try:
+            finite = self.is_exact() or all(cmath.isfinite(g.to_complex()) for g in self.entries())
+        except OverflowError:  # an exact entry beyond float range
+            finite = False
+        if not finite:
+            raise ValueError("matrix entry is not a finite number on the float backend")
         if not self.det:
             raise ValueError("matrix is singular")
 
@@ -78,9 +83,8 @@ class GL2:
         return self.g11 * self.g22 - self.g12 * self.g21
 
     @classmethod
-    def identity(cls, exact=True):
-        one, zero = Coeff(1, exact=exact), Coeff(0, exact=exact)
-        return cls(one, zero, zero, one)
+    def identity(cls):
+        return cls(1, 0, 0, 1)
 
     @classmethod
     def diagonal(cls, l1, l2):
@@ -152,13 +156,13 @@ class AlphaPoint:
         return 2 * self.alpha * self.beta_im
 
     def theta_coeff(self) -> Coeff:
-        return Coeff(self.theta, exact=self.exact)
+        return Coeff.lift(self.theta)
 
 
 def alpha_matrix(point: AlphaPoint) -> GL2:
     """Hermitian deformation matrix [[alpha, i b], [-i b, alpha]]."""
-    a = Coeff(point.alpha, exact=point.exact)
-    b = Coeff(0, point.beta_im, exact=point.exact)
+    a = Coeff.lift(point.alpha)
+    b = I * point.beta_im
     return GL2(a, b, -b, a)
 
 
@@ -174,8 +178,8 @@ class RepMatrix:
         self.entries = [[Coeff.lift(c) for c in row] for row in entries]
 
     @classmethod
-    def identity(cls, L: int, exact=True):
-        return cls(L, identity_matrix(L + 1, exact))
+    def identity(cls, L: int):
+        return cls(L, identity_matrix(L + 1))
 
     def __getitem__(self, rk):
         r, k = rk
@@ -260,9 +264,9 @@ def deformed_lowering(g: GL2) -> tuple[WeylOp, WeylOp]:
 
 
 def deformed_hermite(g: GL2, k: int, l: int) -> BiPoly:
-    """Scaled deformed polynomial Hg[k,l] = R1^k R2^l applied to 1."""
+    """Scaled deformed polynomial Hg[k,l] = R1^k R2^l applied to 1 (on g's backend)."""
     r1, r2 = deformed_raising(g)
-    return (r1**k * r2**l).apply(BiPoly.one(exact=g.is_exact()))
+    return (r1**k * r2**l).apply(BiPoly.monomial(0, 0, g.det**0))
 
 
 def deformed_generating_series(g: GL2, N: int) -> SeriesTruncation:
@@ -294,10 +298,9 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
     """
     if L < 0:
         raise ValueError("level must be nonnegative")
-    exact = g.is_exact()
 
     def powers(c):
-        out = [Coeff(1, exact=exact)]
+        out = [c**0]
         for _ in range(L):
             out.append(out[-1] * c)
         return out
@@ -311,8 +314,9 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
         row = []
         for k in range(L + 1):
             a, b = left[k], right[L - k]
-            acc = Coeff(0, exact=exact)
-            for q in range(max(0, r + k - L), min(r, k) + 1):
+            lo = max(0, r + k - L)
+            acc = a[lo] * b[r - lo]
+            for q in range(lo + 1, min(r, k) + 1):
                 acc = acc + a[q] * b[r - q]
             row.append(acc)
         rows.append(row)
@@ -460,7 +464,7 @@ def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     failures = []
     kappas = {}
     for L in range(Lmax + 1):
-        want = RepMatrix.identity(L, exact=g.is_exact()).scaled(delta**L)
+        want = RepMatrix.identity(L).scaled(delta**L)
         got = rep_matrix(gp, L) @ rep_matrix(g, L)
         kappas[str(L)] = str(delta**L)
         if not close(got.entries, want.entries):
@@ -516,10 +520,9 @@ def eigenvalue_structure_check(g: GL2, L: int) -> Report:
     payload["power_sums"] = len(actual)
     unmatched = []
     # s_j = tr g^j and q_j = det g^j, from s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
-    zero, one = Coeff(0, exact=exact), Coeff(1, exact=exact)
-    s_prev, s_j, q_j = 2 * one, s, q
+    s_prev, s_j, q_j = Coeff(2), s, q
     for j, got in enumerate(actual, 1):
-        h_prev, h = zero, one  # h_(-1) and h_0
+        h_prev, h = ZERO, ONE  # h_(-1) and h_0
         for _ in range(L):
             h_prev, h = h, s_j * h - q_j * h_prev
         if not close(got, h):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .coeffs import FLOAT_TOL, ZERO, Coeff, backend_tol, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .linalg import charpoly, mat_mul, nullspace, rank, solve_in_span
 from .report import Report
@@ -49,18 +49,14 @@ class LieBasisSet:
     ops: tuple
     theta: Fraction | float
 
-    @property
-    def exact(self) -> bool:
-        return not isinstance(self.theta, float)
-
     def items(self):
         return list(zip(self.names, self.ops))
 
 
-def _bilinears(a1, a2, ad1, ad2, exact: bool) -> tuple:
+def _bilinears(a1, a2, ad1, ad2) -> tuple:
     """J1..J4 of a ladder quadruple: the angular-momentum set plus the total number."""
-    half = Coeff(Fraction(1, 2), exact=exact)
-    neg_i_half = Coeff(0, Fraction(-1, 2), exact=exact)
+    half = Fraction(1, 2)
+    neg_i_half = Coeff(0, Fraction(-1, 2))
     return (
         (ad1 * a2 + ad2 * a1) * half,
         (ad1 * a2 - ad2 * a1) * neg_i_half,
@@ -69,17 +65,17 @@ def _bilinears(a1, a2, ad1, ad2, exact: bool) -> tuple:
     )
 
 
-def bilinear_generators(point: AlphaPoint | None = None, exact: bool = True) -> LieBasisSet:
-    """The J1..J4 bilinears of the deformed ladders at an alpha point, of the
-    bare ladders otherwise (on the backend that exact names)."""
+def bilinear_generators(point: AlphaPoint | None = None) -> LieBasisSet:
+    """The J1..J4 bilinears of the deformed ladders at an alpha point, on the
+    point's backend, or of the bare ladders, exactly, at theta = 0."""
     if point is None:
         ladders = (WeylOp.a(1), WeylOp.a(2), WeylOp.adag(1), WeylOp.adag(2))
-        theta = Fraction(0) if exact else 0.0
+        theta = Fraction(0)
     else:
         g = alpha_matrix(point)
         ladders = (*deformed_lowering(g), *deformed_raising(g))
-        theta, exact = point.theta, point.exact
-    return LieBasisSet(("J1", "J2", "J3", "J4"), _bilinears(*ladders, exact), theta)
+        theta = point.theta
+    return LieBasisSet(("J1", "J2", "J3", "J4"), _bilinears(*ladders), theta)
 
 
 def basis_change(jbasis: LieBasisSet) -> LieBasisSet:
@@ -87,10 +83,9 @@ def basis_change(jbasis: LieBasisSet) -> LieBasisSet:
     Y = theta J2 + J4."""
     j1, j2, j3, j4 = jbasis.ops
     th = jbasis.theta
-    i_unit = Coeff(0, 1, exact=jbasis.exact)
-    x1 = j1 * i_unit
-    x2 = j3 * i_unit
-    x3 = (j2 + j4 * th) * i_unit
+    x1 = j1 * I
+    x2 = j3 * I
+    x3 = (j2 + j4 * th) * I
     y = j2 * th + j4
     return LieBasisSet(("X1", "X2", "X3", "Y"), (x1, x2, x3, y), th)
 
@@ -106,15 +101,15 @@ def rescale(xbasis: LieBasisSet) -> LieBasisSet:
     c = 1 - th * th
     if not c:
         raise ValueError("rescaling singular at theta = 1")
-    if xbasis.exact:
+    if isinstance(th, float):
+        inv_s, inv_c = Coeff.from_complex(c**-0.5), Coeff.from_complex(1.0 / c)
+    else:
         s = rational_sqrt(c)
         if s is None:
             raise ValueError(
                 f"sqrt(1 - theta^2) is irrational for theta = {th}; use the float backend"
             )
         inv_s, inv_c = Coeff(Fraction(1) / s), Coeff(Fraction(1) / c)
-    else:
-        inv_s, inv_c = Coeff.from_complex(c**-0.5), Coeff.from_complex(1.0 / c)
     x1, x2, x3, y = xbasis.ops
     return LieBasisSet(
         ("Z1", "Z2", "Z3", "Y"),
@@ -152,7 +147,7 @@ class StructureConstants:
     def bracket(self, i: int, j: int):
         """Coordinates of [g_i, g_j], using antisymmetry below the diagonal."""
         if i == j:
-            return [Coeff(0, exact=self.exact)] * self.dim
+            return [ZERO] * self.dim
         if i < j:
             return list(self.table[(i, j)])
         return [-c for c in self.table[(j, i)]]
@@ -166,7 +161,7 @@ class StructureConstants:
         literal.  On float each entry, a sum of products of two constants, is
         cut at FLOAT_TOL times the largest |c|^2, the scale of its rounding.
         """
-        n, zero = self.dim, Coeff(0, exact=self.exact)
+        n = self.dim
         nonzero = [
             [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
             for a in range(n)
@@ -174,7 +169,7 @@ class StructureConstants:
         constants = (c for row in nonzero for pairs in row for _, c in pairs)
         cut = 0.0 if self.exact else FLOAT_TOL * max(map(abs, constants), default=0.0) ** 2
         for i, j, k in combinations(range(n), 3):
-            jac = [zero] * n
+            jac = [ZERO] * n
             for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, c in nonzero[a][b]:
                     for l, e in nonzero[m][d]:
@@ -209,7 +204,7 @@ def structure_constants(basis: LieBasisSet) -> StructureConstants:
     """
     vectors = [op.terms for op in basis.ops]
     keys = sorted({k for v in vectors for k in v})
-    matrix = [[v.get(k, Coeff(0, exact=basis.exact)) for v in vectors] for k in keys]
+    matrix = [[v.get(k, ZERO) for v in vectors] for k in keys]
     if rank(matrix) < len(basis.ops):
         raise ValueError("generators are linearly dependent")
     n = len(basis.ops)
@@ -237,9 +232,9 @@ def theta_one_limit_table(xbasis: LieBasisSet) -> StructureConstants:
     degeneration; the table is the limit of the generic constants.
     """
     x1, x2, x3, y = xbasis.ops
-    exact = xbasis.exact
     zero_op = WeylOp.zero()
-    one_c, zero_c = Coeff(1, exact=exact), Coeff(0, exact=exact)
+    one_c = Coeff.lift(xbasis.theta) ** 0  # the table is printed on theta's backend
+    zero_c = one_c * 0
     claims = {
         (0, 1): ([zero_c, zero_c, one_c, zero_c], x3),
         (0, 2): ([zero_c] * 4, zero_op),
@@ -278,14 +273,14 @@ def _realified_table(sc: StructureConstants):
     def imag_part_small(c):
         return (not c.im and not c.im2) if exact else abs(c.im) <= FLOAT_TOL
     if all(imag_part_small(c) for c in coeffs):
-        factor = Coeff(1, exact=exact)
+        factor = ONE
     elif all(real_part_small(c) for c in coeffs):
-        factor = Coeff(0, 1, exact=exact)
+        factor = I
     else:
         return None
     def real(c):
         c = c * factor
-        return c if exact else Coeff(c.re, exact=False)
+        return c if exact else Coeff.from_complex(c.re)
     n = sc.dim
     planes = _unit_scaled([[real(x) for x in sc.bracket(i, j)] for i in range(n) for j in range(n)])
     return [planes[i * n : (i + 1) * n] for i in range(n)]

@@ -2,17 +2,20 @@
 
 Everything here runs on lists of lists of Coeff and works for both scalar
 backends: a pivot is a nonzero entry, on float input (mat_inverse aside) one
-above FLOAT_TOL.  One elimination (_eliminate) serves matrix inverses, span
-solves, ranks and nullspaces; one similarity reduction (charpoly) gives the
-characteristic polynomials that the eigenvalue-structure check and the
+above FLOAT_TOL.  A matrix is on the float backend when any entry is a float;
+a zero or one that lands in a result is taken from an entry, so results are
+on the input's backend.  One elimination (_eliminate) serves matrix inverses,
+span solves, ranks and nullspaces; one similarity reduction (charpoly) gives
+the characteristic polynomials that the eigenvalue-structure check and the
 Killing-form test of the Lie-algebra classification read.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
-from .coeffs import Coeff, backend_tol
+from .coeffs import ONE, ZERO, Coeff, backend_tol
 
 __all__ = [
     "identity_matrix",
@@ -25,20 +28,14 @@ __all__ = [
 ]
 
 
-def _zero(exact: bool) -> Coeff:
-    return Coeff(0, exact=exact)
+def _zero_like(rows) -> Coeff:
+    """0 on the backend of a matrix: a float entry times 0 when there is one,
+    else the exact ZERO."""
+    return min((c for row in rows for c in row), key=attrgetter("exact"), default=ZERO) * 0
 
 
-def _one(exact: bool) -> Coeff:
-    return Coeff(1, exact=exact)
-
-
-def _is_exact(rows) -> bool:
-    return all(c.exact for row in rows for c in row)
-
-
-def identity_matrix(n: int, exact=True):
-    return [[_one(exact) if i == j else _zero(exact) for j in range(n)] for i in range(n)]
+def identity_matrix(n: int):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -98,8 +95,8 @@ def _eliminate(rows, tol, ncols):
 
 def mat_inverse(a):
     n = len(a)
-    exact = _is_exact(a)
-    rows = [list(a[i]) + list(identity_matrix(n, exact)[i]) for i in range(n)]
+    # each row is scaled by its pivot's inverse, so the identity half ends on a's backend
+    rows = [list(row) + unit for row, unit in zip(a, identity_matrix(n))]
     # first nonzero pivot on both backends: a largest-pivot search would move
     # float results, such as which `verify repmat --backend float` seeds fail
     pivots = _eliminate(rows, 0.0, n)
@@ -120,10 +117,9 @@ def charpoly(rows) -> list:
     above FLOAT_TOL on float, so exact input gives the polynomial literally.
     """
     n = len(rows)
-    exact = _is_exact(rows)
     h = [list(r) for r in rows]
-    tol = backend_tol(exact)
-    zero = _zero(exact)
+    zero = _zero_like(rows)
+    tol = backend_tol(zero.exact)
     for m in range(1, n - 1):
         p = _pivot_index([h[i][m - 1] for i in range(n)], m, tol)
         if p is None:
@@ -153,7 +149,7 @@ def charpoly(rows) -> list:
     # p_k = det(x I - H_k) over the leading k x k block of H:
     # p_k = (x - h[k-1][k-1]) p_(k-1) - sum_i h[i-1][k-1] t_i p_(i-1), with t_i
     # the product of the subdiagonal entries h[i][i-1] ... h[k-1][k-2]
-    one = _one(exact)
+    one = zero**0
     polys = [[one]]
     for k in range(1, n + 1):
         prev = polys[-1]
@@ -190,10 +186,7 @@ def solve_in_span(vectors, target):
     for v in vectors:
         keys |= set(v)
     keys = sorted(keys)
-    exact = all(c.exact for v in vectors for c in v.values()) and all(
-        c.exact for c in target.values()
-    )
-    zero = _zero(exact)
+    zero = _zero_like([v.values() for v in (*vectors, target)])
     nv = len(vectors)
     rows = []
     for key in keys:
@@ -201,7 +194,7 @@ def solve_in_span(vectors, target):
         row.append(target.get(key, zero))
         rows.append(row)
     work = [list(r) for r in rows]
-    pivots = _eliminate(work, backend_tol(exact), nv)
+    pivots = _eliminate(work, backend_tol(zero.exact), nv)
     coeffs = [zero] * nv
     for r, c in pivots:
         coeffs[c] = work[r][nv]
@@ -223,7 +216,7 @@ def rank(a) -> int:
     rows = [list(r) for r in a]
     if not rows:
         return 0
-    return len(_eliminate(rows, backend_tol(_is_exact(rows)), len(rows[0])))
+    return len(_eliminate(rows, backend_tol(_zero_like(rows).exact), len(rows[0])))
 
 
 def nullspace(a):
@@ -232,15 +225,15 @@ def nullspace(a):
     if nrows == 0:
         return []
     ncols = len(a[0])
-    exact = _is_exact(a)
+    zero = _zero_like(a)
     rows = [list(r) for r in a]
-    pivots = _eliminate(rows, backend_tol(exact), ncols)
+    pivots = _eliminate(rows, backend_tol(zero.exact), ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        v = [_zero(exact)] * ncols
-        v[fc] = _one(exact)
+        v = [zero] * ncols
+        v[fc] = zero**0
         for r, c in pivots:
             v[c] = -rows[r][fc]
         basis.append(v)

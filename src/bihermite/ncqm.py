@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import FLOAT_TOL, Coeff, close, rational_sqrt
+from .coeffs import FLOAT_TOL, Coeff, I, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .lie import basis_change, bilinear_generators, rescale
 from .poly import BiPoly
@@ -67,8 +67,9 @@ def _qp_from_canonical(theta, gamma, branch: int) -> dict[str, WeylOp]:
         root = kappa**0.5
     c = (1 + branch * root) / 2
     d = (1 - branch * root) / theta
-    qp = position_momentum_ops(exact=exact)
-    q1, q2, p1, p2 = qp["q1"], qp["q2"], qp["p1"], qp["p2"]
+    # the canonical pairs are exact: carry them to the parameters' backend
+    qp = position_momentum_ops()
+    q1, q2, p1, p2 = (qp[name] * theta**0 for name in ("q1", "q2", "p1", "p2"))
     half_theta = theta / 2
     return {
         "Q1": q1 - p2 * half_theta,
@@ -106,9 +107,10 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
     backend when a parameter is a float.
 
     Always includes the bare ladder operators, canonical q/p pairs, and the
-    undeformed bilinears J1..J4.  With alpha it adds the deformed ladder set,
+    undeformed bilinears J1..J4, which hold no parameter and are exact on
+    both backends.  With alpha it adds the deformed ladder set,
     the deformed bilinears, Q/P built from them, and the X/Y (and, away from
-    theta = 1, rescaled Z) bases.  With (theta, gamma) it adds Q/P from the
+    theta = +-1, rescaled Z) bases.  With (theta, gamma) it adds Q/P from the
     canonical substitution on the requested sign branch, plus the derived
     A_i = (Q_i + i P_i)/sqrt2 pairs.
     """
@@ -122,8 +124,8 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
         "ad1": WeylOp.adag(1),
         "ad2": WeylOp.adag(2),
     }
-    ops.update(position_momentum_ops(exact=exact))
-    ops.update(bilinear_generators(exact=exact).items())
+    ops.update(position_momentum_ops())
+    ops.update(bilinear_generators().items())
     params: dict = {"exact": exact}
 
     if point is not None:
@@ -145,20 +147,16 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
                 "Ad2": rai2,
             }
         )
-        q1, p1 = _qp_from_ladders(low1, rai1, exact)
-        q2, p2 = _qp_from_ladders(low2, rai2, exact)
+        q1, p1 = _qp_from_ladders(low1, rai1)
+        q2, p2 = _qp_from_ladders(low2, rai2)
         ops.update({"Q1": q1, "P1": p1, "Q2": q2, "P2": p2})
         jbasis = bilinear_generators(point)
         ops.update({f"{name}_alpha": op for name, op in jbasis.items()})
         xbasis = basis_change(jbasis)
         ops.update(dict(zip(xbasis.names, xbasis.ops)))
-        if point.theta != 1:
-            try:
-                zbasis = rescale(xbasis)
-            except ValueError:
-                pass  # irrational rescale factor on the exact backend
-            else:
-                ops.update(dict(zip(zbasis.names, zbasis.ops)))
+        if point.theta * point.theta != 1:  # rescale is singular at theta = +-1
+            zbasis = rescale(xbasis)
+            ops.update(dict(zip(zbasis.names, zbasis.ops)))
         return OperatorDictionary(ops, params)
 
     if theta is not None or gamma is not None:
@@ -167,12 +165,11 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
         params.update({"theta": str(theta), "gamma": str(gamma), "branch": branch})
         qp = _qp_from_canonical(theta, gamma, branch)
         ops.update(qp)
-        half_rt2 = Coeff(0, 0, Fraction(1, 2), exact=exact)
-        i_unit = Coeff(0, 1, exact=exact)
+        half_rt2 = Coeff(0, 0, Fraction(1, 2))
         for mode in (1, 2):
             q, p = qp[f"Q{mode}"], qp[f"P{mode}"]
-            ops[f"A{mode}"] = (q + p * i_unit) * half_rt2
-            ops[f"Ad{mode}"] = (q - p * i_unit) * half_rt2
+            ops[f"A{mode}"] = (q + p * I) * half_rt2
+            ops[f"Ad{mode}"] = (q - p * I) * half_rt2
         return OperatorDictionary(ops, params)
 
     return OperatorDictionary(ops, params)
@@ -192,9 +189,10 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     g = alpha_matrix(point)
     a1, a2 = deformed_lowering(g)
     ad1, ad2 = deformed_raising(g)
-    one = WeylOp.one(exact=point.exact)
+    # the expected values are printed on the point's backend
+    one = WeylOp.scalar(point.theta**0)
     zero = WeylOp.zero()
-    itheta = WeylOp.scalar(Coeff(0, 1, exact=point.exact) * point.theta_coeff())
+    itheta = WeylOp.scalar(I * point.theta_coeff())
     checks = [
         _check("[a1_alpha, ad1_alpha] == 1", commutator(a1, ad1), one),
         _check("[a2_alpha, ad2_alpha] == 1", commutator(a2, ad2), one),
@@ -204,7 +202,7 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
         _check("[a2_alpha, ad1_alpha] == -i*theta", commutator(a2, ad1), -itheta),
     ]
     for name, lowering in (("a1_alpha", a1), ("a2_alpha", a2)):
-        image = lowering.apply(BiPoly.one(exact=point.exact))
+        image = lowering.apply(BiPoly.one())
         ok_vac = close(image, BiPoly.zero())
         checks.append({"relation": f"vacuum: {name}(1) == 0", "ok": ok_vac, "got": image.pretty()})
     return Report.verdict(
@@ -222,8 +220,9 @@ def qp_representation_suite(theta, gamma) -> Report:
     theta == gamma the derived A_i also satisfy the modified-boson relations.
     """
     exact = _exact_params(theta, gamma)
-    i_unit = Coeff(0, 1, exact=exact)
-    th, ga = Coeff(theta, exact=exact), Coeff(gamma, exact=exact)
+    th, ga = (Coeff.lift(Fraction(x) if exact else float(x)) for x in (theta, gamma))
+    # the expected values are printed on the parameters' backend
+    i_unit = I * th**0
     zero = WeylOp.zero()
     checks = []
     for branch in (1, -1):
@@ -240,7 +239,7 @@ def qp_representation_suite(theta, gamma) -> Report:
         ]
         if th == ga:
             a1, a2, ad1, ad2 = d["A1"], d["A2"], d["Ad1"], d["Ad2"]
-            one = WeylOp.one(exact=exact)
+            one = WeylOp.scalar(th**0)
             checks += [
                 _check(tag + "[A1, Ad1] == 1", commutator(a1, ad1), one),
                 _check(tag + "[A2, Ad2] == 1", commutator(a2, ad2), one),

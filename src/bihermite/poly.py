@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coeffs import Coeff
+from .coeffs import ONE, ZERO, Coeff
 
 __all__ = [
     "SparseMap",
@@ -79,8 +79,8 @@ class SparseMap:
         return cls()
 
     @classmethod
-    def one(cls, exact=True):
-        return cls({(0,) * len(cls.KEYS): Coeff(1, exact=exact)})
+    def one(cls):
+        return cls({(0,) * len(cls.KEYS): ONE})
 
     # -- linear structure ---------------------------------------------------
 
@@ -127,9 +127,6 @@ class SparseMap:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_exact(self) -> bool:
-        return all(c.exact for c in self.terms.values())
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -298,21 +295,22 @@ def inner_product(p: BiPoly, q: BiPoly) -> Coeff:
 
     Monomial rule: <z^a zbar^b, z^c zbar^d> = (a+d)! when b+c == a+d, else 0.
     Only terms with matching a-b == c-d can pair, so terms are bucketed by
-    that difference.
+    that difference.  The sum starts from the first pairing product, so it
+    is on the polynomials' backend; with no pairing it is the exact ZERO.
     """
-    exact = p.is_exact() and q.is_exact()
     buckets = defaultdict(list)
     for (c, d), qc in q.terms.items():
         buckets[c - d].append((d, qc))
-    acc = Coeff(0, exact=exact)
+    acc = None
     for (a, b), pc in p.terms.items():
         hits = buckets.get(a - b)
         if not hits:
             continue
         pconj = pc.conj()
         for d, qc in hits:
-            acc = acc + pconj * qc * factorial(a + d)
-    return acc
+            v = pconj * qc * factorial(a + d)
+            acc = v if acc is None else acc + v
+    return ZERO if acc is None else acc
 
 
 def gaussian_moment(n: int) -> Fraction:
@@ -331,13 +329,14 @@ def real_inner_product(p: RealPoly, q: RealPoly) -> SqrtPiValue:
     used = p.variables_used() | q.variables_used()
     if len(used) > 1:
         raise ValueError("real_inner_product needs univariate inputs in a common variable")
-    acc = Coeff(0, exact=p.is_exact() and q.is_exact())
+    acc = None
     for (a1, a2), pc in p.terms.items():
         for (b1, b2), qc in q.terms.items():
             m = gaussian_moment((a1 + b1) + (a2 + b2))
             if m:
-                acc = acc + pc * qc * (m if acc.exact else float(m))
-    return SqrtPiValue(acc, 1)
+                v = pc * qc * m
+                acc = v if acc is None else acc + v
+    return SqrtPiValue(ZERO if acc is None else acc, 1)
 
 
 def _term_str(c, mono: str) -> str:

@@ -104,17 +104,17 @@ def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return a.commutator(b)
 
 
-def _qp_from_ladders(low: WeylOp, raise_: WeylOp, exact: bool) -> tuple[WeylOp, WeylOp]:
-    """(q, p) from a lowering/raising pair: q = (a + ad)/sqrt2, p = (a - ad)/(i sqrt2)."""
-    half_rt2 = Coeff(0, 0, Fraction(1, 2), exact=exact)  # 1/sqrt2
-    neg_i_half_rt2 = Coeff(0, 0, 0, Fraction(-1, 2), exact=exact)  # 1/(i sqrt2)
+def _qp_from_ladders(low: WeylOp, raise_: WeylOp) -> tuple[WeylOp, WeylOp]:
+    """(q, p) = ((a + ad)/sqrt2, (a - ad)/(i sqrt2)) of a lowering/raising pair, on its backend."""
+    half_rt2 = Coeff(0, 0, Fraction(1, 2))  # 1/sqrt2
+    neg_i_half_rt2 = Coeff(0, 0, 0, Fraction(-1, 2))  # 1/(i sqrt2)
     return (low + raise_) * half_rt2, (low - raise_) * neg_i_half_rt2
 
 
-def position_momentum_ops(exact=True) -> dict[str, WeylOp]:
-    """Canonical pairs q_i = (a_i + ad_i)/sqrt2, p_i = (a_i - ad_i)/(i sqrt2)."""
+def position_momentum_ops() -> dict[str, WeylOp]:
+    """Canonical pairs q_i = (a_i + ad_i)/sqrt2, p_i = (a_i - ad_i)/(i sqrt2), exact."""
     ops = {}
     for mode in (1, 2):
         a, ad = WeylOp.a(mode), WeylOp.adag(mode)
-        ops[f"q{mode}"], ops[f"p{mode}"] = _qp_from_ladders(a, ad, exact)
+        ops[f"q{mode}"], ops[f"p{mode}"] = _qp_from_ladders(a, ad)
     return ops

@@ -59,6 +59,13 @@ def test_nonfinite_entry_rejected(entry):
         GL2(entry, 0.0, 0.0, 1.0)
 
 
+def test_exact_entry_beyond_float_range_rejected_among_float_entries():
+    # a matrix with a float entry computes in float, where 10**400 overflows
+    with pytest.raises(ValueError, match="not a finite number"):
+        GL2(10**400, 1.0, 0.0, 1.0)
+    assert GL2(10**400, 0, 0, 1).det == 10**400
+
+
 def test_alpha_matrix_values():
     assert G_ALPHA.g11 == Coeff(F(3, 5))
     assert G_ALPHA.g12 == Coeff(0, F(4, 5))

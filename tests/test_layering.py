@@ -88,15 +88,10 @@ def test_cli_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-# constructors of constants, which have no input to read a backend off
-TAKES_EXACT = {
-    "Coeff",
-    "parse_coeff",
-    "one",
-    "identity",
-    "position_momentum_ops",
-    "bilinear_generators",
-}
+# the scalar constructor and the parser: below the command line every other
+# routine reads the backend off its values, and exact ZERO and ONE are
+# neutral on both backends
+TAKES_EXACT = {"Coeff", "parse_coeff"}
 
 
 def _public_parameters():
@@ -125,3 +120,20 @@ def test_options_census():
     assert [q for q, ps in params if any("tol" in p for p in ps)] == []
     takes_exact = {q for q, ps in params if "exact" in ps}
     assert {q.rsplit(".", 1)[-1] for q in takes_exact} == TAKES_EXACT, sorted(takes_exact)
+
+
+def test_only_coeffs_and_the_cli_handle_an_exact_flag():
+    """No function below the command line takes `exact` or passes `exact=`."""
+    found = []
+    for name, tree in _parse_package().items():
+        if name in ("coeffs", "cli"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a]
+                found += [f"{name}:{node.lineno} def" for a in params if a.arg == "exact"]
+            elif isinstance(node, ast.Call):
+                found += [f"{name}:{node.lineno} call" for k in node.keywords if k.arg == "exact"]
+    assert found == []

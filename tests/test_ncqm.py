@@ -153,6 +153,18 @@ def test_build_dictionary_alpha_route():
     assert commutator(d["P1"], d["P2"]) == WeylOp.scalar(Coeff(0, F(24, 25)))
 
 
+@pytest.mark.parametrize(
+    "alpha, rescaled",
+    [(0.5**0.5, False), (-(0.5**0.5), False), (F(3, 5), True), (F(-20, 29), True), (0.6, True)],
+    ids=str,
+)
+def test_build_dictionary_has_the_rescaled_basis_away_from_theta_one(alpha, rescaled):
+    # theta = 1 and theta = -1 (alpha = +-1/sqrt2) are where rescale is singular
+    d = build_dictionary(alpha=alpha)
+    assert all(name in d for name in ("X1", "X2", "X3", "Y"))
+    assert [name in d for name in ("Z1", "Z2", "Z3")] == [rescaled] * 3
+
+
 def test_build_dictionary_entries_rederivable():
     d = build_dictionary(alpha=F(3, 5))
     d2 = build_dictionary(alpha=F(3, 5))
