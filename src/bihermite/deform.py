@@ -30,7 +30,7 @@ from math import comb, factorial
 from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
-from .poly import BiPoly, inner_product
+from .poly import BiPoly, gram
 from .report import Report
 from .weyl import WeylOp
 
@@ -338,11 +338,29 @@ class LevelBasis:
 
 
 def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
+    """The undeformed level-L family, or the deformed one of g.
+
+    Hg[k, L-k] is sum_r M[r,k] H[r, L-r], column k of M(g, L) over the
+    hermite_sum basis.  Each H[r, L-r] holds only keys with z-degree minus
+    zbar-degree 2r - L, so the terms of the sum never meet and each is one
+    product.  deformed_hermite's operator powers are the independent route.
+    """
+    if L < 0:
+        raise ValueError("level must be nonnegative")
     indices = [(L - j, j) for j in range(L + 1)]
-    if g is None:
-        polys = [hermite_sum(m, n) for m, n in indices]
-    else:
-        polys = [deformed_hermite(g, m, n) for m, n in indices]
+    polys = [hermite_sum(m, n) for m, n in indices]
+    if g is not None:
+        M = rep_matrix(g, L)
+        basis = polys[::-1]  # basis[r] = H[r, L-r]
+        polys = []
+        for k, _ in indices:
+            terms = {}
+            for r, h in enumerate(basis):
+                m = M[r, k]
+                if m:
+                    for key, c in h.terms.items():
+                        terms[key] = m * c
+            polys.append(basis[0]._like(terms))
     return LevelBasis(L, indices, polys, [normalizer_sq(m, n) for m, n in indices])
 
 
@@ -355,12 +373,13 @@ def rep_action_check(g: GL2, L: int) -> Report:
     reconstruct the polynomial exactly (level invariance)."""
     M = rep_matrix(g, L)
     basis = [hermite_sum(r, L - r) for r in range(L + 1)]
+    family = [deformed_hermite(g, k, L - k) for k in range(L + 1)]
+    products = gram(basis, family)
     mismatches = []
-    for k in range(L + 1):
-        hg = deformed_hermite(g, k, L - k)
+    for k, hg in enumerate(family):
         recon = BiPoly.zero()
         for r in range(L + 1):
-            coord = inner_product(basis[r], hg) / normalizer_sq(r, L - r)
+            coord = products[r][k] / normalizer_sq(r, L - r)
             if not close(coord, M[r, k]):
                 mismatches.append(
                     {"r": r, "k": k, "coordinate": str(coord), "matrix_entry": str(M[r, k])}
@@ -419,22 +438,19 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     _check_lmax(Lmax)
     g_dual = g.conj_transpose().inverse()
     levels = range(Lmax + 1)
-    built = [(level_basis(L, g_dual), level_basis(L, g)) for L in levels]
+    duals = [level_basis(L, g_dual) for L in levels]
+    fams = [level_basis(L, g) for L in levels]
+    products = gram([p for d in duals for p in d.polys], [p for f in fams for p in f.polys])
     violations = []
     pairs = 0
     for L in levels:
-        duals = built[L][0]
         for M in levels:
-            fams = built[M][1]
             for n in range(L + 1):
+                row = products[L * (L + 1) // 2 + n]  # levels below L hold L(L+1)/2 polys
                 for k in range(M + 1):
                     pairs += 1
-                    got = inner_product(duals.polys[n], fams.polys[k])
-                    want = (
-                        Coeff(duals.norm_sq[n])
-                        if (L == M and n == k)
-                        else Coeff(0)
-                    )
+                    got = row[M * (M + 1) // 2 + k]
+                    want = Coeff(duals[L].norm_sq[n]) if (L == M and n == k) else Coeff(0)
                     if not close(got, want):
                         violations.append(
                             {

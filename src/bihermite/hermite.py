@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .coeffs import Coeff
-from .poly import BiPoly, RealPoly, SparseMap, _convolve, inner_product, real_inner_product
+from .poly import BiPoly, RealPoly, SparseMap, _convolve, gram, real_inner_product
 from .report import Report
 from .weyl import WeylOp
 
@@ -237,11 +237,10 @@ def orthonormality_check(Lmax: int) -> Report:
     _check_lmax(Lmax)
     table = HermiteTable(Lmax)
     keys = table.ordered_keys()
+    polys = [table[key] for key in keys]
     violations = []
-    for m, n in keys:
-        p = table[(m, n)]
-        for k, l in keys:
-            got = inner_product(p, table[(k, l)])
+    for (m, n), row in zip(keys, gram(polys, polys)):
+        for (k, l), got in zip(keys, row):
             want = Coeff(normalizer_sq(m, n)) if (m, n) == (k, l) else Coeff(0)
             if got != want:
                 violations.append(

@@ -26,6 +26,7 @@ __all__ = [
     "BiPoly",
     "RealPoly",
     "SqrtPiValue",
+    "gram",
     "inner_product",
     "real_inner_product",
 ]
@@ -290,27 +291,41 @@ class SqrtPiValue:
         return self.coeff.to_complex().real * math.pi ** (self.sqrt_pi_power / 2)
 
 
-def inner_product(p: BiPoly, q: BiPoly) -> Coeff:
-    """Gaussian inner product <p, q>, conjugate linear in the first slot.
+def gram(ps, qs) -> list:
+    """Matrix of Gaussian inner products <p, q> for p in ps (rows) and q in
+    qs (columns), conjugate linear in the first slot.
 
     Monomial rule: <z^a zbar^b, z^c zbar^d> = (a+d)! when b+c == a+d, else 0.
-    Only terms with matching a-b == c-d can pair, so terms are bucketed by
-    that difference.  The sum starts from the first pairing product, so it
-    is on the polynomials' backend; with no pairing it is the exact ZERO.
+    Only terms with matching a-b == c-d can pair, so each q's terms are
+    bucketed by that difference and each p's terms conjugated, once for the
+    whole matrix.  An entry is summed over p's terms in order, each against
+    its bucket in order, starting from the first pairing product, so it is on
+    the polynomials' backend; with no pairing it is the exact ZERO.
     """
-    buckets = defaultdict(list)
-    for (c, d), qc in q.terms.items():
-        buckets[c - d].append((d, qc))
-    acc = None
-    for (a, b), pc in p.terms.items():
-        hits = buckets.get(a - b)
-        if not hits:
-            continue
-        pconj = pc.conj()
-        for d, qc in hits:
-            v = pconj * qc * factorial(a + d)
-            acc = v if acc is None else acc + v
-    return ZERO if acc is None else acc
+    buckets = []
+    for q in qs:
+        by_diff = defaultdict(list)
+        for (c, d), qc in q.terms.items():
+            by_diff[c - d].append((d, qc))
+        buckets.append(by_diff)
+    conjugated = [[(a - b, a, pc.conj()) for (a, b), pc in p.terms.items()] for p in ps]
+    rows = []
+    for terms in conjugated:
+        row = []
+        for by_diff in buckets:
+            acc = None
+            for diff, a, pconj in terms:
+                for d, qc in by_diff.get(diff, ()):
+                    v = pconj * qc * factorial(a + d)
+                    acc = v if acc is None else acc + v
+            row.append(ZERO if acc is None else acc)
+        rows.append(row)
+    return rows
+
+
+def inner_product(p: BiPoly, q: BiPoly) -> Coeff:
+    """Gaussian inner product <p, q>: the one entry of gram([p], [q])."""
+    return gram([p], [q])[0][0]
 
 
 def gaussian_moment(n: int) -> Fraction:

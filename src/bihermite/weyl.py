@@ -88,16 +88,42 @@ class WeylOp(SparseMap):
 
     def apply(self, p: BiPoly) -> BiPoly:
         """Act on a polynomial via a1 = d/dz, ad1 = z - d/dzbar, and mode-2 mirror."""
-        z, zbar = BiPoly.z(), BiPoly.zbar()
         total = BiPoly.zero()
         for (c1, c2, d1, d2), c in self.terms.items():
             q = p.diff("z", d1).diff("zbar", d2)
             for _ in range(c2):
-                q = zbar * q - q.diff("z")
+                q = _raise(q, 2)
             for _ in range(c1):
-                q = z * q - q.diff("zbar")
+                q = _raise(q, 1)
             total = total + q * c
         return total
+
+
+def _raise(q: BiPoly, mode: int) -> BiPoly:
+    """ad1 q = z q - dq/dzbar or ad2 q = zbar q - dq/dz, in one pass over q's
+    terms: under ad1, c z^a zbar^b adds c at (a+1, b) and -b c at (a, b-1);
+    ad2 mirrors it.  The raised keys are distinct, and so are the
+    differentiated ones, so each key sums at most two contributions, and the
+    terms come out in the order of z q - dq/dzbar."""
+    out = {}
+    lowered = []
+    for (a, b), c in q.terms.items():
+        if mode == 1:
+            out[(a + 1, b)] = c
+            if b:
+                lowered.append(((a, b - 1), c * -b))
+        else:
+            out[(a, b + 1)] = c
+            if a:
+                lowered.append(((a - 1, b), c * -a))
+    for key, v in lowered:
+        s = out.get(key)
+        s = v if s is None else s + v
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return q._like(out)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:

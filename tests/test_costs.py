@@ -140,6 +140,13 @@ def test_rep_matrix_products_at_level_twelve():
     assert 0 < calls[0] <= 1500  # 7,412 with powers formed per term
 
 
+def test_level_basis_products_at_level_twelve():
+    g = alpha_matrix(POINT)
+    with counted_products() as calls:
+        level_basis(12, g)
+    assert 0 < calls[0] <= 2500  # 10,283 by operator powers applied to 1
+
+
 def test_jacobi_products_on_the_alpha_tables():
     jbasis = bilinear_generators(POINT)
     tables = [structure_constants(b) for b in (jbasis, basis_change(jbasis))]

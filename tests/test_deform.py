@@ -173,6 +173,43 @@ def test_level_basis_order():
     assert basis.norm_sq == [6, 2, 2, 6]
 
 
+@pytest.mark.parametrize("g", [None, G_ALPHA], ids=["undeformed", "deformed"])
+def test_negative_level_rejected(g):
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        level_basis(-1, g)
+
+
+def _family_by_operator_powers(g, L):
+    return [deformed_hermite(g, m, n) for m, n in level_basis(L).indices]
+
+
+FAMILY_MATRICES = [
+    *(rational_gl2(random.Random(seed)) for seed in (101, 102, 103)),
+    GL2(Coeff(1, 1), 2, Coeff(0, 0, 1), Coeff(3, -1)),  # [[1+i, 2], [sqrt2, 3-i]]
+    G_ALPHA,
+]
+
+
+@pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
+def test_level_basis_is_the_operator_power_family(g):
+    # the M(g, L) route against the WeylOp powers it replaced, term for term
+    g_dual = g.conj_transpose().inverse()
+    for L in range(9):
+        assert level_basis(L, g).polys == _family_by_operator_powers(g, L)
+        assert dual_family(g, L).basis.polys == _family_by_operator_powers(g_dual, L)
+
+
+@pytest.mark.parametrize("g", FAMILY_MATRICES[::2], ids=["qi-101", "qi-103", "alpha"])
+def test_float_level_basis_is_close_to_the_operator_power_family(g):
+    gf = _float_gl2(g)
+    gf_dual = gf.conj_transpose().inverse()
+    for L in range(9):
+        fast = level_basis(L, gf).polys
+        assert all(not c.exact for p in fast for c in p.terms.values())
+        assert close(fast, _family_by_operator_powers(gf, L))
+        assert close(dual_family(gf, L).basis.polys, _family_by_operator_powers(gf_dual, L))
+
+
 def test_dual_family_identity():
     fam = dual_family(GL2.identity(), 2)
     assert fam.g_dual == GL2.identity()

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 
 from bihermite.coeffs import Coeff
-from bihermite.poly import BiPoly, RealPoly, SqrtPiValue, inner_product, real_inner_product
+from bihermite.poly import BiPoly, RealPoly, SqrtPiValue, gram, inner_product, real_inner_product
 
 from conftest import bipolys
 
@@ -65,6 +67,68 @@ def test_inner_product_conjugate_linearity():
     p, q = Z + ONE, ZB - ONE
     assert inner_product(p * i, q) == inner_product(p, q) * (-i)
     assert inner_product(p, q * i) == inner_product(p, q) * i
+
+
+def naive_inner(p: BiPoly, q: BiPoly, exact: bool):
+    """Independent all-pairs moment-rule oracle: (re, im) Fractions when
+    exact, a Python complex otherwise; None when no pair of terms pairs."""
+    out = None
+    for (a, b), cp in p.terms.items():
+        for (c, d), cq in q.terms.items():
+            if b + c != a + d:
+                continue
+            f = factorial(a + d)
+            if exact:
+                # conj(cp) * cq * (a+d)!
+                re = (cp.re * cq.re + cp.im * cq.im) * f
+                im = (cp.re * cq.im - cp.im * cq.re) * f
+                out = (re, im) if out is None else (out[0] + re, out[1] + im)
+            else:
+                v = complex(cp.re, cp.im).conjugate() * complex(cq.re, cq.im) * f
+                out = v if out is None else out + v
+    return out
+
+
+def random_bipoly(rng: random.Random, exact: bool) -> BiPoly:
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        key = (rng.randint(0, 4), rng.randint(0, 4))
+        re, im = F(rng.randint(-5, 5), rng.randint(1, 4)), F(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[key] = Coeff(re, im) if exact else Coeff(float(re), float(im), exact=False)
+    return BiPoly(terms)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_matches_all_pairs_oracle(exact, seed):
+    rng = random.Random(seed)
+    ps = [random_bipoly(rng, exact) for _ in range(rng.randint(1, 5))] + [BiPoly.zero()]
+    qs = [random_bipoly(rng, exact) for _ in range(rng.randint(1, 5))] + [BiPoly.zero(), ps[0]]
+    rng.shuffle(ps)
+    # <p, p> of a nonzero p pairs; the zero polynomial pairs with nothing
+    rows = gram(ps, qs)
+    assert len(rows) == len(ps) and all(len(row) == len(qs) for row in rows)
+    unpaired = paired = 0
+    for p, row in zip(ps, rows):
+        for q, got in zip(qs, row):
+            assert inner_product(p, q) == got
+            want = naive_inner(p, q, exact)
+            if want is None:
+                unpaired += 1
+                assert got.exact and got == Coeff(0)
+            elif exact:
+                paired += 1
+                assert got.exact and (got.re, got.im, got.re2, got.im2) == (*want, 0, 0)
+            else:
+                paired += 1
+                assert not got.exact
+                assert abs(got.to_complex() - want) <= 1e-12 * max(1.0, abs(want))
+    assert unpaired and paired
+
+
+def test_gram_of_empty_lists():
+    assert gram([], [ONE, Z]) == []
+    assert gram([ONE, Z], []) == [[], []]
 
 
 def test_conjugate_swaps_variables():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -123,6 +124,41 @@ def test_product_associative(a, b, c):
 @settings(max_examples=40)
 def test_representation_faithful(a, b, p):
     assert (a * b).apply(p) == a.apply(b.apply(p))
+
+
+def composed_apply(op: WeylOp, p: BiPoly) -> BiPoly:
+    """The raising steps as polynomial arithmetic: z q - dq/dzbar for ad1 and
+    zbar q - dq/dz for ad2, after the lowering derivatives."""
+    z, zbar = BiPoly.z(), BiPoly.zbar()
+    total = BiPoly.zero()
+    for (c1, c2, d1, d2), c in op.terms.items():
+        q = p.diff("z", d1).diff("zbar", d2)
+        for _ in range(c2):
+            q = zbar * q - q.diff("z")
+        for _ in range(c1):
+            q = z * q - q.diff("zbar")
+        total = total + q * c
+    return total
+
+
+def _random_coeff(rng, exact):
+    re, im = F(rng.randint(-6, 6), rng.randint(1, 5)), F(rng.randint(-6, 6), rng.randint(1, 5))
+    return Coeff(re, im) if exact else Coeff(float(re), float(im), exact=False)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", range(5))
+def test_apply_matches_the_composed_raising_route(exact, seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        words = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(rng.randint(1, 4))]
+        op = WeylOp({w: _random_coeff(rng, exact) for w in words})
+        p = BiPoly(
+            {(rng.randint(0, 4), rng.randint(0, 4)): _random_coeff(rng, exact) for _ in range(5)}
+        )
+        got, want = op.apply(p), composed_apply(op, p)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
 
 
 @given(invertible_gl2)
