@@ -3,121 +3,24 @@ biorthogonal families, their level representation matrices, and a
 normal-ordered two-boson operator algebra with noncommutative
 quantum-mechanics verification suites."""
 
-from .coeffs import FLOAT_TOL, Coeff, close, parse_coeff, rational_sqrt
-from .deform import (
-    GL2,
-    AlphaPoint,
-    DualFamily,
-    LevelBasis,
-    RepMatrix,
-    alpha_matrix,
-    biorthogonality_check,
-    deformed_generating_series,
-    deformed_hermite,
-    deformed_lowering,
-    deformed_raising,
-    dual_family,
-    dual_matrix_scaling_check,
-    eigenvalue_structure_check,
-    intertwine_check,
-    level_basis,
-    monomial_to_hermite,
-    rep_action_check,
-    rep_matrix,
-)
-from .hermite import (
-    HermiteTable,
-    SeriesTruncation,
-    generating_series_complex,
-    generating_series_real,
-    hermite_operator,
-    hermite_rodrigues,
-    hermite_sum,
-    normalizer_sq,
-    orthonormality_check,
-    real_hermite,
-    real_orthogonality_check,
-)
-from .lie import (
-    LieBasisSet,
-    StructureConstants,
-    basis_change,
-    bilinear_generators,
-    classify,
-    lie_report,
-    rescale,
-    structure_constants,
-    theta_one_limit_table,
-)
-from .ncqm import (
-    OperatorDictionary,
-    build_dictionary,
-    ncqm_commutator_suite,
-    qp_representation_suite,
-)
-from .poly import BiPoly, RealPoly, SqrtPiValue, gram, inner_product, real_inner_product
-from .report import Report
-from .weyl import WeylOp, commutator, position_momentum_ops
+from .coeffs import *
+from .deform import *
+from .hermite import *
+from .lie import *
+from .ncqm import *
+from .poly import *
+from .report import *
+from .weyl import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaPoint",
-    "BiPoly",
-    "Coeff",
-    "DualFamily",
-    "FLOAT_TOL",
-    "GL2",
-    "HermiteTable",
-    "LevelBasis",
-    "LieBasisSet",
-    "OperatorDictionary",
-    "RealPoly",
-    "RepMatrix",
-    "Report",
-    "SeriesTruncation",
-    "SqrtPiValue",
-    "StructureConstants",
-    "WeylOp",
-    "alpha_matrix",
-    "basis_change",
-    "bilinear_generators",
-    "biorthogonality_check",
-    "build_dictionary",
-    "classify",
-    "close",
-    "commutator",
-    "deformed_generating_series",
-    "deformed_hermite",
-    "deformed_lowering",
-    "deformed_raising",
-    "dual_family",
-    "dual_matrix_scaling_check",
-    "eigenvalue_structure_check",
-    "generating_series_complex",
-    "generating_series_real",
-    "gram",
-    "hermite_operator",
-    "hermite_rodrigues",
-    "hermite_sum",
-    "inner_product",
-    "intertwine_check",
-    "level_basis",
-    "lie_report",
-    "monomial_to_hermite",
-    "ncqm_commutator_suite",
-    "normalizer_sq",
-    "orthonormality_check",
-    "parse_coeff",
-    "position_momentum_ops",
-    "qp_representation_suite",
-    "rational_sqrt",
-    "real_hermite",
-    "real_inner_product",
-    "real_orthogonality_check",
-    "rep_action_check",
-    "rep_matrix",
-    "rescale",
-    "structure_constants",
-    "theta_one_limit_table",
-]
+__all__ = (
+    coeffs.__all__
+    + deform.__all__
+    + hermite.__all__
+    + lie.__all__
+    + ncqm.__all__
+    + poly.__all__
+    + report.__all__
+    + weyl.__all__
+)

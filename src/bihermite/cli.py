@@ -215,10 +215,8 @@ def _verify_repmat(args) -> Report:
             "product": close((Mg @ Mh).entries, rep_matrix(g @ h, L).entries),
             "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),
             "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
+            "action": rep_action_check(g, L).ok,
         }
-        action = rep_action_check(g, L)
-        if not action.ok:
-            checks["action"] = False
         for name, ok in checks.items():
             if not ok:
                 failures.append({"L": L, "law": name})

@@ -56,18 +56,7 @@ import sys
 from fractions import Fraction
 from math import gcd as _gcd
 
-__all__ = [
-    "Coeff",
-    "FLOAT_TOL",
-    "backend_tol",
-    "close",
-    "rational_sqrt",
-    "parse_coeff",
-    "ZERO",
-    "ONE",
-    "I",
-    "SQRT2",
-]
+__all__ = ["Coeff", "FLOAT_TOL", "close", "rational_sqrt", "parse_coeff"]
 
 _SQRT2 = math.sqrt(2.0)
 

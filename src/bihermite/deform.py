@@ -341,16 +341,24 @@ def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
     """The undeformed level-L family, or the deformed one of g.
 
     Hg[k, L-k] is sum_r M[r,k] H[r, L-r], column k of M(g, L) over the
-    hermite_sum basis.  Each H[r, L-r] holds only keys with z-degree minus
-    zbar-degree 2r - L, so the terms of the sum never meet and each is one
-    product.  deformed_hermite's operator powers are the independent route.
+    hermite_sum basis.  deformed_hermite's operator powers are the
+    independent route, which rep_action_check compares with this one.
     """
     if L < 0:
         raise ValueError("level must be nonnegative")
+    return _level_basis(L, None if g is None else rep_matrix(g, L))
+
+
+def _level_basis(L: int, M: RepMatrix | None) -> LevelBasis:
+    """The level-L family Hg[k, L-k] = sum_r M[r,k] H[r, L-r] of the level
+    matrix M, or the undeformed family when M is None.
+
+    Each H[r, L-r] holds only keys with z-degree minus zbar-degree 2r - L,
+    so the terms of the sum never meet and each is one product.
+    """
     indices = [(L - j, j) for j in range(L + 1)]
     polys = [hermite_sum(m, n) for m, n in indices]
-    if g is not None:
-        M = rep_matrix(g, L)
+    if M is not None:
         basis = polys[::-1]  # basis[r] = H[r, L-r]
         polys = []
         for k, _ in indices:
@@ -365,28 +373,16 @@ def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
 
 
 def rep_action_check(g: GL2, L: int) -> Report:
-    """Certify the index convention: expanding each deformed Hg[k, L-k] over
-    the undeformed scaled basis reproduces column k of M(g, L).
+    """Certify the index convention: each deformed Hg[k, L-k], raised by
+    operator powers, equals sum_r M[r,k] H[r, L-r] from level_basis.
 
-    Coordinates are taken with exact inner products, coord_r =
-    <H[r, L-r], Hg[k, L-k]> / (r! (L-r)!), and the expansion must also
-    reconstruct the polynomial exactly (level invariance)."""
-    M = rep_matrix(g, L)
-    basis = [hermite_sum(r, L - r) for r in range(L + 1)]
-    family = [deformed_hermite(g, k, L - k) for k in range(L + 1)]
-    products = gram(basis, family)
-    mismatches = []
-    for k, hg in enumerate(family):
-        recon = BiPoly.zero()
-        for r in range(L + 1):
-            coord = products[r][k] / normalizer_sq(r, L - r)
-            if not close(coord, M[r, k]):
-                mismatches.append(
-                    {"r": r, "k": k, "coordinate": str(coord), "matrix_entry": str(M[r, k])}
-                )
-            recon = recon + basis[r] * coord
-        if not close(recon, hg):
-            mismatches.append({"k": k, "error": "expansion does not close within the level"})
+    The H[r, L-r] are linearly independent, so equal polynomials mean that
+    column k of M(g, L) holds the coordinates of Hg[k, L-k] over the
+    undeformed scaled basis, and that the level is invariant."""
+    family = level_basis(L, g).polys[::-1]  # family[k] = Hg[k, L-k]
+    mismatches = [
+        {"k": k} for k, p in enumerate(family) if not close(deformed_hermite(g, k, L - k), p)
+    ]
     return Report.verdict(
         not mismatches,
         f"level-{L} matrix action",
@@ -420,12 +416,9 @@ class DualFamily:
 
 def dual_family(g: GL2, L: int) -> DualFamily:
     g_dual = g.conj_transpose().inverse()
+    direct = rep_matrix(g_dual, L)
     return DualFamily(
-        L,
-        g_dual,
-        level_basis(L, g_dual),
-        rep_matrix(g_dual, L),
-        rep_matrix(g, L).adjoint().inverse(),
+        L, g_dual, _level_basis(L, direct), direct, rep_matrix(g, L).adjoint().inverse()
     )
 
 
@@ -583,9 +576,7 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
     for L in range(Lmax + 1):
         M = rep_matrix(g, L)
         for k in range(L + 1):
-            combo = BiPoly.zero()
-            for r in range(L + 1):
-                combo = combo + BiPoly.monomial(r, L - r, M[r, k])
+            combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
             if not close(monomial_to_hermite(combo), deformed_hermite(g, k, L - k)):
                 failures.append({"kind": "operator", "L": L, "k": k})
     return Report.verdict(

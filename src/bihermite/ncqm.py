@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import FLOAT_TOL, Coeff, I, close, rational_sqrt
+from .coeffs import Coeff, I, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .lie import basis_change, bilinear_generators, rescale
 from .poly import BiPoly
@@ -24,13 +24,10 @@ from .report import Report
 from .weyl import WeylOp, _qp_from_ladders, commutator, position_momentum_ops
 
 __all__ = [
-    "AlphaPoint",
-    "alpha_matrix",
     "OperatorDictionary",
     "build_dictionary",
     "ncqm_commutator_suite",
     "qp_representation_suite",
-    "FLOAT_TOL",
 ]
 
 
@@ -43,7 +40,8 @@ def _qp_from_canonical(theta, gamma, branch: int) -> dict[str, WeylOp]:
     """Q_i, P_i from the canonical pairs via the (c, d) substitution.
 
     c = (1 + s sqrt(kappa))/2 and d = (1 - s sqrt(kappa))/theta with
-    kappa = 1 - gamma*theta and branch sign s; gamma == 1/theta is excluded.
+    kappa = 1 - gamma*theta and branch sign s.  kappa must be positive on
+    both backends: at kappa = 0 (gamma == 1/theta) the branches coincide.
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -52,19 +50,16 @@ def _qp_from_canonical(theta, gamma, branch: int) -> dict[str, WeylOp]:
     if not theta:
         raise ValueError("theta must be nonzero")
     kappa = 1 - gamma * theta
-    if exact:
-        if gamma * theta == 1:
-            raise ValueError("gamma = 1/theta is excluded")
-        root = rational_sqrt(kappa)
-        if root is None:
-            raise ValueError(
-                f"sqrt(kappa) is irrational for (theta, gamma) = ({theta}, {gamma}); "
-                "use the float backend"
-            )
-    else:
-        if kappa < 0:
-            raise ValueError("kappa = 1 - gamma*theta must be nonnegative")
-        root = kappa**0.5
+    if not kappa:
+        raise ValueError("gamma = 1/theta is excluded")
+    if kappa < 0:
+        raise ValueError("kappa = 1 - gamma*theta must be nonnegative")
+    root = rational_sqrt(kappa) if exact else kappa**0.5
+    if root is None:
+        raise ValueError(
+            f"sqrt(kappa) is irrational for (theta, gamma) = ({theta}, {gamma}); "
+            "use the float backend"
+        )
     c = (1 + branch * root) / 2
     d = (1 - branch * root) / theta
     # the canonical pairs are exact: carry them to the parameters' backend

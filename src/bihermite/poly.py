@@ -21,15 +21,7 @@ from math import factorial
 
 from .coeffs import ONE, ZERO, Coeff
 
-__all__ = [
-    "SparseMap",
-    "BiPoly",
-    "RealPoly",
-    "SqrtPiValue",
-    "gram",
-    "inner_product",
-    "real_inner_product",
-]
+__all__ = ["BiPoly", "RealPoly", "SqrtPiValue", "gram", "inner_product", "real_inner_product"]
 
 
 class SparseMap:

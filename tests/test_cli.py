@@ -240,6 +240,16 @@ def test_verify_theta_zero_keeps_the_battery(capsys):
     assert code == 2 and "theta" in err
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "gamma, message", [("2", "gamma = 1/theta is excluded"), ("3", "must be nonnegative")]
+)
+def test_verify_qp_validates_kappa_alike_on_both_backends(capsys, backend, gamma, message):
+    # kappa = 1 - gamma*theta at theta = 1/2: zero, then negative
+    code, out, err = run(capsys, "verify", "qp", "--theta", "1/2", "--gamma", gamma, "--backend", backend)
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

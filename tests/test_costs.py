@@ -12,11 +12,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from bihermite import deform
 from bihermite.coeffs import Coeff
 from bihermite.deform import (
     GL2,
     AlphaPoint,
     alpha_matrix,
+    dual_family,
     eigenvalue_structure_check,
     level_basis,
     rep_matrix,
@@ -145,6 +147,23 @@ def test_level_basis_products_at_level_twelve():
     with counted_products() as calls:
         level_basis(12, g)
     assert 0 < calls[0] <= 2500  # 10,283 by operator powers applied to 1
+
+
+def test_dual_family_builds_each_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(g, L):
+        calls.append(g)
+        return rep_matrix(g, L)
+
+    monkeypatch.setattr(deform, "rep_matrix", counting)
+    g = alpha_matrix(POINT)
+    for L in range(5):
+        calls.clear()
+        dual_family(g, L)
+        # one M(g_dual, L) serves the basis and the direct matrix, M(g, L) the
+        # inverse route; 3 calls when the basis built its own M(g_dual, L)
+        assert calls == [g.conj_transpose().inverse(), g]
 
 
 def test_jacobi_products_on_the_alpha_tables():

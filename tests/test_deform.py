@@ -166,6 +166,40 @@ def test_rep_action_convention():
             assert rep.ok, rep.payload
 
 
+def _raise_last_column_of_row_zero(M):
+    rows = [list(row) for row in M.entries]
+    rows[0][-1] = rows[0][-1] + 1
+    return RepMatrix(M.L, rows)
+
+
+# wrong matrices for rep_action_check to catch, and the levels where they differ
+ACTION_MUTANTS = {
+    "one-entry": (lambda g, L: _raise_last_column_of_row_zero(rep_matrix(g, L)), range(5)),
+    "adjoint-matrix": (lambda g, L: rep_matrix(g.conj_transpose(), L), range(1, 5)),
+    "columns-reversed": (
+        lambda g, L: RepMatrix(L, [row[::-1] for row in rep_matrix(g, L).entries]),
+        range(1, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", ACTION_MUTANTS)
+def test_rep_action_check_names_each_wrong_column(monkeypatch, mutant):
+    wrong, levels = ACTION_MUTANTS[mutant]
+    g = rational_gl2(random.Random(13))
+    right = {L: rep_matrix(g, L) for L in range(5)}
+    monkeypatch.setattr(deform, "rep_matrix", wrong)
+    differing = []
+    for L in range(5):
+        pairs = zip(zip(*right[L].entries), zip(*wrong(g, L).entries))
+        bad = [k for k, (want, got) in enumerate(pairs) if want != got]
+        rep = rep_action_check(g, L)
+        assert rep.ok == (not bad) and rep.payload["mismatches"] == [{"k": k} for k in bad]
+        if bad:
+            differing.append(L)
+    assert differing == list(levels)
+
+
 def test_level_basis_order():
     basis = level_basis(3)
     assert basis.indices == [(3, 0), (2, 1), (1, 2), (0, 3)]

@@ -1,8 +1,10 @@
 """Package layering: every intra-package import is top-level and acyclic,
-the library loads no numpy, and the public options stay few."""
+the library loads no numpy, the public names are declared once, and the
+public options stay few."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -137,3 +139,56 @@ def test_only_coeffs_and_the_cli_handle_an_exact_flag():
             elif isinstance(node, ast.Call):
                 found += [f"{name}:{node.lineno} call" for k in node.keywords if k.arg == "exact"]
     assert found == []
+
+
+PUBLIC_NAMES = {
+    "AlphaPoint", "BiPoly", "Coeff", "DualFamily", "FLOAT_TOL", "GL2", "HermiteTable",
+    "LevelBasis", "LieBasisSet", "OperatorDictionary", "RealPoly", "RepMatrix", "Report",
+    "SeriesTruncation", "SqrtPiValue", "StructureConstants", "WeylOp", "alpha_matrix",
+    "basis_change", "bilinear_generators", "biorthogonality_check", "build_dictionary",
+    "classify", "close", "commutator", "deformed_generating_series", "deformed_hermite",
+    "deformed_lowering", "deformed_raising", "dual_family", "dual_matrix_scaling_check",
+    "eigenvalue_structure_check", "generating_series_complex", "generating_series_real",
+    "gram", "hermite_operator", "hermite_rodrigues", "hermite_sum", "inner_product",
+    "intertwine_check", "level_basis", "lie_report", "monomial_to_hermite",
+    "ncqm_commutator_suite", "normalizer_sq", "orthonormality_check", "parse_coeff",
+    "position_momentum_ops", "qp_representation_suite", "rational_sqrt", "real_hermite",
+    "real_inner_product", "real_orthogonality_check", "rep_action_check", "rep_matrix",
+    "rescale", "structure_constants", "theta_one_limit_table",
+}  # fmt: skip
+
+
+def test_package_all_is_the_module_lists():
+    """bihermite re-exports its modules' __all__ with `from .x import *`, and
+    its own __all__ is their concatenation."""
+    starred = [
+        node.module
+        for node in _parse_package()["__init__"].body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+    lists = [importlib.import_module(f"bihermite.{m}").__all__ for m in starred]
+    assert bihermite.__all__ == [name for names in lists for name in names]
+    assert len(set(bihermite.__all__)) == len(bihermite.__all__)
+    assert set(bihermite.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 58
+    assert all(hasattr(bihermite, name) for name in PUBLIC_NAMES)
+
+
+def _defined_names(tree):
+    """Names a module binds at top level itself: classes, functions, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_each_module_lists_only_what_it_defines():
+    reexported = []
+    for name, tree in _parse_package().items():
+        if name == "__init__":
+            continue
+        listed = getattr(importlib.import_module(f"bihermite.{name}"), "__all__", [])
+        defined = set(_defined_names(tree))
+        reexported += [f"{name}.{n}" for n in listed if n not in defined]
+    assert reexported == []

@@ -124,6 +124,20 @@ def test_qp_rejects_irrational_kappa_in_exact_mode():
 def test_qp_rejects_gamma_reciprocal_theta():
     with pytest.raises(ValueError, match="excluded"):
         build_dictionary(theta=F(1, 2), gamma=2)
+    # at kappa = 0 both sign branches coincide and P1 = Q2/theta
+    with pytest.raises(ValueError, match="excluded"):
+        build_dictionary(theta=0.5, gamma=2.0)
+    with pytest.raises(ValueError, match="excluded"):
+        qp_representation_suite(0.5, 2.0)
+
+
+@pytest.mark.parametrize("theta, gamma", [(F(1, 2), 3), (0.5, 3.0)], ids=["exact", "float"])
+def test_qp_rejects_negative_kappa(theta, gamma):
+    for branch in (1, -1):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            build_dictionary(theta=theta, gamma=gamma, branch=branch)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        qp_representation_suite(theta, gamma)
 
 
 def test_build_dictionary_alpha_route():
