@@ -407,6 +407,59 @@ class Coeff:
         return cls(obj["re"], obj.get("im", 0.0), exact=False)
 
 
+def _sum_products(triples) -> Coeff:
+    """The sum of x * y * w over a list of (x, y, w) triples of Coeffs x, y
+    and ints w: the value of the chain acc = acc + x * y * w started from the
+    first product, and the exact zero when the list is empty.
+
+    When every x and y is exact, the products' numerators are summed as ints
+    over a running common denominator and reduced once, at the end.  When
+    every one is a float, the chain's own float operations run in its order
+    without building a Coeff per step, so the result has the chain's bits.
+    Mixed backends run the chain itself.
+    """
+    sa = sb = sc = sd = 0
+    sq = 1
+    for x, y, w in triples:
+        if not (x.exact and y.exact):
+            break
+        a1, b1, c1, d1 = x.a, x.b, x.c, x.d
+        a2, b2, c2, d2 = y.a, y.b, y.c, y.d
+        q = x.q * y.q
+        if q != sq:
+            s, r = divmod(sq, q)
+            if r:
+                # rescale the sum to the lcm of the two denominators
+                r = q // _gcd(sq, q)
+                sa, sb, sc, sd, sq = sa * r, sb * r, sc * r, sd * r, sq * r
+                s = sq // q
+            w *= s
+        if c1 or d1 or c2 or d2:
+            sa += (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)) * w
+            sb += (a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)) * w
+            sc += (a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2) * w
+            sd += (a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2) * w
+        else:
+            sa += (a1 * a2 - b1 * b2) * w
+            sb += (a1 * b2 + b1 * a2) * w
+    else:
+        return _make(sa, sb, sc, sd, sq, True)
+    if not any(x.exact or y.exact for x, y, _ in triples):
+        # a float product is the Gaussian one, scaled by w, then added
+        (x, y, w), *rest = triples
+        sa = (x.a * y.a - x.b * y.b) * w
+        sb = (x.a * y.b + x.b * y.a) * w
+        for x, y, w in rest:
+            sa = sa + (x.a * y.a - x.b * y.b) * w
+            sb = sb + (x.a * y.b + x.b * y.a) * w
+        return _make(sa, sb, 0.0, 0.0, 1, False)
+    (x, y, w), *rest = triples
+    acc = x * y * w
+    for x, y, w in rest:
+        acc = acc + x * y * w
+    return acc
+
+
 def _complex_str(re: Fraction, im: Fraction) -> str:
     if re == 0 and im == 0:
         return ""

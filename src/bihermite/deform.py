@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, close, rational_sqrt
@@ -162,7 +163,8 @@ class AlphaPoint:
 def alpha_matrix(point: AlphaPoint) -> GL2:
     """Hermitian deformation matrix [[alpha, i b], [-i b, alpha]]."""
     a = Coeff.lift(point.alpha)
-    b = I * point.beta_im
+    # i b on the point's backend, with no exact i met by a float b
+    b = I * point.beta_im if point.exact else Coeff.from_complex(complex(0.0, point.beta_im))
     return GL2(a, b, -b, a)
 
 
@@ -248,8 +250,8 @@ class RepMatrix:
 
 def deformed_raising(g: GL2) -> tuple[WeylOp, WeylOp]:
     """The two deformed raising operators (columns of g against ad1, ad2)."""
-    ad1, ad2 = WeylOp.adag(1), WeylOp.adag(2)
-    return ad1 * g.g11 + ad2 * g.g21, ad1 * g.g12 + ad2 * g.g22
+    ad1, ad2 = (1, 0, 0, 0), (0, 1, 0, 0)
+    return WeylOp({ad1: g.g11, ad2: g.g21}), WeylOp({ad1: g.g12, ad2: g.g22})
 
 
 def deformed_lowering(g: GL2) -> tuple[WeylOp, WeylOp]:
@@ -259,14 +261,38 @@ def deformed_lowering(g: GL2) -> tuple[WeylOp, WeylOp]:
     constant polynomial; swapping in a raising term for the cross mode would
     break that.
     """
-    a1, a2 = WeylOp.a(1), WeylOp.a(2)
-    return a1 * g.g11.conj() + a2 * g.g21.conj(), a1 * g.g12.conj() + a2 * g.g22.conj()
+    a1, a2 = (0, 0, 1, 0), (0, 0, 0, 1)
+    return (
+        WeylOp({a1: g.g11.conj(), a2: g.g21.conj()}),
+        WeylOp({a1: g.g12.conj(), a2: g.g22.conj()}),
+    )
 
 
 def deformed_hermite(g: GL2, k: int, l: int) -> BiPoly:
-    """Scaled deformed polynomial Hg[k,l] = R1^k R2^l applied to 1 (on g's backend)."""
+    """Scaled deformed polynomial Hg[k,l] = R1^k R2^l applied to 1 (on g's backend).
+
+    R2 is applied l times and then R1 k times, one degree-1 operator at a
+    time, the steps by which _raised_levels reaches the same entry, so the two
+    agree bit for bit on float too."""
     r1, r2 = deformed_raising(g)
-    return (r1**k * r2**l).apply(BiPoly.monomial(0, 0, g.det**0))
+    p = BiPoly.monomial(0, 0, g.det**0)
+    for _ in range(l):
+        p = r2.apply(p)
+    for _ in range(k):
+        p = r1.apply(p)
+    return p
+
+
+def _raised_levels(g: GL2):
+    """The deformed families [Hg[k, L-k]]_k of levels L = 0, 1, 2, ..., each
+    raised from the one below: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] =
+    R1 Hg[k-1, L-k].  This operator route shares nothing with M(g, L) or
+    hermite_sum, so it verifies them."""
+    r1, r2 = deformed_raising(g)
+    family = [BiPoly.monomial(0, 0, g.det**0)]
+    while True:
+        yield family
+        family = [r2.apply(family[0])] + [r1.apply(p) for p in family]
 
 
 def deformed_generating_series(g: GL2, N: int) -> SeriesTruncation:
@@ -341,8 +367,8 @@ def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
     """The undeformed level-L family, or the deformed one of g.
 
     Hg[k, L-k] is sum_r M[r,k] H[r, L-r], column k of M(g, L) over the
-    hermite_sum basis.  deformed_hermite's operator powers are the
-    independent route, which rep_action_check compares with this one.
+    hermite_sum basis.  The families raised by the operators R1 and R2 are
+    the independent route, which rep_action_check compares with this one.
     """
     if L < 0:
         raise ValueError("level must be nonnegative")
@@ -373,16 +399,16 @@ def _level_basis(L: int, M: RepMatrix | None) -> LevelBasis:
 
 
 def rep_action_check(g: GL2, L: int) -> Report:
-    """Certify the index convention: each deformed Hg[k, L-k], raised by
-    operator powers, equals sum_r M[r,k] H[r, L-r] from level_basis.
+    """Certify the index convention: each deformed Hg[k, L-k], raised level
+    by level by the operators R1 and R2, equals sum_r M[r,k] H[r, L-r] from
+    level_basis.
 
     The H[r, L-r] are linearly independent, so equal polynomials mean that
     column k of M(g, L) holds the coordinates of Hg[k, L-k] over the
     undeformed scaled basis, and that the level is invariant."""
     family = level_basis(L, g).polys[::-1]  # family[k] = Hg[k, L-k]
-    mismatches = [
-        {"k": k} for k, p in enumerate(family) if not close(deformed_hermite(g, k, L - k), p)
-    ]
+    raised = next(islice(_raised_levels(g), L, None))
+    mismatches = [{"k": k} for k, (h, p) in enumerate(zip(raised, family)) if not close(h, p)]
     return Report.verdict(
         not mismatches,
         f"level-{L} matrix action",
@@ -573,11 +599,11 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
             n = total - m
             if not close(monomial_to_hermite(BiPoly.monomial(m, n)), hermite_sum(m, n)):
                 failures.append({"kind": "monomial", "m": m, "n": n})
-    for L in range(Lmax + 1):
+    for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
         M = rep_matrix(g, L)
         for k in range(L + 1):
             combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
-            if not close(monomial_to_hermite(combo), deformed_hermite(g, k, L - k)):
+            if not close(monomial_to_hermite(combo), raised[k]):
                 failures.append({"kind": "operator", "L": L, "k": k})
     return Report.verdict(
         not failures,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, backend_tol, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ZERO, Coeff, I, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
-from .linalg import charpoly, mat_mul, nullspace, rank, solve_in_span
+from .linalg import _zero_like, charpoly, mat_mul, nullspace, rank, solve_in_span
 from .report import Report
 from .weyl import WeylOp, commutator
 
@@ -54,9 +54,12 @@ class LieBasisSet:
 
 
 def _bilinears(a1, a2, ad1, ad2) -> tuple:
-    """J1..J4 of a ladder quadruple: the angular-momentum set plus the total number."""
-    half = Fraction(1, 2)
-    neg_i_half = Coeff(0, Fraction(-1, 2))
+    """J1..J4 of a ladder quadruple: the angular-momentum set plus the total
+    number, with 1/2 and -i/2 on the ladders' backend."""
+    if next(iter(a1.terms.values())).exact:
+        half, neg_i_half = Fraction(1, 2), Coeff(0, Fraction(-1, 2))
+    else:
+        half, neg_i_half = 0.5, complex(0.0, -0.5)
     return (
         (ad1 * a2 + ad2 * a1) * half,
         (ad1 * a2 - ad2 * a1) * neg_i_half,
@@ -83,9 +86,10 @@ def basis_change(jbasis: LieBasisSet) -> LieBasisSet:
     Y = theta J2 + J4."""
     j1, j2, j3, j4 = jbasis.ops
     th = jbasis.theta
-    x1 = j1 * I
-    x2 = j3 * I
-    x3 = (j2 + j4 * th) * I
+    i = complex(0.0, 1.0) if isinstance(th, float) else I  # on theta's backend, as in rescale
+    x1 = j1 * i
+    x2 = j3 * i
+    x3 = (j2 + j4 * th) * i
     y = j2 * th + j4
     return LieBasisSet(("X1", "X2", "X3", "Y"), (x1, x2, x3, y), th)
 
@@ -166,10 +170,11 @@ class StructureConstants:
             [[(m, c) for m, c in enumerate(self.bracket(a, b)) if c] for b in range(n)]
             for a in range(n)
         ]
-        constants = (c for row in nonzero for pairs in row for _, c in pairs)
+        constants = [c for row in nonzero for pairs in row for _, c in pairs]
         cut = 0.0 if self.exact else FLOAT_TOL * max(map(abs, constants), default=0.0) ** 2
+        zero = constants[0] * 0 if constants else ZERO  # on the table's backend
         for i, j, k in combinations(range(n), 3):
-            jac = [ZERO] * n
+            jac = [zero] * n
             for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, c in nonzero[a][b]:
                     for l, e in nonzero[m][d]:
@@ -204,7 +209,8 @@ def structure_constants(basis: LieBasisSet) -> StructureConstants:
     """
     vectors = [op.terms for op in basis.ops]
     keys = sorted({k for v in vectors for k in v})
-    matrix = [[v.get(k, ZERO) for v in vectors] for k in keys]
+    zero = _zero_like([v.values() for v in vectors])
+    matrix = [[v.get(k, zero) for v in vectors] for k in keys]
     if rank(matrix) < len(basis.ops):
         raise ValueError("generators are linearly dependent")
     n = len(basis.ops)
@@ -273,14 +279,16 @@ def _realified_table(sc: StructureConstants):
     def imag_part_small(c):
         return (not c.im and not c.im2) if exact else abs(c.im) <= FLOAT_TOL
     if all(imag_part_small(c) for c in coeffs):
-        factor = ONE
+        rotate = False
     elif all(real_part_small(c) for c in coeffs):
-        factor = I
+        rotate = True
     else:
         return None
     def real(c):
-        c = c * factor
-        return c if exact else Coeff.from_complex(c.re)
+        # c or i c, real; a float keeps the real part, which is -im for i c
+        if exact:
+            return c * I if rotate else c
+        return Coeff.from_complex(-c.im if rotate else c.re)
     n = sc.dim
     planes = _unit_scaled([[real(x) for x in sc.bracket(i, j)] for i in range(n) for j in range(n)])
     return [planes[i * n : (i + 1) * n] for i in range(n)]
@@ -331,8 +339,9 @@ def _classify(sc: StructureConstants) -> str:
 
 def _killing_negative_definite(c, bracket_rows) -> bool:
     n = len(c)
+    zero = _zero_like(c[0])
     killing = [
-        [sum((c[a][m][l] * c[b][l][m] for m in range(n) for l in range(n)), ZERO) for b in range(n)]
+        [sum((c[a][m][l] * c[b][l][m] for m in range(n) for l in range(n)), zero) for b in range(n)]
         for a in range(n)
     ]
     # basis of the derived subspace, each row scaled to largest entry 1
@@ -350,10 +359,10 @@ def _killing_negative_definite(c, bracket_rows) -> bool:
     # -mu_i that ratio is e_k(mu) / e_(k-1)(mu), at least mu_min / m and at
     # k = m at most mu_min: the float cut is on the smallest eigenvalue
     # against the largest entry, not on the size of the constants
-    if all(close(k, ZERO) for row in restricted for k in row):
+    if all(close(k, zero) for row in restricted for k in row):
         return False
     poly = charpoly(_unit_scaled(restricted))[::-1]
-    return all(k.real_sign() > 0 and not close(k / above, ZERO) for above, k in zip(poly, poly[1:]))
+    return all(k.real_sign() > 0 and not close(k / above, zero) for above, k in zip(poly, poly[1:]))
 
 
 def lie_report(point: AlphaPoint | None) -> Report:
@@ -365,7 +374,7 @@ def lie_report(point: AlphaPoint | None) -> Report:
     """
     jbasis = bilinear_generators(point)
     theta = jbasis.theta
-    at_limit = close(theta, 1)
+    at_limit = close(theta, theta**0)  # 1 on theta's backend
     xbasis = basis_change(jbasis)
     stages = {}
     if at_limit:

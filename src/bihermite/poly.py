@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coeffs import ONE, ZERO, Coeff
+from .coeffs import ONE, ZERO, Coeff, _sum_products
 
 __all__ = ["BiPoly", "RealPoly", "SqrtPiValue", "gram", "inner_product", "real_inner_product"]
 
@@ -290,8 +290,8 @@ def gram(ps, qs) -> list:
     Monomial rule: <z^a zbar^b, z^c zbar^d> = (a+d)! when b+c == a+d, else 0.
     Only terms with matching a-b == c-d can pair, so each q's terms are
     bucketed by that difference and each p's terms conjugated, once for the
-    whole matrix.  An entry is summed over p's terms in order, each against
-    its bucket in order, starting from the first pairing product, so it is on
+    whole matrix.  An entry sums its pairings, p's terms in order and each
+    against its bucket in order, in one ``_sum_products`` call, so it is on
     the polynomials' backend; with no pairing it is the exact ZERO.
     """
     buckets = []
@@ -305,12 +305,12 @@ def gram(ps, qs) -> list:
     for terms in conjugated:
         row = []
         for by_diff in buckets:
-            acc = None
-            for diff, a, pconj in terms:
-                for d, qc in by_diff.get(diff, ()):
-                    v = pconj * qc * factorial(a + d)
-                    acc = v if acc is None else acc + v
-            row.append(ZERO if acc is None else acc)
+            triples = [
+                (pconj, qc, factorial(a + d))
+                for diff, a, pconj in terms
+                for d, qc in by_diff.get(diff, ())
+            ]
+            row.append(_sum_products(triples) if triples else ZERO)
         rows.append(row)
     return rows
 

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction as F
 from math import gcd, sqrt
@@ -7,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihermite.coeffs import Coeff, I, ONE, SQRT2, ZERO, close, parse_coeff, rational_sqrt
+from bihermite.coeffs import (
+    Coeff,
+    I,
+    ONE,
+    SQRT2,
+    ZERO,
+    _sum_products,
+    close,
+    parse_coeff,
+    rational_sqrt,
+)
 from bihermite.poly import BiPoly, RealPoly
 from bihermite.weyl import WeylOp
 
@@ -523,3 +534,66 @@ def test_equality_is_transitive_across_backends(q, fa, fb, fc):
     for x, y in ((a, b), (b, c), (a, c)):
         if x == y:
             assert hash(x) == hash(y)
+
+
+# -- the sum-of-products kernel against the chain it replaced ----------------
+
+
+def chain_sum(triples):
+    """acc = acc + x * y * w from the first product: the reference route."""
+    acc = None
+    for x, y, w in triples:
+        v = x * y * w
+        acc = v if acc is None else acc + v
+    return acc
+
+
+def same_slots(got, want):
+    """Equal slot by slot with ==, and float numerators with the same bits."""
+    assert got.exact == want.exact
+    assert (got.a, got.b, got.c, got.d, got.q) == (want.a, want.b, want.c, want.d, want.q)
+    if not got.exact:
+        assert (got.a.hex(), got.b.hex()) == (want.a.hex(), want.b.hex())
+
+
+def _big_fraction(rng):
+    # 40-digit numerators over unequal denominators, some shared
+    den = rng.choice([1, 2, 3, 5, 7, 12, 25, 49, 625, 2401, 10**6 + 3, rng.randrange(1, 10**9)])
+    return F(rng.randrange(-(10**40), 10**40), den)
+
+
+def _random_coeff(rng, kind):
+    if kind == "float":
+        return Coeff(rng.uniform(-8, 8), rng.uniform(-8, 8), exact=False)
+    parts = [_big_fraction(rng) if rng.random() < 0.8 else F(0) for _ in range(4)]
+    if kind == "qi":
+        parts[2:] = [0, 0]
+    return Coeff(*parts)
+
+
+def _random_triples(rng, kinds, n):
+    return [
+        (_random_coeff(rng, rng.choice(kinds)), _random_coeff(rng, rng.choice(kinds)),
+         rng.choice([1, 1, 2, 6, 24, 720, 40320, 3628800, 6227020800, 355687428096000]))
+        for _ in range(n)
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("qi",), ("radical",), ("qi", "radical"), ("float",), ("float", "qi"), ("float", "radical")],
+    ids=["Q(i)", "Q(i, sqrt2)", "both exact", "float", "mixed Q(i)", "mixed radical"],
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_sum_of_products_matches_the_chain(kinds, seed):
+    rng = random.Random(f"sum of products {kinds} {seed}")
+    for n in (1, 2, 3, 7, 20):
+        triples = _random_triples(rng, kinds, n)
+        same_slots(_sum_products(triples), chain_sum(triples))
+
+
+def test_sum_of_products_cancels_to_the_reduced_zero():
+    x, y = Coeff(F(3, 7), F(-2, 5), F(1, 11)), Coeff(F(5, 9), 1, 0, F(-4, 13))
+    got = _sum_products([(x, y, 6), (x, -y, 2), (-x, y, 4)])
+    assert got == ZERO and (got.a, got.b, got.c, got.d, got.q) == (0, 0, 0, 0, 1)
+    assert _sum_products([]) == ZERO and _sum_products([]).exact

@@ -18,11 +18,15 @@ from bihermite.deform import (
     GL2,
     AlphaPoint,
     alpha_matrix,
+    biorthogonality_check,
     dual_family,
     eigenvalue_structure_check,
+    intertwine_check,
     level_basis,
+    rep_action_check,
     rep_matrix,
 )
+from bihermite.hermite import orthonormality_check
 from bihermite.lie import (
     StructureConstants,
     basis_change,
@@ -32,6 +36,7 @@ from bihermite.lie import (
     structure_constants,
 )
 from bihermite.poly import inner_product
+from bihermite.weyl import WeylOp
 
 POINT = AlphaPoint.make(F(3, 5))
 
@@ -72,13 +77,13 @@ def counted_fractions():
 
 @contextmanager
 def counted_conversions():
-    """Count conversions of a Coeff to a float or a complex number."""
+    """Count conversions of an exact Coeff to a float or a complex number."""
     calls = [0]
     saved = {name: Coeff.__dict__[name] for name in ("to_complex", "to_float")}
 
     def counting(method):
         def wrapper(self):
-            calls[0] += 1
+            calls[0] += self.exact
             return method(self)
 
         return wrapper
@@ -100,18 +105,36 @@ def _biorth_inner_products(g, Lmax):
     return lambda: [inner_product(p, q) for p in duals for q in family]
 
 
+@contextmanager
+def counted_weyl_products():
+    """Count WeylOp-by-WeylOp products (scalar multiples are not counted)."""
+    calls = [0]
+    mul = WeylOp.__dict__["__mul__"]
+
+    def counting(self, other):
+        calls[0] += isinstance(other, WeylOp)
+        return mul(self, other)
+
+    WeylOp.__mul__ = WeylOp.__rmul__ = counting
+    try:
+        yield calls
+    finally:
+        WeylOp.__mul__ = WeylOp.__rmul__ = mul
+
+
 @pytest.mark.parametrize(
     "work",
     [
         lambda g: lambda: rep_matrix(g, 12),
         lambda g: _biorth_inner_products(g, 6),
         lambda g: lambda: level_basis(6, g),
+        lambda g: lambda: orthonormality_check(10),
     ],
-    ids=["rep_matrix L12", "784 biorth inner products", "level_basis L6"],
+    ids=["rep_matrix L12", "784 biorth inner products", "level_basis L6", "orthonormality L10"],
 )
 def test_exact_hot_paths_build_no_fractions(work):
     # integer numerators over one denominator: with four Fraction slots per
-    # value these built 1,948, 33,852 and 2,361 Fractions
+    # value the first three built 1,948, 33,852 and 2,361 Fractions
     run = work(alpha_matrix(POINT))
     with counted_fractions() as calls:
         run()
@@ -147,6 +170,30 @@ def test_level_basis_products_at_level_twelve():
     with counted_products() as calls:
         level_basis(12, g)
     assert 0 < calls[0] <= 2500  # 10,283 by operator powers applied to 1
+
+
+def test_biorthogonality_products_at_level_six():
+    g = alpha_matrix(POINT)
+    with counted_products() as calls:
+        assert biorthogonality_check(g, 6).ok
+    # 17,378 with a product and a sum per pairing term in gram
+    assert 0 < calls[0] <= 2500
+
+
+@pytest.mark.parametrize("check", [rep_action_check, intertwine_check])
+def test_deformed_families_are_raised_without_operator_products(check):
+    with counted_weyl_products() as calls:
+        assert check(alpha_matrix(POINT), 8).ok
+    # 81 and 285 (117 and 465 WeylOp.__mul__ calls) with normal-ordered powers
+    assert calls[0] == 0
+
+
+def test_float_lie_report_converts_no_exact_value():
+    # 1/2, -i/2, i, the zero fills and the Killing form's start come from the
+    # operands: an exact constant met a float 129 times per call
+    with counted_conversions() as calls:
+        assert lie_report(AlphaPoint.make(0.6)).ok
+    assert calls[0] == 0
 
 
 def test_dual_family_builds_each_matrix_once(monkeypatch):
@@ -212,5 +259,10 @@ def test_counter_is_removed_afterwards():
     with counted_conversions() as calls:
         abs(Coeff(1, 1))
         Coeff(1).to_float()
+        abs(Coeff(1.0, 1.0, exact=False))  # a float value converts nothing
     assert calls[0] == 2
+    with counted_weyl_products() as calls:
+        WeylOp.adag(1) * WeylOp.a(1)
+        WeylOp.adag(1) * 2
+    assert calls[0] == 1 and WeylOp.__dict__["__mul__"] is WeylOp.__dict__["__rmul__"]
     assert (Coeff.__dict__["to_complex"], Coeff.__dict__["to_float"]) == saved

@@ -14,6 +14,7 @@ from bihermite.deform import (
     biorthogonality_check,
     deformed_generating_series,
     deformed_hermite,
+    deformed_raising,
     dual_family,
     dual_matrix_scaling_check,
     eigenvalue_structure_check,
@@ -213,8 +214,15 @@ def test_negative_level_rejected(g):
         level_basis(-1, g)
 
 
+def _operator_power(g, k, l):
+    """Hg[k, l] as the normal-ordered WeylOp power R1^k R2^l applied to 1:
+    the route that raising level by level replaced, kept as its reference."""
+    r1, r2 = deformed_raising(g)
+    return (r1**k * r2**l).apply(BiPoly.monomial(0, 0, g.det**0))
+
+
 def _family_by_operator_powers(g, L):
-    return [deformed_hermite(g, m, n) for m, n in level_basis(L).indices]
+    return [_operator_power(g, m, n) for m, n in level_basis(L).indices]
 
 
 FAMILY_MATRICES = [
@@ -242,6 +250,29 @@ def test_float_level_basis_is_close_to_the_operator_power_family(g):
         assert all(not c.exact for p in fast for c in p.terms.values())
         assert close(fast, _family_by_operator_powers(gf, L))
         assert close(dual_family(gf, L).basis.polys, _family_by_operator_powers(gf_dual, L))
+
+
+def _bits(p):
+    """The terms of a float polynomial, in order, with the bits of each slot."""
+    return [(key, c.a.hex(), c.b.hex()) for key, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
+def test_raised_levels_are_the_operator_power_family(g):
+    for L, family in zip(range(9), deform._raised_levels(g)):
+        assert len(family) == L + 1
+        assert family == _family_by_operator_powers(g, L)[::-1]  # family[k] = Hg[k, L-k]
+
+
+@pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
+def test_float_raised_levels_are_close_to_the_operator_power_family(g):
+    gf = _float_gl2(g)
+    for L, family in zip(range(9), deform._raised_levels(gf)):
+        assert all(not c.exact for p in family for c in p.terms.values())
+        assert close(family, _family_by_operator_powers(gf, L)[::-1])
+        # deformed_hermite takes the same steps in the same order
+        singles = [deformed_hermite(gf, k, L - k) for k in range(L + 1)]
+        assert [_bits(p) for p in singles] == [_bits(p) for p in family]
 
 
 def test_dual_family_identity():
@@ -405,6 +436,26 @@ def test_intertwiner_on_monomials():
 
 def test_intertwine_check_alpha():
     assert intertwine_check(G_ALPHA, 4).ok
+
+
+@pytest.mark.parametrize("g", [rational_gl2(random.Random(13)), G_ALPHA], ids=["qi-13", "alpha"])
+def test_intertwine_check_names_each_wrong_column(monkeypatch, g):
+    # one entry raised by 1 at every level, in a column that moves with L
+    def wrong(g, L):
+        rows = [list(row) for row in right[L].entries]
+        rows[L // 2][L // 3] = rows[L // 2][L // 3] + 1
+        return RepMatrix(L, rows)
+
+    Lmax = 6
+    right = {L: rep_matrix(g, L) for L in range(Lmax + 1)}
+    want = []
+    for L in range(Lmax + 1):
+        pairs = zip(zip(*right[L].entries), zip(*wrong(g, L).entries))
+        want += [{"kind": "operator", "L": L, "k": k} for k, (a, b) in enumerate(pairs) if a != b]
+    assert [(f["L"], f["k"]) for f in want] == [(L, L // 3) for L in range(Lmax + 1)]
+    monkeypatch.setattr(deform, "rep_matrix", wrong)
+    rep = intertwine_check(g, Lmax)
+    assert not rep.ok and rep.payload["failures"] == want
 
 
 def test_rep_matrix_json_round_trip():

@@ -126,6 +126,57 @@ def test_gram_matches_all_pairs_oracle(exact, seed):
     assert unpaired and paired
 
 
+def chain_gram(ps, qs) -> list:
+    """gram's route before its entries went through one kernel: each pairing
+    product conj(p_c) q_c (a+d)! added to the entry one at a time."""
+    rows = []
+    for p in ps:
+        row = []
+        for q in qs:
+            acc = None
+            for (a, b), pc in p.terms.items():
+                for (c, d), qc in q.terms.items():
+                    if a - b == c - d:
+                        v = pc.conj() * qc * factorial(a + d)
+                        acc = v if acc is None else acc + v
+            row.append(Coeff(0) if acc is None else acc)
+        rows.append(row)
+    return rows
+
+
+def _kernel_coeff(rng: random.Random, kind: str) -> Coeff:
+    if kind == "float":
+        return Coeff(rng.uniform(-5, 5), rng.uniform(-5, 5), exact=False)
+    den = rng.choice([1, 3, 5, 25, 49, 2401, rng.randrange(1, 10**6)])
+    slots = [F(rng.randrange(-(10**40), 10**40), den) for _ in range(4)]
+    return Coeff(*slots) if kind == "radical" else Coeff(*slots[:2])
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("qi",), ("radical",), ("float",), ("qi", "float"), ("radical", "float")],
+    ids=["Q(i)", "Q(i, sqrt2)", "float", "mixed Q(i)", "mixed radical"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_matches_the_per_product_chain(kinds, seed):
+    rng = random.Random(f"gram chain {kinds} {seed}")
+
+    def poly():
+        keys = {(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 8))}
+        return BiPoly({key: _kernel_coeff(rng, rng.choice(kinds)) for key in keys})
+
+    ps = [poly() for _ in range(5)] + [BiPoly.zero()]
+    qs = [poly() for _ in range(5)] + [ps[0]]
+    for got_row, want_row in zip(gram(ps, qs), chain_gram(ps, qs), strict=True):
+        for got, want in zip(got_row, want_row, strict=True):
+            assert got.exact == want.exact
+            assert (got.a, got.b, got.c, got.d, got.q) == (want.a, want.b, want.c, want.d, want.q)
+            if not got.exact:  # the float entries keep the chain's bits
+                assert (got.a.hex(), got.b.hex()) == (want.a.hex(), want.b.hex())
+    # the zero polynomial pairs with nothing: its row is the exact zero
+    assert all(c.exact and c == 0 and c.q == 1 for c in gram(ps, qs)[-1])
+
+
 def test_gram_of_empty_lists():
     assert gram([], [ONE, Z]) == []
     assert gram([ONE, Z], []) == [[], []]
