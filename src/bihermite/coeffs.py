@@ -413,10 +413,9 @@ def _sum_products(triples) -> Coeff:
     first product, and the exact zero when the list is empty.
 
     When every x and y is exact, the products' numerators are summed as ints
-    over a running common denominator and reduced once, at the end.  When
-    every one is a float, the chain's own float operations run in its order
-    without building a Coeff per step, so the result has the chain's bits.
-    Mixed backends run the chain itself.
+    over a running common denominator and reduced once, at the end.  Any
+    other input runs the chain itself, so a float sum keeps the chain's bits
+    and mixed backends go to float.
     """
     sa = sb = sc = sd = 0
     sq = 1
@@ -444,15 +443,6 @@ def _sum_products(triples) -> Coeff:
             sb += (a1 * b2 + b1 * a2) * w
     else:
         return _make(sa, sb, sc, sd, sq, True)
-    if not any(x.exact or y.exact for x, y, _ in triples):
-        # a float product is the Gaussian one, scaled by w, then added
-        (x, y, w), *rest = triples
-        sa = (x.a * y.a - x.b * y.b) * w
-        sb = (x.a * y.b + x.b * y.a) * w
-        for x, y, w in rest:
-            sa = sa + (x.a * y.a - x.b * y.b) * w
-            sb = sb + (x.a * y.b + x.b * y.a) * w
-        return _make(sa, sb, 0.0, 0.0, 1, False)
     (x, y, w), *rest = triples
     acc = x * y * w
     for x, y, w in rest:

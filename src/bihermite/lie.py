@@ -56,7 +56,7 @@ class LieBasisSet:
 def _bilinears(a1, a2, ad1, ad2) -> tuple:
     """J1..J4 of a ladder quadruple: the angular-momentum set plus the total
     number, with 1/2 and -i/2 on the ladders' backend."""
-    if next(iter(a1.terms.values())).exact:
+    if _zero_like([a1.terms.values()]).exact:
         half, neg_i_half = Fraction(1, 2), Coeff(0, Fraction(-1, 2))
     else:
         half, neg_i_half = 0.5, complex(0.0, -0.5)
@@ -172,7 +172,7 @@ class StructureConstants:
         ]
         constants = [c for row in nonzero for pairs in row for _, c in pairs]
         cut = 0.0 if self.exact else FLOAT_TOL * max(map(abs, constants), default=0.0) ** 2
-        zero = constants[0] * 0 if constants else ZERO  # on the table's backend
+        zero = _zero_like([constants])
         for i, j, k in combinations(range(n), 3):
             jac = [zero] * n
             for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
@@ -374,7 +374,7 @@ def lie_report(point: AlphaPoint | None) -> Report:
     """
     jbasis = bilinear_generators(point)
     theta = jbasis.theta
-    at_limit = close(theta, theta**0)  # 1 on theta's backend
+    at_limit = close(theta, 1.0 if isinstance(theta, float) else 1)  # 1 on theta's backend
     xbasis = basis_change(jbasis)
     stages = {}
     if at_limit:
