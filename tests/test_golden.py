@@ -25,3 +25,9 @@ GOLDEN = [
 def test_verify_all_output_is_byte_identical(capsys, name, argv, code):
     assert main(["verify", "all", *argv]) == code
     assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+def test_verify_repmat_failure_output_is_byte_identical(capsys):
+    # float seed 203 fails the inverse law at level 5: pins the failure list
+    assert main(["verify", "repmat", "--seed", "203", "--backend", "float", "--format", "json"]) == 1
+    assert capsys.readouterr().out == (DATA / "verify_repmat_seed_203_float.json").read_text()
