@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .coeffs import Coeff, close, parse_coeff
+from .coeffs import Coeff, parse_coeff
 from .deform import (
     GL2,
     AlphaPoint,
@@ -26,7 +26,7 @@ from .deform import (
     dual_family,
     eigenvalue_structure_check,
     intertwine_check,
-    rep_action_check,
+    rep_laws_check,
     rep_matrix,
 )
 from .hermite import (
@@ -202,29 +202,12 @@ def _on_backend(g: GL2, args) -> GL2:
 
 
 def _verify_repmat(args) -> Report:
-    _check_lmax(args.Lmax)
     rng = random.Random(args.seed)
     g = _random_rational_gl2(rng, args.exact)
     h = _random_rational_gl2(rng, args.exact)
-    identity = _on_backend(GL2.identity(), args)
-    failures = []
-    for L in range(args.Lmax + 1):
-        Mg, Mh = rep_matrix(g, L), rep_matrix(h, L)
-        checks = {
-            "identity": rep_matrix(identity, L).is_identity(),
-            "product": close((Mg @ Mh).entries, rep_matrix(g @ h, L).entries),
-            "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),
-            "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
-            "action": rep_action_check(g, L).ok,
-        }
-        for name, ok in checks.items():
-            if not ok:
-                failures.append({"L": L, "law": name})
-    return Report.verdict(
-        not failures,
-        f"representation-matrix laws up to level {args.Lmax}",
-        {"Lmax": args.Lmax, "seed": args.seed, "failures": failures},
-    )
+    rep = rep_laws_check(g, h, args.Lmax)
+    rep.payload = {"Lmax": args.Lmax, "seed": args.seed, **rep.payload}
+    return rep
 
 
 def _verify_eigen(args) -> Report:

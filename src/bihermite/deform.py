@@ -25,11 +25,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb, factorial
 
 from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, close, rational_sqrt
-from .hermite import SeriesTruncation, _check_lmax, hermite_sum, normalizer_sq
+from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, gram
 from .report import Report
@@ -48,6 +47,7 @@ __all__ = [
     "deformed_generating_series",
     "rep_matrix",
     "rep_action_check",
+    "rep_laws_check",
     "level_basis",
     "dual_family",
     "biorthogonality_check",
@@ -274,6 +274,7 @@ def deformed_hermite(g: GL2, k: int, l: int) -> BiPoly:
     R2 is applied l times and then R1 k times, one degree-1 operator at a
     time, the steps by which _raised_levels reaches the same entry, so the two
     agree bit for bit on float too."""
+    _check_indices(k, l)
     r1, r2 = deformed_raising(g)
     p = BiPoly.monomial(0, 0, g.det**0)
     for _ in range(l):
@@ -398,22 +399,26 @@ def _level_basis(L: int, M: RepMatrix | None) -> LevelBasis:
     return LevelBasis(L, indices, polys, [normalizer_sq(m, n) for m, n in indices])
 
 
-def rep_action_check(g: GL2, L: int) -> Report:
-    """Certify the index convention: each deformed Hg[k, L-k], raised level
-    by level by the operators R1 and R2, equals sum_r M[r,k] H[r, L-r] from
-    level_basis.
+def rep_action_check(g: GL2, Lmax: int) -> Report:
+    """Certify the index convention: at each level L <= Lmax, each deformed
+    Hg[k, L-k], raised by the operators R1 and R2 in one walk up the levels,
+    equals sum_r M[r,k] H[r, L-r] from level_basis.
 
     The H[r, L-r] are linearly independent, so equal polynomials mean that
     column k of M(g, L) holds the coordinates of Hg[k, L-k] over the
     undeformed scaled basis, and that the level is invariant."""
-    family = level_basis(L, g).polys[::-1]  # family[k] = Hg[k, L-k]
-    raised = next(islice(_raised_levels(g), L, None))
-    mismatches = [{"k": k} for k, (h, p) in enumerate(zip(raised, family)) if not close(h, p)]
+    _check_lmax(Lmax)
+    mismatches = []
+    for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
+        family = level_basis(L, g).polys[::-1]  # family[k] = Hg[k, L-k]
+        mismatches += [
+            {"L": L, "k": k} for k, (h, p) in enumerate(zip(raised, family)) if not close(h, p)
+        ]
     return Report.verdict(
         not mismatches,
-        f"level-{L} matrix action",
+        f"matrix action up to level {Lmax}",
         {
-            "L": L,
+            "Lmax": Lmax,
             "index_convention": (
                 "column k of M(g,L) = coordinates of deformed H[k, L-k] over "
                 "[H[r, L-r]]_r; position j of the conventional level list "
@@ -421,6 +426,35 @@ def rep_action_check(g: GL2, L: int) -> Report:
             ),
             "mismatches": mismatches,
         },
+    )
+
+
+def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
+    """The laws that make M(., L) a representation of GL(2, C), at each level
+    L <= Lmax: M(1, L) is the identity, M(g, L) M(h, L) = M(gh, L), the level
+    adjoint of M(g, L) is M(g*, L), M(g, L)^-1 = M(g^-1, L), and M(g, L) acts
+    on the deformed family as rep_action_check certifies.
+
+    Failures are listed as {"L", "law"}, level by level in that law order."""
+    _check_lmax(Lmax)
+    one = g.det**0  # the identity on g's backend, so a float law stays a float check
+    identity = GL2(one, one * 0, one * 0, one)
+    action_failed = {m["L"] for m in rep_action_check(g, Lmax).payload["mismatches"]}
+    failures = []
+    for L in range(Lmax + 1):
+        Mg = rep_matrix(g, L)
+        laws = {
+            "identity": rep_matrix(identity, L).is_identity(),
+            "product": close((Mg @ rep_matrix(h, L)).entries, rep_matrix(g @ h, L).entries),
+            "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),
+            "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
+            "action": L not in action_failed,
+        }
+        failures += [{"L": L, "law": law} for law, ok in laws.items() if not ok]
+    return Report.verdict(
+        not failures,
+        f"representation-matrix laws up to level {Lmax}",
+        {"Lmax": Lmax, "failures": failures},
     )
 
 

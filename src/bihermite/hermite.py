@@ -45,10 +45,15 @@ def normalizer_sq(m: int, n: int) -> int:
     return factorial(m) * factorial(n)
 
 
-def hermite_sum(m: int, n: int) -> BiPoly:
-    """H[m,n] from the explicit sum: sum_j (-1)^j j! C(m,j) C(n,j) z^(m-j) zbar^(n-j)."""
+def _check_indices(m: int, n: int):
+    """Reject a negative index, which no route of H[m,n] or Hg[m,n] defines."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
+
+
+def hermite_sum(m: int, n: int) -> BiPoly:
+    """H[m,n] from the explicit sum: sum_j (-1)^j j! C(m,j) C(n,j) z^(m-j) zbar^(n-j)."""
+    _check_indices(m, n)
     terms = {}
     for j in range(min(m, n) + 1):
         terms[(m - j, n - j)] = Coeff((-1) ** j * comb(m, j) * comb(n, j) * factorial(j))
@@ -63,6 +68,7 @@ def hermite_rodrigues(m: int, n: int) -> BiPoly:
     hermite_sum, i.e. m zbar-derivative steps and n z-derivative steps; the
     opposite assignment would produce H[n,m].
     """
+    _check_indices(m, n)
     z, zbar = BiPoly.z(), BiPoly.zbar()
     p = BiPoly.one()
     for _ in range(m):
@@ -74,6 +80,7 @@ def hermite_rodrigues(m: int, n: int) -> BiPoly:
 
 def hermite_operator(m: int, n: int) -> BiPoly:
     """H[m,n] as (ad1)^m (ad2)^n applied to the constant polynomial 1."""
+    _check_indices(m, n)
     op = WeylOp.adag(1) ** m * WeylOp.adag(2) ** n
     return op.apply(BiPoly.one())
 
@@ -255,6 +262,8 @@ def orthonormality_check(Lmax: int) -> Report:
 
 def real_orthogonality_check(nmax: int) -> Report:
     """Exact check of the weighted line integrals: sqrt(pi) 2^n n! delta_mn."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
     polys = [real_hermite(n) for n in range(nmax + 1)]
     violations = []
     for m in range(nmax + 1):

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from bihermite import deform
+from bihermite.cli import main
 from bihermite.coeffs import Coeff
 from bihermite.deform import (
     GL2,
@@ -187,6 +188,22 @@ def test_deformed_families_are_raised_without_operator_products(check):
         assert check(alpha_matrix(POINT), 8).ok
     # 81 and 285 (117 and 465 WeylOp.__mul__ calls) with normal-ordered powers
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("Lmax, applies", [(5, 20), (7, 35)])
+def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies):
+    apply = WeylOp.apply
+    calls = [0]
+
+    def counting(self, p):
+        calls[0] += 1
+        return apply(self, p)
+
+    monkeypatch.setattr(WeylOp, "apply", counting)
+    assert main(["verify", "repmat", "--Lmax", str(Lmax)]) == 0
+    # one walk raises L + 1 polynomials at each level 1..Lmax; raising levels
+    # 0..L again for each L made 50 and 112
+    assert calls[0] == applies
 
 
 def test_float_lie_report_converts_no_exact_value():

@@ -22,10 +22,11 @@ from bihermite.deform import (
     level_basis,
     monomial_to_hermite,
     rep_action_check,
+    rep_laws_check,
     rep_matrix,
 )
 from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
-from bihermite.linalg import charpoly
+from bihermite.linalg import charpoly, mat_inverse
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, inner_product
 
@@ -188,17 +189,61 @@ ACTION_MUTANTS = {
 def test_rep_action_check_names_each_wrong_column(monkeypatch, mutant):
     wrong, levels = ACTION_MUTANTS[mutant]
     g = rational_gl2(random.Random(13))
-    right = {L: rep_matrix(g, L) for L in range(5)}
-    monkeypatch.setattr(deform, "rep_matrix", wrong)
-    differing = []
+    bad = []
     for L in range(5):
-        pairs = zip(zip(*right[L].entries), zip(*wrong(g, L).entries))
-        bad = [k for k, (want, got) in enumerate(pairs) if want != got]
-        rep = rep_action_check(g, L)
-        assert rep.ok == (not bad) and rep.payload["mismatches"] == [{"k": k} for k in bad]
-        if bad:
-            differing.append(L)
-    assert differing == list(levels)
+        pairs = zip(zip(*rep_matrix(g, L).entries), zip(*wrong(g, L).entries))
+        bad += [{"L": L, "k": k} for k, (want, got) in enumerate(pairs) if want != got]
+    monkeypatch.setattr(deform, "rep_matrix", wrong)
+    rep = rep_action_check(g, 4)
+    assert rep.ok == (not bad) and rep.payload["mismatches"] == bad
+    assert sorted({m["L"] for m in bad}) == list(levels)
+
+
+LAWS = ("identity", "product", "adjoint", "inverse", "action")
+
+
+def _perturbed_inverse(M):
+    rows = mat_inverse(M.entries)
+    rows[0][0] = rows[0][0] + F(1, 10**6)
+    return RepMatrix(M.L, rows)
+
+
+# each broken piece of M(., L), and the (L, law) failures it must cause up to level 4
+LAW_MUTANTS = {
+    # the weights w_k = k!(L-k)! are all equal below level 2
+    "plain-adjoint": (
+        RepMatrix,
+        "adjoint",
+        RepMatrix.conj_transpose,
+        [(L, "adjoint") for L in range(2, 5)],
+    ),
+    "perturbed-inverse": (
+        RepMatrix,
+        "inverse",
+        _perturbed_inverse,
+        [(L, "inverse") for L in range(5)],
+    ),
+    # M[0][L] + 1 breaks every law at every level, except the adjoint at
+    # level 0, where conj(m + 1) = conj(m) + 1
+    "one-entry": (
+        deform,
+        "rep_matrix",
+        ACTION_MUTANTS["one-entry"][0],
+        [(L, law) for L in range(5) for law in LAWS if (L, law) != (0, "adjoint")],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", LAW_MUTANTS)
+def test_rep_laws_check_names_each_broken_law(monkeypatch, mutant):
+    owner, name, wrong, expected = LAW_MUTANTS[mutant]
+    rng = random.Random(13)
+    g, h = rational_gl2(rng), rational_gl2(rng)
+    assert rep_laws_check(g, h, 4).ok
+    monkeypatch.setattr(owner, name, wrong)
+    rep = rep_laws_check(g, h, 4)
+    assert rep.payload == {"Lmax": 4, "failures": [{"L": L, "law": law} for L, law in expected]}
+    assert not rep.ok
 
 
 def test_level_basis_order():
@@ -325,6 +370,8 @@ def test_biorthogonality_random_rational():
         lambda: biorthogonality_check(G_ALPHA, -1),
         lambda: intertwine_check(G_ALPHA, -1),
         lambda: dual_matrix_scaling_check(POINT, -1),
+        lambda: rep_action_check(G_ALPHA, -1),
+        lambda: rep_laws_check(G_ALPHA, G_ALPHA, -1),
     ],
 )
 def test_negative_lmax_rejected(check):

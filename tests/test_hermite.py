@@ -3,7 +3,9 @@ from math import factorial
 
 import pytest
 
+from bihermite.cli import main
 from bihermite.coeffs import Coeff
+from bihermite.deform import GL2, deformed_hermite
 from bihermite.hermite import (
     HermiteTable,
     SeriesTruncation,
@@ -86,6 +88,31 @@ def test_orthonormality_scaled():
 
 def test_real_orthogonality():
     assert real_orthogonality_check(6).ok
+
+
+def test_real_orthogonality_rejects_a_negative_degree():
+    # with nothing to compare, a pass would be vacuous
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        real_orthogonality_check(-1)
+
+
+INDEXED_ROUTES = {
+    "hermite_sum": hermite_sum,
+    "hermite_rodrigues": hermite_rodrigues,
+    "hermite_operator": hermite_operator,
+    "deformed_hermite": lambda m, n: deformed_hermite(GL2(3, 1, 0, 2), m, n),
+}
+
+
+@pytest.mark.parametrize("route", [*INDEXED_ROUTES, "cli deform"])
+@pytest.mark.parametrize("m, n", [(-1, 0), (0, -1)])
+def test_negative_index_rejected(capsys, route, m, n):
+    if route == "cli deform":
+        assert main(["deform", str(m), str(n), "--alpha", "3/5"]) == 2
+        assert capsys.readouterr().err == "error: indices must be nonnegative\n"
+    else:
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            INDEXED_ROUTES[route](m, n)
 
 
 def test_generating_series_complex_coefficients():
