@@ -48,7 +48,7 @@ from .lie import (
     structure_constants,
 )
 from .ncqm import ncqm_commutator_suite, qp_representation_suite
-from .report import Report
+from .report import Report, Tally
 
 
 def parse_number(text: str, exact: bool) -> Fraction | float:
@@ -217,14 +217,15 @@ def _verify_eigen(args) -> Report:
         ("triangular", GL2(2, 1, 0, 3)),
         ("generic", GL2(Coeff(1, 2), Coeff(Fraction(3, 7)), Coeff(Fraction(-1, 3)), Coeff(2, -1))),
     ]
+    t = Tally()
     sub = []
     for name, g in cases:
         g = _on_backend(g, args)
         for L in range(args.Lmax + 1):
             rep = eigenvalue_structure_check(g, L)
             sub.append({"case": name, "L": L, "status": rep.status})
-    ok = all(c["status"] == "pass" for c in sub)
-    return Report.verdict(ok, "eigenvalue structure", {"cases": sub})
+            t.check(rep.ok, sub[-1])
+    return t.report("eigenvalue structure", {"cases": sub})
 
 
 def _verify_qp(args) -> Report:
@@ -283,14 +284,10 @@ def cmd_verify(args) -> int:
             "status": "pass" if all_ok else "fail",
         }
         print(json.dumps(doc, indent=2))
-    elif args.format == "json":
-        if len(reports) == 1:
-            print(json.dumps(next(iter(reports.values())).to_json(), indent=2))
-        else:
-            print(json.dumps({n: r.to_json() for n, r in reports.items()}, indent=2))
     else:
-        for name, rep in reports.items():
-            print(f"[{rep.status.upper():5s}] {name}: {rep.summary}")
+        doc = {name: rep.to_json() for name, rep in reports.items()}
+        lines = [f"[{r.status.upper():5s}] {name}: {r.summary}" for name, r in reports.items()]
+        emit(doc if run_all else doc[args.suite], args.format, "\n".join(lines))
     return 0 if all_ok else 1
 
 

@@ -31,7 +31,7 @@ from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, gram
-from .report import Report
+from .report import Report, Tally
 from .weyl import WeylOp
 
 __all__ = [
@@ -408,14 +408,12 @@ def rep_action_check(g: GL2, Lmax: int) -> Report:
     column k of M(g, L) holds the coordinates of Hg[k, L-k] over the
     undeformed scaled basis, and that the level is invariant."""
     _check_lmax(Lmax)
-    mismatches = []
+    t = Tally()
     for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
         family = level_basis(L, g).polys[::-1]  # family[k] = Hg[k, L-k]
-        mismatches += [
-            {"L": L, "k": k} for k, (h, p) in enumerate(zip(raised, family)) if not close(h, p)
-        ]
-    return Report.verdict(
-        not mismatches,
+        for k, (h, p) in enumerate(zip(raised, family)):
+            t.check(close(h, p), {"L": L, "k": k})
+    return t.report(
         f"matrix action up to level {Lmax}",
         {
             "Lmax": Lmax,
@@ -424,7 +422,7 @@ def rep_action_check(g: GL2, Lmax: int) -> Report:
                 "[H[r, L-r]]_r; position j of the conventional level list "
                 "[(L,0), ..., (0,L)] corresponds to matrix index L-j"
             ),
-            "mismatches": mismatches,
+            "mismatches": t.failures,
         },
     )
 
@@ -440,7 +438,7 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     one = g.det**0  # the identity on g's backend, so a float law stays a float check
     identity = GL2(one, one * 0, one * 0, one)
     action_failed = {m["L"] for m in rep_action_check(g, Lmax).payload["mismatches"]}
-    failures = []
+    t = Tally()
     for L in range(Lmax + 1):
         Mg = rep_matrix(g, L)
         laws = {
@@ -450,11 +448,11 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
             "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
             "action": L not in action_failed,
         }
-        failures += [{"L": L, "law": law} for law, ok in laws.items() if not ok]
-    return Report.verdict(
-        not failures,
+        for law, ok in laws.items():
+            t.check(ok, {"L": L, "law": law})
+    return t.report(
         f"representation-matrix laws up to level {Lmax}",
-        {"Lmax": Lmax, "failures": failures},
+        {"Lmax": Lmax, "failures": t.failures},
     )
 
 
@@ -494,32 +492,19 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     duals = [level_basis(L, g_dual) for L in levels]
     fams = [level_basis(L, g) for L in levels]
     products = gram([p for d in duals for p in d.polys], [p for f in fams for p in f.polys])
-    violations = []
-    pairs = 0
+    t = Tally()
     for L in levels:
         for M in levels:
             for n in range(L + 1):
                 row = products[L * (L + 1) // 2 + n]  # levels below L hold L(L+1)/2 polys
                 for k in range(M + 1):
-                    pairs += 1
                     got = row[M * (M + 1) // 2 + k]
-                    want = Coeff(duals[L].norm_sq[n]) if (L == M and n == k) else Coeff(0)
-                    if not close(got, want):
-                        violations.append(
-                            {
-                                "L": L,
-                                "M": M,
-                                "n": n,
-                                "k": k,
-                                "value": str(got),
-                                "expected": str(want),
-                            }
-                        )
-    return Report.verdict(
-        not violations,
+                    want = Coeff(duals[L].norm_sq[n]) if (L == M and n == k) else ZERO
+                    t.compare(got, want, {"L": L, "M": M, "n": n, "k": k})
+    return t.report(
         f"biorthogonality up to level {Lmax}",
-        {"Lmax": Lmax, "violations": violations},
-        f" ({pairs} pairings)",
+        {"Lmax": Lmax, "violations": t.failures},
+        f" ({t.checks} pairings)",
     )
 
 
@@ -530,18 +515,16 @@ def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     g = alpha_matrix(point)
     gp = GL2(g.g11, -g.g12, -g.g21, g.g22)
     delta = g.det
-    failures = []
+    t = Tally()
     kappas = {}
     for L in range(Lmax + 1):
         want = RepMatrix.identity(L).scaled(delta**L)
         got = rep_matrix(gp, L) @ rep_matrix(g, L)
         kappas[str(L)] = str(delta**L)
-        if not close(got.entries, want.entries):
-            failures.append({"L": L})
-    return Report.verdict(
-        not failures,
+        t.check(close(got.entries, want.entries), {"L": L})
+    return t.report(
         f"dual-matrix scaling up to level {Lmax}",
-        {"Lmax": Lmax, "determinant": str(delta), "kappa": kappas, "failures": failures},
+        {"Lmax": Lmax, "determinant": str(delta), "kappa": kappas, "failures": t.failures},
     )
 
 
@@ -587,18 +570,17 @@ def eigenvalue_structure_check(g: GL2, L: int) -> Report:
         payload["tolerance"] = FLOAT_TOL
     actual = _power_sums(charpoly(M.entries))
     payload["power_sums"] = len(actual)
-    unmatched = []
+    t = Tally()
     # s_j = tr g^j and q_j = det g^j, from s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
     s_prev, s_j, q_j = Coeff(2), s, q
     for j, got in enumerate(actual, 1):
         h_prev, h = ZERO, ONE  # h_(-1) and h_0
         for _ in range(L):
             h_prev, h = h, s_j * h - q_j * h_prev
-        if not close(got, h):
-            unmatched.append(f"p_{j}")
+        t.check(close(got, h), f"p_{j}")
         s_prev, s_j, q_j = s_j, s * s_j - q * s_prev, q_j * q
-    payload["unmatched"] = unmatched
-    return Report.verdict(not unmatched, f"eigenvalue structure ({mode}), L={L}", payload)
+    payload["unmatched"] = t.failures
+    return t.report(f"eigenvalue structure ({mode}), L={L}", payload)
 
 
 def monomial_to_hermite(p: BiPoly) -> BiPoly:
@@ -627,20 +609,16 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
     gives the deformed polynomial Hg[k, L-k].
     """
     _check_lmax(Lmax)
-    failures = []
+    t = Tally()
     for total in range(Lmax + 1):
         for m in range(total + 1):
             n = total - m
-            if not close(monomial_to_hermite(BiPoly.monomial(m, n)), hermite_sum(m, n)):
-                failures.append({"kind": "monomial", "m": m, "n": n})
+            image = monomial_to_hermite(BiPoly.monomial(m, n))
+            t.check(close(image, hermite_sum(m, n)), {"kind": "monomial", "m": m, "n": n})
     for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
         M = rep_matrix(g, L)
         for k in range(L + 1):
             combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
-            if not close(monomial_to_hermite(combo), raised[k]):
-                failures.append({"kind": "operator", "L": L, "k": k})
-    return Report.verdict(
-        not failures,
-        f"intertwining up to level {Lmax}",
-        {"Lmax": Lmax, "failures": failures},
-    )
+            image = monomial_to_hermite(combo)
+            t.check(close(image, raised[k]), {"kind": "operator", "L": L, "k": k})
+    return t.report(f"intertwining up to level {Lmax}", {"Lmax": Lmax, "failures": t.failures})

@@ -20,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .coeffs import Coeff
-from .poly import BiPoly, RealPoly, SparseMap, _convolve, gram, real_inner_product
-from .report import Report
+from .coeffs import ZERO, Coeff
+from .poly import BiPoly, RealPoly, SparseMap, SqrtPiValue, _convolve, gram, real_inner_product
+from .report import Report, Tally
 from .weyl import WeylOp
 
 __all__ = [
@@ -245,18 +245,14 @@ def orthonormality_check(Lmax: int) -> Report:
     table = HermiteTable(Lmax)
     keys = table.ordered_keys()
     polys = [table[key] for key in keys]
-    violations = []
+    t = Tally()
     for (m, n), row in zip(keys, gram(polys, polys)):
         for (k, l), got in zip(keys, row):
-            want = Coeff(normalizer_sq(m, n)) if (m, n) == (k, l) else Coeff(0)
-            if got != want:
-                violations.append(
-                    {"m": m, "n": n, "k": k, "l": l, "value": str(got), "expected": str(want)}
-                )
-    return Report.verdict(
-        not violations,
+            want = Coeff(normalizer_sq(m, n)) if (m, n) == (k, l) else ZERO
+            t.compare(got, want, {"m": m, "n": n, "k": k, "l": l})
+    return t.report(
         f"orthonormality up to total degree {Lmax}",
-        {"Lmax": Lmax, "pairs": len(keys) ** 2, "violations": violations},
+        {"Lmax": Lmax, "pairs": t.checks, "violations": t.failures},
     )
 
 
@@ -265,15 +261,14 @@ def real_orthogonality_check(nmax: int) -> Report:
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     polys = [real_hermite(n) for n in range(nmax + 1)]
-    violations = []
+    t = Tally()
     for m in range(nmax + 1):
         for n in range(nmax + 1):
             got = real_inner_product(polys[m], polys[n])
             want = Coeff(2**n * factorial(n)) if m == n else Coeff(0)
-            if got.coeff != want or got.sqrt_pi_power != 1:
-                violations.append({"m": m, "n": n, "value": str(got), "expected": str(want)})
-    return Report.verdict(
-        not violations,
+            where = {"m": m, "n": n, "value": str(got), "expected": str(want)}
+            t.check(got == SqrtPiValue(want), where)
+    return t.report(
         f"real orthogonality up to degree {nmax}",
-        {"nmax": nmax, "violations": violations},
+        {"nmax": nmax, "violations": t.failures},
     )

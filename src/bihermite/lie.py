@@ -25,7 +25,7 @@ from itertools import combinations
 from .coeffs import FLOAT_TOL, ZERO, Coeff, I, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .linalg import _zero_like, charpoly, mat_mul, nullspace, rank, solve_in_span
-from .report import Report
+from .report import Report, Tally
 from .weyl import WeylOp, commutator
 
 __all__ = [
@@ -384,29 +384,24 @@ def lie_report(point: AlphaPoint | None) -> Report:
         stages["X"] = structure_constants(xbasis)
         stages["Z"] = structure_constants(rescale(xbasis))
     final = "X" if at_limit else "Z"
-    problems = []
+    t = Tally()
     for label, sc in stages.items():
-        closed, jacobi = sc.closed, sc.jacobi_ok()
-        if not closed:
-            problems.append(f"{label}-basis table does not close")
-        if not jacobi:
-            problems.append(f"{label}-basis table violates the Jacobi identity")
+        closed = t.check(sc.closed, f"{label}-basis table does not close")
+        jacobi = t.check(sc.jacobi_ok(), f"{label}-basis table violates the Jacobi identity")
         if label == final:
             # these checks are classify's guard, so they are not run twice
             final_class = _classify(sc) if closed and jacobi else "unknown"
     expected = "heisenberg_plus_u1" if at_limit else "su2_plus_u1"
-    if final_class != expected:
-        problems.append(f"classified as {final_class}, expected {expected}")
+    t.check(final_class == expected, f"classified as {final_class}, expected {expected}")
     payload = {
         "theta": str(theta),
         "class": final_class,
         "degenerate_limit": at_limit,
-        "problems": problems,
+        "problems": t.failures,
         "tables": {label: sc.to_json() for label, sc in stages.items()},
     }
     payload["tables"][final]["class"] = final_class
-    return Report.verdict(
-        not problems,
+    return t.report(
         f"bilinear-algebra suite at theta = {theta}",
         payload,
         f" (class {final_class})",

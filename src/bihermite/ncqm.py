@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import Coeff, I, close, rational_sqrt
+from .coeffs import Coeff, I, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
 from .lie import basis_change, bilinear_generators, rescale
 from .poly import BiPoly
-from .report import Report
+from .report import Report, Tally
 from .weyl import WeylOp, _qp_from_ladders, commutator, position_momentum_ops
 
 __all__ = [
@@ -170,8 +170,8 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
     return OperatorDictionary(ops, params)
 
 
-def _check(name, got: WeylOp, want: WeylOp) -> dict:
-    ok = close(got, want)
+def _check(t: Tally, name, got: WeylOp, want: WeylOp) -> dict:
+    ok = t.compare(got, want, {"relation": name})
     return {"relation": name, "ok": ok, "got": got.pretty(), "expected": want.pretty()}
 
 
@@ -188,20 +188,21 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     one = WeylOp.scalar(point.theta**0)
     zero = WeylOp.zero()
     itheta = WeylOp.scalar(I * point.theta_coeff())
+    t = Tally()
     checks = [
-        _check("[a1_alpha, ad1_alpha] == 1", commutator(a1, ad1), one),
-        _check("[a2_alpha, ad2_alpha] == 1", commutator(a2, ad2), one),
-        _check("[a1_alpha, a2_alpha] == 0", commutator(a1, a2), zero),
-        _check("[ad1_alpha, ad2_alpha] == 0", commutator(ad1, ad2), zero),
-        _check("[a1_alpha, ad2_alpha] == i*theta", commutator(a1, ad2), itheta),
-        _check("[a2_alpha, ad1_alpha] == -i*theta", commutator(a2, ad1), -itheta),
+        _check(t, "[a1_alpha, ad1_alpha] == 1", commutator(a1, ad1), one),
+        _check(t, "[a2_alpha, ad2_alpha] == 1", commutator(a2, ad2), one),
+        _check(t, "[a1_alpha, a2_alpha] == 0", commutator(a1, a2), zero),
+        _check(t, "[ad1_alpha, ad2_alpha] == 0", commutator(ad1, ad2), zero),
+        _check(t, "[a1_alpha, ad2_alpha] == i*theta", commutator(a1, ad2), itheta),
+        _check(t, "[a2_alpha, ad1_alpha] == -i*theta", commutator(a2, ad1), -itheta),
     ]
     for name, lowering in (("a1_alpha", a1), ("a2_alpha", a2)):
         image = lowering.apply(BiPoly.one())
-        ok_vac = close(image, BiPoly.zero())
-        checks.append({"relation": f"vacuum: {name}(1) == 0", "ok": ok_vac, "got": image.pretty()})
-    return Report.verdict(
-        all(c["ok"] for c in checks),
+        relation = f"vacuum: {name}(1) == 0"
+        ok = t.compare(image, BiPoly.zero(), {"relation": relation})
+        checks.append({"relation": relation, "ok": ok, "got": image.pretty()})
+    return t.report(
         f"deformed-ladder commutators at alpha = {point.alpha}",
         {"alpha": str(point.alpha), "theta": str(point.theta), "checks": checks},
     )
@@ -219,32 +220,32 @@ def qp_representation_suite(theta, gamma) -> Report:
     # the expected values are printed on the parameters' backend
     i_unit = I * th**0
     zero = WeylOp.zero()
+    t = Tally()
     checks = []
     for branch in (1, -1):
         d = build_dictionary(theta=theta, gamma=gamma, branch=branch)
         q1, q2, p1, p2 = d["Q1"], d["Q2"], d["P1"], d["P2"]
         tag = f"branch {branch:+d}: "
         checks += [
-            _check(tag + "[Q1, P1] == i", commutator(q1, p1), WeylOp.scalar(i_unit)),
-            _check(tag + "[Q2, P2] == i", commutator(q2, p2), WeylOp.scalar(i_unit)),
-            _check(tag + "[Q1, P2] == 0", commutator(q1, p2), zero),
-            _check(tag + "[Q2, P1] == 0", commutator(q2, p1), zero),
-            _check(tag + "[Q1, Q2] == i*theta", commutator(q1, q2), WeylOp.scalar(i_unit * th)),
-            _check(tag + "[P1, P2] == i*gamma", commutator(p1, p2), WeylOp.scalar(i_unit * ga)),
+            _check(t, tag + "[Q1, P1] == i", commutator(q1, p1), WeylOp.scalar(i_unit)),
+            _check(t, tag + "[Q2, P2] == i", commutator(q2, p2), WeylOp.scalar(i_unit)),
+            _check(t, tag + "[Q1, P2] == 0", commutator(q1, p2), zero),
+            _check(t, tag + "[Q2, P1] == 0", commutator(q2, p1), zero),
+            _check(t, tag + "[Q1, Q2] == i*theta", commutator(q1, q2), WeylOp.scalar(i_unit * th)),
+            _check(t, tag + "[P1, P2] == i*gamma", commutator(p1, p2), WeylOp.scalar(i_unit * ga)),
         ]
         if th == ga:
             a1, a2, ad1, ad2 = d["A1"], d["A2"], d["Ad1"], d["Ad2"]
             one = WeylOp.scalar(th**0)
             checks += [
-                _check(tag + "[A1, Ad1] == 1", commutator(a1, ad1), one),
-                _check(tag + "[A2, Ad2] == 1", commutator(a2, ad2), one),
-                _check(tag + "[A1, A2] == 0", commutator(a1, a2), zero),
+                _check(t, tag + "[A1, Ad1] == 1", commutator(a1, ad1), one),
+                _check(t, tag + "[A2, Ad2] == 1", commutator(a2, ad2), one),
+                _check(t, tag + "[A1, A2] == 0", commutator(a1, a2), zero),
                 _check(
-                    tag + "[A1, Ad2] == i*theta", commutator(a1, ad2), WeylOp.scalar(i_unit * th)
+                    t, tag + "[A1, Ad2] == i*theta", commutator(a1, ad2), WeylOp.scalar(i_unit * th)
                 ),
             ]
-    return Report.verdict(
-        all(c["ok"] for c in checks),
+    return t.report(
         f"Q/P representation at (theta, gamma) = ({theta}, {gamma})",
         {"theta": str(theta), "gamma": str(gamma), "checks": checks},
     )

@@ -6,7 +6,9 @@ import pytest
 from bihermite import cli
 from bihermite.cli import main
 from bihermite.coeffs import FLOAT_TOL, Coeff
+from bihermite.deform import GL2
 from bihermite.poly import BiPoly
+from bihermite.report import Report
 
 
 def run(capsys, *argv):
@@ -138,13 +140,36 @@ def test_genfun_deformed_requires_matrix(capsys):
 
 
 def test_csv_limited_to_coefficient_tables(capsys):
-    code, _, err = run(capsys, "genfun", "complex", "--format", "csv")
-    assert code == 2 and "coefficient tables" in err
+    for argv in (
+        ("genfun", "complex"),
+        ("dual", "--L", "2", "--alpha", "3/5"),
+        ("lie-report", "--alpha", "3/5"),
+        ("verify", "orthonormal", "--Lmax", "2"),
+        ("verify", "all"),
+    ):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (2, "") and "csv output is limited to coefficient tables" in err, argv
 
 
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "orthonormal", "--Lmax", "4")
     assert code == 0 and "PASS" in out
+
+
+def test_verify_eigen_fails_with_one_failing_case(monkeypatch, capsys):
+    real = cli.eigenvalue_structure_check
+
+    def broken(g, L):
+        rep = real(g, L)
+        return Report("fail", rep.summary, rep.payload) if (g, L) == (GL2(2, 1, 0, 3), 2) else rep
+
+    monkeypatch.setattr(cli, "eigenvalue_structure_check", broken)
+    code, out, _ = run(capsys, "verify", "eigen", "--Lmax", "2", "--format", "json")
+    obj = json.loads(out)
+    assert code == 1 and obj["summary"] == "eigenvalue structure: fail"
+    assert [c for c in obj["cases"] if c["status"] != "pass"] == [
+        {"case": "triangular", "L": 2, "status": "fail"}
+    ]
 
 
 def test_verify_json_payload(capsys):

@@ -343,6 +343,14 @@ def test_dual_family_alpha():
     assert fam.g_dual.g11 == Coeff(F(3, 5)) / delta
 
 
+def test_dual_family_consistent_fails_on_the_plain_adjoint(monkeypatch):
+    # the weights w_k = k!(L-k)! are all equal below level 2
+    g = rational_gl2(random.Random(13))
+    assert all(dual_family(g, L).consistent for L in range(5))
+    monkeypatch.setattr(RepMatrix, "adjoint", RepMatrix.conj_transpose)
+    assert [L for L in range(5) if not dual_family(g, L).consistent] == [2, 3, 4]
+
+
 def test_biorthogonality_alpha():
     rep = biorthogonality_check(G_ALPHA, 3)
     assert rep.ok, rep.payload["violations"][:3]
@@ -356,6 +364,32 @@ def test_biorthogonality_cross_level_blocks():
     for dp in duals.polys:
         for fp in fams.polys:
             assert inner_product(dp, fp) == Coeff(0)
+
+
+def test_biorthogonality_check_names_each_wrong_pairing(monkeypatch):
+    # a dual built from g^† instead of (g^†)^-1: the check inverts what
+    # conj_transpose returns, so returning (g^†)^-1 makes its dual g^†
+    g = rational_gl2(random.Random(13))
+    gh = g.conj_transpose()
+    want = []
+    for L in range(3):
+        for M in range(3):
+            for n in range(L + 1):
+                for k in range(M + 1):
+                    dual, fam = deformed_hermite(gh, L - n, n), deformed_hermite(g, M - k, k)
+                    got = inner_product(dual, fam)
+                    norm = factorial(L - n) * factorial(n) if (L, n) == (M, k) else 0
+                    if got != Coeff(norm):
+                        where = {"L": L, "M": M, "n": n, "k": k}
+                        want.append({**where, "value": str(got), "expected": str(norm)})
+    # the cross-level pairs stay zero, and level 0 pairs 1 with 1 for any g;
+    # every other pair within a level is wrong
+    assert [(f["L"], f["M"]) for f in want] == [(1, 1)] * 4 + [(2, 2)] * 9
+    real = GL2.conj_transpose
+    monkeypatch.setattr(GL2, "conj_transpose", lambda self: real(self).inverse())
+    rep = biorthogonality_check(g, 2)
+    assert rep.summary == "biorthogonality up to level 2: fail (36 pairings)"
+    assert rep.payload["violations"] == want
 
 
 def test_biorthogonality_random_rational():
@@ -386,6 +420,20 @@ def test_dual_matrix_scaling():
     assert rep.payload["kappa"]["0"] == "1"
     assert rep.payload["kappa"]["1"] == str(delta)
     assert rep.payload["kappa"]["3"] == str(delta**3)
+
+
+def test_dual_matrix_scaling_names_each_wrong_level(monkeypatch):
+    real = deform.rep_matrix
+
+    def odd_levels_wrong(g, L):
+        M = real(g, L)
+        if L % 2:
+            M.entries[0][L] = M.entries[0][L] + 1
+        return M
+
+    monkeypatch.setattr(deform, "rep_matrix", odd_levels_wrong)
+    rep = dual_matrix_scaling_check(POINT, 4)
+    assert rep.status == "fail" and rep.payload["failures"] == [{"L": 1}, {"L": 3}]
 
 
 def test_eigenvalue_structure_exact_cases():
@@ -483,6 +531,23 @@ def test_intertwiner_on_monomials():
 
 def test_intertwine_check_alpha():
     assert intertwine_check(G_ALPHA, 4).ok
+
+
+def test_intertwine_check_names_each_wrong_monomial(monkeypatch):
+    # H[1,1] and H[2,0] each with the coefficient of their leading monomial raised by 1
+    real = deform.hermite_sum
+    raised = {(1, 1), (2, 0)}
+    monkeypatch.setattr(
+        deform,
+        "hermite_sum",
+        lambda m, n: real(m, n) + BiPoly.monomial(m, n) if (m, n) in raised else real(m, n),
+    )
+    rep = intertwine_check(rational_gl2(random.Random(13)), 3)
+    assert rep.status == "fail"
+    assert rep.payload["failures"] == [
+        {"kind": "monomial", "m": 1, "n": 1},
+        {"kind": "monomial", "m": 2, "n": 0},
+    ]
 
 
 @pytest.mark.parametrize("g", [rational_gl2(random.Random(13)), G_ALPHA], ids=["qi-13", "alpha"])

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from bihermite import hermite
 from bihermite.cli import main
 from bihermite.coeffs import Coeff
 from bihermite.deform import GL2, deformed_hermite
@@ -86,8 +87,39 @@ def test_orthonormality_scaled():
     assert inner_product(hermite_sum(2, 1), hermite_sum(1, 2)) == Coeff(0)
 
 
+def test_orthonormality_check_names_each_wrong_pairing(monkeypatch):
+    # one coefficient of one H raised by 1: H'[1,1] = 2 z zbar - 1 = 2 H[1,1] + H[0,0]
+    real = hermite.hermite_sum
+    raised = BiPoly.monomial(1, 1)
+    monkeypatch.setattr(
+        hermite, "hermite_sum", lambda m, n: real(m, n) + raised if (m, n) == (1, 1) else real(m, n)
+    )
+    rep = orthonormality_check(3)
+    assert rep.status == "fail" and rep.payload["pairs"] == 100
+    assert rep.payload["violations"] == [
+        {"m": 0, "n": 0, "k": 1, "l": 1, "value": "1", "expected": "0"},
+        {"m": 1, "n": 1, "k": 0, "l": 0, "value": "1", "expected": "0"},
+        {"m": 1, "n": 1, "k": 1, "l": 1, "value": "5", "expected": "1"},
+    ]
+
+
 def test_real_orthogonality():
     assert real_orthogonality_check(6).ok
+
+
+def test_real_orthogonality_check_names_each_wrong_pairing(monkeypatch):
+    # H'_1 = 2x + 1: <H'_1, H_0> = sqrt(pi), <H'_1, H'_1> = 3 sqrt(pi)
+    real = hermite.real_hermite
+    monkeypatch.setattr(
+        hermite, "real_hermite", lambda n: real(n) + RealPoly.one() if n == 1 else real(n)
+    )
+    rep = real_orthogonality_check(3)
+    assert rep.status == "fail"
+    assert rep.payload["violations"] == [
+        {"m": 0, "n": 1, "value": "(1) * sqrt(pi)^1", "expected": "0"},
+        {"m": 1, "n": 0, "value": "(1) * sqrt(pi)^1", "expected": "0"},
+        {"m": 1, "n": 1, "value": "(3) * sqrt(pi)^1", "expected": "2"},
+    ]
 
 
 def test_real_orthogonality_rejects_a_negative_degree():

@@ -154,7 +154,7 @@ PUBLIC_NAMES = {
     "ncqm_commutator_suite", "normalizer_sq", "orthonormality_check", "parse_coeff",
     "position_momentum_ops", "qp_representation_suite", "rational_sqrt", "real_hermite",
     "real_inner_product", "real_orthogonality_check", "rep_action_check", "rep_laws_check",
-    "rep_matrix", "rescale", "structure_constants", "theta_one_limit_table",
+    "rep_matrix", "rescale", "structure_constants", "Tally", "theta_one_limit_table",
 }  # fmt: skip
 
 
@@ -169,7 +169,7 @@ def test_package_all_is_the_module_lists():
     lists = [importlib.import_module(f"bihermite.{m}").__all__ for m in starred]
     assert bihermite.__all__ == [name for names in lists for name in names]
     assert len(set(bihermite.__all__)) == len(bihermite.__all__)
-    assert set(bihermite.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 59
+    assert set(bihermite.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 60
     assert all(hasattr(bihermite, name) for name in PUBLIC_NAMES)
 
 

@@ -330,6 +330,29 @@ def test_lie_report_fails_when_the_final_table_does_not_close(monkeypatch):
     assert rep.payload["tables"]["Z"]["class"] == "unknown"
 
 
+def test_lie_report_fails_when_a_table_violates_the_jacobi_identity(monkeypatch):
+    # [J1, J2] gains one J1: the J table still closes, but is no Lie algebra
+    real = lie.structure_constants
+
+    def bent(basis):
+        sc = real(basis)
+        if basis.names[0] == "J1":
+            sc.table[(0, 1)] = [sc.table[(0, 1)][0] + 1, *sc.table[(0, 1)][1:]]
+        return sc
+
+    monkeypatch.setattr(lie, "structure_constants", bent)
+    rep = lie_report(POINT)
+    assert rep.summary == f"bilinear-algebra suite at theta = {THETA}: fail (class su2_plus_u1)"
+    assert rep.payload["problems"] == ["J-basis table violates the Jacobi identity"]
+
+
+def test_lie_report_fails_on_the_wrong_class(monkeypatch):
+    monkeypatch.setattr(lie, "_classify", lambda sc: "heisenberg_plus_u1")
+    rep = lie_report(POINT)
+    assert rep.status == "fail" and rep.payload["class"] == "heisenberg_plus_u1"
+    assert rep.payload["problems"] == ["classified as heisenberg_plus_u1, expected su2_plus_u1"]
+
+
 @pytest.mark.parametrize(
     "outside",
     [Coeff(F(1, 10**400)), Coeff(F(14142135623730951, 10**16), 0, -1)],

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from bihermite.coeffs import Coeff
+from bihermite import ncqm
+from bihermite.coeffs import Coeff, I
+from bihermite.deform import deformed_lowering, deformed_raising
 from bihermite.ncqm import (
     AlphaPoint,
     OperatorDictionary,
@@ -72,9 +74,53 @@ def test_ncqm_suite_float_point():
     assert rep.ok
 
 
-def test_theta_consistency_with_cross_commutator():
-    from bihermite.deform import deformed_lowering, deformed_raising
+def _failed(rep):
+    return [c["relation"] for c in rep.payload["checks"] if not c["ok"]]
 
+
+def test_ncqm_suite_fails_on_a_sign_flipped_cross_commutator(monkeypatch):
+    pt = AlphaPoint.make(F(3, 5))
+    g = alpha_matrix(pt)
+    a1, _ = deformed_lowering(g)
+    _, ad2 = deformed_raising(g)
+
+    def flipped(x, y):
+        out = commutator(x, y)
+        return -out if (x, y) == (a1, ad2) else out
+
+    monkeypatch.setattr(ncqm, "commutator", flipped)
+    rep = ncqm_commutator_suite(pt)
+    assert rep.summary == "deformed-ladder commutators at alpha = 3/5: fail"
+    assert _failed(rep) == ["[a1_alpha, ad2_alpha] == i*theta"]
+
+
+def test_ncqm_suite_fails_when_a_lowering_operator_misses_the_vacuum(monkeypatch):
+    real = ncqm.deformed_lowering
+
+    def shifted(g):
+        # a scalar commutes with everything, so only the vacuum row can see it
+        low1, low2 = real(g)
+        return low1 + WeylOp.scalar(1), low2
+
+    monkeypatch.setattr(ncqm, "deformed_lowering", shifted)
+    rep = ncqm_commutator_suite(AlphaPoint.make(F(3, 5)))
+    assert rep.status == "fail" and _failed(rep) == ["vacuum: a1_alpha(1) == 0"]
+
+
+def test_qp_suite_fails_on_a_sign_flipped_position_commutator(monkeypatch):
+    itheta = WeylOp.scalar(I * F(3, 5))
+
+    def flipped(x, y):
+        out = commutator(x, y)
+        return -out if out == itheta else out
+
+    monkeypatch.setattr(ncqm, "commutator", flipped)
+    rep = qp_representation_suite(F(3, 5), F(16, 15))
+    assert rep.status == "fail"
+    assert _failed(rep) == ["branch +1: [Q1, Q2] == i*theta", "branch -1: [Q1, Q2] == i*theta"]
+
+
+def test_theta_consistency_with_cross_commutator():
     pt = AlphaPoint.make(F(5, 13))
     g = alpha_matrix(pt)
     a1, _ = deformed_lowering(g)
