@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffs import close
+from . import coeffs
 
 __all__ = ["Report", "Tally"]
 
@@ -47,10 +47,10 @@ class Tally:
         return ok
 
     def compare(self, got, want, where: dict) -> bool:
-        """Check close(got, want); a failure records where with the two sides
-        as the strings "value" and "expected", formatted only then."""
+        """Check coeffs.close(got, want); a failure records where with the two
+        sides as the strings "value" and "expected", formatted only then."""
         self.checks += 1
-        if close(got, want):
+        if coeffs.close(got, want):
             return True
         self.failures.append({**where, "value": str(got), "expected": str(want)})
         return False

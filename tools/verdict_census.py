@@ -9,12 +9,17 @@ rests on.  A mutant is killed when pytest fails under it.
     python tools/verdict_census.py                      # every mutant
     python tools/verdict_census.py biorth-pass gram-no-conj
 
-Each mutant is applied to its own temporary copy of src/ and tests/.
+Each mutant is applied to its own temporary copy of the repository (all of
+it but .git, so tools/ and demos/ are there for the tests that read them).
 ``pytest -x`` runs the mutant's own test files first, which kills it in a
 second or two, and only when they pass the whole of tests/.  So a survivor
-costs one full tier-1 run.  Mutants run one at a time.  The exit status is 1
-when a mutant survives, when its text does not occur exactly once in its
-file, or when pytest stops for another reason than a failed test.
+costs one full tier-1 run.  Before any mutant, the whole of tests/ runs on an
+unmutated copy and must pass: a copy in which the tests fail anyway would
+count every mutant as killed.  Mutants run one at a time.  A mutant that only
+the whole of tests/ kills is reported as "killed*", so its listed test files
+can be corrected.  The exit status is 1 when the unmutated copy fails, when a
+mutant survives, when its text does not occur exactly once in its file, or
+when pytest stops for another reason than a failed test.
 """
 
 from __future__ import annotations
@@ -184,7 +189,7 @@ MUTANTS = (
     ),
     Mutant(
         "report.py",
-        "if close(got, want):",
+        "if coeffs.close(got, want):",
         "if True:",
         "tally-compare-pass",
         ("tests/test_report.py",),
@@ -235,21 +240,24 @@ def _pytest(cwd: Path, paths) -> int:
     return done.returncode
 
 
-def run_mutant(mutant: Mutant, scratch: Path) -> str:
-    """'killed', 'survived', or why the mutant could not be judged."""
-    work = scratch / mutant.name
-    for part in ("src", "tests"):
-        shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(ROOT / "pyproject.toml", work)
+def _copy(work: Path) -> Path:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info")
+    shutil.copytree(ROOT, work, ignore=ignore)
+    return work
+
+
+def run_mutant(mutant: Mutant, work: Path) -> str:
+    """'killed' (by its own test files), 'killed*' (only by the whole of
+    tests/), 'survived', or why the mutant could not be judged."""
     target = work / "src" / "bihermite" / mutant.file
     text = target.read_text()
     if text.count(mutant.old) != 1:
         return f"old text occurs {text.count(mutant.old)} times"
     target.write_text(text.replace(mutant.old, mutant.new))
-    for paths in (mutant.tests, ("tests",)):
+    for outcome, paths in (("killed", mutant.tests), ("killed*", ("tests",))):
         code = _pytest(work, paths)
         if code == 1:
-            return "killed"
+            return outcome
         if code != 0:
             return f"pytest exit status {code}"
     return "survived"
@@ -261,16 +269,26 @@ def main(names) -> int:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
-    bad = 0
     with tempfile.TemporaryDirectory(prefix="verdict-census-") as tmp:
+        start = time.perf_counter()
+        code = _pytest(_copy(Path(tmp) / "unmutated"), ("tests",))
+        took = time.perf_counter() - start
+        print(f"{'passed' if code == 0 else 'FAILED':10s} {took:6.1f} s  unmutated copy", flush=True)
+        if code != 0:
+            print(f"the unmutated copy fails its tests (pytest exit status {code})", file=sys.stderr)
+            return 1
+        outcomes = []
         for mutant in chosen:
             start = time.perf_counter()
-            outcome = run_mutant(mutant, Path(tmp))
-            bad += outcome != "killed"
+            work = _copy(Path(tmp) / mutant.name)
+            outcomes.append(run_mutant(mutant, work))
+            shutil.rmtree(work)
             took = time.perf_counter() - start
-            print(f"{outcome:10s} {took:6.1f} s  {mutant.name}", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
-    return 1 if bad else 0
+            print(f"{outcomes[-1]:10s} {took:6.1f} s  {mutant.name}", flush=True)
+    killed = sum(o in ("killed", "killed*") for o in outcomes)
+    late = outcomes.count("killed*")
+    print(f"{killed} of {len(chosen)} mutants killed, {late} of them only by the whole of tests/")
+    return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":
