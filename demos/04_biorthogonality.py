@@ -24,18 +24,19 @@ print("the deformed family is not orthogonal on its own:")
 h10, h01 = deformed_hermite(g, 1, 0), deformed_hermite(g, 0, 1)
 print(f"  <Hg[1,0], Hg[0,1]> = {inner_product(h10, h01)}   (nonzero)")
 
-fam = dual_family(g, 1)
+L = 1
+fam = dual_family(g, L)
+indices = [(L - j, j) for j in range(L + 1)]  # the order of fam.polys
 print()
-print(f"dual matrix (inverse conjugate transpose), level 1:")
-for (m, n), p in zip(fam.basis.indices, fam.basis.polys):
+print(f"dual matrix (inverse conjugate transpose), level {L}:")
+for (m, n), p in zip(indices, fam.polys):
     print(f"  Hdual[{m},{n}] = {p.pretty()}")
 print(f"  matrix route consistency (direct vs inverse-adjoint): {fam.consistent}")
 
 print()
 print("pairings against the dual are exact deltas:")
-for (m, n) in fam.basis.indices:
-    for (k, l) in fam.basis.indices:
-        dual_p = fam.basis.polys[fam.basis.indices.index((m, n))]
+for (m, n), dual_p in zip(indices, fam.polys):
+    for (k, l) in indices:
         val = inner_product(dual_p, deformed_hermite(g, k, l))
         print(f"  <Hdual[{m},{n}], Hg[{k},{l}]> = {val}")
 

@@ -30,7 +30,6 @@ from .deform import (
     rep_matrix,
 )
 from .hermite import (
-    HermiteTable,
     _check_lmax,
     generating_series_complex,
     generating_series_real,
@@ -76,7 +75,7 @@ def parse_gl2(args) -> GL2:
     raise ValueError("pass either --alpha or --g g11 g12 g21 g22")
 
 
-def emit(obj, fmt: str, pretty_text: str | None = None, csv_rows=None):
+def emit(obj, fmt: str, pretty_text: str, csv_rows=None):
     if fmt == "json":
         print(json.dumps(obj, indent=2, sort_keys=False))
     elif fmt == "csv":
@@ -85,7 +84,7 @@ def emit(obj, fmt: str, pretty_text: str | None = None, csv_rows=None):
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
-        print(pretty_text if pretty_text is not None else json.dumps(obj, indent=2))
+        print(pretty_text)
 
 
 def _csv_rows(p) -> list:
@@ -93,29 +92,28 @@ def _csv_rows(p) -> list:
     return [(*p.KEYS, "re", "im")] + [(*key, str(c.re), str(c.im)) for key, c in p.sorted_terms()]
 
 
-def cmd_hermite(args) -> int:
-    if args.table:
-        table = HermiteTable(args.Lmax)
-        rows = table.to_csv_rows()
-        emit(
-            table.to_json(),
-            args.format,
-            "\n".join(
-                f"H[{m},{n}] = {table[(m, n)].pretty()}   (normalizer sqrt({normalizer_sq(m, n)}))"
-                for m, n in table.ordered_keys()
-            ),
-            csv_rows=rows,
-        )
-        return 0
-    m, n = args.m, args.n
+def _hermite_entry(m: int, n: int):
+    """H[m,n] with its record and its pretty line."""
     h = hermite_sum(m, n)
-    payload = {"m": m, "n": n, "normalizer_sq": normalizer_sq(m, n), **h.to_json_dict()}
-    emit(
-        payload,
-        args.format,
-        f"H[{m},{n}] = {h.pretty()}   (normalizer sqrt({normalizer_sq(m, n)}))",
-        csv_rows=_csv_rows(h),
-    )
+    record = {"m": m, "n": n, "normalizer_sq": normalizer_sq(m, n), **h.to_json_dict()}
+    return h, record, f"H[{m},{n}] = {h.pretty()}   (normalizer sqrt({normalizer_sq(m, n)}))"
+
+
+def cmd_hermite(args) -> int:
+    if not args.table:
+        h, record, line = _hermite_entry(args.m, args.n)
+        emit(record, args.format, line, csv_rows=_csv_rows(h))
+        return 0
+    _check_lmax(args.Lmax)
+    records, lines, rows = [], [], [("m", "n", "z", "zbar", "re", "im")]
+    # ordered by total degree, then by m
+    for total in range(args.Lmax + 1):
+        for m in range(total + 1):
+            h, record, line = _hermite_entry(m, total - m)
+            records.append(record)
+            lines.append(line)
+            rows += [(m, total - m, *row) for row in _csv_rows(h)[1:]]
+    emit(records, args.format, "\n".join(lines), csv_rows=rows)
     return 0
 
 
@@ -150,16 +148,11 @@ def cmd_dual(args) -> int:
         "L": args.L,
         "dual_matrix_consistent": fam.consistent,
         "g_dual": [c.to_json_value() for c in fam.g_dual.entries()],
-        "polys": [
-            {"m": m, "n": n, **p.to_json_dict()}
-            for (m, n), p in zip(fam.basis.indices, fam.basis.polys)
-        ],
+        "polys": [{"m": args.L - j, "n": j, **p.to_json_dict()} for j, p in enumerate(fam.polys)],
         "matrix": fam.matrix_direct.to_json(),
     }
     pretty_lines = [f"dual family at level {args.L} (matrix routes consistent: {fam.consistent})"]
-    pretty_lines += [
-        f"Hdual[{m},{n}] = {p.pretty()}" for (m, n), p in zip(fam.basis.indices, fam.basis.polys)
-    ]
+    pretty_lines += [f"Hdual[{args.L - j},{j}] = {p.pretty()}" for j, p in enumerate(fam.polys)]
     emit(payload, args.format, "\n".join(pretty_lines))
     return 0
 
@@ -303,7 +296,7 @@ def cmd_lie_report(args) -> int:
         basis = rescale(basis_change(jb))
     sc = structure_constants(basis)
     klass = classify(sc)
-    payload = sc.to_json(klass)
+    payload = {**sc.to_json(), "class": klass}
     pretty = [f"basis {args.basis}, class {klass}"]
     for (i, j) in sorted(sc.table):
         coords = ", ".join(

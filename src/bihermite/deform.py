@@ -39,7 +39,6 @@ __all__ = [
     "alpha_matrix",
     "GL2",
     "RepMatrix",
-    "LevelBasis",
     "DualFamily",
     "deformed_raising",
     "deformed_lowering",
@@ -300,7 +299,8 @@ def deformed_generating_series(g: GL2, N: int) -> SeriesTruncation:
     """Truncation of exp((g11 u + g12 ub) z + (g21 u + g22 ub) zbar
     - (g11 u + g12 ub)(g21 u + g22 ub)); coefficient (k, l) times k!*l!
     is Hg[k,l]."""
-    z, zbar, one = BiPoly.z(), BiPoly.zbar(), BiPoly.one()
+    z, zbar = BiPoly.z(), BiPoly.zbar()
+    one = BiPoly.monomial(0, 0, g.det**0)  # the constant term on g's backend
     seed = SeriesTruncation(
         N,
         {
@@ -310,7 +310,7 @@ def deformed_generating_series(g: GL2, N: int) -> SeriesTruncation:
             (1, 1): one * (-(g.g11 * g.g22 + g.g12 * g.g21)),
             (0, 2): one * (-(g.g12 * g.g22)),
         },
-        BiPoly.one(),
+        one,
     )
     return seed.exp()
 
@@ -350,22 +350,10 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
     return RepMatrix(L, rows)
 
 
-@dataclass
-class LevelBasis:
-    """Level-L family in the conventional order [(L,0), (L-1,1), ..., (0,L)].
-
-    polys holds the scaled H (or Hg) polynomials; norm_sq the factors m!*n!
-    whose square roots normalize them.
-    """
-
-    L: int
-    indices: list
-    polys: list
-    norm_sq: list
-
-
-def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
-    """The undeformed level-L family, or the deformed one of g.
+def level_basis(L: int, g: GL2 | None = None) -> list[BiPoly]:
+    """The undeformed level-L family, or the deformed one of g, in the
+    conventional order: position j holds H[L-j, j] (or Hg[L-j, j]), whose
+    squared normalizer is normalizer_sq(L-j, j).
 
     Hg[k, L-k] is sum_r M[r,k] H[r, L-r], column k of M(g, L) over the
     hermite_sum basis.  The families raised by the operators R1 and R2 are
@@ -376,27 +364,26 @@ def level_basis(L: int, g: GL2 | None = None) -> LevelBasis:
     return _level_basis(L, None if g is None else rep_matrix(g, L))
 
 
-def _level_basis(L: int, M: RepMatrix | None) -> LevelBasis:
+def _level_basis(L: int, M: RepMatrix | None) -> list[BiPoly]:
     """The level-L family Hg[k, L-k] = sum_r M[r,k] H[r, L-r] of the level
-    matrix M, or the undeformed family when M is None.
+    matrix M, or the undeformed family when M is None, with k = L first.
 
     Each H[r, L-r] holds only keys with z-degree minus zbar-degree 2r - L,
     so the terms of the sum never meet and each is one product.
     """
-    indices = [(L - j, j) for j in range(L + 1)]
-    polys = [hermite_sum(m, n) for m, n in indices]
-    if M is not None:
-        basis = polys[::-1]  # basis[r] = H[r, L-r]
-        polys = []
-        for k, _ in indices:
-            terms = {}
-            for r, h in enumerate(basis):
-                m = M[r, k]
-                if m:
-                    for key, c in h.terms.items():
-                        terms[key] = m * c
-            polys.append(basis[0]._like(terms))
-    return LevelBasis(L, indices, polys, [normalizer_sq(m, n) for m, n in indices])
+    basis = [hermite_sum(r, L - r) for r in range(L + 1)]  # basis[r] = H[r, L-r]
+    if M is None:
+        return basis[::-1]
+    polys = []
+    for k in range(L, -1, -1):
+        terms = {}
+        for r, h in enumerate(basis):
+            m = M[r, k]
+            if m:
+                for key, c in h.terms.items():
+                    terms[key] = m * c
+        polys.append(basis[0]._like(terms))
+    return polys
 
 
 def rep_action_check(g: GL2, Lmax: int) -> Report:
@@ -410,7 +397,7 @@ def rep_action_check(g: GL2, Lmax: int) -> Report:
     _check_lmax(Lmax)
     t = Tally()
     for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
-        family = level_basis(L, g).polys[::-1]  # family[k] = Hg[k, L-k]
+        family = level_basis(L, g)[::-1]  # family[k] = Hg[k, L-k]
         for k, (h, p) in enumerate(zip(raised, family)):
             t.check(close(h, p), {"L": L, "k": k})
     return t.report(
@@ -462,7 +449,7 @@ class DualFamily:
 
     L: int
     g_dual: GL2
-    basis: LevelBasis
+    polys: list  # level_basis order: position j holds Hdual[L-j, j]
     matrix_direct: RepMatrix
     matrix_inverse_route: RepMatrix
 
@@ -491,7 +478,7 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     levels = range(Lmax + 1)
     duals = [level_basis(L, g_dual) for L in levels]
     fams = [level_basis(L, g) for L in levels]
-    products = gram([p for d in duals for p in d.polys], [p for f in fams for p in f.polys])
+    products = gram([p for d in duals for p in d], [p for f in fams for p in f])
     t = Tally()
     for L in levels:
         for M in levels:
@@ -499,7 +486,7 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
                 row = products[L * (L + 1) // 2 + n]  # levels below L hold L(L+1)/2 polys
                 for k in range(M + 1):
                     got = row[M * (M + 1) // 2 + k]
-                    want = Coeff(duals[L].norm_sq[n]) if (L == M and n == k) else ZERO
+                    want = Coeff(normalizer_sq(L - n, n)) if (L == M and n == k) else ZERO
                     t.compare(got, want, {"L": L, "M": M, "n": n, "k": k})
     return t.report(
         f"biorthogonality up to level {Lmax}",

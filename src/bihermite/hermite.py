@@ -31,7 +31,6 @@ __all__ = [
     "hermite_operator",
     "normalizer_sq",
     "real_hermite",
-    "HermiteTable",
     "SeriesTruncation",
     "generating_series_complex",
     "generating_series_real",
@@ -96,41 +95,6 @@ def real_hermite(n: int, var: int = 0) -> RealPoly:
     for k in range(1, n):
         prev, cur = cur, 2 * x * cur - (2 * k) * prev
     return cur
-
-
-class HermiteTable:
-    """All H[m,n] with m+n <= max_total, with the squared normalizers."""
-
-    def __init__(self, max_total: int):
-        _check_lmax(max_total)
-        self.max_total = max_total
-        self.entries = {}
-        for total in range(max_total + 1):
-            for m in range(total + 1):
-                self.entries[(m, total - m)] = hermite_sum(m, total - m)
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def normalized_pair(self, m, n):
-        """(H[m,n], m!*n!) so that h = H/sqrt of the second component."""
-        return self.entries[(m, n)], normalizer_sq(m, n)
-
-    def ordered_keys(self):
-        return sorted(self.entries, key=lambda mn: (mn[0] + mn[1], mn[0]))
-
-    def to_json(self):
-        return [
-            {"m": m, "n": n, "normalizer_sq": normalizer_sq(m, n), **self.entries[(m, n)].to_json_dict()}
-            for m, n in self.ordered_keys()
-        ]
-
-    def to_csv_rows(self):
-        rows = [("m", "n", "z", "zbar", "re", "im")]
-        for m, n in self.ordered_keys():
-            for (a, b), c in self.entries[(m, n)].sorted_terms():
-                rows.append((m, n, a, b, str(c.re), str(c.im)))
-        return rows
 
 
 class SeriesTruncation(SparseMap):
@@ -242,9 +206,8 @@ def _check_lmax(Lmax: int):
 def orthonormality_check(Lmax: int) -> Report:
     """Exact check that <H[m,n], H[k,l]> = m! n! delta delta for m+n, k+l <= Lmax."""
     _check_lmax(Lmax)
-    table = HermiteTable(Lmax)
-    keys = table.ordered_keys()
-    polys = [table[key] for key in keys]
+    keys = [(m, total - m) for total in range(Lmax + 1) for m in range(total + 1)]
+    polys = [hermite_sum(m, n) for m, n in keys]
     t = Tally()
     for (m, n), row in zip(keys, gram(polys, polys)):
         for (k, l), got in zip(keys, row):

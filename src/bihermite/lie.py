@@ -183,8 +183,8 @@ class StructureConstants:
                 return False
         return True
 
-    def to_json(self, klass: str | None = None) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "basis": list(self.names),
             "brackets": [
                 {
@@ -196,9 +196,6 @@ class StructureConstants:
                 for (i, j) in sorted(self.table)
             ],
         }
-        if klass is not None:
-            out["class"] = klass
-        return out
 
 
 def structure_constants(basis: LieBasisSet) -> StructureConstants:

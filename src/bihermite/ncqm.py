@@ -13,7 +13,6 @@ two equally valid sign branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import Coeff, I, rational_sqrt
@@ -24,7 +23,6 @@ from .report import Report, Tally
 from .weyl import WeylOp, _qp_from_ladders, commutator, position_momentum_ops
 
 __all__ = [
-    "OperatorDictionary",
     "build_dictionary",
     "ncqm_commutator_suite",
     "qp_representation_suite",
@@ -74,32 +72,20 @@ def _qp_from_canonical(theta, gamma, branch: int) -> dict[str, WeylOp]:
     }
 
 
-@dataclass
-class OperatorDictionary:
-    """Named operator set for one parameter choice, re-derivable from it."""
-
-    ops: dict[str, WeylOp]
-    params: dict
-
-    def __getitem__(self, name: str) -> WeylOp:
-        return self.ops[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.ops
-
-    def names(self):
-        return sorted(self.ops)
-
-    def to_json(self) -> dict:
-        return {
-            "params": self.params,
-            "operators": {name: self.ops[name].to_json_dict() for name in self.names()},
-        }
+def _modified_bosons(qp: dict[str, WeylOp]) -> dict[str, WeylOp]:
+    """A_i = (Q_i + i P_i)/sqrt2 and Ad_i = (Q_i - i P_i)/sqrt2, on the backend of Q/P."""
+    half_rt2 = Coeff(0, 0, Fraction(1, 2))
+    ops = {}
+    for mode in (1, 2):
+        q, p = qp[f"Q{mode}"], qp[f"P{mode}"]
+        ops[f"A{mode}"] = (q + p * I) * half_rt2
+        ops[f"Ad{mode}"] = (q - p * I) * half_rt2
+    return ops
 
 
-def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> OperatorDictionary:
-    """Assemble the named operators for a parameter point, on the float
-    backend when a parameter is a float.
+def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> dict[str, WeylOp]:
+    """The named operators of a parameter point, on the float backend when a
+    parameter is a float.
 
     Always includes the bare ladder operators, canonical q/p pairs, and the
     undeformed bilinears J1..J4, which hold no parameter and are exact on
@@ -111,8 +97,6 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
     """
     if alpha is not None and (theta is not None or gamma is not None):
         raise ValueError("pass either alpha or (theta, gamma), not both")
-    point = alpha if alpha is None or isinstance(alpha, AlphaPoint) else AlphaPoint.make(alpha)
-    exact = _exact_params(theta, gamma) if point is None else point.exact
     ops: dict[str, WeylOp] = {
         "a1": WeylOp.a(1),
         "a2": WeylOp.a(2),
@@ -121,11 +105,9 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
     }
     ops.update(position_momentum_ops())
     ops.update(bilinear_generators().items())
-    params: dict = {"exact": exact}
 
-    if point is not None:
-        params["alpha"] = str(point.alpha)
-        params["theta"] = str(point.theta)
+    if alpha is not None:
+        point = alpha if isinstance(alpha, AlphaPoint) else AlphaPoint.make(alpha)
         g = alpha_matrix(point)
         low1, low2 = deformed_lowering(g)
         rai1, rai2 = deformed_raising(g)
@@ -152,22 +134,13 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> Ope
         if point.theta * point.theta != 1:  # rescale is singular at theta = +-1
             zbasis = rescale(xbasis)
             ops.update(dict(zip(zbasis.names, zbasis.ops)))
-        return OperatorDictionary(ops, params)
-
-    if theta is not None or gamma is not None:
+    elif theta is not None or gamma is not None:
         if theta is None or gamma is None:
             raise ValueError("theta and gamma must be given together")
-        params.update({"theta": str(theta), "gamma": str(gamma), "branch": branch})
         qp = _qp_from_canonical(theta, gamma, branch)
         ops.update(qp)
-        half_rt2 = Coeff(0, 0, Fraction(1, 2))
-        for mode in (1, 2):
-            q, p = qp[f"Q{mode}"], qp[f"P{mode}"]
-            ops[f"A{mode}"] = (q + p * I) * half_rt2
-            ops[f"Ad{mode}"] = (q - p * I) * half_rt2
-        return OperatorDictionary(ops, params)
-
-    return OperatorDictionary(ops, params)
+        ops.update(_modified_bosons(qp))
+    return ops
 
 
 def _check(t: Tally, name, got: WeylOp, want: WeylOp) -> dict:
@@ -223,8 +196,8 @@ def qp_representation_suite(theta, gamma) -> Report:
     t = Tally()
     checks = []
     for branch in (1, -1):
-        d = build_dictionary(theta=theta, gamma=gamma, branch=branch)
-        q1, q2, p1, p2 = d["Q1"], d["Q2"], d["P1"], d["P2"]
+        qp = _qp_from_canonical(theta, gamma, branch)
+        q1, q2, p1, p2 = qp["Q1"], qp["Q2"], qp["P1"], qp["P2"]
         tag = f"branch {branch:+d}: "
         checks += [
             _check(t, tag + "[Q1, P1] == i", commutator(q1, p1), WeylOp.scalar(i_unit)),
@@ -235,7 +208,8 @@ def qp_representation_suite(theta, gamma) -> Report:
             _check(t, tag + "[P1, P2] == i*gamma", commutator(p1, p2), WeylOp.scalar(i_unit * ga)),
         ]
         if th == ga:
-            a1, a2, ad1, ad2 = d["A1"], d["A2"], d["Ad1"], d["Ad2"]
+            bosons = _modified_bosons(qp)
+            a1, a2, ad1, ad2 = bosons["A1"], bosons["A2"], bosons["Ad1"], bosons["Ad2"]
             one = WeylOp.scalar(th**0)
             checks += [
                 _check(t, tag + "[A1, Ad1] == 1", commutator(a1, ad1), one),

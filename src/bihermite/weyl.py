@@ -76,9 +76,6 @@ class WeylOp(SparseMap):
     def __truediv__(self, other):
         return self * Coeff.lift(other).inverse()
 
-    def commutator(self, other: WeylOp) -> WeylOp:
-        return self * other - other * self
-
     def dagger(self) -> WeylOp:
         """Formal adjoint; the reversed word is already normal ordered."""
         terms = self.terms.items()
@@ -127,7 +124,7 @@ def _raise(q: BiPoly, mode: int) -> BiPoly:
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a.commutator(b)
+    return a * b - b * a
 
 
 def _qp_from_ladders(low: WeylOp, raise_: WeylOp) -> tuple[WeylOp, WeylOp]:

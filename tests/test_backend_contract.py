@@ -19,6 +19,7 @@ from bihermite import (
     basis_change,
     bilinear_generators,
     build_dictionary,
+    deformed_generating_series,
     deformed_hermite,
     dual_family,
     level_basis,
@@ -104,8 +105,10 @@ def test_deformed_families_stay_on_the_backend(backend):
         for l in range(3 - k)
     }
     for L in (0, 1, 3):
-        results[f"level_basis({L}, g)"] = level_basis(L, g).polys
-        results[f"dual_family(g, {L})"] = dual_family(g, L).basis.polys
+        results[f"level_basis({L}, g)"] = level_basis(L, g)
+        results[f"dual_family(g, {L})"] = dual_family(g, L).polys
+    series = deformed_generating_series(g, 3)
+    results["deformed_generating_series(g, 3)"] = list(series.terms.values())
     assert_on_backend(results, backend)
 
 

@@ -102,8 +102,8 @@ def counted_conversions(exact_only=False):
 def _biorth_inner_products(g, Lmax):
     """Every dual x family inner product of the levels up to Lmax."""
     g_dual = g.conj_transpose().inverse()
-    duals = [p for L in range(Lmax + 1) for p in level_basis(L, g_dual).polys]
-    family = [p for L in range(Lmax + 1) for p in level_basis(L, g).polys]
+    duals = [p for L in range(Lmax + 1) for p in level_basis(L, g_dual)]
+    family = [p for L in range(Lmax + 1) for p in level_basis(L, g)]
     return lambda: [inner_product(p, q) for p in duals for q in family]
 
 

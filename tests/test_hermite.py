@@ -8,7 +8,6 @@ from bihermite.cli import main
 from bihermite.coeffs import Coeff
 from bihermite.deform import GL2, deformed_hermite
 from bihermite.hermite import (
-    HermiteTable,
     SeriesTruncation,
     generating_series_complex,
     generating_series_real,
@@ -188,19 +187,6 @@ def test_series_truncation_product_consistency():
 def test_series_exp_requires_zero_constant_term():
     with pytest.raises(ValueError):
         SeriesTruncation(3, {(0, 0): ONE}).exp()
-
-
-def test_table_build_and_export():
-    table = HermiteTable(4)
-    assert table[(2, 1)] == hermite_sum(2, 1)
-    assert table.normalized_pair(2, 1) == (hermite_sum(2, 1), 2)
-    keys = table.ordered_keys()
-    assert keys[0] == (0, 0) and keys[-1] == (4, 0)
-    ordered = [(e["m"], e["n"]) for e in table.to_json()]
-    assert ordered == keys
-    rows = table.to_csv_rows()
-    assert rows[0] == ("m", "n", "z", "zbar", "re", "im")
-    assert len(rows) > len(keys)
 
 
 def test_normalizer():

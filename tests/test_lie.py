@@ -303,9 +303,8 @@ def test_classify_mixed_real_imaginary_table_unknown():
 
 def test_structure_constants_json():
     sc = structure_constants(bilinear_generators(POINT))
-    obj = sc.to_json("su2_plus_u1")
+    obj = sc.to_json()
     assert obj["basis"] == ["J1", "J2", "J3", "J4"]
-    assert obj["class"] == "su2_plus_u1"
     assert all(b["residual_norm"] == 0.0 for b in obj["brackets"])
 
 

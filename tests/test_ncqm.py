@@ -7,7 +7,6 @@ from bihermite.coeffs import Coeff, I
 from bihermite.deform import deformed_lowering, deformed_raising
 from bihermite.ncqm import (
     AlphaPoint,
-    OperatorDictionary,
     alpha_matrix,
     build_dictionary,
     ncqm_commutator_suite,
@@ -228,7 +227,7 @@ def test_build_dictionary_has_the_rescaled_basis_away_from_theta_one(alpha, resc
 def test_build_dictionary_entries_rederivable():
     d = build_dictionary(alpha=F(3, 5))
     d2 = build_dictionary(alpha=F(3, 5))
-    for name in d.names():
+    for name in d:
         assert d[name] == d2[name]
 
 
@@ -236,10 +235,3 @@ def test_build_dictionary_rejects_mixed_parameters():
     with pytest.raises(ValueError):
         build_dictionary(alpha=F(3, 5), theta=F(1, 2), gamma=F(1, 2))
 
-
-def test_dictionary_json():
-    d = build_dictionary(theta=F(3, 5), gamma=F(3, 5))
-    obj = d.to_json()
-    assert obj["params"]["theta"] == "3/5"
-    assert "Q1" in obj["operators"]
-    assert isinstance(d, OperatorDictionary)

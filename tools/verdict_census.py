@@ -152,6 +152,13 @@ MUTANTS = (
         ("tests/test_ncqm.py",),
     ),
     Mutant(
+        "ncqm.py",
+        "if th == ga:",
+        "if False:",
+        "qp-modified-bosons-skipped",
+        ("tests/test_ncqm.py",),
+    ),
+    Mutant(
         "lie.py",
         "jacobi = t.check(sc.jacobi_ok(),",
         "jacobi = t.check(True,",
