@@ -5,12 +5,15 @@ Exact mode takes rational input only ("3/5", "-4/5i", "1/2+1/3i"); decimals
 need --backend float.  --format json is the machine format; csv is limited
 to coefficient tables; pretty writes z and z~ for the conjugate pair.
 Verification subcommands exit 0 exactly when every assertion passed.
+Input errors exit 2, and a reader that closes the output early (`| head`)
+ends the command with exit status 141, 128 plus SIGPIPE, and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -19,6 +22,7 @@ from .coeffs import Coeff, parse_coeff
 from .deform import (
     GL2,
     AlphaPoint,
+    _level_matrices,
     alpha_matrix,
     biorthogonality_check,
     deformed_generating_series,
@@ -214,8 +218,8 @@ def _verify_eigen(args) -> Report:
     sub = []
     for name, g in cases:
         g = _on_backend(g, args)
-        for L in range(args.Lmax + 1):
-            rep = eigenvalue_structure_check(g, L)
+        for L, M in zip(range(args.Lmax + 1), _level_matrices(g)):
+            rep = eigenvalue_structure_check(g, M)
             sub.append({"case": name, "L": L, "status": rep.status})
             t.check(rep.ok, sub[-1])
     return t.report("eigenvalue structure", {"cases": sub})
@@ -257,6 +261,8 @@ def run_suite(name: str, args) -> Report:
 def cmd_verify(args) -> int:
     run_all = args.suite == "all"
     names = list(VERIFY_SUITES) if run_all else [args.suite]
+    if not run_all and args.Lmax is not None and VERIFY_SUITES[args.suite][0] is None:
+        raise ValueError(f"verify {args.suite} takes no --Lmax")
     reports = {}
     for name in names:
         ns = argparse.Namespace(**vars(args))
@@ -396,10 +402,18 @@ def main(argv=None) -> int:
     # the one reading of --backend; the library reads the backend off the values
     args.exact = getattr(args, "backend", "exact") == "exact"
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so that the flush
+        # at exit cannot fail again, and exit as a process killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

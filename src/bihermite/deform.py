@@ -350,6 +350,31 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
     return RepMatrix(L, rows)
 
 
+def _times_linear(column, a, b) -> list:
+    """Coefficients of (a s + b t) p at s^r t^(n+1-r), r = 0..n+1, from those
+    of p at s^r t^(n-r): two products per entry."""
+    out = [b * column[0]]
+    out += [a * column[r - 1] + b * column[r] for r in range(1, len(column))]
+    out.append(a * column[-1])
+    return out
+
+
+def _level_matrices(g: GL2):
+    """The level matrices M(g, 0), M(g, 1), M(g, 2), ..., each from the one
+    below: column 0 of level L is (g12 s + g22 t) times column 0 of level
+    L-1, and column k >= 1 is (g11 s + g21 t) times column k-1 of level L-1.
+    The matrix twin of _raised_levels; every walk over levels reads its
+    matrices here, and the closed form rep_matrix is its reference."""
+    columns = [[g.det**0]]  # columns[k][r] = M[r, k]
+    L = 0
+    while True:
+        yield RepMatrix(L, list(zip(*columns)))
+        columns = [_times_linear(columns[0], g.g12, g.g22)] + [
+            _times_linear(c, g.g11, g.g21) for c in columns
+        ]
+        L += 1
+
+
 def level_basis(L: int, g: GL2 | None = None) -> list[BiPoly]:
     """The undeformed level-L family, or the deformed one of g, in the
     conventional order: position j holds H[L-j, j] (or Hg[L-j, j]), whose
@@ -389,15 +414,16 @@ def _level_basis(L: int, M: RepMatrix | None) -> list[BiPoly]:
 def rep_action_check(g: GL2, Lmax: int) -> Report:
     """Certify the index convention: at each level L <= Lmax, each deformed
     Hg[k, L-k], raised by the operators R1 and R2 in one walk up the levels,
-    equals sum_r M[r,k] H[r, L-r] from level_basis.
+    equals sum_r M[r,k] H[r, L-r], with M(g, L) from the walk of the level
+    matrices.
 
     The H[r, L-r] are linearly independent, so equal polynomials mean that
     column k of M(g, L) holds the coordinates of Hg[k, L-k] over the
     undeformed scaled basis, and that the level is invariant."""
     _check_lmax(Lmax)
     t = Tally()
-    for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
-        family = level_basis(L, g)[::-1]  # family[k] = Hg[k, L-k]
+    for L, raised, M in zip(range(Lmax + 1), _raised_levels(g), _level_matrices(g)):
+        family = _level_basis(L, M)[::-1]  # family[k] = Hg[k, L-k]
         for k, (h, p) in enumerate(zip(raised, family)):
             t.check(close(h, p), {"L": L, "k": k})
     return t.report(
@@ -425,14 +451,14 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     one = g.det**0  # the identity on g's backend, so a float law stays a float check
     identity = GL2(one, one * 0, one * 0, one)
     action_failed = {m["L"] for m in rep_action_check(g, Lmax).payload["mismatches"]}
+    walks = (identity, g, h, g @ h, g.conj_transpose(), g.inverse())
     t = Tally()
-    for L in range(Lmax + 1):
-        Mg = rep_matrix(g, L)
+    for L, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv in zip(range(Lmax + 1), *map(_level_matrices, walks)):
         laws = {
-            "identity": rep_matrix(identity, L).is_identity(),
-            "product": close((Mg @ rep_matrix(h, L)).entries, rep_matrix(g @ h, L).entries),
-            "adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),
-            "inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),
+            "identity": M1.is_identity(),
+            "product": close((Mg @ Mh).entries, Mgh.entries),
+            "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
+            "inverse": close(Mg.inverse().entries, Mg_inv.entries),
             "action": L not in action_failed,
         }
         for law, ok in laws.items():
@@ -476,8 +502,8 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     _check_lmax(Lmax)
     g_dual = g.conj_transpose().inverse()
     levels = range(Lmax + 1)
-    duals = [level_basis(L, g_dual) for L in levels]
-    fams = [level_basis(L, g) for L in levels]
+    duals = [_level_basis(L, M) for L, M in zip(levels, _level_matrices(g_dual))]
+    fams = [_level_basis(L, M) for L, M in zip(levels, _level_matrices(g))]
     products = gram([p for d in duals for p in d], [p for f in fams for p in f])
     t = Tally()
     for L in levels:
@@ -504,9 +530,9 @@ def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     delta = g.det
     t = Tally()
     kappas = {}
-    for L in range(Lmax + 1):
+    for L, Mgp, Mg in zip(range(Lmax + 1), _level_matrices(gp), _level_matrices(g)):
         want = RepMatrix.identity(L).scaled(delta**L)
-        got = rep_matrix(gp, L) @ rep_matrix(g, L)
+        got = Mgp @ Mg
         kappas[str(L)] = str(delta**L)
         t.check(close(got.entries, want.entries), {"L": L})
     return t.report(
@@ -530,9 +556,11 @@ def _power_sums(coeffs) -> list:
     return sums
 
 
-def eigenvalue_structure_check(g: GL2, L: int) -> Report:
-    """Eigenvalues of M(g, L) must be the products l1^k l2^(L-k) of the
-    eigenvalues of g itself, counted with multiplicity.
+def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
+    """Eigenvalues of the level matrix M = M(g, L), L = M.L, must be the
+    products l1^k l2^(L-k) of the eigenvalues of g itself, counted with
+    multiplicity.  A walk over levels passes each matrix it reads from
+    _level_matrices; a single level passes rep_matrix(g, L).
 
     Checked without eigenvalues: the power sums p_j, j = 1..L+1, of the
     characteristic polynomial of M(g, L) fix its spectrum, and the claimed
@@ -542,7 +570,7 @@ def eigenvalue_structure_check(g: GL2, L: int) -> Report:
     included.  Float g needs distinct eigenvalues and matches within
     FLOAT_TOL.
     """
-    M = rep_matrix(g, L)
+    L = M.L
     exact = g.is_exact()
     mode = "exact-power-sums" if exact else "float"
     payload = {"L": L, "mode": mode}
@@ -602,8 +630,7 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
             n = total - m
             image = monomial_to_hermite(BiPoly.monomial(m, n))
             t.check(close(image, hermite_sum(m, n)), {"kind": "monomial", "m": m, "n": n})
-    for L, raised in zip(range(Lmax + 1), _raised_levels(g)):
-        M = rep_matrix(g, L)
+    for L, raised, M in zip(range(Lmax + 1), _raised_levels(g), _level_matrices(g)):
         for k in range(L + 1):
             combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
             image = monomial_to_hermite(combo)

@@ -159,7 +159,7 @@ def test_criterion_07_eigenvalue_structure():
     triangular = (GL2.diagonal(2, 3), GL2(2, 1, 0, 3), GL2.diagonal(F(1, 2), -3))
     for g in triangular + (generic, GL2(2, 1, -1, 4)):
         for L in range(5):
-            rep = eigenvalue_structure_check(g, L)
+            rep = eigenvalue_structure_check(g, rep_matrix(g, L))
             assert rep.ok and rep.payload["mode"] == "exact-power-sums"
             assert rep.payload["power_sums"] == L + 1 and "tolerance" not in rep.payload
     ok(7, "eigenvalues of M(g, L) are the products of the eigenvalues of g, with "

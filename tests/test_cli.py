@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,6 @@ from bihermite.cli import main
 from bihermite.coeffs import FLOAT_TOL, Coeff
 from bihermite.deform import GL2
 from bihermite.poly import BiPoly
-from bihermite.report import Report
 
 
 def run(capsys, *argv):
@@ -157,13 +160,16 @@ def test_verify_pass_exit_zero(capsys):
 
 
 def test_verify_eigen_fails_with_one_failing_case(monkeypatch, capsys):
-    real = cli.eigenvalue_structure_check
+    walk = cli._level_matrices
 
-    def broken(g, L):
-        rep = real(g, L)
-        return Report("fail", rep.summary, rep.payload) if (g, L) == (GL2(2, 1, 0, 3), 2) else rep
+    def broken(g):
+        # the triangular case's level-2 matrix with its trace moved by 1
+        for M in walk(g):
+            if (g, M.L) == (GL2(2, 1, 0, 3), 2):
+                M.entries[0][0] = M.entries[0][0] + 1
+            yield M
 
-    monkeypatch.setattr(cli, "eigenvalue_structure_check", broken)
+    monkeypatch.setattr(cli, "_level_matrices", broken)
     code, out, _ = run(capsys, "verify", "eigen", "--Lmax", "2", "--format", "json")
     obj = json.loads(out)
     assert code == 1 and obj["summary"] == "eigenvalue structure: fail"
@@ -254,6 +260,43 @@ def test_verify_negative_lmax_is_an_error(capsys):
         assert obj[suite]["status"] == "error", suite
     code, _, err = run(capsys, "verify", "repmat", "--Lmax", "-1")
     assert code == 2 and "Lmax" in err
+
+
+@pytest.mark.parametrize("suite", ["ncqm", "qp", "lie"])
+def test_verify_suite_without_levels_rejects_lmax(capsys, suite):
+    # these suites have no levels, and a given --Lmax was silently ignored
+    code, out, err = run(capsys, "verify", suite, "--Lmax", "3")
+    assert (code, out) == (2, "") and f"verify {suite} takes no --Lmax" in err
+
+
+def test_verify_all_applies_lmax_to_the_level_suites(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--Lmax", "3", "--format", "json")
+    obj = json.loads(out)
+    assert code == 0 and all(rep["status"] == "pass" for rep in obj.values())
+    for suite in ("orthonormal", "biorth", "repmat", "intertwine"):
+        assert obj[suite]["Lmax"] == 3, suite
+    assert max(case["L"] for case in obj["eigen"]["cases"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("hermite", "--table", "--Lmax", "14"), ("verify", "ncqm", "--format", "json")],
+    ids=["table", "verify"],
+)
+def test_closed_output_pipe_exits_141_without_traceback(argv):
+    # the read end is closed before the command starts, so its first write,
+    # or the flush of a short output, meets a broken pipe, as under `| head`
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bihermite.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_verify_theta_zero_keeps_the_battery(capsys):

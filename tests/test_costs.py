@@ -128,11 +128,18 @@ def counted_weyl_products():
     "work",
     [
         lambda g: lambda: rep_matrix(g, 12),
+        lambda g: lambda: list(zip(range(13), deform._level_matrices(g))),
         lambda g: _biorth_inner_products(g, 6),
         lambda g: lambda: level_basis(6, g),
         lambda g: lambda: orthonormality_check(10),
     ],
-    ids=["rep_matrix L12", "784 biorth inner products", "level_basis L6", "orthonormality L10"],
+    ids=[
+        "rep_matrix L12",
+        "level walk 0..12",
+        "784 biorth inner products",
+        "level_basis L6",
+        "orthonormality L10",
+    ],
 )
 def test_exact_hot_paths_build_no_fractions(work):
     # integer numerators over one denominator: with four Fraction slots per
@@ -155,7 +162,7 @@ def test_exact_hot_paths_build_no_fractions(work):
 def test_exact_eigenvalue_check_never_leaves_the_field(g):
     with counted_conversions() as calls:
         for L in range(6):
-            rep = eigenvalue_structure_check(g, L)
+            rep = eigenvalue_structure_check(g, rep_matrix(g, L))
             assert rep.ok and rep.payload["mode"] == "exact-power-sums"
     assert calls[0] == 0
 

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bihermite import deform
@@ -168,6 +169,12 @@ def test_rep_action_convention():
             assert rep.ok, rep.payload
 
 
+def walk_of(matrix):
+    """A stand-in for deform._level_matrices that yields matrix(g, L) at
+    L = 0, 1, 2, ..."""
+    return lambda g: (matrix(g, L) for L in itertools.count())
+
+
 def _raise_last_column_of_row_zero(M):
     rows = [list(row) for row in M.entries]
     rows[0][-1] = rows[0][-1] + 1
@@ -193,7 +200,7 @@ def test_rep_action_check_names_each_wrong_column(monkeypatch, mutant):
     for L in range(5):
         pairs = zip(zip(*rep_matrix(g, L).entries), zip(*wrong(g, L).entries))
         bad += [{"L": L, "k": k} for k, (want, got) in enumerate(pairs) if want != got]
-    monkeypatch.setattr(deform, "rep_matrix", wrong)
+    monkeypatch.setattr(deform, "_level_matrices", walk_of(wrong))
     rep = rep_action_check(g, 4)
     assert rep.ok == (not bad) and rep.payload["mismatches"] == bad
     assert sorted({m["L"] for m in bad}) == list(levels)
@@ -227,8 +234,8 @@ LAW_MUTANTS = {
     # level 0, where conj(m + 1) = conj(m) + 1
     "one-entry": (
         deform,
-        "rep_matrix",
-        ACTION_MUTANTS["one-entry"][0],
+        "_level_matrices",
+        walk_of(ACTION_MUTANTS["one-entry"][0]),
         [(L, law) for L in range(5) for law in LAWS if (L, law) != (0, "adjoint")],
     ),
 }
@@ -428,14 +435,14 @@ def test_dual_matrix_scaling_names_each_wrong_level(monkeypatch):
             M.entries[0][L] = M.entries[0][L] + 1
         return M
 
-    monkeypatch.setattr(deform, "rep_matrix", odd_levels_wrong)
+    monkeypatch.setattr(deform, "_level_matrices", walk_of(odd_levels_wrong))
     rep = dual_matrix_scaling_check(POINT, 4)
     assert rep.status == "fail" and rep.payload["failures"] == [{"L": 1}, {"L": 3}]
 
 
 def test_eigenvalue_structure_exact_cases():
     for g, L in ((GL2.diagonal(2, 3), 2), (GL2(2, 1, 0, 3), 2), (GL2.identity(), 3)):
-        rep = eigenvalue_structure_check(g, L)
+        rep = eigenvalue_structure_check(g, rep_matrix(g, L))
         assert rep.ok and rep.payload["mode"] == "exact-power-sums"
         assert rep.payload["power_sums"] == L + 1
 
@@ -448,11 +455,12 @@ def _float_gl2(g):
 
 
 def test_eigenvalue_structure_generic_float():
-    rep = eigenvalue_structure_check(_float_gl2(GENERIC), 4)
+    gf = _float_gl2(GENERIC)
+    rep = eigenvalue_structure_check(gf, rep_matrix(gf, 4))
     assert rep.ok and rep.payload["mode"] == "float"
     assert rep.payload["tolerance"] == FLOAT_TOL and rep.payload["power_sums"] == 5
     # the same g on the exact backend is compared literally
-    rep = eigenvalue_structure_check(GENERIC, 4)
+    rep = eigenvalue_structure_check(GENERIC, rep_matrix(GENERIC, 4))
     assert rep.ok and rep.payload["mode"] == "exact-power-sums"
     assert rep.payload["power_sums"] == 5 and "tolerance" not in rep.payload
 
@@ -465,41 +473,35 @@ def test_eigenvalue_structure_of_a_rotation(exact):
     if not exact:
         g = _float_gl2(g)
     for L in range(7):
-        rep = eigenvalue_structure_check(g, L)
+        rep = eigenvalue_structure_check(g, rep_matrix(g, L))
         assert rep.ok and rep.payload["unmatched"] == [], (L, rep.payload)
 
 
-def test_eigenvalue_structure_reports_unmatched_values(monkeypatch):
-    real_rep_matrix = deform.rep_matrix
-
+def test_eigenvalue_structure_reports_unmatched_values():
     def shifted(g, L):
-        M = real_rep_matrix(g, L)
+        M = rep_matrix(g, L)
         M.entries[0][0] = M.entries[0][0] + 1
         return M
 
-    monkeypatch.setattr(deform, "rep_matrix", shifted)
     # the trace, p_1, moved by 1; p_2 and p_3 with it (M[0][0] = 3^2 became
     # 10 for the triangular g)
     for g in (GL2(2, 1, 0, 3), GENERIC):
-        rep = eigenvalue_structure_check(g, 2)
+        rep = eigenvalue_structure_check(g, shifted(g, 2))
         assert rep.status == "fail" and rep.payload["unmatched"] == ["p_1", "p_2", "p_3"]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_eigenvalue_structure_fails_on_a_perturbed_off_diagonal_entry(monkeypatch, exact):
+def test_eigenvalue_structure_fails_on_a_perturbed_off_diagonal_entry(exact):
     # a trace-preserving change: p_1 still matches, the higher power sums do not
-    real_rep_matrix = deform.rep_matrix
-
     def perturbed(g, L):
-        M = real_rep_matrix(g, L)
+        M = rep_matrix(g, L)
         M.entries[0][L] = M.entries[0][L] + 1
         return M
 
     g = GENERIC if exact else _float_gl2(GENERIC)
-    assert eigenvalue_structure_check(g, 3).ok
-    monkeypatch.setattr(deform, "rep_matrix", perturbed)
+    assert eigenvalue_structure_check(g, rep_matrix(g, 3)).ok
     for L in range(1, 6):
-        rep = eigenvalue_structure_check(g, L)
+        rep = eigenvalue_structure_check(g, perturbed(g, L))
         assert rep.status == "fail", L
         assert "p_1" not in rep.payload["unmatched"] and rep.payload["unmatched"], L
 
@@ -509,11 +511,12 @@ def test_eigenvalue_structure_repeated_eigenvalues():
     # eigenvalue 1.  Neither matrix is triangular, and both are defective.
     for g in (GL2(2, 1, -1, 4), GL2(2, 1, -1, 0)):
         for L in range(7):
-            rep = eigenvalue_structure_check(g, L)
+            rep = eigenvalue_structure_check(g, rep_matrix(g, L))
             assert rep.ok and rep.payload["mode"] == "exact-power-sums", (g, L)
         # on the float backend a double eigenvalue cannot be told from a
         # close pair, so the check declines
-        rep = eigenvalue_structure_check(_float_gl2(g), 2)
+        gf = _float_gl2(g)
+        rep = eigenvalue_structure_check(gf, rep_matrix(gf, 2))
         assert rep.status == "error" and rep.payload["mode"] == "float"
 
 
@@ -562,7 +565,7 @@ def test_intertwine_check_names_each_wrong_column(monkeypatch, g):
         pairs = zip(zip(*right[L].entries), zip(*wrong(g, L).entries))
         want += [{"kind": "operator", "L": L, "k": k} for k, (a, b) in enumerate(pairs) if a != b]
     assert [(f["L"], f["k"]) for f in want] == [(L, L // 3) for L in range(Lmax + 1)]
-    monkeypatch.setattr(deform, "rep_matrix", wrong)
+    monkeypatch.setattr(deform, "_level_matrices", walk_of(wrong))
     rep = intertwine_check(g, Lmax)
     assert not rep.ok and rep.payload["failures"] == want
 
@@ -608,6 +611,49 @@ def reference_rep_matrix(g: GL2, L: int) -> RepMatrix:
 @settings(max_examples=30, deadline=None)
 def test_rep_matrix_matches_triple_sum(g, L):
     assert rep_matrix(g, L) == reference_rep_matrix(g, L)
+
+
+# which entries of g each shape keeps, in the order g11, g12, g21, g22
+SHAPES = {
+    "full": (1, 1, 1, 1),
+    "diagonal": (1, 0, 0, 1),
+    "upper": (1, 1, 0, 1),
+    "lower": (1, 0, 1, 1),
+    "anti-diagonal": (0, 1, 1, 0),
+}
+
+
+@given(st.tuples(*[radical_coeffs] * 4), st.sampled_from(sorted(SHAPES)))
+@settings(max_examples=30, deadline=None)
+def test_level_walk_equals_closed_form(entries, shape):
+    entries = [c if keep else Coeff(0) for c, keep in zip(entries, SHAPES[shape])]
+    try:
+        g = GL2(*entries)
+    except ValueError:
+        assume(False)
+    for L, M in zip(range(13), deform._level_matrices(g)):
+        assert M.L == L and M == rep_matrix(g, L), (g, L)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        G_ALPHA,
+        GL2.diagonal(2, 3),
+        GL2(2, 1, 0, 3),
+        GL2(0, -1, 1, 0),
+        GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1)),
+        rational_gl2(random.Random(13)),
+    ],
+    ids=["alpha", "diagonal", "triangular", "anti-diagonal", "generic", "qi-13"],
+)
+def test_float_level_walk_agrees_with_closed_form(g):
+    # the walk sums in another order than the closed form, so on float the
+    # two agree to rounding
+    gf = _float_gl2(g)
+    for L, M in zip(range(13), deform._level_matrices(gf)):
+        want = rep_matrix(gf, L)
+        assert not M[0, 0].exact and close(M.entries, want.entries), L
 
 
 def test_rep_matrix_matches_triple_sum_on_the_battery_matrices():

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 
 sympy = pytest.importorskip("sympy")
 
+from bihermite import deform  # noqa: E402
 from bihermite.coeffs import Coeff, close  # noqa: E402
 from bihermite.deform import GL2, deformed_hermite, rep_matrix  # noqa: E402
 from bihermite.hermite import generating_series_complex, hermite_sum  # noqa: E402
@@ -122,6 +123,24 @@ def test_deformed_family_by_raising_operators():
             for _ in range(k):
                 f = raise_(s11, s21, f)
             assert same(expr(deformed_hermite(g, k, total - k)), f), (k, total - k)
+
+
+def test_level_matrices_by_binomial_expansion():
+    # M[r, k] is the coefficient of s^r t^(L-r) in (g11 s + g21 t)^k
+    # (g12 s + g22 t)^(L-k); the closed form and the level walk must both
+    # give it, for the g of the deformed family above
+    r2 = sympy.sqrt(2)
+    s11, s12, s21, s22 = 1 + r2, sympy.I, sympy.Rational(1, 2), -1 + r2 * sympy.I
+    g = GL2(Coeff(1, 0, 1), Coeff(0, 1), Coeff(F(1, 2)), Coeff(-1, 0, 0, 1))
+    s, t = sympy.symbols("s t")
+    for L, walked in zip(range(6), deform._level_matrices(g)):
+        closed = rep_matrix(g, L)
+        for k in range(L + 1):
+            factors = (s11 * s + s21 * t) ** k * (s12 * s + s22 * t) ** (L - k)
+            column = sympy.Poly(sympy.expand(factors), s, t)
+            for r in range(L + 1):
+                want = column.coeff_monomial(s**r * t ** (L - r))
+                assert same(scalar(closed[r, k]), want) and same(scalar(walked[r, k]), want), (L, r, k)
 
 
 # sqrt2 and i as free generators r and j: sympy's charpoly over QQ[r, j]

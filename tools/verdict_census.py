@@ -104,28 +104,28 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        '"identity": rep_matrix(identity, L).is_identity(),',
+        '"identity": M1.is_identity(),',
         '"identity": True,',
         "identity-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"product": close((Mg @ rep_matrix(h, L)).entries, rep_matrix(g @ h, L).entries),',
+        '"product": close((Mg @ Mh).entries, Mgh.entries),',
         '"product": True,',
         "product-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"adjoint": close(Mg.adjoint().entries, rep_matrix(g.conj_transpose(), L).entries),',
+        '"adjoint": close(Mg.adjoint().entries, Mg_adj.entries),',
         '"adjoint": True,',
         "adjoint-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"inverse": close(Mg.inverse().entries, rep_matrix(g.inverse(), L).entries),',
+        '"inverse": close(Mg.inverse().entries, Mg_inv.entries),',
         '"inverse": True,',
         "inverse-law-pass",
         ("tests/test_deform.py",),
@@ -221,6 +221,20 @@ MUTANTS = (
         "m = M[r, k]",
         "m = M[k, r]",
         "level-basis-transposed",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "columns = [_times_linear(columns[0], g.g12, g.g22)] + [",
+        "columns = [_times_linear(columns[0], g.g22, g.g12)] + [",
+        "walk-column-zero-swapped",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "_times_linear(c, g.g11, g.g21) for c in columns",
+        "_times_linear(c, g.g21, g.g21) for c in columns",
+        "walk-column-k-g21-for-g11",
         ("tests/test_deform.py",),
     ),
     Mutant(
