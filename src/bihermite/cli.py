@@ -327,14 +327,7 @@ def _add_matrix_args(p):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="bihermite",
-        description="Exact complex Hermite families, matrix deformations, and their verification suites.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hermite", help="print H[m,n] (or the whole table)")
+def _hermite_args(p):
     p.add_argument("m", type=int, nargs="?", default=0)
     p.add_argument("n", type=int, nargs="?", default=0)
     p.add_argument("--table", action="store_true", help="emit every H with m+n <= --Lmax")
@@ -342,38 +335,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, backend=False)
     p.set_defaults(func=cmd_hermite)
 
-    p = sub.add_parser("real-hermite", help="print the degree-n real Hermite polynomial")
+
+def _real_hermite_args(p):
     p.add_argument("n", type=int)
     _add_common(p, backend=False)
     p.set_defaults(func=cmd_real_hermite)
 
-    p = sub.add_parser("deform", help="print the deformed polynomial Hg[m,n]")
+
+def _deform_args(p):
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     _add_matrix_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_deform)
 
-    p = sub.add_parser("repmat", help="print the level-L matrix M(g, L)")
-    p.add_argument("--L", type=int, required=True)
-    _add_matrix_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_repmat)
 
-    p = sub.add_parser("dual", help="print the dual family at level L")
-    p.add_argument("--L", type=int, required=True)
-    _add_matrix_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_dual)
+def _level_args(func):
+    def add(p):
+        p.add_argument("--L", type=int, required=True)
+        _add_matrix_args(p)
+        _add_common(p)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("genfun", help="print generating-series coefficients")
+    return add
+
+
+def _genfun_args(p):
     p.add_argument("kind", choices=("complex", "real", "deformed"))
     p.add_argument("--order", type=int, default=6)
     _add_matrix_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_genfun)
 
-    p = sub.add_parser("verify", help="run a verification suite (exit 0 iff pass)")
+
+def _verify_args(p):
     p.add_argument("suite", choices=(*VERIFY_SUITES, "all"))
     p.add_argument("--alpha")
     p.add_argument("--theta", default="3/5")
@@ -388,17 +383,47 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("lie-report", help="structure constants and algebra class")
+
+def _lie_report_args(p):
     p.add_argument("--alpha", help="deformation parameter; omit for the undeformed set")
     p.add_argument("--basis", choices=("J", "X", "Z", "report"), default="report")
     _add_common(p)
     p.set_defaults(func=cmd_lie_report)
 
+
+# command -> (help, function adding its arguments), in `bihermite -h` order
+COMMANDS = {
+    "hermite": ("print H[m,n] (or the whole table)", _hermite_args),
+    "real-hermite": ("print the degree-n real Hermite polynomial", _real_hermite_args),
+    "deform": ("print the deformed polynomial Hg[m,n]", _deform_args),
+    "repmat": ("print the level-L matrix M(g, L)", _level_args(cmd_repmat)),
+    "dual": ("print the dual family at level L", _level_args(cmd_dual)),
+    "genfun": ("print generating-series coefficients", _genfun_args),
+    "verify": ("run a verification suite (exit 0 iff pass)", _verify_args),
+    "lie-report": ("structure constants and algebra class", _lie_report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The bihermite parser.  When command names a subcommand, only its
+    subparser is built; otherwise (-h, no command, an unknown one) all are."""
+    ap = argparse.ArgumentParser(
+        prog="bihermite",
+        description="Exact complex Hermite families, matrix deformations, and their verification suites.",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # the usage line lists every command, however many subparsers are built
+    listed = None if len(names) > 1 else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in names:
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # the one reading of --backend; the library reads the backend off the values
     args.exact = getattr(args, "backend", "exact") == "exact"
     try:

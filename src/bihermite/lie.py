@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .coeffs import FLOAT_TOL, ZERO, Coeff, I, backend_tol, close, rational_sqrt
 from .deform import AlphaPoint, alpha_matrix, deformed_lowering, deformed_raising
-from .linalg import _zero_like, charpoly, mat_mul, nullspace, rank, solve_in_span
+from .linalg import _solve_columns, _zero_like, charpoly, mat_mul, nullspace, rank
 from .report import Report, Tally
 from .weyl import WeylOp, commutator
 
@@ -199,25 +199,20 @@ class StructureConstants:
 
 
 def structure_constants(basis: LieBasisSet) -> StructureConstants:
-    """Expand every pairwise commutator in the span of the basis.
+    """Expand every pairwise commutator in the span of the basis, all of them
+    by one elimination whose pivots also give the rank of the basis.
 
     Raises if the generators are linearly dependent; a nonzero residual
     (bracket escaping the span) is recorded, not raised.
     """
-    vectors = [op.terms for op in basis.ops]
-    keys = sorted({k for v in vectors for k in v})
-    zero = _zero_like([v.values() for v in vectors])
-    matrix = [[v.get(k, zero) for v in vectors] for k in keys]
-    if rank(matrix) < len(basis.ops):
-        raise ValueError("generators are linearly dependent")
     n = len(basis.ops)
-    table, residuals = {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = commutator(basis.ops[i], basis.ops[j])
-            coeffs, residual = solve_in_span(vectors, br.terms)
-            table[(i, j)] = coeffs
-            residuals[(i, j)] = residual
+    pairs = list(combinations(range(n), 2))
+    brackets = [commutator(basis.ops[i], basis.ops[j]).terms for i, j in pairs]
+    found, solved = _solve_columns([op.terms for op in basis.ops], brackets)
+    if found < n:
+        raise ValueError("generators are linearly dependent")
+    table = {pair: coeffs for pair, (coeffs, _) in zip(pairs, solved)}
+    residuals = {pair: residual for pair, (_, residual) in zip(pairs, solved)}
     return StructureConstants(basis.names, table, residuals)
 
 

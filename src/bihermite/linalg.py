@@ -182,34 +182,51 @@ def solve_in_span(vectors, target):
     rounds to 0.0 reads as the smallest positive float, one beyond float
     range as inf.
     """
-    keys = set(target)
-    for v in vectors:
-        keys |= set(v)
-    keys = sorted(keys)
-    zero = _zero_like([v.values() for v in (*vectors, target)])
+    return _solve_columns(vectors, [target])[1][0]
+
+
+def _solve_columns(vectors, targets):
+    """solve_in_span for several targets by one elimination: the vector
+    columns first, then one column per target.  Returns (rank of the vectors,
+    [(coeffs, residual_max_abs) per target]).
+
+    Only the rows of keys that some vector holds are eliminated, in key order.
+    A key that no vector holds gives a row with no pivot, which would only
+    move the others, so the pivots and each target's coeffs are those of
+    solve_in_span on that target alone; its entry joins the residual.
+    """
+    held = {k for v in vectors for k in v}
+    keys = sorted(held)
+    zero = _zero_like([v.values() for v in (*vectors, *targets)])
     nv = len(vectors)
-    rows = []
-    for key in keys:
-        row = [v.get(key, zero) for v in vectors]
-        row.append(target.get(key, zero))
-        rows.append(row)
+    rows = [[v.get(k, zero) for v in vectors] + [t.get(k, zero) for t in targets] for k in keys]
     work = [list(r) for r in rows]
     pivots = _eliminate(work, backend_tol(zero.exact), nv)
-    coeffs = [zero] * nv
-    for r, c in pivots:
-        coeffs[c] = work[r][nv]
-    # residual against the original, unreduced system
-    residual = 0.0
-    for row in rows:
-        acc = row[nv]
-        for j in range(nv):
-            acc = acc - row[j] * coeffs[j]
-        try:
-            size = abs(acc) or (math.ulp(0.0) if acc else 0.0)
-        except OverflowError:
-            size = math.inf
-        residual = max(residual, size)
-    return coeffs, residual
+    solved = []
+    for t, target in enumerate(targets):
+        coeffs = [zero] * nv
+        for r, c in pivots:
+            coeffs[c] = work[r][nv + t]
+        # residual against the original, unreduced system
+        residual = 0.0
+        for row in rows:
+            acc = row[nv + t]
+            for j in range(nv):
+                acc = acc - row[j] * coeffs[j]
+            residual = max(residual, _size(acc))
+        for k in target.keys() - held:
+            residual = max(residual, _size(target[k]))
+        solved.append((coeffs, residual))
+    return len(pivots), solved
+
+
+def _size(c) -> float:
+    """|c| as a float: a nonzero value whose modulus rounds to 0.0 reads as
+    the smallest positive float, one beyond float range as inf."""
+    try:
+        return abs(c) or (math.ulp(0.0) if c else 0.0)
+    except OverflowError:
+        return math.inf
 
 
 def rank(a) -> int:

@@ -52,24 +52,7 @@ class WeylOp(SparseMap):
     def __mul__(self, other):
         if not isinstance(other, WeylOp):
             return super().__mul__(other)
-        out = {}
-        for (c1, c2, d1, d2), ca in self.terms.items():
-            for (e1, e2, f1, f2), cb in other.terms.items():
-                cc = ca * cb
-                # a^d ad^e = sum_j j! C(d,j) C(e,j) ad^(e-j) a^(d-j), per mode
-                for j1 in range(min(d1, e1) + 1):
-                    w1 = comb(d1, j1) * comb(e1, j1) * factorial(j1)
-                    for j2 in range(min(d2, e2) + 1):
-                        w2 = comb(d2, j2) * comb(e2, j2) * factorial(j2)
-                        key = (c1 + e1 - j1, c2 + e2 - j2, d1 + f1 - j1, d2 + f2 - j2)
-                        v = cc * (w1 * w2)
-                        s = out.get(key)
-                        s = v if s is None else s + v
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return self._like(out)
+        return self._like(_normal_ordered(self, other, False))
 
     __rmul__ = __mul__
 
@@ -123,8 +106,47 @@ def _raise(q: BiPoly, mode: int) -> BiPoly:
     return q._like(out)
 
 
+def _normal_ordered(x: WeylOp, y: WeylOp, contracted_only: bool) -> dict:
+    """The term map of x y rewritten to normal order.
+
+    Per mode, a^d ad^e = sum_j j! C(d,j) C(e,j) ad^(e-j) a^(d-j): the word
+    with j contractions.  With contracted_only the word with none in either
+    mode, (j1, j2) = (0, 0), is left out, and so is every pair of terms that
+    has no contraction at all.
+    """
+    out = {}
+    for (c1, c2, d1, d2), cx in x.terms.items():
+        for (e1, e2, f1, f2), cy in y.terms.items():
+            n1, n2 = min(d1, e1), min(d2, e2)
+            if contracted_only and not (n1 or n2):
+                continue
+            cc = cx * cy
+            for j1 in range(n1 + 1):
+                w1 = comb(d1, j1) * comb(e1, j1) * factorial(j1)
+                for j2 in range(n2 + 1):
+                    if contracted_only and j1 == j2 == 0:
+                        continue
+                    w2 = comb(d2, j2) * comb(e2, j2) * factorial(j2)
+                    key = (c1 + e1 - j1, c2 + e2 - j2, d1 + f1 - j1, d2 + f2 - j2)
+                    v = cc * (w1 * w2)
+                    s = out.get(key)
+                    s = v if s is None else s + v
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+    return out
+
+
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a * b - b * a
+    """[a, b] = a b - b a from the contractions alone.
+
+    The word of a term pair with no contraction has the same key in a b and
+    in b a, and the same coefficient, since Coeff products commute: it
+    cancels.  So [a, b] is the contractions of a's lowering with b's raising,
+    minus those of b's lowering with a's raising.
+    """
+    return a._like(_normal_ordered(a, b, True)) - b._like(_normal_ordered(b, a, True))
 
 
 def _qp_from_ladders(low: WeylOp, raise_: WeylOp) -> tuple[WeylOp, WeylOp]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -396,3 +398,64 @@ def test_verify_eigen_runs_on_the_requested_backend(capsys, monkeypatch, backend
         assert all(exact for exact, _, _ in seen)
         assert {mode for _, mode, _ in seen} == {"exact-power-sums"}
         assert all(tol is None for _, _, tol in seen)
+
+
+def _parse(parser, argv):
+    """What parse_args prints, the exit status it ends with (None when it
+    returns) and the namespace it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return None, out.getvalue(), err.getvalue(), vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+
+
+PARSE_CASES = [
+    ["-h"],
+    [],
+    ["--bogus"],
+    ["--format", "xml"],
+    ["1", "2", "3"],
+    ["2", "--table", "--Lmax", "x"],
+    ["--L", "2", "--alpha", "3/5", "--g", "1", "0", "0", "1"],
+    ["--L", "2", "--format", "csv", "--backend", "float"],
+    ["deformed", "--order", "3", "--g", "1", "0", "0", "1"],
+    ["nope"],
+    ["all", "--Lmax", "2", "--seed-manifest"],
+    ["lie", "--theta", "1/2", "--seed"],
+    ["--basis", "Q"],
+    ["--alpha", "3/5", "--basis", "Z", "extra"],
+]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_subparser_parses_like_the_full_parser(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    other = next(name for name in cli.COMMANDS if name != command)
+    assert f"(choose from '{command}')" in _parse(one, [other])[2]
+    for rest in PARSE_CASES:
+        argv = [command, *rest]
+        assert _parse(one, argv) == _parse(full, argv), argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nope"], ["--format", "json", "verify", "qp"]])
+def test_without_a_leading_command_every_subparser_is_built(capsys, argv):
+    expected = _parse(cli.build_parser(), argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == expected[:3]
+
+
+def test_main_builds_the_named_command_only(monkeypatch, capsys):
+    build = cli.build_parser
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["verify", "ncqm", "--format", "json"]) == 0
+    assert built == ["verify"] and json.loads(capsys.readouterr().out)["status"] == "pass"

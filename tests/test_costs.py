@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bihermite import deform
+from bihermite import deform, lie, linalg
 from bihermite.cli import main
 from bihermite.coeffs import Coeff
 from bihermite.deform import (
@@ -37,7 +37,7 @@ from bihermite.lie import (
     structure_constants,
 )
 from bihermite.poly import inner_product
-from bihermite.weyl import WeylOp
+from bihermite.weyl import WeylOp, commutator
 
 POINT = AlphaPoint.make(F(3, 5))
 
@@ -107,6 +107,10 @@ def _biorth_inner_products(g, Lmax):
     return lambda: [inner_product(p, q) for p in duals for q in family]
 
 
+def _zbasis():
+    return rescale(basis_change(bilinear_generators(POINT)))
+
+
 @contextmanager
 def counted_weyl_products():
     """Count WeylOp-by-WeylOp products (scalar multiples are not counted)."""
@@ -132,6 +136,8 @@ def counted_weyl_products():
         lambda g: _biorth_inner_products(g, 6),
         lambda g: lambda: level_basis(6, g),
         lambda g: lambda: orthonormality_check(10),
+        lambda g: lambda ops=_zbasis().ops: [commutator(x, y) for x in ops for y in ops],
+        lambda g: lambda basis=_zbasis(): structure_constants(basis),
     ],
     ids=[
         "rep_matrix L12",
@@ -139,6 +145,8 @@ def counted_weyl_products():
         "784 biorth inner products",
         "level_basis L6",
         "orthonormality L10",
+        "Z-basis commutators",
+        "Z-basis structure constants",
     ],
 )
 def test_exact_hot_paths_build_no_fractions(work):
@@ -211,6 +219,45 @@ def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies
     # one walk raises L + 1 polynomials at each level 1..Lmax; raising levels
     # 0..L again for each L made 50 and 112
     assert calls[0] == applies
+
+
+def test_rep_laws_check_walks_each_level_matrix_once(monkeypatch):
+    walk = deform._level_matrices
+    walked = []
+
+    def counting(g):
+        walked.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(deform, "_level_matrices", counting)
+    g, h = GL2(Coeff(1, 2), 1, 0, Coeff(3)), GL2(2, Coeff(0, 1), 1, 1)
+    assert deform.rep_laws_check(g, h, 4).ok
+    # 1, g, h, gh, g^dagger and g^-1; the action law reads the walk of g that
+    # the other laws hold, where rep_action_check walked g a second time
+    assert walked == [GL2(1, 0, 0, 1), g, h, g @ h, g.conj_transpose(), g.inverse()]
+
+
+def test_lie_report_solves_each_table_in_one_elimination(monkeypatch):
+    eliminate, solve_table = linalg._eliminate, lie.structure_constants
+    inside, calls = [False], []
+
+    def counting(*args):
+        calls.append(inside[0])
+        return eliminate(*args)
+
+    def tracking(basis):
+        inside[0] = True
+        try:
+            return solve_table(basis)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(lie, "structure_constants", tracking)
+    assert lie_report(POINT).ok
+    # J, X and Z: one elimination each, for the rank and all 6 brackets; a
+    # rank call and one solve per bracket made 21
+    assert calls.count(True) == 3
 
 
 def test_float_lie_report_converts_no_exact_value():

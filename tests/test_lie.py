@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihermite import lie
-from bihermite.coeffs import FLOAT_TOL, Coeff
+from bihermite.coeffs import FLOAT_TOL, Coeff, close
 from bihermite.lie import (
     LieBasisSet,
     StructureConstants,
@@ -22,7 +22,9 @@ from bihermite.lie import (
 )
 from bihermite.linalg import identity_matrix, mat_inverse, rank, solve_in_span
 from bihermite.ncqm import AlphaPoint
-from bihermite.weyl import WeylOp
+from bihermite.weyl import WeylOp, commutator
+
+from conftest import radical_coeffs
 
 POINT = AlphaPoint.make(F(3, 5))
 THETA = F(24, 25)
@@ -373,6 +375,89 @@ def test_solve_in_span_pivots_on_the_vectors_only():
     target = {(0,): Coeff(3), (1,): Coeff(F(1, 10**400))}
     coeffs, residual = solve_in_span([{(0,): Coeff(1)}], target)
     assert coeffs == [Coeff(3)] and 0.0 < residual < 1e-300
+
+
+def _per_bracket(basis):
+    """Each bracket of the basis solved alone by solve_in_span."""
+    vectors = [op.terms for op in basis.ops]
+    return {
+        (i, j): solve_in_span(vectors, commutator(basis.ops[i], basis.ops[j]).terms)
+        for i, j in combinations(range(len(basis.ops)), 2)
+    }
+
+
+def _table_and_residuals(sc):
+    return {pair: (sc.table[pair], sc.residuals[pair]) for pair in sc.table}
+
+
+def _on_float(basis):
+    ops = tuple(WeylOp({k: c.to_float() for k, c in op.terms.items()}) for op in basis.ops)
+    return LieBasisSet(basis.names, ops, float(basis.theta))
+
+
+A1, A2, AD1 = WeylOp.a(1), WeylOp.a(2), WeylOp.adag(1)
+# [a1 + sqrt2 ad1 a1, ad1] = 1 + sqrt2 ad1: the in-span part sqrt2 ad1 and
+# the remainder 1, which leaves the span
+LEAVING = LieBasisSet(("P", "Q", "R"), (A1 + AD1 * A1 * Coeff(0, 0, 1), AD1, AD1 * AD1), F(0))
+
+
+def _bases():
+    jbasis = bilinear_generators(POINT)
+    xbasis = basis_change(jbasis)
+    fjbasis = bilinear_generators(AlphaPoint.make(0.6))
+    return {
+        "J 3/5": jbasis,
+        "X 3/5": xbasis,
+        "Z 3/5": rescale(xbasis),
+        "J undeformed": bilinear_generators(None),
+        "leaves the span": LEAVING,
+        "J 0.6": fjbasis,
+        "Z 0.6": rescale(basis_change(fjbasis)),
+        "leaves the span, float": _on_float(LEAVING),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bases()))
+def test_structure_constants_equal_the_per_bracket_solves(name):
+    # one elimination for the whole table gives each bracket's coeffs and
+    # residual literally as its own solve does, on both backends
+    basis = _bases()[name]
+    sc = structure_constants(basis)
+    assert _table_and_residuals(sc) == _per_bracket(basis)
+    assert sc.exact == (not name.endswith(("0.6", "float")))
+    if name.startswith("leaves"):
+        assert not sc.closed and sc.residuals[(0, 1)] > 0.5 and sc.table[(0, 1)][2] == 0
+        assert close(sc.table[(0, 1)][1], Coeff(0, 0, 1))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_dependent_basis_raises_on_both_backends(exact):
+    dep = LieBasisSet(("P", "Q", "R"), (A1, AD1 * A2, A1 * Coeff(0, 2) + AD1 * A2), F(0))
+    dep = dep if exact else _on_float(dep)
+    vectors = [op.terms for op in dep.ops]
+    keys = sorted({k for v in vectors for k in v})
+    assert rank([[v.get(k, Coeff(0)) for v in vectors] for k in keys]) == 2
+    with pytest.raises(ValueError, match="generators are linearly dependent"):
+        structure_constants(dep)
+
+
+_ops = st.dictionaries(
+    keys=st.tuples(*[st.integers(0, 2)] * 4), values=radical_coeffs, min_size=1, max_size=3
+).map(WeylOp)
+
+
+@given(st.lists(_ops, min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_structure_constants_of_random_sets_equal_the_per_bracket_solves(ops):
+    basis = LieBasisSet(tuple(f"e{i}" for i in range(len(ops))), tuple(ops), F(0))
+    for b in (basis, _on_float(basis)):
+        vectors = [op.terms for op in b.ops]
+        keys = sorted({k for v in vectors for k in v})
+        if rank([[v.get(k, Coeff(0)) for v in vectors] for k in keys]) < len(ops):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                structure_constants(b)
+        else:
+            assert _table_and_residuals(structure_constants(b)) == _per_bracket(b)
 
 
 def test_exact_residual_beyond_float_range_reads_inf():

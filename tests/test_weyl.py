@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bihermite.coeffs import Coeff
+from bihermite.coeffs import Coeff, close
 from bihermite.deform import deformed_lowering, deformed_raising
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly
 from bihermite.weyl import WeylOp, commutator, position_momentum_ops
 
-from conftest import bipolys, invertible_gl2, weylops
+from conftest import bipolys, invertible_gl2, radical_coeffs, weylops
 
 A1, A2 = WeylOp.a(1), WeylOp.a(2)
 AD1, AD2 = WeylOp.adag(1), WeylOp.adag(2)
@@ -181,3 +182,38 @@ def test_json_round_trip_property(w):
 def test_dagger_antihomomorphism(a, b):
     assert (a * b).dagger() == b.dagger() * a.dagger()
     assert a.dagger().dagger() == a
+
+
+# words up to degree 3 in each slot, so that a term pair contracts up to
+# three times per mode, with coefficients in all of Q(i, sqrt2)
+radical_weylops = st.dictionaries(
+    keys=st.tuples(*[st.integers(0, 3)] * 4), values=radical_coeffs, max_size=4
+).map(WeylOp)
+
+
+def _float_copy(w: WeylOp) -> WeylOp:
+    return WeylOp({k: c.to_float() for k, c in w.terms.items()})
+
+
+@given(radical_weylops, radical_weylops)
+@settings(max_examples=80, deadline=None)
+def test_commutator_is_the_difference_of_the_products(a, b):
+    # the contraction route against the full products, which form and cancel
+    # every uncontracted word
+    assert commutator(a, b) == a * b - b * a
+    fa, fb = _float_copy(a), _float_copy(b)
+    got = commutator(fa, fb)
+    assert close(got, fa * fb - fb * fa)
+    assert not any(c.exact for c in got.terms.values())
+
+
+def test_commutator_keeps_only_contracted_words():
+    # the free word ad1^2 ad2 a1^2 a2 of both products cancels; every word
+    # left has at least one contraction, so fewer than six letters
+    a = WeylOp({(2, 0, 0, 1): Coeff(1, 1)})
+    b = WeylOp({(0, 1, 2, 0): Coeff(0, 0, 1)})
+    got = commutator(a, b)
+    assert got == a * b - b * a
+    assert got and all(sum(key) < 6 for key in got.terms)
+    assert commutator(a, a) == WeylOp.zero() and commutator(A1, A2) == WeylOp.zero()
+    assert commutator(A1, AD1) == ONE_OP and commutator(AD2, A2) == -ONE_OP
