@@ -46,4 +46,4 @@ print("Real Hermite polynomials by the three-term recurrence:")
 for n in range(5):
     print(f"  H_{n} = {real_hermite(n).pretty()}")
 v = real_inner_product(real_hermite(3), real_hermite(3))
-print(f"  weighted norm: integral H_3^2 exp(-x^2) dx = {v}   (expected 2^3 3! = 48)")
+print(f"  weighted norm: integral H_3^2 exp(-x^2) dx = ({v}) * sqrt(pi)^1   (expected 2^3 3! = 48)")

@@ -22,7 +22,7 @@ from bihermite import (
 point = AlphaPoint.make(F(3, 5))
 g = alpha_matrix(point)
 print("hermitian deformation matrix at alpha = 3/5:")
-for row in g.rows():
+for row in ((g.g11, g.g12), (g.g21, g.g22)):
     print("  [", ", ".join(str(c) for c in row), "]")
 print(f"  determinant = {g.det}")
 

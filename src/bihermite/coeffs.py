@@ -302,9 +302,6 @@ class Coeff:
     def conj(self) -> Coeff:
         return _make(self.a, -self.b, self.c, -self.d, self.q, self.exact)
 
-    def abs2(self) -> Coeff:
-        return self * self.conj()
-
     def __abs__(self) -> float:
         return abs(self.to_complex())
 

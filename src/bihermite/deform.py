@@ -93,9 +93,6 @@ class GL2:
     def entries(self):
         return (self.g11, self.g12, self.g21, self.g22)
 
-    def rows(self):
-        return [[self.g11, self.g12], [self.g21, self.g22]]
-
     def inverse(self) -> GL2:
         d = self.det.inverse()
         return GL2(self.g22 * d, -self.g12 * d, -self.g21 * d, self.g11 * d)
@@ -155,9 +152,6 @@ class AlphaPoint:
     def theta(self):
         return 2 * self.alpha * self.beta_im
 
-    def theta_coeff(self) -> Coeff:
-        return Coeff.lift(self.theta)
-
 
 def alpha_matrix(point: AlphaPoint) -> GL2:
     """Hermitian deformation matrix [[alpha, i b], [-i b, alpha]]."""
@@ -168,35 +162,22 @@ def alpha_matrix(point: AlphaPoint) -> GL2:
 
 
 class RepMatrix:
-    """(L+1)x(L+1) matrix acting on one level of the Hermite decomposition."""
+    """(L+1)x(L+1) matrix acting on one level of the Hermite decomposition,
+    held as its rows of Coeff.  Products and inverses are linalg's, on the
+    rows."""
 
-    __slots__ = ("L", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, L: int, entries):
-        if len(entries) != L + 1 or any(len(r) != L + 1 for r in entries):
-            raise ValueError("entry grid must be (L+1) x (L+1)")
-        self.L = L
-        self.entries = [[Coeff.lift(c) for c in row] for row in entries]
+    def __init__(self, entries):
+        self.entries = entries
 
-    @classmethod
-    def identity(cls, L: int):
-        return cls(L, identity_matrix(L + 1))
+    @property
+    def L(self) -> int:
+        return len(self.entries) - 1
 
     def __getitem__(self, rk):
         r, k = rk
         return self.entries[r][k]
-
-    def __matmul__(self, other: RepMatrix) -> RepMatrix:
-        if self.L != other.L:
-            raise ValueError("level mismatch")
-        return RepMatrix(self.L, mat_mul(self.entries, other.entries))
-
-    def inverse(self) -> RepMatrix:
-        return RepMatrix(self.L, mat_inverse(self.entries))
-
-    def conj_transpose(self) -> RepMatrix:
-        n = self.L + 1
-        return RepMatrix(self.L, [[self.entries[k][r].conj() for k in range(n)] for r in range(n)])
 
     def adjoint(self) -> RepMatrix:
         """Adjoint with respect to the level inner product.
@@ -208,30 +189,13 @@ class RepMatrix:
         """
         n = self.L + 1
         w = [normalizer_sq(k, self.L - k) for k in range(n)]
+        m = self.entries
         return RepMatrix(
-            self.L,
-            [
-                [self.entries[k][r].conj() * Fraction(w[k], w[r]) for k in range(n)]
-                for r in range(n)
-            ],
+            [[m[k][r].conj() * Fraction(w[k], w[r]) for k in range(n)] for r in range(n)]
         )
-
-    def scaled(self, s) -> RepMatrix:
-        s = Coeff.lift(s)
-        return RepMatrix(self.L, [[c * s for c in row] for row in self.entries])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RepMatrix)
-            and self.L == other.L
-            and self.entries == other.entries
-        )
-
-    def is_identity(self) -> bool:
-        return self == RepMatrix.identity(self.L)
-
-    def diagonal(self):
-        return [self.entries[k][k] for k in range(self.L + 1)]
+        return isinstance(other, RepMatrix) and self.entries == other.entries
 
     def to_json(self):
         return {
@@ -241,7 +205,10 @@ class RepMatrix:
 
     @classmethod
     def from_json(cls, obj) -> RepMatrix:
-        return cls(obj["L"], [[Coeff.from_json_value(c) for c in row] for row in obj["rows"]])
+        L, rows = obj["L"], obj["rows"]
+        if len(rows) != L + 1 or any(len(r) != L + 1 for r in rows):
+            raise ValueError("entry grid must be (L+1) x (L+1)")
+        return cls([[Coeff.from_json_value(c) for c in row] for row in rows])
 
     def __repr__(self):
         return f"RepMatrix(L={self.L}, {[[str(c) for c in row] for row in self.entries]})"
@@ -347,7 +314,7 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
                 acc = acc + a[q] * b[r - q]
             row.append(acc)
         rows.append(row)
-    return RepMatrix(L, rows)
+    return RepMatrix(rows)
 
 
 def _times_linear(column, a, b) -> list:
@@ -366,19 +333,17 @@ def _level_matrices(g: GL2):
     The matrix twin of _raised_levels; every walk over levels reads its
     matrices here, and the closed form rep_matrix is its reference."""
     columns = [[g.det**0]]  # columns[k][r] = M[r, k]
-    L = 0
     while True:
-        yield RepMatrix(L, list(zip(*columns)))
+        yield RepMatrix([list(row) for row in zip(*columns)])
         columns = [_times_linear(columns[0], g.g12, g.g22)] + [
             _times_linear(c, g.g11, g.g21) for c in columns
         ]
-        L += 1
 
 
-def level_basis(L: int, g: GL2 | None = None) -> list[BiPoly]:
-    """The undeformed level-L family, or the deformed one of g, in the
-    conventional order: position j holds H[L-j, j] (or Hg[L-j, j]), whose
-    squared normalizer is normalizer_sq(L-j, j).
+def level_basis(L: int, g: GL2) -> list[BiPoly]:
+    """The deformed level-L family of g in the conventional order: position j
+    holds Hg[L-j, j], whose squared normalizer is normalizer_sq(L-j, j).  The
+    undeformed family is that of GL2.identity().
 
     Hg[k, L-k] is sum_r M[r,k] H[r, L-r], column k of M(g, L) over the
     hermite_sum basis.  The families raised by the operators R1 and R2 are
@@ -386,19 +351,17 @@ def level_basis(L: int, g: GL2 | None = None) -> list[BiPoly]:
     """
     if L < 0:
         raise ValueError("level must be nonnegative")
-    return _level_basis(L, None if g is None else rep_matrix(g, L))
+    return _level_basis(L, rep_matrix(g, L))
 
 
-def _level_basis(L: int, M: RepMatrix | None) -> list[BiPoly]:
+def _level_basis(L: int, M: RepMatrix) -> list[BiPoly]:
     """The level-L family Hg[k, L-k] = sum_r M[r,k] H[r, L-r] of the level
-    matrix M, or the undeformed family when M is None, with k = L first.
+    matrix M, with k = L first.
 
     Each H[r, L-r] holds only keys with z-degree minus zbar-degree 2r - L,
     so the terms of the sum never meet and each is one product.
     """
     basis = [hermite_sum(r, L - r) for r in range(L + 1)]  # basis[r] = H[r, L-r]
-    if M is None:
-        return basis[::-1]
     polys = []
     for k in range(L, -1, -1):
         terms = {}
@@ -461,10 +424,10 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     t = Tally()
     for L, raised, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv in levels:
         laws = {
-            "identity": M1.is_identity(),
-            "product": close((Mg @ Mh).entries, Mgh.entries),
+            "identity": M1.entries == identity_matrix(L + 1),
+            "product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),
             "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
-            "inverse": close(Mg.inverse().entries, Mg_inv.entries),
+            "inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),
             "action": all(_action_agrees(L, raised, Mg)),
         }
         for law, ok in laws.items():
@@ -494,9 +457,8 @@ class DualFamily:
 def dual_family(g: GL2, L: int) -> DualFamily:
     g_dual = g.conj_transpose().inverse()
     direct = rep_matrix(g_dual, L)
-    return DualFamily(
-        L, g_dual, _level_basis(L, direct), direct, rep_matrix(g, L).adjoint().inverse()
-    )
+    inverse_route = RepMatrix(mat_inverse(rep_matrix(g, L).adjoint().entries))
+    return DualFamily(L, g_dual, _level_basis(L, direct), direct, inverse_route)
 
 
 def biorthogonality_check(g: GL2, Lmax: int) -> Report:
@@ -537,10 +499,11 @@ def dual_matrix_scaling_check(point, Lmax: int) -> Report:
     t = Tally()
     kappas = {}
     for L, Mgp, Mg in zip(range(Lmax + 1), _level_matrices(gp), _level_matrices(g)):
-        want = RepMatrix.identity(L).scaled(delta**L)
-        got = Mgp @ Mg
-        kappas[str(L)] = str(delta**L)
-        t.check(close(got.entries, want.entries), {"L": L})
+        kappa = delta**L
+        zero = kappa * 0
+        want = [[kappa if r == k else zero for k in range(L + 1)] for r in range(L + 1)]
+        kappas[str(L)] = str(kappa)
+        t.check(close(mat_mul(Mgp.entries, Mg.entries), want), {"L": L})
     return t.report(
         f"dual-matrix scaling up to level {Lmax}",
         {"Lmax": Lmax, "determinant": str(delta), "kappa": kappas, "failures": t.failures},

@@ -49,9 +49,6 @@ class LieBasisSet:
     ops: tuple
     theta: Fraction | float
 
-    def items(self):
-        return list(zip(self.names, self.ops))
-
 
 def _bilinears(a1, a2, ad1, ad2) -> tuple:
     """J1..J4 of a ladder quadruple: the angular-momentum set plus the total

@@ -104,7 +104,8 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> dic
         "ad2": WeylOp.adag(2),
     }
     ops.update(position_momentum_ops())
-    ops.update(bilinear_generators().items())
+    bare = bilinear_generators()
+    ops.update(zip(bare.names, bare.ops))
 
     if alpha is not None:
         point = alpha if isinstance(alpha, AlphaPoint) else AlphaPoint.make(alpha)
@@ -128,7 +129,7 @@ def build_dictionary(alpha=None, theta=None, gamma=None, branch: int = 1) -> dic
         q2, p2 = _qp_from_ladders(low2, rai2)
         ops.update({"Q1": q1, "P1": p1, "Q2": q2, "P2": p2})
         jbasis = bilinear_generators(point)
-        ops.update({f"{name}_alpha": op for name, op in jbasis.items()})
+        ops.update({f"{name}_alpha": op for name, op in zip(jbasis.names, jbasis.ops)})
         xbasis = basis_change(jbasis)
         ops.update(dict(zip(xbasis.names, xbasis.ops)))
         if point.theta * point.theta != 1:  # rescale is singular at theta = +-1
@@ -160,7 +161,7 @@ def ncqm_commutator_suite(point: AlphaPoint) -> Report:
     # the expected values are printed on the point's backend
     one = WeylOp.scalar(point.theta**0)
     zero = WeylOp.zero()
-    itheta = WeylOp.scalar(I * point.theta_coeff())
+    itheta = WeylOp.scalar(I * Coeff.lift(point.theta))
     t = Tally()
     checks = [
         _check(t, "[a1_alpha, ad1_alpha] == 1", commutator(a1, ad1), one),

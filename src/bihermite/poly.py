@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .coeffs import ONE, ZERO, Coeff, _sum_products
 
-__all__ = ["BiPoly", "RealPoly", "SqrtPiValue", "gram", "inner_product", "real_inner_product"]
+__all__ = ["BiPoly", "RealPoly", "gram", "inner_product", "real_inner_product"]
 
 
 class SparseMap:
@@ -269,20 +268,6 @@ class RealPoly(SparseMap):
         return used
 
 
-@dataclass(frozen=True)
-class SqrtPiValue:
-    """An exact multiple of a power of sqrt(pi)."""
-
-    coeff: Coeff
-    sqrt_pi_power: int = 1
-
-    def __str__(self):
-        return f"({self.coeff}) * sqrt(pi)^{self.sqrt_pi_power}"
-
-    def to_float(self) -> float:
-        return self.coeff.to_complex().real * math.pi ** (self.sqrt_pi_power / 2)
-
-
 def gram(ps, qs) -> list:
     """Matrix of Gaussian inner products <p, q> for p in ps (rows) and q in
     qs (columns), conjugate linear in the first slot.
@@ -330,8 +315,9 @@ def gaussian_moment(n: int) -> Fraction:
     return Fraction(factorial(2 * k), 4**k * factorial(k))
 
 
-def real_inner_product(p: RealPoly, q: RealPoly) -> SqrtPiValue:
-    """Weighted line integral of p*q against exp(-x^2), as (rational)*sqrt(pi).
+def real_inner_product(p: RealPoly, q: RealPoly) -> Coeff:
+    """The coefficient c of the weighted line integral of p*q against
+    exp(-x^2), which is c * sqrt(pi).
 
     Both polynomials must be univariate in the same variable.
     """
@@ -345,7 +331,7 @@ def real_inner_product(p: RealPoly, q: RealPoly) -> SqrtPiValue:
             if m:
                 v = pc * qc * m
                 acc = v if acc is None else acc + v
-    return SqrtPiValue(ZERO if acc is None else acc, 1)
+    return ZERO if acc is None else acc
 
 
 def _term_str(c, mono: str) -> str:

@@ -21,6 +21,7 @@ from bihermite.deform import (
     alpha_matrix,
     biorthogonality_check,
     dual_family,
+    dual_matrix_scaling_check,
     eigenvalue_structure_check,
     intertwine_check,
     level_basis,
@@ -265,6 +266,14 @@ def test_float_lie_report_converts_no_exact_value():
     # operands: an exact constant met a float 129 times per call
     with counted_conversions(exact_only=True) as calls:
         assert lie_report(AlphaPoint.make(0.6)).ok
+    assert calls[0] == 0
+
+
+def test_float_dual_matrix_scaling_converts_no_exact_value():
+    # det(g)^L I is built from det(g)^L itself: scaling an exact identity
+    # converted each of its 91 entries up to level 5
+    with counted_conversions(exact_only=True) as calls:
+        assert dual_matrix_scaling_check(AlphaPoint.make(0.6), 5).ok
     assert calls[0] == 0
 
 

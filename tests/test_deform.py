@@ -27,7 +27,7 @@ from bihermite.deform import (
     rep_matrix,
 )
 from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
-from bihermite.linalg import charpoly, mat_inverse
+from bihermite.linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, inner_product
 
@@ -116,9 +116,9 @@ def test_series_substitution_identity():
 
 
 def test_rep_matrix_identity_and_diagonal():
-    assert rep_matrix(GL2.identity(), 4).is_identity()
+    assert rep_matrix(GL2.identity(), 4).entries == identity_matrix(5)
     M = rep_matrix(GL2.diagonal(2, 3), 2)
-    assert M.diagonal() == [Coeff(9), Coeff(6), Coeff(4)]
+    assert [M[k, k] for k in range(3)] == [Coeff(9), Coeff(6), Coeff(4)]
     offdiag = [M[r, k] for r in range(3) for k in range(3) if r != k]
     assert not any(offdiag)
 
@@ -136,9 +136,15 @@ def test_rep_matrix_laws_random_rational():
     for _ in range(3):
         g, h = rational_gl2(rng), rational_gl2(rng)
         for L in range(4):
-            assert rep_matrix(g, L) @ rep_matrix(h, L) == rep_matrix(g @ h, L)
+            Mg = rep_matrix(g, L).entries
+            assert mat_mul(Mg, rep_matrix(h, L).entries) == rep_matrix(g @ h, L).entries
             assert rep_matrix(g, L).adjoint() == rep_matrix(g.conj_transpose(), L)
-            assert rep_matrix(g, L).inverse() == rep_matrix(g.inverse(), L)
+            assert mat_inverse(Mg) == rep_matrix(g.inverse(), L).entries
+
+
+def plain_conj_transpose(M: RepMatrix) -> RepMatrix:
+    """The entrywise conjugate transpose, which is not the level adjoint."""
+    return RepMatrix([[c.conj() for c in column] for column in zip(*M.entries)])
 
 
 def test_plain_conjugate_transpose_is_not_the_adjoint_beyond_level_one():
@@ -146,8 +152,8 @@ def test_plain_conjugate_transpose_is_not_the_adjoint_beyond_level_one():
     matrix adjoint differs from the entrywise conjugate transpose."""
     rng = random.Random(5)
     g = rational_gl2(rng)
-    assert rep_matrix(g, 1).conj_transpose() == rep_matrix(g.conj_transpose(), 1)
-    assert rep_matrix(g, 2).conj_transpose() != rep_matrix(g.conj_transpose(), 2)
+    assert plain_conj_transpose(rep_matrix(g, 1)) == rep_matrix(g.conj_transpose(), 1)
+    assert plain_conj_transpose(rep_matrix(g, 2)) != rep_matrix(g.conj_transpose(), 2)
     assert rep_matrix(g, 2).adjoint() == rep_matrix(g.conj_transpose(), 2)
 
 
@@ -178,7 +184,7 @@ def walk_of(matrix):
 def _raise_last_column_of_row_zero(M):
     rows = [list(row) for row in M.entries]
     rows[0][-1] = rows[0][-1] + 1
-    return RepMatrix(M.L, rows)
+    return RepMatrix(rows)
 
 
 # wrong matrices for rep_action_check to catch, and the levels where they differ
@@ -186,7 +192,7 @@ ACTION_MUTANTS = {
     "one-entry": (lambda g, L: _raise_last_column_of_row_zero(rep_matrix(g, L)), range(5)),
     "adjoint-matrix": (lambda g, L: rep_matrix(g.conj_transpose(), L), range(1, 5)),
     "columns-reversed": (
-        lambda g, L: RepMatrix(L, [row[::-1] for row in rep_matrix(g, L).entries]),
+        lambda g, L: RepMatrix([row[::-1] for row in rep_matrix(g, L).entries]),
         range(1, 5),
     ),
 }
@@ -209,10 +215,10 @@ def test_rep_action_check_names_each_wrong_column(monkeypatch, mutant):
 LAWS = ("identity", "product", "adjoint", "inverse", "action")
 
 
-def _perturbed_inverse(M):
-    rows = mat_inverse(M.entries)
+def _perturbed_inverse(rows):
+    rows = mat_inverse(rows)
     rows[0][0] = rows[0][0] + F(1, 10**6)
-    return RepMatrix(M.L, rows)
+    return rows
 
 
 # each broken piece of M(., L), and the (L, law) failures it must cause up to level 4
@@ -221,12 +227,12 @@ LAW_MUTANTS = {
     "plain-adjoint": (
         RepMatrix,
         "adjoint",
-        RepMatrix.conj_transpose,
+        plain_conj_transpose,
         [(L, "adjoint") for L in range(2, 5)],
     ),
     "perturbed-inverse": (
-        RepMatrix,
-        "inverse",
+        deform,
+        "mat_inverse",
         _perturbed_inverse,
         [(L, "inverse") for L in range(5)],
     ),
@@ -254,10 +260,11 @@ def test_rep_laws_check_names_each_broken_law(monkeypatch, mutant):
 
 
 def test_level_basis_order():
-    assert level_basis(3) == [hermite_sum(m, n) for m, n in [(3, 0), (2, 1), (1, 2), (0, 3)]]
+    want = [hermite_sum(m, n) for m, n in [(3, 0), (2, 1), (1, 2), (0, 3)]]
+    assert level_basis(3, GL2.identity()) == want
 
 
-@pytest.mark.parametrize("g", [None, G_ALPHA], ids=["undeformed", "deformed"])
+@pytest.mark.parametrize("g", [GL2.identity(), G_ALPHA], ids=["undeformed", "deformed"])
 def test_negative_level_rejected(g):
     with pytest.raises(ValueError, match="level must be nonnegative"):
         level_basis(-1, g)
@@ -327,7 +334,7 @@ def test_float_raised_levels_are_close_to_the_operator_power_family(g):
 def test_dual_family_identity():
     fam = dual_family(GL2.identity(), 2)
     assert fam.g_dual == GL2.identity()
-    assert fam.polys == level_basis(2)
+    assert fam.polys == level_basis(2, GL2.identity())
     assert fam.consistent
 
 
@@ -351,7 +358,7 @@ def test_dual_family_consistent_fails_on_the_plain_adjoint(monkeypatch):
     # the weights w_k = k!(L-k)! are all equal below level 2
     g = rational_gl2(random.Random(13))
     assert all(dual_family(g, L).consistent for L in range(5))
-    monkeypatch.setattr(RepMatrix, "adjoint", RepMatrix.conj_transpose)
+    monkeypatch.setattr(RepMatrix, "adjoint", plain_conj_transpose)
     assert [L for L in range(5) if not dual_family(g, L).consistent] == [2, 3, 4]
 
 
@@ -556,7 +563,7 @@ def test_intertwine_check_names_each_wrong_column(monkeypatch, g):
     def wrong(g, L):
         rows = [list(row) for row in right[L].entries]
         rows[L // 2][L // 3] = rows[L // 2][L // 3] + 1
-        return RepMatrix(L, rows)
+        return RepMatrix(rows)
 
     Lmax = 6
     right = {L: rep_matrix(g, L) for L in range(Lmax + 1)}
@@ -577,11 +584,20 @@ def test_rep_matrix_json_round_trip():
     assert RepMatrix.from_json(obj) == M
 
 
+@pytest.mark.parametrize("L, shape", [(2, [2, 2]), (1, [2, 1])], ids=["level", "ragged"])
+def test_rep_matrix_from_json_rejects_a_grid_of_the_wrong_shape(L, shape):
+    # the one path that reads a level matrix from outside the program
+    rows = [[{"re": "1"}] * n for n in shape]
+    with pytest.raises(ValueError, match="entry grid must be"):
+        RepMatrix.from_json({"L": L, "rows": rows})
+
+
 @given(invertible_gl2)
 @settings(max_examples=25, deadline=None)
 def test_rep_matrix_homomorphism_property(g):
     L = 2
-    assert rep_matrix(g, L) @ rep_matrix(g.inverse(), L) == RepMatrix.identity(L)
+    product = mat_mul(rep_matrix(g, L).entries, rep_matrix(g.inverse(), L).entries)
+    assert product == identity_matrix(L + 1)
     assert rep_matrix(g, L).adjoint() == rep_matrix(g.conj_transpose(), L)
 
 
@@ -604,7 +620,7 @@ def reference_rep_matrix(g: GL2, L: int) -> RepMatrix:
                 acc = acc + w * (comb(k, q) * comb(L - k, r - q))
             row.append(acc)
         rows.append(row)
-    return RepMatrix(L, rows)
+    return RepMatrix(rows)
 
 
 @given(gl2s(radical_coeffs), st.integers(0, 8))

@@ -144,7 +144,7 @@ def test_only_coeffs_and_the_cli_handle_an_exact_flag():
 PUBLIC_NAMES = {
     "AlphaPoint", "BiPoly", "Coeff", "DualFamily", "FLOAT_TOL", "GL2", "LieBasisSet",
     "RealPoly", "RepMatrix", "Report",
-    "SeriesTruncation", "SqrtPiValue", "StructureConstants", "WeylOp", "alpha_matrix",
+    "SeriesTruncation", "StructureConstants", "WeylOp", "alpha_matrix",
     "basis_change", "bilinear_generators", "biorthogonality_check", "build_dictionary",
     "classify", "close", "commutator", "deformed_generating_series", "deformed_hermite",
     "deformed_lowering", "deformed_raising", "dual_family", "dual_matrix_scaling_check",
@@ -169,7 +169,7 @@ def test_package_all_is_the_module_lists():
     lists = [importlib.import_module(f"bihermite.{m}").__all__ for m in starred]
     assert bihermite.__all__ == [name for names in lists for name in names]
     assert len(set(bihermite.__all__)) == len(bihermite.__all__)
-    assert set(bihermite.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 57
+    assert set(bihermite.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 56
     assert all(hasattr(bihermite, name) for name in PUBLIC_NAMES)
 
 

@@ -35,10 +35,10 @@ def test_alpha_point_rejects_irrational_root_in_exact_mode():
 def test_alpha_point_backend_is_the_type_of_alpha():
     pt = AlphaPoint.make(0.6)
     assert not pt.exact and isinstance(pt.alpha, float) and isinstance(pt.beta_im, float)
-    assert not pt.theta_coeff().exact and not alpha_matrix(pt).is_exact()
+    assert not Coeff.lift(pt.theta).exact and not alpha_matrix(pt).is_exact()
     pt = AlphaPoint.make(F(3, 5))
     assert pt.exact and pt.beta_im == F(4, 5)
-    assert pt.theta_coeff().exact and alpha_matrix(pt).is_exact()
+    assert Coeff.lift(pt.theta).exact and alpha_matrix(pt).is_exact()
 
 
 def test_alpha_point_domain():

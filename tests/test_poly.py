@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from bihermite.coeffs import Coeff
-from bihermite.poly import BiPoly, RealPoly, SqrtPiValue, gram, inner_product, real_inner_product
+from bihermite.poly import BiPoly, RealPoly, gram, inner_product, real_inner_product
 
 from conftest import bipolys
 
@@ -193,9 +193,11 @@ def test_real_inner_product_frozen_values():
     x = RealPoly.x1()
     h1 = 2 * x
     h2 = 4 * x**2 - 2 * one
-    assert real_inner_product(one, one) == SqrtPiValue(Coeff(1))
-    assert real_inner_product(h1, h1) == SqrtPiValue(Coeff(2))
-    assert real_inner_product(h2, h1) == SqrtPiValue(Coeff(0))
+    # the coefficients of sqrt(pi), exact
+    assert real_inner_product(one, one) == Coeff(1)
+    assert real_inner_product(h1, h1) == Coeff(2)
+    assert real_inner_product(h2, h1) == Coeff(0)
+    assert all(real_inner_product(p, h1).exact for p in (one, h1, h2))
 
 
 def test_real_inner_product_needs_common_variable():

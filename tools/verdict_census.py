@@ -55,8 +55,8 @@ MUTANTS = (
     ),
     Mutant(
         "hermite.py",
-        "t.check(got == SqrtPiValue(want), where)",
-        "t.check(True, where)",
+        't.compare(got, want, {"m": m, "n": n})',
+        't.compare(want, want, {"m": m, "n": n})',
         "real-orthogonality-pass",
         ("tests/test_hermite.py",),
     ),
@@ -69,7 +69,7 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        't.check(close(got.entries, want.entries), {"L": L})',
+        't.check(close(mat_mul(Mgp.entries, Mg.entries), want), {"L": L})',
         't.check(True, {"L": L})',
         "dual-scaling-pass",
         ("tests/test_deform.py",),
@@ -104,14 +104,14 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        '"identity": M1.is_identity(),',
+        '"identity": M1.entries == identity_matrix(L + 1),',
         '"identity": True,',
         "identity-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"product": close((Mg @ Mh).entries, Mgh.entries),',
+        '"product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),',
         '"product": True,',
         "product-law-pass",
         ("tests/test_deform.py",),
@@ -125,7 +125,7 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        '"inverse": close(Mg.inverse().entries, Mg_inv.entries),',
+        '"inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),',
         '"inverse": True,',
         "inverse-law-pass",
         ("tests/test_deform.py",),
@@ -221,6 +221,13 @@ MUTANTS = (
         "m = M[r, k]",
         "m = M[k, r]",
         "level-basis-transposed",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "want = [[kappa if r == k else zero for k in range(L + 1)] for r in range(L + 1)]",
+        "want = [[kappa if r == k else kappa for k in range(L + 1)] for r in range(L + 1)]",
+        "scaling-target-filled",
         ("tests/test_deform.py",),
     ),
     Mutant(
