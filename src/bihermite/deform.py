@@ -23,7 +23,6 @@ alpha runs on the float backend.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -119,12 +118,20 @@ class GL2:
         return f"GL2([[{g[0]}, {g[1]}], [{g[2]}, {g[3]}]])"
 
 
-@dataclass(frozen=True)
 class AlphaPoint:
-    """Validated deformation parameter with its derived quantities."""
+    """Validated deformation parameter, equal to any point with its alpha and beta_im."""
 
-    alpha: Fraction | float
-    beta_im: Fraction | float  # sqrt(1 - alpha^2)
+    __slots__ = ("alpha", "beta_im")
+
+    def __init__(self, alpha: Fraction | float, beta_im: Fraction | float):
+        self.alpha, self.beta_im = alpha, beta_im  # beta_im = sqrt(1 - alpha^2)
+
+    def __eq__(self, other):
+        same_type = isinstance(other, AlphaPoint)
+        return same_type and (self.alpha, self.beta_im) == (other.alpha, other.beta_im)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta_im))
 
     @classmethod
     def make(cls, alpha) -> AlphaPoint:
@@ -438,27 +445,22 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     )
 
 
-@dataclass
 class DualFamily:
-    """Level-L dual family, built from the inverse conjugate-transpose matrix."""
+    """Level-L dual family; consistent says whether its matrix's two constructions agree."""
 
-    L: int
-    g_dual: GL2
-    polys: list  # level_basis order: position j holds Hdual[L-j, j]
-    matrix_direct: RepMatrix
-    matrix_inverse_route: RepMatrix
+    __slots__ = ("g_dual", "polys", "matrix_direct", "consistent")
 
-    @property
-    def consistent(self) -> bool:
-        """The two constructions of the dual matrix must coincide."""
-        return close(self.matrix_direct.entries, self.matrix_inverse_route.entries)
+    def __init__(self, g_dual: GL2, polys: list, matrix_direct: RepMatrix, consistent: bool):
+        self.g_dual, self.polys = g_dual, polys  # polys[j] is Hdual[L-j, j], as in level_basis
+        self.matrix_direct, self.consistent = matrix_direct, consistent
 
 
 def dual_family(g: GL2, L: int) -> DualFamily:
     g_dual = g.conj_transpose().inverse()
     direct = rep_matrix(g_dual, L)
-    inverse_route = RepMatrix(mat_inverse(rep_matrix(g, L).adjoint().entries))
-    return DualFamily(L, g_dual, _level_basis(L, direct), direct, inverse_route)
+    inverse_route = mat_inverse(rep_matrix(g, L).adjoint().entries)
+    consistent = close(direct.entries, inverse_route)
+    return DualFamily(g_dual, _level_basis(L, direct), direct, consistent)
 
 
 def biorthogonality_check(g: GL2, Lmax: int) -> Report:

@@ -18,7 +18,6 @@ span of the basis and must leave zero residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,13 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class LieBasisSet:
     """Ordered named generators with the deformation scale they were built at."""
 
-    names: tuple
-    ops: tuple
-    theta: Fraction | float
+    __slots__ = ("names", "ops", "theta")
+
+    def __init__(self, names: tuple, ops: tuple, theta: Fraction | float):
+        self.names, self.ops, self.theta = names, ops, theta
 
 
 def _bilinears(a1, a2, ad1, ad2) -> tuple:
@@ -119,7 +118,6 @@ def rescale(xbasis: LieBasisSet) -> LieBasisSet:
     )
 
 
-@dataclass
 class StructureConstants:
     """Antisymmetric bracket table over an ordered generator list.
 
@@ -128,9 +126,10 @@ class StructureConstants:
     exactly zero on the exact backend when the set closes).
     """
 
-    names: tuple
-    table: dict
-    residuals: dict
+    __slots__ = ("names", "table", "residuals")
+
+    def __init__(self, names: tuple, table: dict, residuals: dict):
+        self.names, self.table, self.residuals = names, table, residuals
 
     @property
     def exact(self) -> bool:

@@ -3,14 +3,11 @@ decides it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import coeffs
 
 __all__ = ["Report", "Tally"]
 
 
-@dataclass
 class Report:
     """Outcome of one verification suite.
 
@@ -18,9 +15,11 @@ class Report:
     JSON body, summary the one-line human text.
     """
 
-    status: str
-    summary: str
-    payload: dict = field(default_factory=dict)
+    __slots__ = ("status", "summary", "payload")
+
+    def __init__(self, status: str, summary: str, payload: dict | None = None):
+        self.status, self.summary = status, summary
+        self.payload = {} if payload is None else payload
 
     @property
     def ok(self) -> bool:

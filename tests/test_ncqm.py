@@ -41,6 +41,14 @@ def test_alpha_point_backend_is_the_type_of_alpha():
     assert Coeff.lift(pt.theta).exact and alpha_matrix(pt).is_exact()
 
 
+def test_alpha_points_with_equal_values_are_equal_and_hash_alike():
+    a, b = AlphaPoint.make(F(3, 5)), AlphaPoint.make(F(6, 10))
+    assert a == b and hash(a) == hash(b)
+    assert AlphaPoint.make(F(3, 5)) != AlphaPoint.make(0.6)
+    x, y = AlphaPoint.make(float("0.3")), AlphaPoint.make(float("0.3"))
+    assert x == y and hash(x) == hash(y)
+
+
 def test_alpha_point_domain():
     for bad in (0, 1, -1, F(7, 5)):
         with pytest.raises(ValueError):

@@ -76,8 +76,8 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "return close(self.matrix_direct.entries, self.matrix_inverse_route.entries)",
-        "return True",
+        "consistent = close(direct.entries, inverse_route)",
+        "consistent = True",
         "dual-consistent-pass",
         ("tests/test_deform.py",),
     ),
