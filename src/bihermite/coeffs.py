@@ -36,10 +36,11 @@ faster on an A/B of two copies of the package (CPython 3.11, 2-vCPU VM);
 the factor is the slowdown without it.  A plain int or Fraction factor
 scales the numerators and q without being lifted to a Coeff (1.9-2.1x
 exact, 3.3x float); a sum over equal denominators skips the cross-multiply
-(1.22-1.30x); the inverse of a Q(i) value skips the radical norm (1.8x);
-an all-int constructor skips Fraction (about 5x).  Only the sign of a float
-zero depends on the path, so the float views ``re`` to ``im2`` return
-zeros unsigned.
+(1.22-1.30x); a difference on one backend subtracts the numerators where
+it added the negation (1.65-2.0x exact, 2.0x float); the inverse of a Q(i)
+value skips the radical norm (1.8x); an all-int constructor skips Fraction
+(about 5x).  Only the sign of a float zero depends on the path, so the
+float views ``re`` to ``im2`` return zeros unsigned.
 
 ``==`` compares the components as Python compares numbers, with no
 conversion: an exact value equals a float only when they are the same
@@ -212,12 +213,31 @@ class Coeff:
         return _make(-self.a, -self.b, -self.c, -self.d, self.q, self.exact)
 
     def __sub__(self, other):
-        if type(other) is not Coeff:
+        # on one backend, the code of __add__ with other's signs flipped: the
+        # slots of self + -other, with one _make where that takes two.  An
+        # exact zero slot that meets a float turns into +0.0 after negation,
+        # so the sign of a float zero keeps that route
+        if type(other) is not Coeff or other.exact != self.exact:
             try:
-                other = Coeff.lift(other)
+                return self + -Coeff.lift(other)
             except TypeError:
                 return NotImplemented
-        return self + -other
+        q1, q2 = self.q, other.q
+        if q1 == q2:
+            return _make(
+                self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d, q1, self.exact
+            )
+        # cross-multiply over the lcm of the denominators
+        g = _gcd(q1, q2)
+        s1, s2 = q2 // g, q1 // g
+        return _make(
+            self.a * s1 - other.a * s2,
+            self.b * s1 - other.b * s2,
+            self.c * s1 - other.c * s2,
+            self.d * s1 - other.d * s2,
+            q1 * s1,
+            self.exact,
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -440,10 +460,12 @@ def _sum_products(triples) -> Coeff:
             sb += (a1 * b2 + b1 * a2) * w
     else:
         return _make(sa, sb, sc, sd, sq, True)
+    # a float times the int 1 keeps its bits, so skipping that product
+    # changes no result
     (x, y, w), *rest = triples
-    acc = x * y * w
+    acc = x * y if w == 1 else x * y * w
     for x, y, w in rest:
-        acc = acc + x * y * w
+        acc = acc + (x * y if w == 1 else x * y * w)
     return acc
 
 

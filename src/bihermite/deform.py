@@ -26,7 +26,7 @@ import cmath
 from fractions import Fraction
 from math import comb, factorial
 
-from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _sum_products, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from .poly import BiPoly, gram
@@ -470,11 +470,8 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     otherwise, including all cross-level pairs up to Lmax.
     """
     _check_lmax(Lmax)
-    g_dual = g.conj_transpose().inverse()
+    products = _biorth_pairings(g, Lmax)
     levels = range(Lmax + 1)
-    duals = [_level_basis(L, M) for L, M in zip(levels, _level_matrices(g_dual))]
-    fams = [_level_basis(L, M) for L, M in zip(levels, _level_matrices(g))]
-    products = gram([p for d in duals for p in d], [p for f in fams for p in f])
     t = Tally()
     for L in levels:
         for M in levels:
@@ -489,6 +486,47 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
         {"Lmax": Lmax, "violations": t.failures},
         f" ({t.checks} pairings)",
     )
+
+
+def _biorth_pairings(g: GL2, Lmax: int) -> list:
+    """The matrix of <Hdual[L-n, n], Hg[M-k, k]>, L, M <= Lmax, in row
+    L(L+1)/2 + n and column M(M+1)/2 + k, summed by bilinearity: with
+    D = M(g_dual, L) and F = M(g, M) it is sum_(r,s) conj(D[r, L-n])
+    F[s, M-k] <H[r, L-r], H[s, M-s]>.  The undeformed Gram is computed, its
+    cross-level blocks too, so no orthogonality is assumed; its entries are
+    checked to be integers and weigh one _sum_products call per entry over
+    its block's nonzero entries.  A block with none gives the exact ZERO.
+    """
+    g_dual = g.conj_transpose().inverse()
+    levels = range(Lmax + 1)
+    start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
+    basis = [hermite_sum(r, L - r) for L in levels for r in range(L + 1)]
+    weights = gram(basis, basis)
+    if not all(c.exact and c.q == 1 and c.is_rational() for row in weights for c in row):
+        raise ArithmeticError("the Gram matrix of the undeformed basis is not integral")
+    # duals[L][n][r] = conj(D[r, L-n]) and fams[M][k][s] = F[s, M-k]
+    duals = [
+        [[c.conj() for c in col] for col in list(zip(*D.entries))[::-1]]
+        for _, D in zip(levels, _level_matrices(g_dual))
+    ]
+    fams = [list(zip(*F.entries))[::-1] for _, F in zip(levels, _level_matrices(g))]
+    out = [[ZERO] * start[-1] for _ in range(start[-1])]
+    for L in levels:
+        for M in levels:
+            # (r, s, <H[r, L-r], H[s, M-s]>) where that is nonzero
+            block = [
+                (r, s, c.a)
+                for r, row in enumerate(weights[start[L] : start[L + 1]])
+                for s, c in enumerate(row[start[M] : start[M + 1]])
+                if c
+            ]
+            if not block:
+                continue
+            for n, dual in enumerate(duals[L]):
+                row = out[start[L] + n]
+                for k, fam in enumerate(fams[M]):
+                    row[start[M] + k] = _sum_products([(dual[r], fam[s], w) for r, s, w in block])
+    return out
 
 
 def dual_matrix_scaling_check(point, Lmax: int) -> Report:

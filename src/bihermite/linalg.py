@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from operator import attrgetter
 
-from .coeffs import ONE, ZERO, Coeff, backend_tol
+from .coeffs import ONE, ZERO, Coeff, _sum_products, backend_tol
 
 __all__ = [
     "identity_matrix",
@@ -39,17 +39,11 @@ def identity_matrix(n: int):
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """The product a b, each entry one _sum_products call over its row and
+    column: exact entries are reduced once, float ones take the bits of the
+    chain a[i][0] b[0][j] + a[i][1] b[1][j] + ..."""
+    columns = list(zip(*b))
+    return [[_sum_products([(x, y, 1) for x, y in zip(row, col)]) for col in columns] for row in a]
 
 
 def _pivot_index(column, start, tol):

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -19,6 +20,7 @@ from bihermite.coeffs import (
     parse_coeff,
     rational_sqrt,
 )
+from bihermite.linalg import mat_mul
 from bihermite.poly import BiPoly, RealPoly
 from bihermite.weyl import WeylOp
 
@@ -591,3 +593,68 @@ def test_sum_of_products_cancels_to_the_reduced_zero():
     got = _sum_products([(x, y, 6), (x, -y, 2), (-x, y, 4)])
     assert got == ZERO and (got.a, got.b, got.c, got.d, got.q) == (0, 0, 0, 0, 1)
     assert _sum_products([]) == ZERO and _sum_products([]).exact
+
+
+# -- the direct difference and the kernel matrix product against the routes
+# -- they replaced ------------------------------------------------------------
+
+
+@given(exact_coeffs | float_coeffs, operands)
+@settings(max_examples=400, deadline=None)
+def test_difference_is_the_sum_with_the_negation(a, b):
+    # a - b once returned a + -b, with b lifted first
+    same_slots(a - b, a + -Coeff.lift(b))
+
+
+def test_difference_over_unequal_large_denominators():
+    rng = random.Random("difference")
+    for kind in ("qi", "radical", "float"):
+        for _ in range(50):
+            x, y = _random_coeff(rng, kind), _random_coeff(rng, rng.choice(["qi", "radical"]))
+            same_slots(x - y, x + -y)
+            same_slots(y - x, y + -x)
+
+
+def chain_mat_mul(a, b):
+    """a b with each entry the chain acc = acc + a[i][k] b[k][j] from the
+    first product: the route the kernel replaced."""
+    return [
+        [functools.reduce(lambda acc, xy: acc + xy[0] * xy[1], pairs[1:], pairs[0][0] * pairs[0][1])
+         for pairs in (list(zip(row, col)) for col in zip(*b))]
+        for row in a
+    ]  # fmt: skip
+
+
+MATRIX_ENTRIES = {
+    "exact": radical_coeffs,
+    "float": float_coeffs,
+    "mixed": radical_coeffs | float_coeffs,
+}
+
+
+@given(st.sampled_from(sorted(MATRIX_ENTRIES)), st.tuples(*[st.integers(1, 4)] * 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_mat_mul_is_the_chain(backend, shape, data):
+    n, m, p = shape
+    entries = MATRIX_ENTRIES[backend]
+
+    def matrix(rows, cols):
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        return data.draw(st.lists(row, min_size=rows, max_size=rows))
+
+    a, b = matrix(n, m), matrix(m, p)
+    got, want = mat_mul(a, b), chain_mat_mul(a, b)
+    assert [len(row) for row in got] == [p] * n
+    for got_row, want_row in zip(got, want):
+        for x, y in zip(got_row, want_row):
+            same_slots(x, y)
+
+
+@pytest.mark.parametrize("kinds", [("qi",), ("radical",), ("float",), ("float", "radical")])
+def test_kernel_mat_mul_is_the_chain_on_large_entries(kinds):
+    rng = random.Random(f"mat_mul {kinds}")
+    a = [[_random_coeff(rng, rng.choice(kinds)) for _ in range(5)] for _ in range(3)]
+    b = [[_random_coeff(rng, rng.choice(kinds)) for _ in range(4)] for _ in range(5)]
+    for got_row, want_row in zip(mat_mul(a, b), chain_mat_mul(a, b)):
+        for x, y in zip(got_row, want_row):
+            same_slots(x, y)

@@ -135,6 +135,7 @@ def counted_weyl_products():
         lambda g: lambda: rep_matrix(g, 12),
         lambda g: lambda: list(zip(range(13), deform._level_matrices(g))),
         lambda g: _biorth_inner_products(g, 6),
+        lambda g: lambda: biorthogonality_check(g, 6),
         lambda g: lambda: level_basis(6, g),
         lambda g: lambda: orthonormality_check(10),
         lambda g: lambda ops=_zbasis().ops: [commutator(x, y) for x in ops for y in ops],
@@ -144,6 +145,7 @@ def counted_weyl_products():
         "rep_matrix L12",
         "level walk 0..12",
         "784 biorth inner products",
+        "biorth Lmax 6",
         "level_basis L6",
         "orthonormality L10",
         "Z-basis commutators",
@@ -194,8 +196,19 @@ def test_biorthogonality_products_at_level_six():
     g = alpha_matrix(POINT)
     with counted_products() as calls:
         assert biorthogonality_check(g, 6).ok
-    # 17,378 with a product and a sum per pairing term in gram
-    assert 0 < calls[0] <= 2500
+    # 17,378 with a product and a sum per pairing term in gram, 1,002 with
+    # the expanded families paired by gram; 462 through the undeformed Gram
+    assert 0 < calls[0] <= 500
+
+
+def test_float_biorthogonality_conversions():
+    # 314 exact values converted with the expanded families paired by gram,
+    # whose exact Hermite coefficients met float level-matrix entries; 86
+    # through the undeformed Gram, all in comparing the pairings with
+    # their exact targets
+    with counted_conversions(exact_only=True) as calls:
+        assert biorthogonality_check(alpha_matrix(AlphaPoint.make(0.6)), 4).ok
+    assert 0 < calls[0] <= 100
 
 
 @pytest.mark.parametrize("check", [rep_action_check, intertwine_check])

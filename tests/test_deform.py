@@ -29,7 +29,7 @@ from bihermite.deform import (
 from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
 from bihermite.linalg import charpoly, identity_matrix, mat_inverse, mat_mul
 from bihermite.ncqm import AlphaPoint, alpha_matrix
-from bihermite.poly import BiPoly, inner_product
+from bihermite.poly import BiPoly, gram, inner_product
 
 from conftest import gl2s, invertible_gl2, radical_coeffs
 
@@ -406,6 +406,86 @@ def test_biorthogonality_check_names_each_wrong_pairing(monkeypatch):
 def test_biorthogonality_random_rational():
     rng = random.Random(17)
     assert biorthogonality_check(rational_gl2(rng), 2).ok
+
+
+def _pairwise_pairings(g, Lmax):
+    """The biorth pairings as the gram of the dual and deformed families
+    expanded over the monomials: the route the factored form replaced, kept
+    as its independent verifier."""
+    g_dual = g.conj_transpose().inverse()
+    duals = [p for L in range(Lmax + 1) for p in level_basis(L, g_dual)]
+    fams = [p for L in range(Lmax + 1) for p in level_basis(L, g)]
+    return gram(duals, fams)
+
+
+def radical_gl2(rng) -> GL2:
+    """A seeded random invertible g over Q(i, sqrt2)."""
+    def part():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    while True:
+        try:
+            return GL2(*(Coeff(part(), part(), part(), part()) for _ in range(4)))
+        except ValueError:
+            continue
+
+
+PARITY_MATRICES = {
+    **{f"alpha {a}": alpha_matrix(AlphaPoint.make(F(a))) for a in ("3/5", "5/13", "20/29")},
+    **{f"qi-{seed}": rational_gl2(random.Random(seed)) for seed in (31, 32)},
+    **{f"sqrt2-{seed}": radical_gl2(random.Random(seed)) for seed in (41, 42)},
+}
+
+
+@pytest.mark.parametrize("g", PARITY_MATRICES.values(), ids=PARITY_MATRICES.keys())
+def test_factored_pairings_equal_the_pairwise_gram(g):
+    for Lmax in (0, 1, 3, 6):
+        got = deform._biorth_pairings(g, Lmax)
+        assert got == _pairwise_pairings(g, Lmax), Lmax
+        assert all(c.exact for row in got for c in row)
+
+
+def _block(matrix, L, M):
+    """The level (L, M) block of a matrix over the levels 0, 1, 2, ..."""
+    first = [n * (n + 1) // 2 for n in (L, L + 1, M, M + 1)]
+    return [row[first[2] : first[3]] for row in matrix[first[0] : first[1]]]
+
+
+# 20/29 lies near 1/sqrt2, where both float routes round beyond FLOAT_TOL
+FLOAT_PARITY = {name: g for name, g in PARITY_MATRICES.items() if name != "alpha 20/29"}
+
+
+@pytest.mark.parametrize("g", FLOAT_PARITY.values(), ids=FLOAT_PARITY.keys())
+def test_float_factored_pairings_are_close_to_the_pairwise_gram(g):
+    gf = _float_gl2(g)
+    # at level 6 the pairwise gram itself rounds beyond FLOAT_TOL at 3/5
+    for Lmax in (1, 3, 5):
+        got = deform._biorth_pairings(gf, Lmax)
+        assert close(got, _pairwise_pairings(gf, Lmax)), Lmax
+        # the undeformed Gram has no nonzero cross-level entry, so a
+        # cross-level pairing is the exact ZERO; the others are floats
+        for L, M in itertools.product(range(Lmax + 1), repeat=2):
+            entries = [c for row in _block(got, L, M) for c in row]
+            assert all(not c.exact if L == M else c.exact and not c for c in entries)
+
+
+def test_float_biorthogonality_at_its_alpha_points():
+    # the fixed tolerance fails near alpha = 1/sqrt2: summed through the
+    # undeformed Gram, on 2 pairings at 0.68 and 20 at 0.7
+    for alpha in (0.3, 0.62, 0.66, 0.75, 0.9):
+        assert biorthogonality_check(alpha_matrix(AlphaPoint.make(alpha)), 4).ok, alpha
+    for alpha, most in ((0.68, 2), (0.7, 20)):
+        rep = biorthogonality_check(alpha_matrix(AlphaPoint.make(alpha)), 4)
+        assert len(rep.payload["violations"]) <= most, alpha
+
+
+def test_biorth_pairings_reject_a_gram_entry_that_is_not_an_integer(monkeypatch):
+    def halved(ps, qs):
+        return [[c * F(1, 2) for c in row] for row in gram(ps, qs)]
+
+    monkeypatch.setattr(deform, "gram", halved)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        biorthogonality_check(G_ALPHA, 2)
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,20 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
+        "[[c.conj() for c in col] for col in list(zip(*D.entries))[::-1]]",
+        "[[c for c in col] for col in list(zip(*D.entries))[::-1]]",
+        "biorth-dual-unconjugated",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "for s, c in enumerate(row[start[M] : start[M + 1]])",
+        "for s, c in enumerate(row[start[L] : start[L] + M + 1])",
+        "biorth-gram-wrong-block",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
         "return WeylOp({ad1: g.g11, ad2: g.g21}), WeylOp({ad1: g.g12, ad2: g.g22})",
         "return WeylOp({ad1: g.g12, ad2: g.g22}), WeylOp({ad1: g.g11, ad2: g.g21})",
         "raising-swapped",
@@ -270,6 +284,20 @@ MUTANTS = (
         "a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),",
         "a1 * a2 - b1 * b2 + 2 * (c1 * c2 + d1 * d2),",
         "mul-sqrt2-sign",
+        ("tests/test_coeffs.py",),
+    ),
+    Mutant(
+        "coeffs.py",
+        "self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d, q1, self.exact",
+        "self.a - other.a, self.b - other.b, self.c + other.c, self.d - other.d, q1, self.exact",
+        "sub-radical-sign",
+        ("tests/test_coeffs.py",),
+    ),
+    Mutant(
+        "coeffs.py",
+        "self.b * s1 - other.b * s2,",
+        "self.b * s1 + other.b * s2,",
+        "sub-cross-imaginary-sign",
         ("tests/test_coeffs.py",),
     ),
     Mutant(
