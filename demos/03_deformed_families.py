@@ -15,7 +15,7 @@ from bihermite import (
     deformed_hermite,
     eigenvalue_structure_check,
     generating_series_complex,
-    rep_action_check,
+    rep_laws_check,
     rep_matrix,
 )
 
@@ -37,9 +37,13 @@ M = rep_matrix(g, L)
 print(f"level-{L} matrix M(g, {L}):")
 for row in M.entries:
     print("  [", ", ".join(str(c) for c in row), "]")
-rep = rep_action_check(g, L)
+# the action law of rep_laws_check compares M(g, L) with the deformed family
+# raised by the operators, polynomial by polynomial
+rep = rep_laws_check(g, g, L)
 print(f"column convention certified: {rep.ok}")
-print(f"  ({rep.payload['index_convention']})")
+print("  (column k of M(g,L) = coordinates of deformed H[k, L-k] over [H[r, L-r]]_r; "
+      "position j of the conventional level list [(L,0), ..., (0,L)] corresponds to "
+      "matrix index L-j)")
 
 print()
 print("the deformed generating function is the plain one composed with g:")

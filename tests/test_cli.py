@@ -349,14 +349,19 @@ def test_float_parameter_beyond_float_range_is_an_input_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "entry, message",
-    [("nan", "not a finite number"), ("inf", "not a finite number"),
-     ("1e400", "beyond float range"), ("1e308+1e308", "beyond float range")],
+    "g, message",
+    [pytest.param(("nan", "0", "0", "1"), "not a finite number", id="nan-not a finite number"),
+     pytest.param(("inf", "0", "0", "1"), "not a finite number", id="inf-not a finite number"),
+     pytest.param(("1e400", "0", "0", "1"), "beyond float range", id="1e400-beyond float range"),
+     pytest.param(("1e308+1e308", "0", "0", "1"), "beyond float range",
+                  id="1e308+1e308-beyond float range"),
+     # singular, but its determinant inf - inf is nan
+     pytest.param(("1e308",) * 4, "not a finite number", id="1e308 singular-not a finite number")],
 )
-def test_nonfinite_float_matrix_entry_is_an_input_error(capsys, entry, message):
-    code, out, err = run(capsys, "deform", "1", "0", "--g", entry, "0", "0", "1", "--backend", "float")
+def test_nonfinite_float_matrix_entry_is_an_input_error(capsys, g, message):
+    code, out, err = run(capsys, "deform", "1", "0", "--g", *g, "--backend", "float")
     assert code == 2 and out == "" and message in err
-    argv = ("repmat", "--L", "2", "--g", entry, "0", "0", "1", "--backend", "float", "--format", "json")
+    argv = ("repmat", "--L", "2", "--g", *g, "--backend", "float", "--format", "json")
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
 

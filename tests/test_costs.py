@@ -21,11 +21,10 @@ from bihermite.deform import (
     alpha_matrix,
     biorthogonality_check,
     dual_family,
-    dual_matrix_scaling_check,
     eigenvalue_structure_check,
     intertwine_check,
     level_basis,
-    rep_action_check,
+    rep_laws_check,
     rep_matrix,
 )
 from bihermite.hermite import orthonormality_check
@@ -211,7 +210,11 @@ def test_float_biorthogonality_conversions():
     assert 0 < calls[0] <= 100
 
 
-@pytest.mark.parametrize("check", [rep_action_check, intertwine_check])
+@pytest.mark.parametrize(
+    "check",
+    [lambda g, L: rep_laws_check(g, g, L), intertwine_check],
+    ids=["rep_laws_check", "intertwine_check"],
+)
 def test_deformed_families_are_raised_without_operator_products(check):
     with counted_weyl_products() as calls:
         assert check(alpha_matrix(POINT), 8).ok
@@ -235,6 +238,10 @@ def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies
     assert calls[0] == applies
 
 
+LAW_PAIR = GL2(Coeff(1, 2), 1, 0, Coeff(3)), GL2(2, Coeff(0, 1), 1, 1)
+FLOAT_LAW_PAIR = tuple(GL2(*(c.to_float() for c in m.entries())) for m in LAW_PAIR)
+
+
 def test_rep_laws_check_walks_each_level_matrix_once(monkeypatch):
     walk = deform._level_matrices
     walked = []
@@ -244,11 +251,32 @@ def test_rep_laws_check_walks_each_level_matrix_once(monkeypatch):
         return walk(g)
 
     monkeypatch.setattr(deform, "_level_matrices", counting)
-    g, h = GL2(Coeff(1, 2), 1, 0, Coeff(3)), GL2(2, Coeff(0, 1), 1, 1)
-    assert deform.rep_laws_check(g, h, 4).ok
-    # 1, g, h, gh, g^dagger and g^-1; the action law reads the walk of g that
-    # the other laws hold, where rep_action_check walked g a second time
-    assert walked == [GL2(1, 0, 0, 1), g, h, g @ h, g.conj_transpose(), g.inverse()]
+    g, h = LAW_PAIR
+    assert rep_laws_check(g, h, 4).ok
+    # 1, g, h, gh, g^dagger and the adjugate of g; the action law reads the
+    # walk of g that the other laws hold
+    adj = GL2(g.g22, -g.g12, -g.g21, g.g11)
+    assert walked == [GL2(1, 0, 0, 1), g, h, g @ h, g.conj_transpose(), adj]
+    # float g inverts by elimination, so its last walk is g^-1
+    g, h = FLOAT_LAW_PAIR
+    walked.clear()
+    assert rep_laws_check(g, h, 4).ok
+    assert walked == [GL2(1.0, 0.0, 0.0, 1.0), g, h, g @ h, g.conj_transpose(), g.inverse()]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_rep_laws_check_eliminates_only_on_float(monkeypatch, exact):
+    eliminate = linalg._eliminate
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert rep_laws_check(*(LAW_PAIR if exact else FLOAT_LAW_PAIR), 4).ok
+    # exact g checks M(adj g, L) M(g, L) = det(g)^L I; float g inverts each level
+    assert calls[0] == (0 if exact else 5)
 
 
 def test_lie_report_solves_each_table_in_one_elimination(monkeypatch):
@@ -279,14 +307,6 @@ def test_float_lie_report_converts_no_exact_value():
     # operands: an exact constant met a float 129 times per call
     with counted_conversions(exact_only=True) as calls:
         assert lie_report(AlphaPoint.make(0.6)).ok
-    assert calls[0] == 0
-
-
-def test_float_dual_matrix_scaling_converts_no_exact_value():
-    # det(g)^L I is built from det(g)^L itself: scaling an exact identity
-    # converted each of its 91 entries up to level 5
-    with counted_conversions(exact_only=True) as calls:
-        assert dual_matrix_scaling_check(AlphaPoint.make(0.6), 5).ok
     assert calls[0] == 0
 
 

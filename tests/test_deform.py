@@ -17,12 +17,10 @@ from bihermite.deform import (
     deformed_hermite,
     deformed_raising,
     dual_family,
-    dual_matrix_scaling_check,
     eigenvalue_structure_check,
     intertwine_check,
     level_basis,
     monomial_to_hermite,
-    rep_action_check,
     rep_laws_check,
     rep_matrix,
 )
@@ -55,11 +53,20 @@ def test_singular_rejected():
         GL2(1, 2, 2, 4)
 
 
-@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(float("nan"), 0.0)], ids=str)
-def test_nonfinite_entry_rejected(entry):
-    # a NaN determinant is truthy, so the singular check alone lets it through
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(NAN, 0.0, 0.0, 1.0), (float("inf"), 0.0, 0.0, 1.0), (complex(NAN, 0.0), 0.0, 0.0, 1.0),
+     (1e308, 1e308, 1e308, 1e308)],
+    ids=["nan", "inf", "(nan+0j)", "singular, det overflows"],
+)
+def test_nonfinite_entry_rejected(entries):
+    # a NaN determinant is truthy, so the singular check alone lets it
+    # through; the last matrix is singular, but its det is inf - inf = nan
     with pytest.raises(ValueError, match="not a finite number"):
-        GL2(entry, 0.0, 0.0, 1.0)
+        GL2(*entries)
 
 
 def test_exact_entry_beyond_float_range_rejected_among_float_entries():
@@ -171,7 +178,7 @@ def test_rep_action_convention():
     rng = random.Random(13)
     for g in (GL2.identity(), GL2.diagonal(2, 3), G_ALPHA, rational_gl2(rng)):
         for L in range(4):
-            rep = rep_action_check(g, L)
+            rep = rep_laws_check(g, g, L)
             assert rep.ok, rep.payload
 
 
@@ -187,7 +194,7 @@ def _raise_last_column_of_row_zero(M):
     return RepMatrix(rows)
 
 
-# wrong matrices for rep_action_check to catch, and the levels where they differ
+# wrong matrices for the action law to catch, and the levels where they differ
 ACTION_MUTANTS = {
     "one-entry": (lambda g, L: _raise_last_column_of_row_zero(rep_matrix(g, L)), range(5)),
     "adjoint-matrix": (lambda g, L: rep_matrix(g.conj_transpose(), L), range(1, 5)),
@@ -199,17 +206,14 @@ ACTION_MUTANTS = {
 
 
 @pytest.mark.parametrize("mutant", ACTION_MUTANTS)
-def test_rep_action_check_names_each_wrong_column(monkeypatch, mutant):
+def test_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mutant):
     wrong, levels = ACTION_MUTANTS[mutant]
     g = rational_gl2(random.Random(13))
-    bad = []
-    for L in range(5):
-        pairs = zip(zip(*rep_matrix(g, L).entries), zip(*wrong(g, L).entries))
-        bad += [{"L": L, "k": k} for k, (want, got) in enumerate(pairs) if want != got]
+    changed = [L for L in range(5) if wrong(g, L) != rep_matrix(g, L)]
+    assert changed == list(levels)
     monkeypatch.setattr(deform, "_level_matrices", walk_of(wrong))
-    rep = rep_action_check(g, 4)
-    assert rep.ok == (not bad) and rep.payload["mismatches"] == bad
-    assert sorted({m["L"] for m in bad}) == list(levels)
+    failures = rep_laws_check(g, g, 4).payload["failures"]
+    assert [f["L"] for f in failures if f["law"] == "action"] == changed
 
 
 LAWS = ("identity", "product", "adjoint", "inverse", "action")
@@ -221,16 +225,41 @@ def _perturbed_inverse(rows):
     return rows
 
 
-# each broken piece of M(., L), and the (L, law) failures it must cause up to level 4
+def _float_gl2(g):
+    return GL2(*(c.to_float() for c in g.entries()))
+
+
+_rng = random.Random(13)
+LAW_PAIR = (rational_gl2(_rng), rational_gl2(_rng))
+G_LAW = LAW_PAIR[0]
+ADJ_G_LAW = GL2(G_LAW.g22, -G_LAW.g12, -G_LAW.g21, G_LAW.g11)
+
+# each broken piece of M(., L), the pair (g, h) it is checked at, and the
+# (L, law) failures it must cause up to level 4
 LAW_MUTANTS = {
     # the weights w_k = k!(L-k)! are all equal below level 2
     "plain-adjoint": (
+        LAW_PAIR,
         RepMatrix,
         "adjoint",
         plain_conj_transpose,
         [(L, "adjoint") for L in range(2, 5)],
     ),
+    # exact g: M(adj g, L) M(g, L) = det(g)^L I, broken on the adjugate's walk only
+    "adjugate-entry": (
+        LAW_PAIR,
+        deform,
+        "_level_matrices",
+        walk_of(
+            lambda m, L: _raise_last_column_of_row_zero(rep_matrix(m, L))
+            if m == ADJ_G_LAW
+            else rep_matrix(m, L)
+        ),
+        [(L, "inverse") for L in range(5)],
+    ),
+    # float g: M(g, L)^-1 = M(g^-1, L) by elimination
     "perturbed-inverse": (
+        tuple(map(_float_gl2, LAW_PAIR)),
         deform,
         "mat_inverse",
         _perturbed_inverse,
@@ -239,6 +268,7 @@ LAW_MUTANTS = {
     # M[0][L] + 1 breaks every law at every level, except the adjoint at
     # level 0, where conj(m + 1) = conj(m) + 1
     "one-entry": (
+        LAW_PAIR,
         deform,
         "_level_matrices",
         walk_of(ACTION_MUTANTS["one-entry"][0]),
@@ -249,9 +279,7 @@ LAW_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", LAW_MUTANTS)
 def test_rep_laws_check_names_each_broken_law(monkeypatch, mutant):
-    owner, name, wrong, expected = LAW_MUTANTS[mutant]
-    rng = random.Random(13)
-    g, h = rational_gl2(rng), rational_gl2(rng)
+    (g, h), owner, name, wrong, expected = LAW_MUTANTS[mutant]
     assert rep_laws_check(g, h, 4).ok
     monkeypatch.setattr(owner, name, wrong)
     rep = rep_laws_check(g, h, 4)
@@ -494,37 +522,14 @@ def test_biorth_pairings_reject_a_gram_entry_that_is_not_an_integer(monkeypatch)
         lambda: orthonormality_check(-1),
         lambda: biorthogonality_check(G_ALPHA, -1),
         lambda: intertwine_check(G_ALPHA, -1),
-        lambda: dual_matrix_scaling_check(POINT, -1),
-        lambda: rep_action_check(G_ALPHA, -1),
+        lambda: biorthogonality_check(_float_gl2(G_ALPHA), -1),
+        lambda: rep_laws_check(_float_gl2(G_ALPHA), G_ALPHA, -1),
         lambda: rep_laws_check(G_ALPHA, G_ALPHA, -1),
     ],
 )
 def test_negative_lmax_rejected(check):
     with pytest.raises(ValueError, match="Lmax"):
         check()
-
-
-def test_dual_matrix_scaling():
-    rep = dual_matrix_scaling_check(POINT, 3)
-    assert rep.ok
-    delta = Coeff(F(-7, 25))
-    assert rep.payload["kappa"]["0"] == "1"
-    assert rep.payload["kappa"]["1"] == str(delta)
-    assert rep.payload["kappa"]["3"] == str(delta**3)
-
-
-def test_dual_matrix_scaling_names_each_wrong_level(monkeypatch):
-    real = deform.rep_matrix
-
-    def odd_levels_wrong(g, L):
-        M = real(g, L)
-        if L % 2:
-            M.entries[0][L] = M.entries[0][L] + 1
-        return M
-
-    monkeypatch.setattr(deform, "_level_matrices", walk_of(odd_levels_wrong))
-    rep = dual_matrix_scaling_check(POINT, 4)
-    assert rep.status == "fail" and rep.payload["failures"] == [{"L": 1}, {"L": 3}]
 
 
 def test_eigenvalue_structure_exact_cases():
@@ -535,10 +540,6 @@ def test_eigenvalue_structure_exact_cases():
 
 
 GENERIC = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
-
-
-def _float_gl2(g):
-    return GL2(*(c.to_float() for c in g.entries()))
 
 
 def test_eigenvalue_structure_generic_float():

@@ -128,19 +128,37 @@ def test_deformed_family_by_raising_operators():
 def test_level_matrices_by_binomial_expansion():
     # M[r, k] is the coefficient of s^r t^(L-r) in (g11 s + g21 t)^k
     # (g12 s + g22 t)^(L-k); the closed form and the level walk must both
-    # give it, for the g of the deformed family above
+    # give it, for the g of the deformed family above, and the walk of its
+    # adjugate must give the matrices whose product with those of g is
+    # det(g)^L I
     r2 = sympy.sqrt(2)
     s11, s12, s21, s22 = 1 + r2, sympy.I, sympy.Rational(1, 2), -1 + r2 * sympy.I
     g = GL2(Coeff(1, 0, 1), Coeff(0, 1), Coeff(F(1, 2)), Coeff(-1, 0, 0, 1))
+    adj = GL2(g.g22, -g.g12, -g.g21, g.g11)
+    det = s11 * s22 - s12 * s21
     s, t = sympy.symbols("s t")
-    for L, walked in zip(range(6), deform._level_matrices(g)):
-        closed = rep_matrix(g, L)
+
+    def expanded(a11, a12, a21, a22, L):
+        rows = [[0] * (L + 1) for _ in range(L + 1)]
         for k in range(L + 1):
-            factors = (s11 * s + s21 * t) ** k * (s12 * s + s22 * t) ** (L - k)
+            factors = (a11 * s + a21 * t) ** k * (a12 * s + a22 * t) ** (L - k)
             column = sympy.Poly(sympy.expand(factors), s, t)
             for r in range(L + 1):
-                want = column.coeff_monomial(s**r * t ** (L - r))
-                assert same(scalar(closed[r, k]), want) and same(scalar(walked[r, k]), want), (L, r, k)
+                rows[r][k] = column.coeff_monomial(s**r * t ** (L - r))
+        return sympy.Matrix(rows)
+
+    walks = zip(deform._level_matrices(g), deform._level_matrices(adj))
+    for L, (walked, walked_adj) in zip(range(6), walks):
+        want = expanded(s11, s12, s21, s22, L)
+        want_adj = expanded(s22, -s12, -s21, s11, L)
+        closed = rep_matrix(g, L)
+        for r in range(L + 1):
+            for k in range(L + 1):
+                assert same(scalar(closed[r, k]), want[r, k]), (L, r, k)
+                assert same(scalar(walked[r, k]), want[r, k]), (L, r, k)
+                assert same(scalar(walked_adj[r, k]), want_adj[r, k]), (L, r, k)
+        product = (want_adj * want - det**L * sympy.eye(L + 1)).applyfunc(sympy.expand)
+        assert product == sympy.zeros(L + 1, L + 1), L
 
 
 # sqrt2 and i as free generators r and j: sympy's charpoly over QQ[r, j]

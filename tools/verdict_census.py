@@ -69,13 +69,6 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        't.check(close(mat_mul(Mgp.entries, Mg.entries), want), {"L": L})',
-        't.check(True, {"L": L})',
-        "dual-scaling-pass",
-        ("tests/test_deform.py",),
-    ),
-    Mutant(
-        "deform.py",
         "consistent = close(direct.entries, inverse_route)",
         "consistent = True",
         "dual-consistent-pass",
@@ -97,8 +90,8 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "return [close(h, p) for h, p in zip(raised, family)]",
-        "return [True for h, p in zip(raised, family)]",
+        '"action": all(close(p, q) for p, q in zip(raised, family)),',
+        '"action": True,',
         "action-pass",
         ("tests/test_deform.py",),
     ),
@@ -125,8 +118,15 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        '"inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),',
-        '"inverse": True,',
+        "inverse = mat_mul(Mg_inv.entries, Mg.entries) == scaled",
+        "inverse = True",
+        "adjugate-law-pass",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "inverse = close(mat_inverse(Mg.entries), Mg_inv.entries)",
+        "inverse = True",
         "inverse-law-pass",
         ("tests/test_deform.py",),
     ),
@@ -239,9 +239,9 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "want = [[kappa if r == k else zero for k in range(L + 1)] for r in range(L + 1)]",
-        "want = [[kappa if r == k else kappa for k in range(L + 1)] for r in range(L + 1)]",
-        "scaling-target-filled",
+        "det_L = det_L * g.det",
+        "det_L = det_L",
+        "adjugate-det-power-one",
         ("tests/test_deform.py",),
     ),
     Mutant(
