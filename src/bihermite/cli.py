@@ -207,16 +207,19 @@ def _verify_repmat(args) -> Report:
     return rep
 
 
+# the three matrices of `verify eigen`, built once
+_EIGEN_CASES = (
+    ("diagonal", GL2.diagonal(2, 3)),
+    ("triangular", GL2(2, 1, 0, 3)),
+    ("generic", GL2(Coeff(1, 2), Coeff(Fraction(3, 7)), Coeff(Fraction(-1, 3)), Coeff(2, -1))),
+)
+
+
 def _verify_eigen(args) -> Report:
     _check_lmax(args.Lmax)
-    cases = [
-        ("diagonal", GL2.diagonal(2, 3)),
-        ("triangular", GL2(2, 1, 0, 3)),
-        ("generic", GL2(Coeff(1, 2), Coeff(Fraction(3, 7)), Coeff(Fraction(-1, 3)), Coeff(2, -1))),
-    ]
     t = Tally()
     sub = []
-    for name, g in cases:
+    for name, g in _EIGEN_CASES:
         g = _on_backend(g, args)
         for L, M in zip(range(args.Lmax + 1), _level_matrices(g)):
             rep = eigenvalue_structure_check(g, M)

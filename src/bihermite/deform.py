@@ -24,11 +24,21 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _sum_products, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
-from .linalg import charpoly, identity_matrix, mat_inverse, mat_mul
+from .linalg import (
+    _charpoly_cleared,
+    _components,
+    _newton_sums,
+    _ring,
+    _values,
+    charpoly,
+    identity_matrix,
+    mat_inverse,
+    mat_mul,
+)
 from .poly import BiPoly, gram
 from .report import Report, Tally
 from .weyl import WeylOp
@@ -54,6 +64,20 @@ __all__ = [
 ]
 
 
+def _underflows(entries) -> bool:
+    """Whether a zero float determinant is the product of underflow: with
+    the entries over their largest modulus m, the determinant is nonzero,
+    and m^2 times it rounds to zero."""
+    if all(c.exact for c in entries):
+        return False
+    z11, z12, z21, z22 = (c.to_complex() for c in entries)
+    m = max(map(abs, (z11, z12, z21, z22)))
+    if not m:
+        return False
+    scaled = (z11 / m) * (z22 / m) - (z12 / m) * (z21 / m)
+    return bool(scaled) and abs(scaled) * m * m == 0.0
+
+
 class GL2:
     """Invertible 2x2 complex matrix; rejects singular or non-finite input at
     construction."""
@@ -76,7 +100,9 @@ class GL2:
         if not finite:
             raise ValueError("float matrix entry or determinant is not a finite number")
         if not det:
-            raise ValueError("matrix is singular")
+            raise ValueError(
+                "float determinant underflows to zero" if _underflows(self.entries()) else "matrix is singular"
+            )
 
     @property
     def det(self) -> Coeff:
@@ -542,16 +568,28 @@ def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
     Checked without eigenvalues: the power sums p_j, j = 1..L+1, of the
     characteristic polynomial of M(g, L) fix its spectrum, and the claimed
     spectrum has p_j = h_L(tr g^j, det g^j) with h_0 = 1, h_1 = s and
-    h_n = s h_(n-1) - q h_(n-2).  Both sides are compared with close(), so
-    the check is literal on exact g, triangular and repeated eigenvalues
-    included.  Float g needs distinct eigenvalues and matches within
-    FLOAT_TOL.
+    h_n = s h_(n-1) - q h_(n-2).
+
+    On exact g both sides are integers from start to finish.  Q M and
+    G = q_g g are integral, Q and q_g the lcms of their denominators.  The
+    power sums of Q M follow from its division-free characteristic
+    polynomial by Newton's identities, p_j(Q M) = Q^j p_j, and h_L is
+    homogeneous of degree L, so h_L(tr G^j, det G^j) = q_g^(jL) p_j.  With
+    D = lcm(Q, q_g^L) the claim is p_j(Q M) (D/Q)^j = h_L(tr G^j, det G^j)
+    (D/q_g^L)^j, a literal equality of integers, triangular and repeated
+    eigenvalues included.  Float g needs distinct eigenvalues and matches
+    within FLOAT_TOL.
     """
     L = M.L
     exact = g.is_exact()
     mode = "exact-power-sums" if exact else "float"
     payload = {"L": L, "mode": mode}
-    s, q = g.g11 + g.g22, g.det
+    entries = g.entries()
+    if exact:
+        qg = lcm(*(c.q for c in entries))
+        entries = [c * qg for c in entries]  # G = q_g g
+    g11, g12, g21, g22 = entries
+    s, q = g11 + g22, g11 * g22 - g12 * g21
     if not exact:
         # defective pairs are only resolvable to ~sqrt(machine eps), so
         # the distinctness cut is much looser than the matching tolerance
@@ -560,17 +598,38 @@ def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
                 "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
             )
         payload["tolerance"] = FLOAT_TOL
-    actual = _power_sums(charpoly(M.entries))
-    payload["power_sums"] = len(actual)
+    # s_j = tr g^j and q_j = det g^j (of G on exact g), j = 1..L+1, from
+    # s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
+    traces, dets, s_prev = [s], [q], Coeff(2)
+    for _ in range(L):
+        s_prev, s_j = traces[-1], s * traces[-1] - q * s_prev
+        traces.append(s_j)
+        dets.append(dets[-1] * q)
     t = Tally()
-    # s_j = tr g^j and q_j = det g^j, from s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
-    s_prev, s_j, q_j = Coeff(2), s, q
-    for j, got in enumerate(actual, 1):
-        h_prev, h = ZERO, ONE  # h_(-1) and h_0
+    if exact:
+        Q, poly = _charpoly_cleared(M.entries)
+        radical = any(c.c or c.d for c in (*traces, *dets))
+        _, times = _ring(radical)
+        S, P = (_components(v, 1, radical) for v in (traces, dets))
+        # h_(-1) = 0 and h_0 = 1, then h_L(s_j, q_j) for every j at once
+        h_prev = tuple([0] * len(traces) for _ in S)
+        h = ([1] * len(traces), *h_prev[1:])
         for _ in range(L):
-            h_prev, h = h, s_j * h - q_j * h_prev
-        t.check(close(got, h), f"p_{j}")
-        s_prev, s_j, q_j = s_j, s * s_j - q * s_prev, q_j * q
+            sh, qh = times(S, h), times(P, h_prev)
+            h_prev, h = h, tuple([x - y for x, y in zip(a, b)] for a, b in zip(sh, qh))
+        D = lcm(Q, qg**L)
+        up, down = D // Q, D // qg**L
+        got = _values(tuple([x * up**j for j, x in enumerate(m, 1)] for m in _newton_sums(poly)))
+        want = _values(tuple([x * down**j for j, x in enumerate(m, 1)] for m in h))
+        for j, (x, y) in enumerate(zip(got, want), 1):
+            t.check(x == y, f"p_{j}")
+    else:
+        for j, (got, s_j, q_j) in enumerate(zip(_power_sums(charpoly(M.entries)), traces, dets), 1):
+            h_prev, h = ZERO, ONE  # h_(-1) and h_0
+            for _ in range(L):
+                h_prev, h = h, s_j * h - q_j * h_prev
+            t.check(close(got, h), f"p_{j}")
+    payload["power_sums"] = len(traces)
     payload["unmatched"] = t.failures
     return t.report(f"eigenvalue structure ({mode}), L={L}", payload)
 

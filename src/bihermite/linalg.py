@@ -5,17 +5,26 @@ backends: a pivot is a nonzero entry, on float input (mat_inverse aside) one
 above FLOAT_TOL.  A matrix is on the float backend when any entry is a float;
 a zero or one that lands in a result is taken from an entry, so results are
 on the input's backend.  One elimination (_eliminate) serves matrix inverses,
-span solves, ranks and nullspaces; one similarity reduction (charpoly) gives
-the characteristic polynomials that the eigenvalue-structure check and the
-Killing-form test of the Lie-algebra classification read.
+span solves, ranks and nullspaces.
+
+charpoly gives the characteristic polynomials that the eigenvalue-structure
+check and the Killing-form test of the Lie-algebra classification read.  On
+exact input it clears denominators once and runs Berkowitz's division-free
+algorithm on the integral numerators, held as plain int lists
+(_charpoly_cleared), with no Coeff and no inverse inside the loop; the
+integer Newton sums (_newton_sums) read the same lists.  On float input it
+runs a Hessenberg reduction, whose bits are pinned, and which the tests keep
+as the verifier of the exact kernel.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from functools import reduce
+from itertools import repeat
+from operator import add, attrgetter, mul
 
-from .coeffs import ONE, ZERO, Coeff, _sum_products, backend_tol
+from .coeffs import ONE, ZERO, Coeff, _make, _sum_products, backend_tol
 
 __all__ = [
     "identity_matrix",
@@ -39,11 +48,14 @@ def identity_matrix(n: int):
 
 
 def mat_mul(a, b):
-    """The product a b, each entry one _sum_products call over its row and
-    column: exact entries are reduced once, float ones take the bits of the
-    chain a[i][0] b[0][j] + a[i][1] b[1][j] + ..."""
+    """The product a b.  When every entry is exact, each entry is one
+    _sum_products call over its row and column, reduced once; otherwise
+    each is the chain a[i][0] b[0][j] + a[i][1] b[1][j] + ..., whose bits
+    float results keep.  The backend is read once per product."""
     columns = list(zip(*b))
-    return [[_sum_products([(x, y, 1) for x, y in zip(row, col)]) for col in columns] for row in a]
+    if all(c.exact for row in a for c in row) and all(c.exact for col in columns for c in col):
+        return [[_sum_products([(x, y, 1) for x, y in zip(row, col)]) for col in columns] for row in a]
+    return [[reduce(add, map(mul, row, col)) for col in columns] for row in a]
 
 
 def _pivot_index(column, start, tol):
@@ -101,6 +113,157 @@ def mat_inverse(a):
 
 def charpoly(rows) -> list:
     """Coefficients of det(x I - A), lowest degree first and monic.
+
+    Exact input runs the division-free kernel (_charpoly_cleared) on Q A,
+    Q the lcm of the entries' denominators, and divides coefficient k by
+    Q^(n-k) once, at the end: the polynomial literally.  Float input runs
+    the Hessenberg reduction (_hessenberg_charpoly).
+    """
+    if not _zero_like(rows).exact:
+        return _hessenberg_charpoly(rows)
+    Q, poly = _charpoly_cleared(rows)
+    n = len(rows)
+    return [_make(*parts, Q ** (n - k), True) for k, parts in enumerate(_values(poly))]
+
+
+# -- integers of Z[i, sqrt2] as component lists ----------------------------
+#
+# A vector of values a + b i + (c + d i) sqrt2 with int a, b, c, d is held as
+# the tuple of its component lists ([a...], [b...], [c...], [d...]), or as
+# ([a...], [b...]) over Z[i] when no value has a radical part.
+
+
+def _components(values, Q, radical):
+    """The component lists of Q times each exact value; Q must clear every
+    denominator."""
+    f = [Q // c.q for c in values]
+    parts = [c.a * x for c, x in zip(values, f)], [c.b * x for c, x in zip(values, f)]
+    if radical:
+        parts += [c.c * x for c, x in zip(values, f)], [c.d * x for c, x in zip(values, f)]
+    return parts
+
+
+def _values(parts):
+    """The (a, b, c, d) ints of each value of a vector."""
+    if len(parts) == 2:
+        zeros = [0] * len(parts[0])
+        parts = (*parts, zeros, zeros)
+    return zip(*parts)
+
+
+def _matvec_gaussian(rows, v):
+    """The products of rows with v over Z[i], each row a vector; a row
+    longer than v is read up to the length of v."""
+    vr, vi = v
+    return (
+        [sum(map(mul, a, vr)) - sum(map(mul, b, vi)) for a, b in rows],
+        [sum(map(mul, a, vi)) + sum(map(mul, b, vr)) for a, b in rows],
+    )
+
+
+def _matvec_radical(rows, v):
+    """_matvec_gaussian over Z[i, sqrt2]."""
+    a2, b2, c2, d2 = v
+    return (
+        [sum(map(mul, a, a2)) - sum(map(mul, b, b2)) + 2 * (sum(map(mul, c, c2)) - sum(map(mul, d, d2)))
+         for a, b, c, d in rows],
+        [sum(map(mul, a, b2)) + sum(map(mul, b, a2)) + 2 * (sum(map(mul, c, d2)) + sum(map(mul, d, c2)))
+         for a, b, c, d in rows],
+        [sum(map(mul, a, c2)) - sum(map(mul, b, d2)) + sum(map(mul, c, a2)) - sum(map(mul, d, b2))
+         for a, b, c, d in rows],
+        [sum(map(mul, a, d2)) + sum(map(mul, b, c2)) + sum(map(mul, c, b2)) + sum(map(mul, d, a2))
+         for a, b, c, d in rows],
+    )  # fmt: skip
+
+
+def _times_gaussian(u, v):
+    """The products u[t] v[t] over Z[i], as long as the shorter vector."""
+    (ar, ai), (vr, vi) = u, v
+    return (
+        [a * p - b * q for a, b, p, q in zip(ar, ai, vr, vi)],
+        [a * q + b * p for a, b, p, q in zip(ar, ai, vr, vi)],
+    )
+
+
+def _times_radical(u, v):
+    """_times_gaussian over Z[i, sqrt2]."""
+    z = list(zip(*u, *v))
+    return (
+        [a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2) for a1, b1, c1, d1, a2, b2, c2, d2 in z],
+        [a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2) for a1, b1, c1, d1, a2, b2, c2, d2 in z],
+        [a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2 for a1, b1, c1, d1, a2, b2, c2, d2 in z],
+        [a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2 for a1, b1, c1, d1, a2, b2, c2, d2 in z],
+    )
+
+
+def _ring(radical):
+    """(matvec, times) over Z[i, sqrt2] when radical, else over Z[i]."""
+    return (_matvec_radical, _times_radical) if radical else (_matvec_gaussian, _times_gaussian)
+
+
+def _charpoly_cleared(rows):
+    """(Q, det(x I - Q A)) for an exact square A: Q is the lcm of the
+    entries' denominators, and the polynomial of the integral matrix Q A
+    comes as component lists, lowest degree first.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984) 147)
+    on the rows of Q A.  Step r borders the leading r x r block A_r with the
+    row R = A[r][:r], the column C = A[:r][r] and the diagonal entry a:
+        p_(r+1) = (x - a) p_r - sum_(k<r) (R A_r^k C) (p_r // x^(k+1)),
+    the product of p_r with the Toeplitz matrix whose first column is
+    1, -a, -R C, -R A_r C, ...  When R or C is zero every Krylov product
+    R A_r^k C is zero and none is formed, so a triangular matrix costs
+    O(n^2).  No Coeff is built and no inverse is taken.
+    """
+    n = len(rows)
+    entries = [c for row in rows for c in row]
+    Q = math.lcm(*[c.q for c in entries])
+    radical = any([c.c or c.d for c in entries])
+    matvec, times = _ring(radical)
+    flat = _components(entries, Q, radical)
+    rows = [tuple([m[i * n : i * n + n] for m in flat]) for i in range(n)]
+    poly = ([1], [0], [0], [0]) if radical else ([1], [0])  # p_0 = 1
+    for r, row in enumerate(rows):
+        block = rows[:r]  # A_r, each row read up to column r by matvec
+        a = tuple([m[r] for m in row])
+        border = tuple([m[:r] for m in row])
+        column = tuple([[m[r] for m in comp] for comp in zip(*block)]) if any(map(any, border)) else ()
+        if any(map(any, column)):
+            # the Krylov vectors A_r^k C and the products R A_r^k C, k < r
+            krylov = [column]
+            for _ in range(r - 1):
+                krylov.append(matvec(block, krylov[-1]))
+            w = matvec(krylov, border)
+            # the Toeplitz column below its 1, negated: a, R C, R A_r C, ...;
+            # entry i of `less` is its product with the coefficients of
+            # p_r // x^i, sum_m toeplitz[m] p_r[i + m]
+            toeplitz = tuple([x] + m for x, m in zip(a, w))
+            less = matvec(list(zip(*[[m[i:] for i in range(r + 1)] for m in poly])), toeplitz)
+        else:
+            less = times(tuple(map(repeat, a)), poly)  # a p_r
+        poly = tuple([x - y for x, y in zip([0] + m, c + [0])] for m, c in zip(poly, less))
+    return Q, poly
+
+
+def _newton_sums(poly):
+    """The power sums p_1 .. p_n of the roots of a monic integral polynomial
+    of degree n, both as component lists, the polynomial lowest degree
+    first, by Newton's identities: with e_j its coefficient of x^(n - j),
+    p_j = -(j e_j + sum_(0<i<j) e_i p_(j-i)).  No division."""
+    matvec, _ = _ring(len(poly) == 4)
+    e = [m[::-1] for m in poly]
+    e_rows = [tuple(m[1:] for m in e)]  # e_1, e_2, ..., read up to j - 1 terms
+    sums = tuple([] for _ in poly)  # p_(j-1), ..., p_1: latest first
+    for j in range(1, len(e[0])):
+        acc = matvec(e_rows, sums)
+        for out, m, (x,) in zip(sums, e, acc):
+            out.insert(0, -(j * m[j] + x))
+    return tuple(m[::-1] for m in sums)
+
+
+def _hessenberg_charpoly(rows) -> list:
+    """charpoly by similarity: the float route, and the verifier of the
+    exact kernel in the tests.
 
     A is first reduced to upper Hessenberg form by elementary similarities
     (swap two rows and the same two columns; subtract u times row m from row i

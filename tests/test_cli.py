@@ -366,6 +366,13 @@ def test_nonfinite_float_matrix_entry_is_an_input_error(capsys, g, message):
     assert code == 2 and out == "" and message in err
 
 
+def test_float_determinant_underflow_is_an_input_error(capsys):
+    g = ("1e-200", "0", "0", "1e-200")
+    code, out, err = run(capsys, "deform", "1", "0", "--g", *g, "--backend", "float")
+    assert code == 2 and out == "" and "float determinant underflows to zero" in err
+    assert "singular" not in err
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [(("genfun", "complex", "--order", "-1"), "order"),

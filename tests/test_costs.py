@@ -177,6 +177,33 @@ def test_exact_eigenvalue_check_never_leaves_the_field(g):
     assert calls[0] == 0
 
 
+@contextmanager
+def counted_inverses():
+    """Count Coeff inverses."""
+    calls = [0]
+    inverse = Coeff.__dict__["inverse"]
+
+    def counting(self):
+        calls[0] += 1
+        return inverse(self)
+
+    Coeff.inverse = counting
+    try:
+        yield calls
+    finally:
+        Coeff.inverse = inverse
+
+
+def test_exact_verify_eigen_stays_integral(capsys):
+    with counted_fractions() as fractions, counted_inverses() as inverses, counted_products() as products:
+        assert main(["verify", "eigen", "--Lmax", "8"]) == 0
+    # the Hessenberg reduction took 56 inverses, 6,606 products and 2
+    # Fractions (the generic case's entries, now built once at import); the
+    # level walks make most of the products that are left
+    assert fractions[0] == 0 and inverses[0] == 0
+    assert 0 < products[0] <= 2500
+
+
 def test_rep_matrix_products_at_level_twelve():
     g = alpha_matrix(POINT)
     with counted_products() as calls:
@@ -378,6 +405,10 @@ def test_counter_is_removed_afterwards():
         Coeff(1).to_float()
         Coeff(1.0, exact=False).to_complex()
     assert calls[0] == 1
+    inverse = Coeff.__dict__["inverse"]
+    with counted_inverses() as calls:
+        Coeff(2).inverse()
+    assert calls[0] == 1 and Coeff.__dict__["inverse"] is inverse
     with counted_weyl_products() as calls:
         WeylOp.adag(1) * WeylOp.a(1)
         WeylOp.adag(1) * 2

@@ -69,6 +69,28 @@ def test_nonfinite_entry_rejected(entries):
         GL2(*entries)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(1e-200, 0.0, 0.0, 1e-200), (0.0, 1e-170, -3e-170, 0.0), (complex(1e-200, 1e-200), 0.0, 0.0, 1e-160)],
+    ids=["diagonal", "anti-diagonal", "complex"],
+)
+def test_float_determinant_that_underflows_is_named(entries):
+    # invertible, but a det below the smallest float rounds to 0.0; the same
+    # matrix scaled by its largest entry has a nonzero det
+    with pytest.raises(ValueError, match="float determinant underflows to zero"):
+        GL2(*entries)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(1.0, 2.0, 2.0, 4.0), (1e-200, 1e-200, 1e-200, 1e-200), (0.0, 0.0, 0.0, 0.0), (1, 2, 2, 4)],
+    ids=["float", "tiny float", "zero", "exact"],
+)
+def test_singular_matrix_is_named_singular(entries):
+    with pytest.raises(ValueError, match="matrix is singular"):
+        GL2(*entries)
+
+
 def test_exact_entry_beyond_float_range_rejected_among_float_entries():
     # a matrix with a float entry computes in float, where 10**400 overflows
     with pytest.raises(ValueError, match="not a finite number"):

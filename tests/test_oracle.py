@@ -11,7 +11,7 @@ sympy realises the operators as differential operators on (z, zbar):
 
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +20,9 @@ sympy = pytest.importorskip("sympy")
 
 from bihermite import deform  # noqa: E402
 from bihermite.coeffs import Coeff, close  # noqa: E402
-from bihermite.deform import GL2, deformed_hermite, rep_matrix  # noqa: E402
+from bihermite.deform import GL2, deformed_hermite, eigenvalue_structure_check, rep_matrix  # noqa: E402
 from bihermite.hermite import generating_series_complex, hermite_sum  # noqa: E402
-from bihermite.linalg import charpoly  # noqa: E402
+from bihermite.linalg import _charpoly_cleared, _newton_sums, _values, charpoly  # noqa: E402
 from bihermite.weyl import commutator  # noqa: E402
 
 from conftest import bipolys, weylops  # noqa: E402
@@ -225,3 +225,76 @@ def test_charpoly_at_pivot_edge_cases(rows):
     assert all(same(scalar(a), b) for a, b in zip(charpoly(rows), sympy_charpoly(rows)))
     floats = [[c.to_float() for c in row] for row in rows]
     assert close(charpoly(floats), [c.to_float() for c in charpoly(rows)])
+
+
+# Q(i, sqrt2) as QQ[r, j] modulo r^2 - 2 and j^2 + 1, in sympy's sparse
+# polynomial ring: the two relations are in separate variables, so they are
+# a Groebner basis and the remainder is the reduced form of a value
+RING, RR, RJ = sympy.ring("r j", sympy.QQ)
+RELATIONS = [RR**2 - 2, RJ**2 + 1]
+
+
+def ring_scalar(c):
+    q = sympy.Rational
+    return q(c.re) + RJ * q(c.im) + RR * (q(c.re2) + RJ * q(c.im2))
+
+
+def ring_level_matrix(g, L):
+    """M(g, L) by binomial expansion: M[r, k] is the coefficient of
+    s^r t^(L-r) in (g11 s + g21 t)^k (g12 s + g22 t)^(L-k)."""
+    ring, r, j, s, t = sympy.ring("r j s t", sympy.QQ)
+    a11, a12, a21, a22 = (ring(ring_scalar(c).as_expr()) for c in g.entries())
+    rows = [[RING.zero] * (L + 1) for _ in range(L + 1)]
+    for k in range(L + 1):
+        column = ((a11 * s + a21 * t) ** k * (a12 * s + a22 * t) ** (L - k)).rem([r**2 - 2, j**2 + 1])
+        for (er, ej, es, _), c in column.terms():
+            rows[es][k] += c * RR**er * RJ**ej
+    return rows
+
+
+def ring_mat_mul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), RING.zero).rem(RELATIONS) for col in zip(*b)]
+        for row in a
+    ]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1)),
+        GL2(2, 1, -1, 4),
+        GL2(Coeff(1, 0, 1), Coeff(0, 1), Coeff(F(1, 2)), Coeff(-1, 0, 0, 1)),
+    ],
+    ids=["generic", "defective", "radical"],
+)
+def test_exact_eigen_power_sums(g):
+    # the power sums of M(g, L) are tr M^j, and the claimed spectrum
+    # l1^k l2^(L-k) has sum_i (-1)^i C(L-i, i) s_j^(L-2i) q_j^i with
+    # s_j = tr g^j and q_j = det(g)^j: both computed here in sympy, against
+    # the library's power sums by the division-free kernel, in Q(i, sqrt2)
+    # and in the integers of its integral route
+    two = [[ring_scalar(c) for c in row] for row in ((g.g11, g.g12), (g.g21, g.g22))]
+    det = (two[0][0] * two[1][1] - two[0][1] * two[1][0]).rem(RELATIONS)
+    power, traces = two, []
+    for _ in range(9):
+        traces.append((power[0][0] + power[1][1]).rem(RELATIONS))
+        power = ring_mat_mul(power, two)
+    for L, walked in zip(range(9), deform._level_matrices(g)):
+        M = ring_level_matrix(g, L)
+        assert [[ring_scalar(c) for c in row] for row in walked.entries] == M, L
+        Q, poly = _charpoly_cleared(walked.entries)
+        library = deform._power_sums(charpoly(walked.entries))
+        integral = [ring_scalar(Coeff(*v)) for v in _values(_newton_sums(poly))]
+        Mj = M
+        for j in range(1, L + 2):
+            trace = sum((Mj[i][i] for i in range(L + 1)), RING.zero)
+            claimed = sum(
+                ((-1) ** i * comb(L - i, i) * traces[j - 1] ** (L - 2 * i) * det ** (i * j)
+                 for i in range(L // 2 + 1)),
+                RING.zero,
+            ).rem(RELATIONS)  # fmt: skip
+            assert trace == claimed == ring_scalar(library[j - 1]), (L, j)
+            assert integral[j - 1] == trace * Q**j, (L, j)
+            Mj = ring_mat_mul(Mj, M)
+        assert eigenvalue_structure_check(g, walked).ok, L

@@ -132,9 +132,16 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
+        't.check(x == y, f"p_{j}")',
+        't.check(True, f"p_{j}")',
+        "eigen-exact-pass",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
         't.check(close(got, h), f"p_{j}")',
         't.check(True, f"p_{j}")',
-        "eigen-pass",
+        "eigen-float-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
@@ -278,6 +285,20 @@ MUTANTS = (
         "coeffs[c] = work[r][nv]",
         "brackets-read-first-column",
         ("tests/test_lie.py",),
+    ),
+    Mutant(
+        "linalg.py",
+        "toeplitz = tuple([x] + m for x, m in zip(a, w))",
+        "toeplitz = tuple([x] + [-y for y in m] for x, m in zip(a, w))",
+        "charpoly-toeplitz-sign",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "linalg.py",
+        "Q ** (n - k)",
+        "Q**k",
+        "charpoly-rescale-power",
+        ("tests/test_linalg.py",),
     ),
     Mutant(
         "coeffs.py",
