@@ -80,8 +80,15 @@ def parse_gl2(args) -> GL2:
 
 
 def emit(obj, fmt: str, pretty_text: str, csv_rows=None):
+    """Print obj as JSON, csv_rows as CSV or pretty_text.  A float result
+    that is not finite has no JSON form, and on every format it raises
+    before anything prints."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("a float result is not a finite number") from None
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=False))
+        print(text)
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output is limited to coefficient tables")
@@ -285,7 +292,7 @@ def cmd_verify(args) -> int:
             "backend": args.backend,
             "status": "pass" if all_ok else "fail",
         }
-        print(json.dumps(doc, indent=2))
+        emit(doc, "json", "")
     else:
         doc = {name: rep.to_json() for name, rep in reports.items()}
         lines = [f"[{r.status.upper():5s}] {name}: {r.summary}" for name, r in reports.items()]

@@ -26,7 +26,7 @@ import cmath
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _sum_products, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import (
     _charpoly_cleared,
@@ -34,7 +34,6 @@ from .linalg import (
     _newton_sums,
     _ring,
     _values,
-    charpoly,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -544,19 +543,11 @@ def _biorth_pairings(g: GL2, Lmax: int) -> list:
     return out
 
 
-def _power_sums(coeffs) -> list:
-    """p_1 .. p_n of the roots of a monic degree-n polynomial, given lowest
-    degree first, by Newton's identities: with e_j = coeffs[n - j],
-    p_j = -(j e_j + sum_(i<j) e_i p_(j-i))."""
-    n = len(coeffs) - 1
-    e = coeffs[::-1]
-    sums = []
-    for j in range(1, n + 1):
-        acc = e[j] * j
-        for i in range(1, j):
-            acc = acc + e[i] * sums[j - i - 1]
-        sums.append(-acc)
-    return sums
+def _scaled(parts, base):
+    """Value j of a vector of component lists times base^j, j = 1, 2, ..."""
+    if base == 1:
+        return parts
+    return tuple([x * base**j for j, x in enumerate(m, 1)] for m in parts)
 
 
 def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
@@ -570,23 +561,22 @@ def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
     spectrum has p_j = h_L(tr g^j, det g^j) with h_0 = 1, h_1 = s and
     h_n = s h_(n-1) - q h_(n-2).
 
-    On exact g both sides are integers from start to finish.  Q M and
-    G = q_g g are integral, Q and q_g the lcms of their denominators.  The
-    power sums of Q M follow from its division-free characteristic
-    polynomial by Newton's identities, p_j(Q M) = Q^j p_j, and h_L is
-    homogeneous of degree L, so h_L(tr G^j, det G^j) = q_g^(jL) p_j.  With
-    D = lcm(Q, q_g^L) the claim is p_j(Q M) (D/Q)^j = h_L(tr G^j, det G^j)
-    (D/q_g^L)^j, a literal equality of integers, triangular and repeated
-    eigenvalues included.  Float g needs distinct eigenvalues and matches
-    within FLOAT_TOL.
+    One route serves both backends.  G = q_g g and Q M are integral, q_g
+    and Q the lcms of the denominators (both 1 on float), and
+    _charpoly_cleared gives the polynomial of Q M.  Its Newton sums are
+    p_j(Q M) = Q^j p_j, and h_L is homogeneous of degree L, so
+    h_L(tr G^j, det G^j) = q_g^(jL) p_j.  The claim p_j(Q M) q_g^(jL) =
+    h_L(tr G^j, det G^j) Q^j is a literal equality of integers on exact g,
+    repeated eigenvalues included, and holds within FLOAT_TOL on float g,
+    whose eigenvalues must be distinct.
     """
     L = M.L
     exact = g.is_exact()
     mode = "exact-power-sums" if exact else "float"
     payload = {"L": L, "mode": mode}
     entries = g.entries()
-    if exact:
-        qg = lcm(*(c.q for c in entries))
+    qg = lcm(*(c.q for c in entries))
+    if qg != 1:
         entries = [c * qg for c in entries]  # G = q_g g
     g11, g12, g21, g22 = entries
     s, q = g11 + g22, g11 * g22 - g12 * g21
@@ -598,37 +588,30 @@ def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
                 "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
             )
         payload["tolerance"] = FLOAT_TOL
-    # s_j = tr g^j and q_j = det g^j (of G on exact g), j = 1..L+1, from
-    # s_0 = 2 and s_j = s s_(j-1) - q s_(j-2)
-    traces, dets, s_prev = [s], [q], Coeff(2)
+    # s_j = tr G^j and q_j = det G^j, j = 1..L+1, from s_0 = 2 and
+    # s_j = s s_(j-1) - q s_(j-2)
+    traces, dets, s_prev = [s], [q], 2
     for _ in range(L):
         s_prev, s_j = traces[-1], s * traces[-1] - q * s_prev
         traces.append(s_j)
         dets.append(dets[-1] * q)
+    radical = bool(s.c or s.d or q.c or q.d)
+    _, times = _ring(radical)
+    S, P = (_components(v, 1, radical) for v in (traces, dets))
+    # h_(-1) = 0, h_0 = 1 and h_1 = s, then h_L(s_j, q_j) for every j at once
+    h_prev = tuple([0] * len(traces) for _ in S)
+    h = ([1] * len(traces), *h_prev[1:])
+    if L:
+        h_prev, h = h, S
+    for _ in range(L - 1):
+        sh, qh = times(S, h), times(P, h_prev)
+        h_prev, h = h, tuple([x - y for x, y in zip(a, b)] for a, b in zip(sh, qh))
+    Q, poly = _charpoly_cleared(M.entries)
+    got, want = _values(_scaled(_newton_sums(poly), qg**L)), _values(_scaled(h, Q))
     t = Tally()
-    if exact:
-        Q, poly = _charpoly_cleared(M.entries)
-        radical = any(c.c or c.d for c in (*traces, *dets))
-        _, times = _ring(radical)
-        S, P = (_components(v, 1, radical) for v in (traces, dets))
-        # h_(-1) = 0 and h_0 = 1, then h_L(s_j, q_j) for every j at once
-        h_prev = tuple([0] * len(traces) for _ in S)
-        h = ([1] * len(traces), *h_prev[1:])
-        for _ in range(L):
-            sh, qh = times(S, h), times(P, h_prev)
-            h_prev, h = h, tuple([x - y for x, y in zip(a, b)] for a, b in zip(sh, qh))
-        D = lcm(Q, qg**L)
-        up, down = D // Q, D // qg**L
-        got = _values(tuple([x * up**j for j, x in enumerate(m, 1)] for m in _newton_sums(poly)))
-        want = _values(tuple([x * down**j for j, x in enumerate(m, 1)] for m in h))
-        for j, (x, y) in enumerate(zip(got, want), 1):
-            t.check(x == y, f"p_{j}")
-    else:
-        for j, (got, s_j, q_j) in enumerate(zip(_power_sums(charpoly(M.entries)), traces, dets), 1):
-            h_prev, h = ZERO, ONE  # h_(-1) and h_0
-            for _ in range(L):
-                h_prev, h = h, s_j * h - q_j * h_prev
-            t.check(close(got, h), f"p_{j}")
+    for j, (x, y) in enumerate(zip(got, want), 1):
+        # close is literal on exact values, so x == y decides an exact check
+        t.check(x == y or close(_make(*x, 1, exact), _make(*y, 1, exact)), f"p_{j}")
     payload["power_sums"] = len(traces)
     payload["unmatched"] = t.failures
     return t.report(f"eigenvalue structure ({mode}), L={L}", payload)

@@ -8,13 +8,12 @@ on the input's backend.  One elimination (_eliminate) serves matrix inverses,
 span solves, ranks and nullspaces.
 
 charpoly gives the characteristic polynomials that the eigenvalue-structure
-check and the Killing-form test of the Lie-algebra classification read.  On
-exact input it clears denominators once and runs Berkowitz's division-free
-algorithm on the integral numerators, held as plain int lists
-(_charpoly_cleared), with no Coeff and no inverse inside the loop; the
-integer Newton sums (_newton_sums) read the same lists.  On float input it
-runs a Hessenberg reduction, whose bits are pinned, and which the tests keep
-as the verifier of the exact kernel.
+check and the Killing-form test of the Lie-algebra classification read.  It
+is a Coeff view of _charpoly_cleared, which reads the backend once: exact
+input runs Berkowitz's division-free algorithm on the integral numerators,
+held as plain int lists, and float input a Hessenberg reduction, whose bits
+are pinned and which the tests keep as the verifier of the exact kernel.  The
+Newton sums (_newton_sums) read either polynomial's lists.
 """
 
 from __future__ import annotations
@@ -112,25 +111,24 @@ def mat_inverse(a):
 
 
 def charpoly(rows) -> list:
-    """Coefficients of det(x I - A), lowest degree first and monic.
-
-    Exact input runs the division-free kernel (_charpoly_cleared) on Q A,
-    Q the lcm of the entries' denominators, and divides coefficient k by
-    Q^(n-k) once, at the end: the polynomial literally.  Float input runs
-    the Hessenberg reduction (_hessenberg_charpoly).
+    """Coefficients of det(x I - A), lowest degree first and monic: the
+    Coeff view of _charpoly_cleared, which reads the backend.  Coefficient
+    k of Q A's polynomial is divided by Q^(n-k) once, at the end, so exact
+    input gives the polynomial literally and float input the Hessenberg
+    polynomial's slots bit for bit.
     """
-    if not _zero_like(rows).exact:
-        return _hessenberg_charpoly(rows)
     Q, poly = _charpoly_cleared(rows)
     n = len(rows)
-    return [_make(*parts, Q ** (n - k), True) for k, parts in enumerate(_values(poly))]
+    exact = type(poly[0][-1]) is int  # the leading 1
+    return [_make(*parts, Q ** (n - k), exact) for k, parts in enumerate(_values(poly))]
 
 
 # -- integers of Z[i, sqrt2] as component lists ----------------------------
 #
 # A vector of values a + b i + (c + d i) sqrt2 with int a, b, c, d is held as
 # the tuple of its component lists ([a...], [b...], [c...], [d...]), or as
-# ([a...], [b...]) over Z[i] when no value has a radical part.
+# ([a...], [b...]) over Z[i] when no value has a radical part.  The code
+# takes float components unchanged: a float vector is ([re...], [im...]).
 
 
 def _components(values, Q, radical):
@@ -202,21 +200,26 @@ def _ring(radical):
 
 
 def _charpoly_cleared(rows):
-    """(Q, det(x I - Q A)) for an exact square A: Q is the lcm of the
-    entries' denominators, and the polynomial of the integral matrix Q A
-    comes as component lists, lowest degree first.
+    """(Q, det(x I - Q A)) for a square A, the polynomial as component
+    lists, lowest degree first: the one reading of the backend.  On float
+    input Q = 1, and the lists are the real and imaginary slots of
+    _hessenberg_charpoly, bit for bit.
 
+    On exact input Q is the lcm of the entries' denominators, and
     Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984) 147)
-    on the rows of Q A.  Step r borders the leading r x r block A_r with the
-    row R = A[r][:r], the column C = A[:r][r] and the diagonal entry a:
+    runs on the rows of Q A.  Step r borders the leading r x r block A_r with
+    the row R = A[r][:r], the column C = A[:r][r] and the diagonal entry a:
         p_(r+1) = (x - a) p_r - sum_(k<r) (R A_r^k C) (p_r // x^(k+1)),
     the product of p_r with the Toeplitz matrix whose first column is
     1, -a, -R C, -R A_r C, ...  When R or C is zero every Krylov product
     R A_r^k C is zero and none is formed, so a triangular matrix costs
     O(n^2).  No Coeff is built and no inverse is taken.
     """
-    n = len(rows)
     entries = [c for row in rows for c in row]
+    if not all([c.exact for c in entries]):
+        poly = _hessenberg_charpoly(rows)
+        return 1, ([c.a for c in poly], [c.b for c in poly])
+    n = len(rows)
     Q = math.lcm(*[c.q for c in entries])
     radical = any([c.c or c.d for c in entries])
     matvec, times = _ring(radical)
@@ -246,19 +249,17 @@ def _charpoly_cleared(rows):
 
 
 def _newton_sums(poly):
-    """The power sums p_1 .. p_n of the roots of a monic integral polynomial
-    of degree n, both as component lists, the polynomial lowest degree
-    first, by Newton's identities: with e_j its coefficient of x^(n - j),
-    p_j = -(j e_j + sum_(0<i<j) e_i p_(j-i)).  No division."""
+    """The power sums p_1 .. p_n of the roots of a monic polynomial of
+    degree n, integral or float, both as component lists, the polynomial
+    lowest degree first, by Newton's identities: with e_j its coefficient of
+    x^(n - j), p_j = -(j e_j + sum_(0<i<j) e_i p_(j-i)).  No division."""
     matvec, _ = _ring(len(poly) == 4)
-    e = [m[::-1] for m in poly]
-    e_rows = [tuple(m[1:] for m in e)]  # e_1, e_2, ..., read up to j - 1 terms
-    sums = tuple([] for _ in poly)  # p_(j-1), ..., p_1: latest first
-    for j in range(1, len(e[0])):
-        acc = matvec(e_rows, sums)
-        for out, m, (x,) in zip(sums, e, acc):
-            out.insert(0, -(j * m[j] + x))
-    return tuple(m[::-1] for m in sums)
+    e = [m[-2::-1] for m in poly]  # e_1, ..., e_n, read up to j - 1 terms
+    sums = [[] for _ in poly]  # p_(j-1), ..., p_1: latest first
+    for j in range(1, len(e[0]) + 1):
+        for out, m, (x,) in zip(sums, e, matvec([e], sums)):
+            out.insert(0, -(j * m[j - 1] + x))
+    return tuple([m[::-1] for m in sums])
 
 
 def _hessenberg_charpoly(rows) -> list:

@@ -366,6 +366,21 @@ def test_nonfinite_float_matrix_entry_is_an_input_error(capsys, g, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "pretty", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [("repmat", "--L", "2", "--g", "1", "1e308", "0", "1"),
+     ("dual", "--L", "2", "--g", "1", "1e308", "0", "1"),
+     ("deform", "2", "0", "--g", "1e200", "0", "0", "1"),
+     ("genfun", "deformed", "--order", "2", "--g", "1e200", "0", "0", "1")],
+    ids=["repmat", "dual", "deform", "genfun"],
+)  # fmt: skip
+def test_nonfinite_float_result_is_an_input_error(capsys, argv, fmt):
+    # finite entries whose products overflow: inf, and nan from inf - inf
+    code, out, err = run(capsys, *argv, "--backend", "float", "--format", fmt)
+    assert code == 2 and out == "" and "float result is not a finite number" in err
+
+
 def test_float_determinant_underflow_is_an_input_error(capsys):
     g = ("1e-200", "0", "0", "1e-200")
     code, out, err = run(capsys, "deform", "1", "0", "--g", *g, "--backend", "float")

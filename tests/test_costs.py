@@ -204,6 +204,15 @@ def test_exact_verify_eigen_stays_integral(capsys):
     assert 0 < products[0] <= 2500
 
 
+def test_float_verify_eigen_products(capsys):
+    with counted_products() as products:
+        assert main(["verify", "eigen", "--Lmax", "8", "--backend", "float"]) == 0
+    # the Newton sums and the h_L recurrence run on float lists, as on
+    # exact input; their Coeff loops made 6,770 products.  The Hessenberg
+    # reductions and the level walks make most of those left
+    assert 0 < products[0] <= 5500
+
+
 def test_rep_matrix_products_at_level_twelve():
     g = alpha_matrix(POINT)
     with counted_products() as calls:

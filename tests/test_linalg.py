@@ -1,17 +1,18 @@
 """The division-free characteristic polynomial against the Hessenberg
 reduction it replaced on exact input, which stays the float route and the
-verifier here, and the integer Newton sums against the Coeff route."""
+verifier here, and the Newton sums against the traces of matrix powers."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bihermite import linalg
-from bihermite.coeffs import ZERO, Coeff
-from bihermite.deform import GL2, _level_matrices, _power_sums
-from bihermite.linalg import _charpoly_cleared, _hessenberg_charpoly, _newton_sums, _values, charpoly
+from bihermite.coeffs import ZERO, Coeff, close
+from bihermite.deform import GL2, _level_matrices
+from bihermite.linalg import _charpoly_cleared, _hessenberg_charpoly, _newton_sums, _values, charpoly, mat_mul
 
 from conftest import coeffs, radical_coeffs
 
@@ -86,6 +87,33 @@ def test_level_matrices_give_the_hessenberg_polynomial(g):
         same_slots(charpoly(M.entries), _hessenberg_charpoly(M.entries))
 
 
+def _float_copy(rows):
+    return [[c.to_float() for c in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[Coeff(F(1, 2), -1), Coeff(0, 3)], [Coeff(-2), Coeff(F(3, 4), F(1, 6))]],
+        # a radical part folded into the float slots
+        [[Coeff(0, 0, 1), Coeff(-1), ZERO], [Coeff(1), -Coeff(0, 1), Coeff(2)], [ZERO, Coeff(3), -Coeff(F(1, 3))]],
+        # x^2 + 1, whose constant term comes out as 1.0 - 0.0i
+        [[Coeff(0, -1), ZERO], [Coeff(-2, -1), Coeff(0, 1)]],
+    ],
+    ids=["2 by 2", "3 by 3 radical", "signed zero"],
+)  # fmt: skip
+def test_float_polynomial_is_the_hessenberg_polynomial_bit_for_bit(rows):
+    floats = _float_copy(rows)
+    Q, poly = _charpoly_cleared(floats)
+    got, want = charpoly(floats), _hessenberg_charpoly(floats)
+    assert Q == 1 and type(Q) is int and poly == ([c.a for c in want], [c.b for c in want])
+    assert len(got) == len(want) == len(rows) + 1
+    for x, y in zip(got, want):
+        assert not x.exact and x.q == 1 and x == y
+        # the signs of zeros in the real and imaginary slots too
+        assert [math.copysign(1.0, v) for v in (x.a, x.b)] == [math.copysign(1.0, v) for v in (y.a, y.b)]
+
+
 def test_triangular_and_diagonal_matrices_form_no_krylov_product(monkeypatch):
     calls = []
     for name in ("_matvec_gaussian", "_matvec_radical"):
@@ -114,10 +142,22 @@ def test_kernel_charpoly_is_the_hessenberg_polynomial(rows):
 
 
 @given(exact_matrices())
+@example([[Coeff(F(1, 2)), Coeff(2, 1)], [Coeff(3), Coeff(4, 0, F(1, 3))]])  # fails at once, unshrunk
 @settings(max_examples=40, deadline=None)
-def test_integer_newton_sums_are_the_coeff_route(rows):
+def test_newton_sums_are_scaled_traces_of_powers(rows):
+    # p_j(Q A) = Q^j tr(A^j): literal on exact A, within FLOAT_TOL on its
+    # float copy, whose Q is 1
     Q, poly = _charpoly_cleared(rows)
+    floats = _float_copy(rows)
+    Qf, poly_f = _charpoly_cleared(floats)
+    assert Qf == 1
     got = [Coeff(*v) for v in _values(_newton_sums(poly))]
-    # p_j(Q A) = Q^j p_j(A)
-    want = [p * Q**j for j, p in enumerate(_power_sums(charpoly(rows)), 1)]
-    same_slots(got, want)
+    got_f = [Coeff.from_complex(complex(*v[:2])) for v in _values(_newton_sums(poly_f))]
+    assert len(got) == len(got_f) == len(rows)
+    power, power_f = rows, floats
+    for j, (p, p_f) in enumerate(zip(got, got_f), 1):
+        trace = sum((power[i][i] for i in range(len(rows))), ZERO)
+        trace_f = sum((power_f[i][i] for i in range(len(rows))), ZERO.to_float())
+        same_slots([p], [trace * Q**j])
+        assert close(p_f, trace_f), (j, p_f, trace_f)
+        power, power_f = mat_mul(power, rows), mat_mul(power_f, floats)

@@ -132,15 +132,15 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        't.check(x == y, f"p_{j}")',
-        't.check(True, f"p_{j}")',
+        "t.check(x == y or close(",
+        "t.check(True or close(",
         "eigen-exact-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        't.check(close(got, h), f"p_{j}")',
-        't.check(True, f"p_{j}")',
+        "close(_make(*x, 1, exact), _make(*y, 1, exact))",
+        "True",
         "eigen-float-pass",
         ("tests/test_deform.py",),
     ),
@@ -299,6 +299,13 @@ MUTANTS = (
         "Q**k",
         "charpoly-rescale-power",
         ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "linalg.py",
+        "out.insert(0, -(j * m[j - 1] + x))",
+        "out.insert(0, -(j * m[j - 1] - x))",
+        "newton-sums-sign",
+        ("tests/test_linalg.py", "tests/test_deform.py"),
     ),
     Mutant(
         "coeffs.py",
