@@ -34,7 +34,6 @@ from .linalg import (
     _newton_sums,
     _ring,
     _values,
-    identity_matrix,
     mat_inverse,
     mat_mul,
 )
@@ -429,7 +428,12 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     Failures are listed as {"L", "law"}, level by level in that law order."""
     _check_lmax(Lmax)
     one = g.det**0  # the identity on g's backend, so a float law stays a float check
-    identity = GL2(one, one * 0, one * 0, one)
+    zero = one * 0
+    identity = GL2(one, zero, zero, one)
+
+    def scalar(c, n):
+        return [[c if r == k else zero for k in range(n)] for r in range(n)]
+
     exact = g.is_exact()
     inverse_partner = GL2(g.g22, -g.g12, -g.g21, g.g11) if exact else g.inverse()
     walks = (identity, g, h, g @ h, g.conj_transpose(), inverse_partner)
@@ -438,14 +442,13 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     det_L = one  # det(g)^L
     for L, raised, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv in levels:
         if exact:
-            scaled = [[det_L if r == k else ZERO for k in range(L + 1)] for r in range(L + 1)]
-            inverse = mat_mul(Mg_inv.entries, Mg.entries) == scaled
+            inverse = mat_mul(Mg_inv.entries, Mg.entries) == scalar(det_L, L + 1)
             det_L = det_L * g.det
         else:
             inverse = close(mat_inverse(Mg.entries), Mg_inv.entries)
         family = _level_basis(L, Mg)[::-1]  # family[k] = Hg[k, L-k]
         laws = {
-            "identity": M1.entries == identity_matrix(L + 1),
+            "identity": M1.entries == scalar(one, L + 1),
             "product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),
             "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
             "inverse": inverse,
@@ -543,43 +546,33 @@ def _biorth_pairings(g: GL2, Lmax: int) -> list:
     return out
 
 
-def _scaled(parts, base):
-    """Value j of a vector of component lists times base^j, j = 1, 2, ..."""
-    if base == 1:
-        return parts
-    return tuple([x * base**j for j, x in enumerate(m, 1)] for m in parts)
-
-
-def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
-    """Eigenvalues of the level matrix M = M(g, L), L = M.L, must be the
+def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
+    """Eigenvalues of each level matrix M(g, L), L <= Lmax, must be the
     products l1^k l2^(L-k) of the eigenvalues of g itself, counted with
-    multiplicity.  A walk over levels passes each matrix it reads from
-    _level_matrices; a single level passes rep_matrix(g, L).
+    multiplicity.
 
     Checked without eigenvalues: the power sums p_j, j = 1..L+1, of the
     characteristic polynomial of M(g, L) fix its spectrum, and the claimed
-    spectrum has p_j = h_L(tr g^j, det g^j) with h_0 = 1, h_1 = s and
-    h_n = s h_(n-1) - q h_(n-2).
+    spectrum has p_j = h_L(tr g^j, det g^j) with h_(-1) = 0, h_0 = 1 and
+    h_(n+1) = s h_n - q h_(n-1).
 
-    One route serves both backends.  G = q_g g and Q M are integral, q_g
-    and Q the lcms of the denominators (both 1 on float), and
-    _charpoly_cleared gives the polynomial of Q M.  Its Newton sums are
-    p_j(Q M) = Q^j p_j, and h_L is homogeneous of degree L, so
-    h_L(tr G^j, det G^j) = q_g^(jL) p_j.  The claim p_j(Q M) q_g^(jL) =
-    h_L(tr G^j, det G^j) Q^j is a literal equality of integers on exact g,
-    repeated eigenvalues included, and holds within FLOAT_TOL on float g,
-    whose eigenvalues must be distinct.
+    One route serves both backends.  The levels walked are those of
+    G = q_g g, q_g the lcm of g's denominators (1 on float), so M(G, L) is
+    integral and _charpoly_cleared gives its polynomial with Q = 1.  Both
+    sides of p_j(M(G, L)) = h_L(tr G^j, det G^j) are those of the claim for
+    g times q_g^(jL), so it is the claim: a literal equality of integers on
+    exact g, repeated eigenvalues included, and one within FLOAT_TOL on
+    float g, whose eigenvalues must be distinct.
+
+    Failures are listed as {"L", "power_sum"}, level by level.
     """
-    L = M.L
+    _check_lmax(Lmax)
     exact = g.is_exact()
     mode = "exact-power-sums" if exact else "float"
-    payload = {"L": L, "mode": mode}
-    entries = g.entries()
-    qg = lcm(*(c.q for c in entries))
-    if qg != 1:
-        entries = [c * qg for c in entries]  # G = q_g g
-    g11, g12, g21, g22 = entries
-    s, q = g11 + g22, g11 * g22 - g12 * g21
+    payload = {"Lmax": Lmax, "mode": mode}
+    qg = lcm(*(c.q for c in g.entries()))
+    G = GL2(*(c * qg for c in g.entries())) if qg != 1 else g
+    s, q = G.g11 + G.g22, G.det
     if not exact:
         # defective pairs are only resolvable to ~sqrt(machine eps), so
         # the distinctness cut is much looser than the matching tolerance
@@ -588,33 +581,31 @@ def eigenvalue_structure_check(g: GL2, M: RepMatrix) -> Report:
                 "error", "eigenvalue structure: repeated eigenvalues are unsupported", payload
             )
         payload["tolerance"] = FLOAT_TOL
-    # s_j = tr G^j and q_j = det G^j, j = 1..L+1, from s_0 = 2 and
+    # s_j = tr G^j and q_j = det G^j, j = 1..Lmax+1, from s_0 = 2 and
     # s_j = s s_(j-1) - q s_(j-2)
     traces, dets, s_prev = [s], [q], 2
-    for _ in range(L):
+    for _ in range(Lmax):
         s_prev, s_j = traces[-1], s * traces[-1] - q * s_prev
         traces.append(s_j)
         dets.append(dets[-1] * q)
     radical = bool(s.c or s.d or q.c or q.d)
     _, times = _ring(radical)
     S, P = (_components(v, 1, radical) for v in (traces, dets))
-    # h_(-1) = 0, h_0 = 1 and h_1 = s, then h_L(s_j, q_j) for every j at once
+    # h_(L-1) and h_L at every j at once, one step of the recurrence a level
     h_prev = tuple([0] * len(traces) for _ in S)
     h = ([1] * len(traces), *h_prev[1:])
-    if L:
-        h_prev, h = h, S
-    for _ in range(L - 1):
+    t = Tally()
+    for L, M in zip(range(Lmax + 1), _level_matrices(G)):
+        _, poly = _charpoly_cleared(M.entries)
+        for j, (x, y) in enumerate(zip(_values(_newton_sums(poly)), _values(h)), 1):
+            # close is literal on exact values, so x == y decides an exact check
+            ok = x == y or close(_make(*x, 1, exact), _make(*y, 1, exact))
+            t.check(ok, {"L": L, "power_sum": f"p_{j}"})
         sh, qh = times(S, h), times(P, h_prev)
         h_prev, h = h, tuple([x - y for x, y in zip(a, b)] for a, b in zip(sh, qh))
-    Q, poly = _charpoly_cleared(M.entries)
-    got, want = _values(_scaled(_newton_sums(poly), qg**L)), _values(_scaled(h, Q))
-    t = Tally()
-    for j, (x, y) in enumerate(zip(got, want), 1):
-        # close is literal on exact values, so x == y decides an exact check
-        t.check(x == y or close(_make(*x, 1, exact), _make(*y, 1, exact)), f"p_{j}")
-    payload["power_sums"] = len(traces)
-    payload["unmatched"] = t.failures
-    return t.report(f"eigenvalue structure ({mode}), L={L}", payload)
+    payload["power_sums"] = t.checks
+    payload["failures"] = t.failures
+    return t.report(f"eigenvalue structure ({mode}) up to level {Lmax}", payload)
 
 
 def monomial_to_hermite(p: BiPoly) -> BiPoly:

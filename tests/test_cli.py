@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bihermite import cli
+from bihermite import cli, deform
 from bihermite.cli import main
 from bihermite.coeffs import FLOAT_TOL, Coeff
 from bihermite.deform import GL2
@@ -162,7 +162,7 @@ def test_verify_pass_exit_zero(capsys):
 
 
 def test_verify_eigen_fails_with_one_failing_case(monkeypatch, capsys):
-    walk = cli._level_matrices
+    walk = deform._level_matrices
 
     def broken(g):
         # the triangular case's level-2 matrix with its trace moved by 1
@@ -171,13 +171,20 @@ def test_verify_eigen_fails_with_one_failing_case(monkeypatch, capsys):
                 M.entries[0][0] = M.entries[0][0] + 1
             yield M
 
-    monkeypatch.setattr(cli, "_level_matrices", broken)
+    monkeypatch.setattr(deform, "_level_matrices", broken)
     code, out, _ = run(capsys, "verify", "eigen", "--Lmax", "2", "--format", "json")
     obj = json.loads(out)
     assert code == 1 and obj["summary"] == "eigenvalue structure: fail"
     assert [c for c in obj["cases"] if c["status"] != "pass"] == [
         {"case": "triangular", "L": 2, "status": "fail"}
     ]
+
+
+def test_verify_eigen_reports_a_declined_case_as_an_error_at_each_level(monkeypatch, capsys):
+    # a double eigenvalue on the float backend: the check declines for all levels
+    monkeypatch.setattr(cli, "_EIGEN_CASES", (("defective", GL2(2, 1, -1, 4)),))
+    code, out, _ = run(capsys, "verify", "eigen", "--Lmax", "1", "--backend", "float", "--format", "json")
+    assert code == 1 and [c["status"] for c in json.loads(out)["cases"]] == ["error", "error"]
 
 
 def test_verify_json_payload(capsys):
@@ -411,14 +418,14 @@ def test_verify_eigen_runs_on_the_requested_backend(capsys, monkeypatch, backend
     seen = []
     check = cli.eigenvalue_structure_check
 
-    def recording(g, L, *args, **kwargs):
-        rep = check(g, L, *args, **kwargs)
+    def recording(g, Lmax, *args, **kwargs):
+        rep = check(g, Lmax, *args, **kwargs)
         seen.append((g.is_exact(), rep.payload["mode"], rep.payload.get("tolerance")))
         return rep
 
     monkeypatch.setattr(cli, "eigenvalue_structure_check", recording)
     code, _, _ = run(capsys, "verify", "eigen", "--backend", backend, "--Lmax", "8")
-    assert code == 0 and len(seen) == 3 * 9
+    assert code == 0 and len(seen) == 3
     if backend == "float":
         assert all(not exact and mode == "float" and tol == FLOAT_TOL for exact, mode, tol in seen)
     else:

@@ -44,13 +44,16 @@ POINT = AlphaPoint.make(F(3, 5))
 
 @contextmanager
 def counted_products():
-    """Count Coeff products, whichever operand side starts them."""
-    calls = [0]
+    """Count Coeff products, whichever operand side starts them: all of them
+    in calls[0], and in calls[1] those whose value has a denominator."""
+    calls = [0, 0]
     mul, rmul = Coeff.__dict__["__mul__"], Coeff.__dict__["__rmul__"]
 
     def counting(self, other):
+        out = mul(self, other)
         calls[0] += 1
-        return mul(self, other)
+        calls[1] += getattr(out, "q", 1) != 1
+        return out
 
     Coeff.__mul__ = Coeff.__rmul__ = counting
     try:
@@ -171,9 +174,8 @@ def test_exact_hot_paths_build_no_fractions(work):
 )
 def test_exact_eigenvalue_check_never_leaves_the_field(g):
     with counted_conversions() as calls:
-        for L in range(6):
-            rep = eigenvalue_structure_check(g, rep_matrix(g, L))
-            assert rep.ok and rep.payload["mode"] == "exact-power-sums"
+        rep = eigenvalue_structure_check(g, 5)
+        assert rep.ok and rep.payload["mode"] == "exact-power-sums"
     assert calls[0] == 0
 
 
@@ -199,18 +201,29 @@ def test_exact_verify_eigen_stays_integral(capsys):
         assert main(["verify", "eigen", "--Lmax", "8"]) == 0
     # the Hessenberg reduction took 56 inverses, 6,606 products and 2
     # Fractions (the generic case's entries, now built once at import); the
-    # level walks make most of the products that are left
+    # level walks make most of the products that are left, 1,860 when the
+    # traces and determinants were formed again at each level
     assert fractions[0] == 0 and inverses[0] == 0
-    assert 0 < products[0] <= 2500
+    assert 0 < products[0] <= 1700
+
+
+def test_exact_verify_eigen_walks_integral_matrices(capsys):
+    with counted_products() as products:
+        assert main(["verify", "eigen", "--Lmax", "8"]) == 0
+    # the levels of G = q_g g: those of the generic g itself formed 453
+    # products with a denominator
+    assert products[0] > 0 and products[1] == 0
 
 
 def test_float_verify_eigen_products(capsys):
     with counted_products() as products:
         assert main(["verify", "eigen", "--Lmax", "8", "--backend", "float"]) == 0
     # the Newton sums and the h_L recurrence run on float lists, as on
-    # exact input; their Coeff loops made 6,770 products.  The Hessenberg
-    # reductions and the level walks make most of those left
-    assert 0 < products[0] <= 5500
+    # exact input; their Coeff loops made 6,770 products, and 4,808 were
+    # left when the traces and determinants were formed again at each
+    # level.  The Hessenberg reductions and the level walks make most of
+    # those left
+    assert 0 < products[0] <= 4600
 
 
 def test_rep_matrix_products_at_level_twelve():

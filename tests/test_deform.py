@@ -547,6 +547,7 @@ def test_biorth_pairings_reject_a_gram_entry_that_is_not_an_integer(monkeypatch)
         lambda: biorthogonality_check(_float_gl2(G_ALPHA), -1),
         lambda: rep_laws_check(_float_gl2(G_ALPHA), G_ALPHA, -1),
         lambda: rep_laws_check(G_ALPHA, G_ALPHA, -1),
+        lambda: eigenvalue_structure_check(G_ALPHA, -1),
     ],
 )
 def test_negative_lmax_rejected(check):
@@ -555,10 +556,11 @@ def test_negative_lmax_rejected(check):
 
 
 def test_eigenvalue_structure_exact_cases():
-    for g, L in ((GL2.diagonal(2, 3), 2), (GL2(2, 1, 0, 3), 2), (GL2.identity(), 3)):
-        rep = eigenvalue_structure_check(g, rep_matrix(g, L))
+    for g, Lmax in ((GL2.diagonal(2, 3), 2), (GL2(2, 1, 0, 3), 2), (GL2.identity(), 3)):
+        rep = eigenvalue_structure_check(g, Lmax)
         assert rep.ok and rep.payload["mode"] == "exact-power-sums"
-        assert rep.payload["power_sums"] == L + 1
+        # p_1 .. p_(L+1) at each level L
+        assert rep.payload["power_sums"] == (Lmax + 1) * (Lmax + 2) // 2
 
 
 GENERIC = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
@@ -566,13 +568,13 @@ GENERIC = GL2(Coeff(1, 2), Coeff(F(3, 7)), Coeff(F(-1, 3)), Coeff(2, -1))
 
 def test_eigenvalue_structure_generic_float():
     gf = _float_gl2(GENERIC)
-    rep = eigenvalue_structure_check(gf, rep_matrix(gf, 4))
+    rep = eigenvalue_structure_check(gf, 4)
     assert rep.ok and rep.payload["mode"] == "float"
-    assert rep.payload["tolerance"] == FLOAT_TOL and rep.payload["power_sums"] == 5
+    assert rep.payload["tolerance"] == FLOAT_TOL and rep.payload["power_sums"] == 15
     # the same g on the exact backend is compared literally
-    rep = eigenvalue_structure_check(GENERIC, rep_matrix(GENERIC, 4))
+    rep = eigenvalue_structure_check(GENERIC, 4)
     assert rep.ok and rep.payload["mode"] == "exact-power-sums"
-    assert rep.payload["power_sums"] == 5 and "tolerance" not in rep.payload
+    assert rep.payload["power_sums"] == 15 and "tolerance" not in rep.payload
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -582,51 +584,53 @@ def test_eigenvalue_structure_of_a_rotation(exact):
     g = GL2(0, -1, 1, 0)
     if not exact:
         g = _float_gl2(g)
-    for L in range(7):
-        rep = eigenvalue_structure_check(g, rep_matrix(g, L))
-        assert rep.ok and rep.payload["unmatched"] == [], (L, rep.payload)
+    rep = eigenvalue_structure_check(g, 6)
+    assert rep.ok and rep.payload["failures"] == [], rep.payload
 
 
-def test_eigenvalue_structure_reports_unmatched_values():
+def test_eigenvalue_structure_reports_unmatched_values(monkeypatch):
     def shifted(g, L):
         M = rep_matrix(g, L)
-        M.entries[0][0] = M.entries[0][0] + 1
+        if L == 2:
+            M.entries[0][0] = M.entries[0][0] + 1
         return M
 
-    # the trace, p_1, moved by 1; p_2 and p_3 with it (M[0][0] = 3^2 became
-    # 10 for the triangular g)
+    # the trace, p_1, moved by 1 at level 2 only; p_2 and p_3 with it
+    # (M[0][0] = 3^2 became 10 for the triangular g)
+    monkeypatch.setattr(deform, "_level_matrices", walk_of(shifted))
     for g in (GL2(2, 1, 0, 3), GENERIC):
-        rep = eigenvalue_structure_check(g, shifted(g, 2))
-        assert rep.status == "fail" and rep.payload["unmatched"] == ["p_1", "p_2", "p_3"]
+        rep = eigenvalue_structure_check(g, 4)
+        assert rep.status == "fail"
+        assert rep.payload["failures"] == [{"L": 2, "power_sum": f"p_{j}"} for j in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_eigenvalue_structure_fails_on_a_perturbed_off_diagonal_entry(exact):
+def test_eigenvalue_structure_fails_on_a_perturbed_off_diagonal_entry(monkeypatch, exact):
     # a trace-preserving change: p_1 still matches, the higher power sums do not
     def perturbed(g, L):
         M = rep_matrix(g, L)
-        M.entries[0][L] = M.entries[0][L] + 1
+        if L:
+            M.entries[0][L] = M.entries[0][L] + 1
         return M
 
     g = GENERIC if exact else _float_gl2(GENERIC)
-    assert eigenvalue_structure_check(g, rep_matrix(g, 3)).ok
-    for L in range(1, 6):
-        rep = eigenvalue_structure_check(g, perturbed(g, L))
-        assert rep.status == "fail", L
-        assert "p_1" not in rep.payload["unmatched"] and rep.payload["unmatched"], L
+    assert eigenvalue_structure_check(g, 5).ok
+    monkeypatch.setattr(deform, "_level_matrices", walk_of(perturbed))
+    failures = eigenvalue_structure_check(g, 5).payload["failures"]
+    assert {f["L"] for f in failures} == set(range(1, 6))
+    assert all(f["power_sum"] != "p_1" for f in failures)
 
 
 def test_eigenvalue_structure_repeated_eigenvalues():
     # trace 6, det 9: a double eigenvalue 3; trace 2, det 1: a double
     # eigenvalue 1.  Neither matrix is triangular, and both are defective.
     for g in (GL2(2, 1, -1, 4), GL2(2, 1, -1, 0)):
-        for L in range(7):
-            rep = eigenvalue_structure_check(g, rep_matrix(g, L))
-            assert rep.ok and rep.payload["mode"] == "exact-power-sums", (g, L)
+        rep = eigenvalue_structure_check(g, 6)
+        assert rep.ok and rep.payload["mode"] == "exact-power-sums", g
         # on the float backend a double eigenvalue cannot be told from a
         # close pair, so the check declines
         gf = _float_gl2(g)
-        rep = eigenvalue_structure_check(gf, rep_matrix(gf, 2))
+        rep = eigenvalue_structure_check(gf, 2)
         assert rep.status == "error" and rep.payload["mode"] == "float"
 
 

@@ -62,6 +62,17 @@ def test_module_import_graph_is_acyclic():
         visit(module)
 
 
+def test_cli_imports_no_private_name_from_deform():
+    private = [
+        alias.name
+        for node, deps in _relative_imports(_parse_package()["cli"].body)
+        if deps == ["deform"]
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -296,4 +296,4 @@ def test_exact_eigen_power_sums(g):
             assert trace == claimed, (L, j)
             assert integral[j - 1] == trace * Q**j, (L, j)
             Mj = ring_mat_mul(Mj, M)
-        assert eigenvalue_structure_check(g, walked).ok, L
+    assert eigenvalue_structure_check(g, 8).ok

@@ -97,7 +97,7 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        '"identity": M1.entries == identity_matrix(L + 1),',
+        '"identity": M1.entries == scalar(one, L + 1),',
         '"identity": True,',
         "identity-law-pass",
         ("tests/test_deform.py",),
@@ -118,7 +118,7 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "inverse = mat_mul(Mg_inv.entries, Mg.entries) == scaled",
+        "inverse = mat_mul(Mg_inv.entries, Mg.entries) == scalar(det_L, L + 1)",
         "inverse = True",
         "adjugate-law-pass",
         ("tests/test_deform.py",),
@@ -132,8 +132,8 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "t.check(x == y or close(",
-        "t.check(True or close(",
+        "ok = x == y or close(",
+        "ok = True or close(",
         "eigen-exact-pass",
         ("tests/test_deform.py",),
     ),
@@ -188,7 +188,7 @@ MUTANTS = (
     ),
     Mutant(
         "cli.py",
-        "t.check(rep.ok, sub[-1])",
+        't.check(status == "pass", sub[-1])',
         "t.check(True, sub[-1])",
         "verify-eigen-pass",
         ("tests/test_cli.py",),
@@ -249,6 +249,13 @@ MUTANTS = (
         "det_L = det_L * g.det",
         "det_L = det_L",
         "adjugate-det-power-one",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "G = GL2(*(c * qg for c in g.entries())) if qg != 1 else g",
+        "G = g",
+        "eigen-unscaled",
         ("tests/test_deform.py",),
     ),
     Mutant(
