@@ -24,14 +24,18 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, lcm
+from operator import add, mul
 
-from .coeffs import FLOAT_TOL, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import (
+    _berkowitz,
     _charpoly_cleared,
     _components,
     _newton_sums,
+    _radical,
     _ring,
     _values,
     mat_inverse,
@@ -39,7 +43,7 @@ from .linalg import (
 )
 from .poly import BiPoly, gram
 from .report import Report, Tally
-from .weyl import WeylOp
+from .weyl import WeylOp, _raise
 
 __all__ = [
     "AlphaPoint",
@@ -286,7 +290,9 @@ def _raised_levels(g: GL2):
     """The deformed families [Hg[k, L-k]]_k of levels L = 0, 1, 2, ..., each
     raised from the one below: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] =
     R1 Hg[k-1, L-k].  This operator route shares nothing with M(g, L) or
-    hermite_sum, so it verifies them."""
+    hermite_sum, so it verifies them.  The Coeff walk of the float laws,
+    step for step that of deformed_hermite; exact checks raise the integral
+    families of _raised_walk."""
     r1, r2 = deformed_raising(g)
     family = [BiPoly.monomial(0, 0, g.det**0)]
     while True:
@@ -349,27 +355,128 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
     return RepMatrix(rows)
 
 
-def _times_linear(column, a, b) -> list:
+# -- the integral level walk ------------------------------------------------
+#
+# M(g, L) and the family Hg[k, L-k] are homogeneous of degree L in the
+# entries of g.  So the walks run on G = q_g g, q_g the lcm of g's
+# denominators, whose M(G, L) = q_g^L M(g, L) and raised families are
+# integral, held in linalg's component lists (over Z[i, sqrt2] when radical,
+# else over Z[i]).  On float g, q_g = 1 and the lists hold float slots.
+
+
+def _cleared(g: GL2):
+    """(q_g, G = q_g g), q_g the lcm of g's denominators; (1, g) on float."""
+    qg = lcm(*(c.q for c in g.entries()))
+    return qg, (GL2(*(c * qg for c in g.entries())) if qg != 1 else g)
+
+
+def _scalars(G: GL2, radical):
+    """G11, G12, G21, G22, each as the tuple of its components."""
+    return list(zip(*_components(G.entries(), 1, radical)))
+
+
+def _times_linear(column, a, b, times) -> tuple:
     """Coefficients of (a s + b t) p at s^r t^(n+1-r), r = 0..n+1, from those
-    of p at s^r t^(n-r): two products per entry."""
-    out = [b * column[0]]
-    out += [a * column[r - 1] + b * column[r] for r in range(1, len(column))]
-    out.append(a * column[-1])
-    return out
+    of p at s^r t^(n-r), as component lists: each a Coeff sum of two Coeff
+    products, in that order, so float slots keep the Coeff walk's bits.
+    Over Z[i] and on float the two products are written out: levels 0..8
+    of a float g took 0.57 of the time of two times calls and a sum
+    (CPython 3.11, 2-vCPU VM)."""
+    if len(column) == 2:
+        (ar, ai), (br, bi), (cr, ci) = a, b, column
+        pairs = list(zip(cr, ci, cr[1:], ci[1:]))
+        return (
+            [br * cr[0] - bi * ci[0]]
+            + [(ar * x - ai * y) + (br * u - bi * v) for x, y, u, v in pairs]
+            + [ar * cr[-1] - ai * ci[-1]],
+            [br * ci[0] + bi * cr[0]]
+            + [(ar * y + ai * x) + (br * v + bi * u) for x, y, u, v in pairs]
+            + [ar * ci[-1] + ai * cr[-1]],
+        )
+    below = times(tuple(map(repeat, a)), column)
+    here = times(tuple(map(repeat, b)), column)
+    return tuple([y[0], *map(add, x, y[1:]), x[-1]] for x, y in zip(below, here))
+
+
+def _level_walk(G: GL2, radical):
+    """The level matrices M(G, 0), M(G, 1), M(G, 2), ... of an integral or
+    float G, each as its columns: column k is the vector of component lists
+    holding M[r, k] at r.  Each level comes from the one below: column 0 of
+    level L is (G12 s + G22 t) times column 0 of level L-1, and column k >= 1
+    is (G11 s + G21 t) times column k-1.  The closed form rep_matrix is its
+    reference."""
+    g11, g12, g21, g22 = _scalars(G, radical)
+    _, times = _ring(radical)
+    columns = [_components([G.g11**0], 1, radical)]  # 1 on G's backend
+    while True:
+        yield columns
+        columns = [_times_linear(columns[0], g12, g22, times)] + [
+            _times_linear(c, g11, g21, times) for c in columns
+        ]
 
 
 def _level_matrices(g: GL2):
-    """The level matrices M(g, 0), M(g, 1), M(g, 2), ..., each from the one
-    below: column 0 of level L is (g12 s + g22 t) times column 0 of level
-    L-1, and column k >= 1 is (g11 s + g21 t) times column k-1 of level L-1.
-    The matrix twin of _raised_levels; every walk over levels reads its
-    matrices here, and the closed form rep_matrix is its reference."""
-    columns = [[g.det**0]]  # columns[k][r] = M[r, k]
+    """The level matrices M(g, 0), M(g, 1), M(g, 2), ... as RepMatrix: the
+    Coeff view of the walk of G = q_g g, one _make(..., q_g^L) per entry.
+    On float g the entries hold the walk's float slots, those of the same
+    walk in Coeff arithmetic, bit for bit."""
+    qg, G = _cleared(g)
+    exact = g.is_exact()
+    for L, columns in enumerate(_level_walk(G, _radical(G.entries()))):
+        q = qg**L
+        if exact:
+            view = [[_make(*v, q, True) for v in _values(c)] for c in columns]
+        else:
+            view = [[_make(x, y, 0.0, 0.0, 1, False) for x, y in zip(*c)] for c in columns]
+        yield RepMatrix([list(row) for row in zip(*view)])
+
+
+def _raised(p, x, y, times):
+    """x ad1 p + y ad2 p for a polynomial p held as one term map per
+    component: weyl's ad1 and ad2 raise each component, and the scalars x
+    and y (as _scalars gives them) multiply in the ring."""
+    up, across = [_raise(m, 1) for m in p], [_raise(m, 2) for m in p]
+    keys = list(dict.fromkeys(k for m in (*up, *across) for k in m))
+    u = times(tuple(map(repeat, x)), tuple([m.get(k, 0) for k in keys] for m in up))
+    v = times(tuple(map(repeat, y)), tuple([m.get(k, 0) for k in keys] for m in across))
+    return tuple({k: s for k, s in zip(keys, map(add, mu, mv)) if s} for mu, mv in zip(u, v))
+
+
+def _raised_walk(G: GL2, radical):
+    """The deformed families [Hg[k, L-k]]_k of an integral G, levels L = 0,
+    1, 2, ..., each polynomial as one {(a, b): int} term map per component.
+    Each level is raised from the one below, one raise per polynomial, as
+    _raised_levels raises it: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] =
+    R1 Hg[k-1, L-k], with R1 = G11 ad1 + G21 ad2 and R2 = G12 ad1 + G22 ad2."""
+    g11, g12, g21, g22 = _scalars(G, radical)
+    _, times = _ring(radical)
+    family = [({(0, 0): 1},) + ({},) * (3 if radical else 1)]
     while True:
-        yield RepMatrix([list(row) for row in zip(*columns)])
-        columns = [_times_linear(columns[0], g.g12, g.g22)] + [
-            _times_linear(c, g.g11, g.g21) for c in columns
+        yield family
+        family = [_raised(family[0], g12, g22, times)] + [
+            _raised(p, g11, g21, times) for p in family
         ]
+
+
+def _combination(column, basis):
+    """sum_r column[r] basis[r] as one term map per component, for a column
+    of component lists and integral term maps basis[r] whose keys never
+    meet, such as those of H[r, L-r]: each term is one product.  None when
+    the column needs a basis[r] that is None, one with no integral form."""
+    if None in basis and any(comp[r] for comp in column for r, m in enumerate(basis) if m is None):
+        return None
+    return tuple(
+        {key: m * c for m, terms in zip(comp, basis) if m for key, c in terms.items()}
+        for comp in column
+    )
+
+
+def _integral_terms(p: BiPoly) -> dict | None:
+    """The {(a, b): int} term map of a polynomial with rational integer
+    coefficients, or None when a coefficient is not one."""
+    if any([c.q != 1 or c.b or c.c or c.d for c in p.terms.values()]):
+        return None
+    return {key: c.a for key, c in p.terms.items()}
 
 
 def level_basis(L: int, g: GL2) -> list[BiPoly]:
@@ -413,10 +520,11 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     adjoint of M(g, L) is M(g*, L), M(g, L) is inverted by M(g^-1, L), and
     M(g, L) acts on the deformed family.
 
-    On exact g the inverse law is M(adj g, L) M(g, L) = det(g)^L I, with
-    adj g = [[g22, -g12], [-g21, g11]]: literal, with no division.  Float g
-    keeps M(g, L)^-1 = M(g^-1, L) by elimination, whose rounding stays inside
-    the tolerance where that of the product, growing with det(g)^L, does not.
+    On exact g and h each law is a literal identity between integral
+    matrices (_integral_laws).  Otherwise the laws run on the Coeff view,
+    within the tolerance, and invert by elimination: M(g, L)^-1 =
+    M(g^-1, L), whose rounding stays inside the tolerance where that of the
+    adjugate product, growing with det(g)^L, does not.
 
     The action law certifies the index convention: each Hg[k, L-k], raised by
     the operators R1 and R2 in one walk up the levels, equals
@@ -427,39 +535,87 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
 
     Failures are listed as {"L", "law"}, level by level in that law order."""
     _check_lmax(Lmax)
-    one = g.det**0  # the identity on g's backend, so a float law stays a float check
-    zero = one * 0
-    identity = GL2(one, zero, zero, one)
-
-    def scalar(c, n):
-        return [[c if r == k else zero for k in range(n)] for r in range(n)]
-
-    exact = g.is_exact()
-    inverse_partner = GL2(g.g22, -g.g12, -g.g21, g.g11) if exact else g.inverse()
-    walks = (identity, g, h, g @ h, g.conj_transpose(), inverse_partner)
-    levels = zip(range(Lmax + 1), _raised_levels(g), *map(_level_matrices, walks))
+    laws = _integral_laws(g, h) if g.is_exact() and h.is_exact() else _float_laws(g, h)
     t = Tally()
-    det_L = one  # det(g)^L
-    for L, raised, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv in levels:
-        if exact:
-            inverse = mat_mul(Mg_inv.entries, Mg.entries) == scalar(det_L, L + 1)
-            det_L = det_L * g.det
-        else:
-            inverse = close(mat_inverse(Mg.entries), Mg_inv.entries)
-        family = _level_basis(L, Mg)[::-1]  # family[k] = Hg[k, L-k]
-        laws = {
-            "identity": M1.entries == scalar(one, L + 1),
-            "product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),
-            "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
-            "inverse": inverse,
-            "action": all(close(p, q) for p, q in zip(raised, family)),
-        }
-        for law, ok in laws.items():
+    for L, holds in zip(range(Lmax + 1), laws):
+        for law, ok in holds.items():
             t.check(ok, {"L": L, "law": law})
     return t.report(
         f"representation-matrix laws up to level {Lmax}",
         {"Lmax": Lmax, "failures": t.failures},
     )
+
+
+def _rows(columns) -> list:
+    """The rows of a matrix held as its columns, in the same layout."""
+    parts = range(len(columns[0]))
+    return [tuple([c[i][r] for c in columns] for i in parts) for r in range(len(columns))]
+
+
+def _scalar_columns(x, n) -> list:
+    """The columns of x I, n x n, for the scalar x given as a vector of
+    component lists of length 1."""
+    return [tuple([m[0] if r == k else 0 for r in range(n)] for m in x) for k in range(n)]
+
+
+def _integral_laws(g: GL2, h: GL2):
+    """The laws of rep_laws_check on exact g and h at L = 0, 1, 2, ..., each
+    a literal identity between the integral component lists of G = q_g g and
+    H = q_h h, with W_L = diag(r!(L-r)!):
+        identity  M(1, L) = I;
+        product   M(G, L) M(H, L) = M(GH, L);
+        adjoint   W_L M(G*, L) = M(G, L)* W_L;
+        inverse   M(adj G, L) M(G, L) = det(G)^L I, adj G = [[G22, -G12],
+                  [-G21, G11]]: no division;
+        action    raised_G[k] = sum_r M(G)[r, k] H[r, L-r].
+    Each is the law for g and h times a power of q_g and q_h, so it is that
+    law."""
+    (_, G), (_, H) = _cleared(g), _cleared(h)
+    radical = _radical([*G.entries(), *H.entries()])
+    matvec, times = _ring(radical)
+    adj = GL2(G.g22, -G.g12, -G.g21, G.g11)
+    walks = (GL2.identity(), G, H, G @ H, G.conj_transpose(), adj)
+    one, det = (_components([c], 1, radical) for c in (ONE, G.det))
+    det_L = one  # det(G)^L
+    signs = (1, -1, 1, -1)[: len(one)]  # those of the conjugate's components
+    levels = zip(_raised_walk(G, radical), *(_level_walk(m, radical) for m in walks))
+    for L, (raised, M1, MG, MH, MGH, MG_dagger, M_adj) in enumerate(levels):
+        n, rows = L + 1, _rows(MG)
+        w = [normalizer_sq(r, L - r) for r in range(n)]
+        # row r of W_L M(G*, L) is w_r times that of M(G*, L), and column k
+        # of M(G, L)* W_L is w_k times the conjugate of row k of M(G, L)
+        left = [tuple(list(map(mul, w, m)) for m in c) for c in MG_dagger]
+        right = [tuple([s * wk * x for x in m] for s, m in zip(signs, row)) for wk, row in zip(w, rows)]
+        hermite = [_integral_terms(hermite_sum(r, L - r)) for r in range(n)]
+        yield {
+            "identity": M1 == _scalar_columns(one, n),
+            "product": [matvec(rows, c) for c in MH] == MGH,
+            "adjoint": left == right,
+            "inverse": [matvec(_rows(M_adj), c) for c in MG] == _scalar_columns(det_L, n),
+            "action": raised == [_combination(c, hermite) for c in MG],
+        }
+        det_L = times(det_L, det)
+
+
+def _float_laws(g: GL2, h: GL2):
+    """The laws of rep_laws_check at L = 0, 1, 2, ... on the Coeff view,
+    compared within the tolerance where an entry is a float; the inverse
+    law by elimination."""
+    one = g.det**0  # the identity on g's backend, so a float law stays a float check
+    zero = one * 0
+    walks = (GL2(one, zero, zero, one), g, h, g @ h, g.conj_transpose(), g.inverse())
+    levels = zip(_raised_levels(g), *map(_level_matrices, walks))
+    for L, (raised, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv) in enumerate(levels):
+        n = L + 1
+        family = _level_basis(L, Mg)[::-1]  # family[k] = Hg[k, L-k]
+        unit = [[one if r == k else zero for k in range(n)] for r in range(n)]
+        yield {
+            "identity": M1.entries == unit,
+            "product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),
+            "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
+            "inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),
+            "action": all(close(p, q) for p, q in zip(raised, family)),
+        }
 
 
 class DualFamily:
@@ -556,13 +712,14 @@ def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
     spectrum has p_j = h_L(tr g^j, det g^j) with h_(-1) = 0, h_0 = 1 and
     h_(n+1) = s h_n - q h_(n-1).
 
-    One route serves both backends.  The levels walked are those of
-    G = q_g g, q_g the lcm of g's denominators (1 on float), so M(G, L) is
-    integral and _charpoly_cleared gives its polynomial with Q = 1.  Both
-    sides of p_j(M(G, L)) = h_L(tr G^j, det G^j) are those of the claim for
-    g times q_g^(jL), so it is the claim: a literal equality of integers on
-    exact g, repeated eigenvalues included, and one within FLOAT_TOL on
-    float g, whose eigenvalues must be distinct.
+    The levels walked are those of G = q_g g, q_g the lcm of g's
+    denominators (1 on float).  Both sides of p_j(M(G, L)) = h_L(tr G^j,
+    det G^j) are those of the claim for g times q_g^(jL), so it is the
+    claim: a literal equality of integers on exact g, repeated eigenvalues
+    included, and one within FLOAT_TOL on float g, whose eigenvalues must be
+    distinct.  On exact g the walk's integral lists go straight to
+    _berkowitz; float g reads the walk's Coeff view into _charpoly_cleared,
+    which takes the Hessenberg route.
 
     Failures are listed as {"L", "power_sum"}, level by level.
     """
@@ -570,8 +727,7 @@ def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
     exact = g.is_exact()
     mode = "exact-power-sums" if exact else "float"
     payload = {"Lmax": Lmax, "mode": mode}
-    qg = lcm(*(c.q for c in g.entries()))
-    G = GL2(*(c * qg for c in g.entries())) if qg != 1 else g
+    _, G = _cleared(g)
     s, q = G.g11 + G.g22, G.det
     if not exact:
         # defective pairs are only resolvable to ~sqrt(machine eps), so
@@ -588,15 +744,18 @@ def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
         s_prev, s_j = traces[-1], s * traces[-1] - q * s_prev
         traces.append(s_j)
         dets.append(dets[-1] * q)
-    radical = bool(s.c or s.d or q.c or q.d)
+    radical = _radical(G.entries())
     _, times = _ring(radical)
     S, P = (_components(v, 1, radical) for v in (traces, dets))
     # h_(L-1) and h_L at every j at once, one step of the recurrence a level
     h_prev = tuple([0] * len(traces) for _ in S)
     h = ([1] * len(traces), *h_prev[1:])
+    if exact:
+        polys = (_berkowitz(columns, radical) for columns in _level_walk(G, radical))
+    else:
+        polys = (_charpoly_cleared(M.entries)[1] for M in _level_matrices(G))
     t = Tally()
-    for L, M in zip(range(Lmax + 1), _level_matrices(G)):
-        _, poly = _charpoly_cleared(M.entries)
+    for L, poly in zip(range(Lmax + 1), polys):
         for j, (x, y) in enumerate(zip(_values(_newton_sums(poly)), _values(h)), 1):
             # close is literal on exact values, so x == y decides an exact check
             ok = x == y or close(_make(*x, 1, exact), _make(*y, 1, exact))
@@ -632,17 +791,35 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
     E intertwines the coordinate action with the deformed family: for every
     level L <= Lmax and column k, applying E to sum_r M[r,k] z^r zbar^(L-r)
     gives the deformed polynomial Hg[k, L-k].
+
+    On exact g the second is checked for G = q_g g, whose M(G, L) and raised
+    family are integral: E is linear, so the image of the sum is
+    sum_r M(G)[r, k] E(z^r zbar^(L-r)) over the images of the first part,
+    each integral, and it must equal the raised family literally.  A column
+    that needs an image with a coefficient other than a rational integer
+    fails.
     """
     _check_lmax(Lmax)
     t = Tally()
+    images = {}
     for total in range(Lmax + 1):
         for m in range(total + 1):
             n = total - m
-            image = monomial_to_hermite(BiPoly.monomial(m, n))
+            images[m, n] = image = monomial_to_hermite(BiPoly.monomial(m, n))
             t.check(close(image, hermite_sum(m, n)), {"kind": "monomial", "m": m, "n": n})
-    for L, raised, M in zip(range(Lmax + 1), _raised_levels(g), _level_matrices(g)):
-        for k in range(L + 1):
-            combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
-            image = monomial_to_hermite(combo)
-            t.check(close(image, raised[k]), {"kind": "operator", "L": L, "k": k})
+    if g.is_exact():
+        _, G = _cleared(g)
+        radical = _radical(G.entries())
+        levels = zip(_raised_walk(G, radical), _level_walk(G, radical))
+        for L, (raised, columns) in zip(range(Lmax + 1), levels):
+            basis = [_integral_terms(images[r, L - r]) for r in range(L + 1)]
+            for k, column in enumerate(columns):
+                image = _combination(column, basis)
+                t.check(image == raised[k], {"kind": "operator", "L": L, "k": k})
+    else:
+        for L, raised, M in zip(range(Lmax + 1), _raised_levels(g), _level_matrices(g)):
+            for k in range(L + 1):
+                combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
+                image = monomial_to_hermite(combo)
+                t.check(close(image, raised[k]), {"kind": "operator", "L": L, "k": k})
     return t.report(f"intertwining up to level {Lmax}", {"Lmax": Lmax, "failures": t.failures})

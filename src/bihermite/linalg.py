@@ -10,8 +10,9 @@ span solves, ranks and nullspaces.
 charpoly gives the characteristic polynomials that the eigenvalue-structure
 check and the Killing-form test of the Lie-algebra classification read.  It
 is a Coeff view of _charpoly_cleared, which reads the backend once: exact
-input runs Berkowitz's division-free algorithm on the integral numerators,
-held as plain int lists, and float input a Hessenberg reduction, whose bits
+input runs Berkowitz's division-free algorithm (_berkowitz) on the integral
+numerators, held as plain int lists, which deform's level walk also hands it
+directly, and float input a Hessenberg reduction, whose bits
 are pinned and which the tests keep as the verifier of the exact kernel.  The
 Newton sums (_newton_sums) read either polynomial's lists.
 """
@@ -141,6 +142,12 @@ def _components(values, Q, radical):
     return parts
 
 
+def _radical(values) -> bool:
+    """Whether a value has a sqrt2 part, so that the component lists of the
+    vector run over Z[i, sqrt2] rather than Z[i]."""
+    return any([c.c or c.d for c in values])
+
+
 def _values(parts):
     """The (a, b, c, d) ints of each value of a vector."""
     if len(parts) == 2:
@@ -203,17 +210,8 @@ def _charpoly_cleared(rows):
     """(Q, det(x I - Q A)) for a square A, the polynomial as component
     lists, lowest degree first: the one reading of the backend.  On float
     input Q = 1, and the lists are the real and imaginary slots of
-    _hessenberg_charpoly, bit for bit.
-
-    On exact input Q is the lcm of the entries' denominators, and
-    Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984) 147)
-    runs on the rows of Q A.  Step r borders the leading r x r block A_r with
-    the row R = A[r][:r], the column C = A[:r][r] and the diagonal entry a:
-        p_(r+1) = (x - a) p_r - sum_(k<r) (R A_r^k C) (p_r // x^(k+1)),
-    the product of p_r with the Toeplitz matrix whose first column is
-    1, -a, -R C, -R A_r C, ...  When R or C is zero every Krylov product
-    R A_r^k C is zero and none is formed, so a triangular matrix costs
-    O(n^2).  No Coeff is built and no inverse is taken.
+    _hessenberg_charpoly, bit for bit.  On exact input Q is the lcm of the
+    entries' denominators, and _berkowitz runs on the rows of Q A.
     """
     entries = [c for row in rows for c in row]
     if not all([c.exact for c in entries]):
@@ -221,10 +219,27 @@ def _charpoly_cleared(rows):
         return 1, ([c.a for c in poly], [c.b for c in poly])
     n = len(rows)
     Q = math.lcm(*[c.q for c in entries])
-    radical = any([c.c or c.d for c in entries])
-    matvec, times = _ring(radical)
+    radical = _radical(entries)
     flat = _components(entries, Q, radical)
-    rows = [tuple([m[i * n : i * n + n] for m in flat]) for i in range(n)]
+    return Q, _berkowitz([tuple([m[i * n : i * n + n] for m in flat]) for i in range(n)], radical)
+
+
+def _berkowitz(rows, radical):
+    """det(x I - A) for a square integral A held as its rows, each a vector
+    of component lists (over Z[i, sqrt2] when radical, else over Z[i]), the
+    polynomial as component lists, lowest degree first.  The columns of A
+    give the same polynomial, that of its transpose.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984) 147).
+    Step r borders the leading r x r block A_r with the row R = A[r][:r], the
+    column C = A[:r][r] and the diagonal entry a:
+        p_(r+1) = (x - a) p_r - sum_(k<r) (R A_r^k C) (p_r // x^(k+1)),
+    the product of p_r with the Toeplitz matrix whose first column is
+    1, -a, -R C, -R A_r C, ...  When R or C is zero every Krylov product
+    R A_r^k C is zero and none is formed, so a triangular matrix costs
+    O(n^2).  No Coeff is built and no inverse is taken.
+    """
+    matvec, times = _ring(radical)
     poly = ([1], [0], [0], [0]) if radical else ([1], [0])  # p_0 = 1
     for r, row in enumerate(rows):
         block = rows[:r]  # A_r, each row read up to column r by matvec
@@ -245,7 +260,7 @@ def _charpoly_cleared(rows):
         else:
             less = times(tuple(map(repeat, a)), poly)  # a p_r
         poly = tuple([x - y for x, y in zip([0] + m, c + [0])] for m, c in zip(poly, less))
-    return Q, poly
+    return poly
 
 
 def _newton_sums(poly):

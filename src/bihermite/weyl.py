@@ -72,22 +72,25 @@ class WeylOp(SparseMap):
         for (c1, c2, d1, d2), c in self.terms.items():
             q = p.diff("z", d1).diff("zbar", d2)
             for _ in range(c2):
-                q = _raise(q, 2)
+                q = q._like(_raise(q.terms, 2))
             for _ in range(c1):
-                q = _raise(q, 1)
+                q = q._like(_raise(q.terms, 1))
             total = total + q * c
         return total
 
 
-def _raise(q: BiPoly, mode: int) -> BiPoly:
-    """ad1 q = z q - dq/dzbar or ad2 q = zbar q - dq/dz, in one pass over q's
-    terms: under ad1, c z^a zbar^b adds c at (a+1, b) and -b c at (a, b-1);
-    ad2 mirrors it.  The raised keys are distinct, and so are the
-    differentiated ones, so each key sums at most two contributions, and the
-    terms come out in the order of z q - dq/dzbar."""
+def _raise(terms: dict, mode: int) -> dict:
+    """The terms of ad1 q = z q - dq/dzbar or ad2 q = zbar q - dq/dz from
+    those of q, in one pass: under ad1, c z^a zbar^b adds c at (a+1, b) and
+    -b c at (a, b-1); ad2 mirrors it.  The raised keys are distinct, and so
+    are the differentiated ones, so each key sums at most two contributions,
+    and the terms come out in the order of z q - dq/dzbar.
+
+    ad1 and ad2 have integer coefficients, so the values may be Coeffs or
+    the ints of one component of an integral polynomial."""
     out = {}
     lowered = []
-    for (a, b), c in q.terms.items():
+    for (a, b), c in terms.items():
         if mode == 1:
             out[(a + 1, b)] = c
             if b:
@@ -103,7 +106,7 @@ def _raise(q: BiPoly, mode: int) -> BiPoly:
             out[key] = s
         else:
             del out[key]
-    return q._like(out)
+    return out
 
 
 def _normal_ordered(x: WeylOp, y: WeylOp, contracted_only: bool) -> dict:

@@ -162,16 +162,18 @@ def test_verify_pass_exit_zero(capsys):
 
 
 def test_verify_eigen_fails_with_one_failing_case(monkeypatch, capsys):
-    walk = deform._level_matrices
+    walk = deform._level_walk
 
-    def broken(g):
-        # the triangular case's level-2 matrix with its trace moved by 1
-        for M in walk(g):
-            if (g, M.L) == (GL2(2, 1, 0, 3), 2):
-                M.entries[0][0] = M.entries[0][0] + 1
-            yield M
+    def broken(g, radical):
+        # the triangular case's level-2 matrix with its trace moved by 1, in
+        # a copy of the walk's columns
+        for L, columns in enumerate(walk(g, radical)):
+            if (g, L) == (GL2(2, 1, 0, 3), 2):
+                columns = [tuple(list(m) for m in c) for c in columns]
+                columns[0][0][0] += 1
+            yield columns
 
-    monkeypatch.setattr(deform, "_level_matrices", broken)
+    monkeypatch.setattr(deform, "_level_walk", broken)
     code, out, _ = run(capsys, "verify", "eigen", "--Lmax", "2", "--format", "json")
     obj = json.loads(out)
     assert code == 1 and obj["summary"] == "eigenvalue structure: fail"

@@ -24,6 +24,7 @@ from bihermite.deform import (
     eigenvalue_structure_check,
     intertwine_check,
     level_basis,
+    monomial_to_hermite,
     rep_laws_check,
     rep_matrix,
 )
@@ -36,7 +37,7 @@ from bihermite.lie import (
     rescale,
     structure_constants,
 )
-from bihermite.poly import inner_product
+from bihermite.poly import BiPoly, inner_product
 from bihermite.weyl import WeylOp, commutator
 
 POINT = AlphaPoint.make(F(3, 5))
@@ -259,53 +260,122 @@ def test_float_biorthogonality_conversions():
     assert 0 < calls[0] <= 100
 
 
+# float alpha 0.6 stops at Lmax 6: from level 7 its inverse law, checked by
+# elimination, fails under close (M(g, 7) has condition number about 7^7)
 @pytest.mark.parametrize(
-    "check",
-    [lambda g, L: rep_laws_check(g, g, L), intertwine_check],
-    ids=["rep_laws_check", "intertwine_check"],
+    "check, point, Lmax",
+    [
+        (lambda g, L: rep_laws_check(g, g, L), POINT, 8),
+        (intertwine_check, POINT, 8),
+        (lambda g, L: rep_laws_check(g, g, L), AlphaPoint.make(0.6), 6),
+        (intertwine_check, AlphaPoint.make(0.6), 6),
+    ],
+    ids=["rep_laws_check", "intertwine_check", "float-rep_laws_check", "float-intertwine_check"],
 )
-def test_deformed_families_are_raised_without_operator_products(check):
+def test_deformed_families_are_raised_without_operator_products(check, point, Lmax):
     with counted_weyl_products() as calls:
-        assert check(alpha_matrix(POINT), 8).ok
-    # 81 and 285 (117 and 465 WeylOp.__mul__ calls) with normal-ordered powers
+        assert check(alpha_matrix(point), Lmax).ok
+    # 81 and 285 (117 and 465 WeylOp.__mul__ calls) at Lmax 8 with
+    # normal-ordered powers.  Exact input raises integer term maps
+    # (_raised_walk), float input one degree-1 WeylOp.apply step at a time
+    # (_raised_levels)
     assert calls[0] == 0
 
 
-@pytest.mark.parametrize("Lmax, applies", [(5, 20), (7, 35)])
-def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies):
-    apply = WeylOp.apply
-    calls = [0]
+@pytest.mark.parametrize(
+    "Lmax, applies, backend",
+    [(5, 20, "exact"), (7, 35, "exact"), (5, 20, "float"), (7, 35, "float")],
+    ids=["5-20", "7-35", "float-5-20", "float-7-35"],
+)
+def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies, backend):
+    calls = {"_raised": 0, "apply": 0}
 
-    def counting(self, p):
-        calls[0] += 1
-        return apply(self, p)
+    def counted(name, step):
+        def counting(*args):
+            calls[name] += 1
+            return step(*args)
 
-    monkeypatch.setattr(WeylOp, "apply", counting)
-    assert main(["verify", "repmat", "--Lmax", str(Lmax)]) == 0
-    # one walk raises L + 1 polynomials at each level 1..Lmax; raising levels
-    # 0..L again for each L made 50 and 112
-    assert calls[0] == applies
+        return counting
+
+    monkeypatch.setattr(deform, "_raised", counted("_raised", deform._raised))
+    monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
+    assert main(["verify", "repmat", "--Lmax", str(Lmax), "--backend", backend]) == 0
+    # one walk raises L + 1 polynomials at each level 1..Lmax: exact input as
+    # integer term maps (deform._raised steps), float input as WeylOp.apply
+    # steps; raising levels 0..L again for each L made 50 and 112
+    other = "apply" if backend == "exact" else "_raised"
+    assert calls == {"_raised": applies, "apply": applies, other: 0}
 
 
 LAW_PAIR = GL2(Coeff(1, 2), 1, 0, Coeff(3)), GL2(2, Coeff(0, 1), 1, 1)
 FLOAT_LAW_PAIR = tuple(GL2(*(c.to_float() for c in m.entries())) for m in LAW_PAIR)
 
 
+# a pair over Q(i) with denominators, so that q_g and q_h are not 1
+RATIONAL_LAW_PAIR = (
+    GL2(Coeff(F(1, 2), 2), F(1, 3), 0, Coeff(3, F(-1, 5))),
+    GL2(2, Coeff(0, F(2, 3)), F(1, 7), 1),
+)
+
+
+def test_exact_rep_laws_form_no_coeff_product_in_a_walk():
+    counts = []
+    for Lmax in (3, 7):
+        with counted_products() as calls:
+            assert rep_laws_check(*RATIONAL_LAW_PAIR, Lmax).ok
+        counts.append(calls[0])
+    # the six level walks, the raised family and every law run on integer
+    # lists; the 30 products left clear g and h and form GH, G*, adj G and
+    # det G, at any Lmax.  The Coeff walks formed 384 at Lmax 3 and 2,995 at
+    # Lmax 7, 1,972 of them with a denominator
+    assert counts[0] == counts[1] <= 40
+
+
+def test_exact_intertwine_forms_no_coeff_product_in_a_walk():
+    g = alpha_matrix(POINT)
+    extra = []
+    for Lmax in (4, 8):
+        with counted_products() as monomials:
+            for total in range(Lmax + 1):
+                for m in range(total + 1):
+                    monomial_to_hermite(BiPoly.monomial(m, total - m))
+        with counted_products() as calls:
+            assert intertwine_check(g, Lmax).ok
+        extra.append(calls[0] - monomials[0])
+    # beyond E applied to the monomials (170 products at Lmax 8), 6 clear g,
+    # at any Lmax; the Coeff walks and E applied to each column's
+    # combination made 3,854 in all at Lmax 8, 3,679 with a denominator
+    assert extra[0] == extra[1] <= 10
+
+
+def test_exact_verify_eigen_forms_no_coeff_product_in_a_walk(capsys):
+    counts = []
+    for Lmax in (4, 8):
+        with counted_products() as calls:
+            assert main(["verify", "eigen", "--Lmax", str(Lmax)]) == 0
+        counts.append(calls[0])
+    # 48 and 84: tr G^j and det G^j take 3 products a level for each of the
+    # 3 cases, the walks none.  The Coeff walks made it 294 and 1,530
+    assert counts[1] <= 120 and counts[1] - counts[0] == 3 * 3 * 4
+
+
 def test_rep_laws_check_walks_each_level_matrix_once(monkeypatch):
-    walk = deform._level_matrices
+    walk = deform._level_walk
     walked = []
 
-    def counting(g):
+    def counting(g, radical):
         walked.append(g)
-        return walk(g)
+        return walk(g, radical)
 
-    monkeypatch.setattr(deform, "_level_matrices", counting)
+    monkeypatch.setattr(deform, "_level_walk", counting)
     g, h = LAW_PAIR
     assert rep_laws_check(g, h, 4).ok
-    # 1, g, h, gh, g^dagger and the adjugate of g; the action law reads the
-    # walk of g that the other laws hold
-    adj = GL2(g.g22, -g.g12, -g.g21, g.g11)
-    assert walked == [GL2(1, 0, 0, 1), g, h, g @ h, g.conj_transpose(), adj]
+    # 1, G, H, GH, G^dagger and the adjugate of G, with G = q_g g and
+    # H = q_h h integral; the action law reads the walk of G that the other
+    # laws hold
+    (_, G), (_, H) = deform._cleared(g), deform._cleared(h)
+    adj = GL2(G.g22, -G.g12, -G.g21, G.g11)
+    assert walked == [GL2(1, 0, 0, 1), G, H, G @ H, G.conj_transpose(), adj]
     # float g inverts by elimination, so its last walk is g^-1
     g, h = FLOAT_LAW_PAIR
     walked.clear()

@@ -25,11 +25,11 @@ from bihermite.deform import (
     rep_matrix,
 )
 from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
-from bihermite.linalg import charpoly, identity_matrix, mat_inverse, mat_mul
+from bihermite.linalg import _components, _radical, charpoly, identity_matrix, mat_inverse, mat_mul
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, gram, inner_product
 
-from conftest import gl2s, invertible_gl2, radical_coeffs
+from conftest import coeffs, float_coeffs, gl2s, invertible_gl2, radical_coeffs
 
 Z, ZB, ONE = BiPoly.z(), BiPoly.zbar(), BiPoly.one()
 POINT = AlphaPoint.make(F(3, 5))
@@ -204,10 +204,16 @@ def test_rep_action_convention():
             assert rep.ok, rep.payload
 
 
+def _columns(M, radical):
+    """The columns of an integral or float RepMatrix, each a vector of
+    component lists, as deform._level_walk yields them."""
+    return [_components(col, 1, radical) for col in zip(*M.entries)]
+
+
 def walk_of(matrix):
-    """A stand-in for deform._level_matrices that yields matrix(g, L) at
-    L = 0, 1, 2, ..."""
-    return lambda g: (matrix(g, L) for L in itertools.count())
+    """A stand-in for deform._level_walk that yields the columns of
+    matrix(G, L) at L = 0, 1, 2, ..."""
+    return lambda G, radical: (_columns(matrix(G, L), radical) for L in itertools.count())
 
 
 def _raise_last_column_of_row_zero(M):
@@ -233,9 +239,19 @@ def test_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mut
     g = rational_gl2(random.Random(13))
     changed = [L for L in range(5) if wrong(g, L) != rep_matrix(g, L)]
     assert changed == list(levels)
-    monkeypatch.setattr(deform, "_level_matrices", walk_of(wrong))
+    monkeypatch.setattr(deform, "_level_walk", walk_of(wrong))
     failures = rep_laws_check(g, g, 4).payload["failures"]
     assert [f["L"] for f in failures if f["law"] == "action"] == changed
+
+
+@pytest.mark.parametrize("mutant", ACTION_MUTANTS)
+def test_float_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mutant):
+    # the float laws read the walk's Coeff view
+    wrong, levels = ACTION_MUTANTS[mutant]
+    g = _float_gl2(rational_gl2(random.Random(13)))
+    monkeypatch.setattr(deform, "_level_walk", walk_of(wrong))
+    failures = rep_laws_check(g, g, 4).payload["failures"]
+    assert [f["L"] for f in failures if f["law"] == "action"] == list(levels)
 
 
 LAWS = ("identity", "product", "adjoint", "inverse", "action")
@@ -253,25 +269,33 @@ def _float_gl2(g):
 
 _rng = random.Random(13)
 LAW_PAIR = (rational_gl2(_rng), rational_gl2(_rng))
-G_LAW = LAW_PAIR[0]
+G_LAW = deform._cleared(LAW_PAIR[0])[1]  # G = q_g g, whose walks the exact laws read
 ADJ_G_LAW = GL2(G_LAW.g22, -G_LAW.g12, -G_LAW.g21, G_LAW.g11)
 
 # each broken piece of M(., L), the pair (g, h) it is checked at, and the
 # (L, law) failures it must cause up to level 4
 LAW_MUTANTS = {
-    # the weights w_k = k!(L-k)! are all equal below level 2
+    # the weights w_k = k!(L-k)! are all equal below level 2.  Float g reads
+    # the level adjoint of M(g, L); exact g, W_L M(G*, L) = M(G, L)* W_L
     "plain-adjoint": (
-        LAW_PAIR,
+        tuple(map(_float_gl2, LAW_PAIR)),
         RepMatrix,
         "adjoint",
         plain_conj_transpose,
         [(L, "adjoint") for L in range(2, 5)],
     ),
-    # exact g: M(adj g, L) M(g, L) = det(g)^L I, broken on the adjugate's walk only
+    "unweighted-adjoint": (
+        LAW_PAIR,
+        deform,
+        "normalizer_sq",
+        lambda m, n: 1,
+        [(L, "adjoint") for L in range(2, 5)],
+    ),
+    # exact g: M(adj G, L) M(G, L) = det(G)^L I, broken on the adjugate's walk only
     "adjugate-entry": (
         LAW_PAIR,
         deform,
-        "_level_matrices",
+        "_level_walk",
         walk_of(
             lambda m, L: _raise_last_column_of_row_zero(rep_matrix(m, L))
             if m == ADJ_G_LAW
@@ -292,7 +316,7 @@ LAW_MUTANTS = {
     "one-entry": (
         LAW_PAIR,
         deform,
-        "_level_matrices",
+        "_level_walk",
         walk_of(ACTION_MUTANTS["one-entry"][0]),
         [(L, law) for L in range(5) for law in LAWS if (L, law) != (0, "adjoint")],
     ),
@@ -597,7 +621,7 @@ def test_eigenvalue_structure_reports_unmatched_values(monkeypatch):
 
     # the trace, p_1, moved by 1 at level 2 only; p_2 and p_3 with it
     # (M[0][0] = 3^2 became 10 for the triangular g)
-    monkeypatch.setattr(deform, "_level_matrices", walk_of(shifted))
+    monkeypatch.setattr(deform, "_level_walk", walk_of(shifted))
     for g in (GL2(2, 1, 0, 3), GENERIC):
         rep = eigenvalue_structure_check(g, 4)
         assert rep.status == "fail"
@@ -615,7 +639,7 @@ def test_eigenvalue_structure_fails_on_a_perturbed_off_diagonal_entry(monkeypatc
 
     g = GENERIC if exact else _float_gl2(GENERIC)
     assert eigenvalue_structure_check(g, 5).ok
-    monkeypatch.setattr(deform, "_level_matrices", walk_of(perturbed))
+    monkeypatch.setattr(deform, "_level_walk", walk_of(perturbed))
     failures = eigenvalue_structure_check(g, 5).payload["failures"]
     assert {f["L"] for f in failures} == set(range(1, 6))
     assert all(f["power_sum"] != "p_1" for f in failures)
@@ -664,7 +688,11 @@ def test_intertwine_check_names_each_wrong_monomial(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("g", [rational_gl2(random.Random(13)), G_ALPHA], ids=["qi-13", "alpha"])
+@pytest.mark.parametrize(
+    "g",
+    [rational_gl2(random.Random(13)), G_ALPHA, _float_gl2(G_ALPHA)],
+    ids=["qi-13", "alpha", "float-alpha"],
+)
 def test_intertwine_check_names_each_wrong_column(monkeypatch, g):
     # one entry raised by 1 at every level, in a column that moves with L
     def wrong(g, L):
@@ -673,14 +701,32 @@ def test_intertwine_check_names_each_wrong_column(monkeypatch, g):
         return RepMatrix(rows)
 
     Lmax = 6
-    right = {L: rep_matrix(g, L) for L in range(Lmax + 1)}
+    _, G = deform._cleared(g)  # exact g walks the integral G = q_g g, float g itself
+    right = {L: rep_matrix(G, L) for L in range(Lmax + 1)}
     want = []
     for L in range(Lmax + 1):
         pairs = zip(zip(*right[L].entries), zip(*wrong(g, L).entries))
         want += [{"kind": "operator", "L": L, "k": k} for k, (a, b) in enumerate(pairs) if a != b]
     assert [(f["L"], f["k"]) for f in want] == [(L, L // 3) for L in range(Lmax + 1)]
-    monkeypatch.setattr(deform, "_level_matrices", walk_of(wrong))
+    monkeypatch.setattr(deform, "_level_walk", walk_of(wrong))
     rep = intertwine_check(g, Lmax)
+    assert not rep.ok and rep.payload["failures"] == want
+
+
+@pytest.mark.parametrize("g", [G_ALPHA, GL2(2, 0, 0, Coeff(F(1, 3), 1))], ids=["alpha", "diagonal"])
+def test_exact_intertwine_fails_each_column_that_needs_a_non_integral_image(monkeypatch, g):
+    # E(z zbar) halved: not integral, so it has no integer term map, and
+    # each level-2 column whose entry at r = 1 is nonzero must fail with it
+    def halved(p):
+        image = monomial_to_hermite(p)
+        return image * Coeff(F(1, 2)) if list(p.terms) == [(1, 1)] else image
+
+    _, G = deform._cleared(g)
+    want = [{"kind": "monomial", "m": 1, "n": 1}]
+    want += [{"kind": "operator", "L": 2, "k": k} for k, c in enumerate(rep_matrix(G, 2).entries[1]) if c]
+    assert len(want) == (4 if g is G_ALPHA else 2)
+    monkeypatch.setattr(deform, "monomial_to_hermite", halved)
+    rep = intertwine_check(g, 3)
     assert not rep.ok and rep.payload["failures"] == want
 
 
@@ -756,6 +802,84 @@ def test_level_walk_equals_closed_form(entries, shape):
         assume(False)
     for L, M in zip(range(13), deform._level_matrices(g)):
         assert M.L == L and M == rep_matrix(g, L), (g, L)
+
+
+def _shaped_gl2(entries, shape):
+    """The GL2 of entries with the zeros of a SHAPES shape, or no example."""
+    zero = entries[0] * 0  # on the entries' backend
+    try:
+        return GL2(*(c if keep else zero for c, keep in zip(entries, SHAPES[shape])))
+    except ValueError:
+        assume(False)
+
+
+def _term_maps(p, radical):
+    """One {(a, b): int} map per component of an integral polynomial, as
+    deform._raised_walk holds it."""
+    assert all(c.q == 1 for c in p.terms.values())
+    parts = _components(list(p.terms.values()), 1, radical)
+    return tuple({key: x for key, x in zip(p.terms, m) if x} for m in parts)
+
+
+# four entries over Q(i), or over Q(i, sqrt2) with each slot often zero
+qi_or_radical_entries = st.tuples(*[coeffs] * 4) | st.tuples(*[radical_coeffs] * 4)
+
+
+@given(qi_or_radical_entries, st.sampled_from(sorted(SHAPES)))
+@settings(max_examples=30, deadline=None)
+def test_integral_walk_is_the_scaled_closed_form(entries, shape):
+    # the walk of G = q_g g holds q_g^L M(g, L), integral, with no reduction
+    g = _shaped_gl2(entries, shape)
+    qg, G = deform._cleared(g)
+    radical = _radical(G.entries())
+    for L, columns in zip(range(13), deform._level_walk(G, radical)):
+        scaled = [[c * qg**L for c in col] for col in zip(*rep_matrix(g, L).entries)]
+        assert all(c.q == 1 for col in scaled for c in col)
+        assert columns == [_components(col, 1, radical) for col in scaled], (g, L)
+
+
+@given(qi_or_radical_entries, st.sampled_from(sorted(SHAPES)))
+@settings(max_examples=15, deadline=None)
+def test_integral_raised_walk_is_the_scaled_operator_power_family(entries, shape):
+    g = _shaped_gl2(entries, shape)
+    qg, G = deform._cleared(g)
+    radical = _radical(G.entries())
+    for L, family in zip(range(7), deform._raised_walk(G, radical)):
+        want = _family_by_operator_powers(g, L)[::-1]  # want[k] = Hg[k, L-k]
+        assert family == [_term_maps(p * qg**L, radical) for p in want], (g, L)
+
+
+def _coeff_level_matrices(g):
+    """M(g, 0), M(g, 1), ... by the Coeff chain that the component-list walk
+    replaced, kept as the reference of its float view: two Coeff products
+    per entry, then their sum."""
+
+    def times_linear(column, a, b):
+        out = [b * column[0]]
+        out += [a * column[r - 1] + b * column[r] for r in range(1, len(column))]
+        out.append(a * column[-1])
+        return out
+
+    columns = [[g.det**0]]
+    while True:
+        yield RepMatrix([list(row) for row in zip(*columns)])
+        columns = [times_linear(columns[0], g.g12, g.g22)] + [
+            times_linear(c, g.g11, g.g21) for c in columns
+        ]
+
+
+@given(st.tuples(*[float_coeffs] * 4), st.sampled_from(sorted(SHAPES)))
+@settings(max_examples=30, deadline=None)
+def test_float_level_view_is_the_coeff_chain_bit_for_bit(entries, shape):
+    # the real and imaginary slots, signed zeros included; the radical slots
+    # of a float value are zeros
+    g = _shaped_gl2(entries, shape)
+    walks = zip(range(13), deform._level_matrices(g), _coeff_level_matrices(g))
+    for L, got, want in walks:
+        assert [[(c.a.hex(), c.b.hex()) for c in row] for row in got.entries] == [
+            [(c.a.hex(), c.b.hex()) for c in row] for row in want.entries
+        ], (g, L)
+        assert all(not c.exact and c.q == 1 and not (c.c or c.d) for row in got.entries for c in row)
 
 
 @pytest.mark.parametrize(

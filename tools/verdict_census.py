@@ -83,50 +83,64 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "t.check(close(image, raised[k]),",
+        "t.check(image == raised[k],",
         "t.check(True,",
         "intertwine-operator-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"action": all(close(p, q) for p, q in zip(raised, family)),',
+        "t.check(close(image, raised[k]),",
+        "t.check(True,",
+        "intertwine-float-operator-pass",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        '"action": raised == [_combination(c, hermite) for c in MG],',
         '"action": True,',
         "action-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"identity": M1.entries == scalar(one, L + 1),',
+        '"action": all(close(p, q) for p, q in zip(raised, family)),',
+        '"action": True,',
+        "float-action-pass",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        '"identity": M1 == _scalar_columns(one, n),',
         '"identity": True,',
         "identity-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),',
+        '"product": [matvec(rows, c) for c in MH] == MGH,',
         '"product": True,',
         "product-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        '"adjoint": close(Mg.adjoint().entries, Mg_adj.entries),',
+        '"adjoint": left == right,',
         '"adjoint": True,',
         "adjoint-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        "inverse = mat_mul(Mg_inv.entries, Mg.entries) == scalar(det_L, L + 1)",
-        "inverse = True",
+        '"inverse": [matvec(_rows(M_adj), c) for c in MG] == _scalar_columns(det_L, n),',
+        '"inverse": True,',
         "adjugate-law-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        "inverse = close(mat_inverse(Mg.entries), Mg_inv.entries)",
-        "inverse = True",
+        '"inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),',
+        '"inverse": True,',
         "inverse-law-pass",
         ("tests/test_deform.py",),
     ),
@@ -246,30 +260,72 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "det_L = det_L * g.det",
+        "det_L = times(det_L, det)",
         "det_L = det_L",
         "adjugate-det-power-one",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        "G = GL2(*(c * qg for c in g.entries())) if qg != 1 else g",
-        "G = g",
-        "eigen-unscaled",
+        "det_L = times(det_L, det)",
+        "det_L = times(det_L, det) if L else det_L",
+        "adjugate-det-power-lags",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        "columns = [_times_linear(columns[0], g.g12, g.g22)] + [",
-        "columns = [_times_linear(columns[0], g.g22, g.g12)] + [",
+        "left = [tuple(list(map(mul, w, m)) for m in c) for c in MG_dagger]",
+        "left = [tuple(list(m) for m in c) for c in MG_dagger]",
+        "adjoint-weights-dropped",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "return qg, (GL2(*(c * qg for c in g.entries())) if qg != 1 else g)",
+        "return qg, g",
+        "walk-uncleared",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "q = qg**L",
+        "q = qg ** max(L - 1, 0)",
+        "view-scale-lags",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "columns = [_times_linear(columns[0], g12, g22, times)] + [",
+        "columns = [_times_linear(columns[0], g22, g12, times)] + [",
         "walk-column-zero-swapped",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        "_times_linear(c, g.g11, g.g21) for c in columns",
-        "_times_linear(c, g.g21, g.g21) for c in columns",
+        "_times_linear(c, g11, g21, times) for c in columns",
+        "_times_linear(c, g21, g21, times) for c in columns",
         "walk-column-k-g21-for-g11",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "+ [(ar * y + ai * x) + (br * v + bi * u) for x, y, u, v in pairs]",
+        "+ [(ar * y - ai * x) + (br * v + bi * u) for x, y, u, v in pairs]",
+        "walk-gaussian-imaginary-sign",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "if any([c.q != 1 or c.b or c.c or c.d for c in p.terms.values()]):",
+        "if False:",
+        "integral-terms-unchecked",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "weyl.py",
+        "lowered.append(((a, b - 1), c * -b))",
+        "lowered.append(((a, b - 1), c * b))",
+        "raise-derivative-sign",
         ("tests/test_deform.py",),
     ),
     Mutant(
