@@ -23,6 +23,7 @@ alpha runs on the float backend.
 from __future__ import annotations
 
 import cmath
+from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, lcm
@@ -643,17 +644,25 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     otherwise, including all cross-level pairs up to Lmax.
     """
     _check_lmax(Lmax)
-    products = _biorth_pairings(g, Lmax)
+    blocks = _biorth_pairings(g, Lmax)
     levels = range(Lmax + 1)
     t = Tally()
+    absent = 0
     for L in levels:
         for M in levels:
-            for n in range(L + 1):
-                row = products[L * (L + 1) // 2 + n]  # levels below L hold L(L+1)/2 polys
-                for k in range(M + 1):
-                    got = row[M * (M + 1) // 2 + k]
-                    want = Coeff(normalizer_sq(L - n, n)) if (L == M and n == k) else ZERO
-                    t.compare(got, want, {"L": L, "M": M, "n": n, "k": k})
+            if (L, M) in blocks:
+                entries = [(n, k, c) for n, row in enumerate(blocks[L, M]) for k, c in enumerate(row)]
+            elif L == M:
+                # no pairing term in the level's own block: its diagonal still must hold
+                entries = [(n, n, ZERO) for n in range(L + 1)]
+            else:
+                entries = []
+            absent += (L + 1) * (M + 1) - len(entries)
+            for n, k, got in entries:
+                want = Coeff(normalizer_sq(L - n, n)) if (L == M and n == k) else ZERO
+                t.compare(got, want, {"L": L, "M": M, "n": n, "k": k})
+    # every other pairing is summed over no term: it is the exact ZERO wanted
+    t.checks += absent
     return t.report(
         f"biorthogonality up to level {Lmax}",
         {"Lmax": Lmax, "violations": t.failures},
@@ -661,45 +670,45 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     )
 
 
-def _biorth_pairings(g: GL2, Lmax: int) -> list:
-    """The matrix of <Hdual[L-n, n], Hg[M-k, k]>, L, M <= Lmax, in row
-    L(L+1)/2 + n and column M(M+1)/2 + k, summed by bilinearity: with
-    D = M(g_dual, L) and F = M(g, M) it is sum_(r,s) conj(D[r, L-n])
-    F[s, M-k] <H[r, L-r], H[s, M-s]>.  The undeformed Gram is computed, its
-    cross-level blocks too, so no orthogonality is assumed; its entries are
-    checked to be integers and weigh one _sum_products call per entry over
-    its block's nonzero entries.  A block with none gives the exact ZERO.
+def _biorth_pairings(g: GL2, Lmax: int) -> dict:
+    """The blocks {(L, M): P} of <Hdual[L-n, n], Hg[M-k, k]> = P[n][k], L,
+    M <= Lmax, summed by bilinearity: with D = M(g_dual, L) and F = M(g, M)
+    it is sum_(r,s) conj(D[r, L-n]) F[s, M-k] <H[r, L-r], H[s, M-s]>.  The
+    undeformed Gram is computed, its cross-level pairs too, so no
+    orthogonality is assumed; its entries are checked to be integers and
+    weigh one _sum_products call per pairing over its block's nonzero
+    entries.  A block with none is left out: each of its pairings is the
+    exact ZERO.
     """
     g_dual = g.conj_transpose().inverse()
     levels = range(Lmax + 1)
     start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
+    level = [L for L in levels for _ in range(L + 1)]  # level[i] of basis[i]
     basis = [hermite_sum(r, L - r) for L in levels for r in range(L + 1)]
     weights = gram(basis, basis)
-    if not all(c.exact and c.q == 1 and c.is_rational() for row in weights for c in row):
+    if not all(c.exact and c.q == 1 and c.is_rational() for row in weights for c in row.values()):
         raise ArithmeticError("the Gram matrix of the undeformed basis is not integral")
+    # (r, s, <H[r, L-r], H[s, M-s]>) where that is nonzero, row by row
+    terms = defaultdict(list)
+    for i, row in enumerate(weights):
+        L = level[i]
+        for j, c in row.items():
+            if c:
+                M = level[j]
+                terms[L, M].append((i - start[L], j - start[M], c.a))
     # duals[L][n][r] = conj(D[r, L-n]) and fams[M][k][s] = F[s, M-k]
     duals = [
         [[c.conj() for c in col] for col in list(zip(*D.entries))[::-1]]
         for _, D in zip(levels, _level_matrices(g_dual))
     ]
     fams = [list(zip(*F.entries))[::-1] for _, F in zip(levels, _level_matrices(g))]
-    out = [[ZERO] * start[-1] for _ in range(start[-1])]
-    for L in levels:
-        for M in levels:
-            # (r, s, <H[r, L-r], H[s, M-s]>) where that is nonzero
-            block = [
-                (r, s, c.a)
-                for r, row in enumerate(weights[start[L] : start[L + 1]])
-                for s, c in enumerate(row[start[M] : start[M + 1]])
-                if c
-            ]
-            if not block:
-                continue
-            for n, dual in enumerate(duals[L]):
-                row = out[start[L] + n]
-                for k, fam in enumerate(fams[M]):
-                    row[start[M] + k] = _sum_products([(dual[r], fam[s], w) for r, s, w in block])
-    return out
+    return {
+        (L, M): [
+            [_sum_products([(dual[r], fam[s], w) for r, s, w in block]) for fam in fams[M]]
+            for dual in duals[L]
+        ]
+        for (L, M), block in terms.items()
+    }
 
 
 def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:

@@ -209,10 +209,18 @@ def orthonormality_check(Lmax: int) -> Report:
     keys = [(m, total - m) for total in range(Lmax + 1) for m in range(total + 1)]
     polys = [hermite_sum(m, n) for m, n in keys]
     t = Tally()
-    for (m, n), row in zip(keys, gram(polys, polys)):
-        for (k, l), got in zip(keys, row):
-            want = Coeff(normalizer_sq(m, n)) if (m, n) == (k, l) else ZERO
-            t.compare(got, want, {"m": m, "n": n, "k": k, "l": l})
+    unpaired = 0
+    for i, ((m, n), row) in enumerate(zip(keys, gram(polys, polys))):
+        # gram's row holds the pairs with a pairing term; the diagonal is
+        # compared even without one, so a zero H[m,n] fails
+        paired = row if i in row else sorted([*row, i])
+        unpaired += len(keys) - len(paired)
+        for j in paired:
+            k, l = keys[j]
+            want = Coeff(normalizer_sq(m, n)) if i == j else ZERO
+            t.compare(row.get(j, ZERO), want, {"m": m, "n": n, "k": k, "l": l})
+    # every other pair has no pairing term: its entry is the exact ZERO wanted
+    t.checks += unpaired
     return t.report(
         f"orthonormality up to total degree {Lmax}",
         {"Lmax": Lmax, "pairs": t.checks, "violations": t.failures},

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for the property tests."""
+"""Shared hypothesis strategies for the property tests, and the dense view
+of gram's sparse rows."""
 
 from fractions import Fraction
 
@@ -61,3 +62,11 @@ def gl2s(entries):
 
 
 invertible_gl2 = gl2s(coeffs)
+
+
+def dense_gram(rows, width) -> list:
+    """gram's sparse rows {j: entry} as a dense matrix of width columns, an
+    absent entry the exact zero.  Each row's columns must be in order and in
+    range."""
+    assert all(list(row) == sorted(row) and all(0 <= j < width for j in row) for row in rows)
+    return [[row.get(j, Coeff(0)) for j in range(width)] for row in rows]

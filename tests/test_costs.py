@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bihermite import deform, lie, linalg
+from bihermite import coeffs, deform, lie, linalg, poly
 from bihermite.cli import main
 from bihermite.coeffs import Coeff
 from bihermite.deform import (
@@ -248,6 +248,39 @@ def test_biorthogonality_products_at_level_six():
     # 17,378 with a product and a sum per pairing term in gram, 1,002 with
     # the expanded families paired by gram; 462 through the undeformed Gram
     assert 0 < calls[0] <= 500
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """calls[0] counts the calls of module.name made through the module,
+    until the test ends."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_orthonormality_sums_and_compares_only_the_paired_entries(monkeypatch):
+    sums = count_calls(monkeypatch, poly, "_sum_products")
+    compares = count_calls(monkeypatch, coeffs, "close")
+    rep = orthonormality_check(10)
+    assert rep.ok and rep.payload["pairs"] == 66 * 66
+    # H[m,n] lies in the sector m - n alone, so the rows hold the 256 pairs
+    # that share a sector; all 4,356 were compared when gram returned dense rows
+    assert sums[0] == compares[0] == 256
+
+
+def test_biorthogonality_compares_only_the_paired_blocks(monkeypatch):
+    compares = count_calls(monkeypatch, coeffs, "close")
+    rep = biorthogonality_check(alpha_matrix(POINT), 6)
+    assert rep.summary.endswith("(784 pairings)")
+    # the 140 pairings of the levels' own blocks; all 784 were compared when
+    # every block was summed, the cross-level ones to the exact zero
+    assert compares[0] == 140
 
 
 def test_float_biorthogonality_conversions():

@@ -29,7 +29,7 @@ from bihermite.linalg import _components, _radical, charpoly, identity_matrix, m
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, gram, inner_product
 
-from conftest import coeffs, float_coeffs, gl2s, invertible_gl2, radical_coeffs
+from conftest import coeffs, dense_gram, float_coeffs, gl2s, invertible_gl2, radical_coeffs
 
 Z, ZB, ONE = BiPoly.z(), BiPoly.zbar(), BiPoly.one()
 POINT = AlphaPoint.make(F(3, 5))
@@ -489,7 +489,19 @@ def _pairwise_pairings(g, Lmax):
     g_dual = g.conj_transpose().inverse()
     duals = [p for L in range(Lmax + 1) for p in level_basis(L, g_dual)]
     fams = [p for L in range(Lmax + 1) for p in level_basis(L, g)]
-    return gram(duals, fams)
+    return dense_gram(gram(duals, fams), len(fams))
+
+
+def _dense_pairings(blocks, Lmax):
+    """_biorth_pairings' blocks {(L, M): P} as one matrix over the levels up
+    to Lmax, an absent block's entries the exact zero."""
+    start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
+    out = [[Coeff(0)] * start[-1] for _ in range(start[-1])]
+    for (L, M), block in blocks.items():
+        assert len(block) == L + 1 and all(len(row) == M + 1 for row in block)
+        for n, row in enumerate(block):
+            out[start[L] + n][start[M] : start[M + 1]] = row
+    return out
 
 
 def radical_gl2(rng) -> GL2:
@@ -514,7 +526,10 @@ PARITY_MATRICES = {
 @pytest.mark.parametrize("g", PARITY_MATRICES.values(), ids=PARITY_MATRICES.keys())
 def test_factored_pairings_equal_the_pairwise_gram(g):
     for Lmax in (0, 1, 3, 6):
-        got = deform._biorth_pairings(g, Lmax)
+        blocks = deform._biorth_pairings(g, Lmax)
+        # the undeformed Gram pairs no two levels, so no cross-level block has a term
+        assert sorted(blocks) == [(L, L) for L in range(Lmax + 1)]
+        got = _dense_pairings(blocks, Lmax)
         assert got == _pairwise_pairings(g, Lmax), Lmax
         assert all(c.exact for row in got for c in row)
 
@@ -534,7 +549,7 @@ def test_float_factored_pairings_are_close_to_the_pairwise_gram(g):
     gf = _float_gl2(g)
     # at level 6 the pairwise gram itself rounds beyond FLOAT_TOL at 3/5
     for Lmax in (1, 3, 5):
-        got = deform._biorth_pairings(gf, Lmax)
+        got = _dense_pairings(deform._biorth_pairings(gf, Lmax), Lmax)
         assert close(got, _pairwise_pairings(gf, Lmax)), Lmax
         # the undeformed Gram has no nonzero cross-level entry, so a
         # cross-level pairing is the exact ZERO; the others are floats
@@ -555,11 +570,28 @@ def test_float_biorthogonality_at_its_alpha_points():
 
 def test_biorth_pairings_reject_a_gram_entry_that_is_not_an_integer(monkeypatch):
     def halved(ps, qs):
-        return [[c * F(1, 2) for c in row] for row in gram(ps, qs)]
+        return [{j: c * F(1, 2) for j, c in row.items()} for row in gram(ps, qs)]
 
     monkeypatch.setattr(deform, "gram", halved)
     with pytest.raises(ArithmeticError, match="not integral"):
         biorthogonality_check(G_ALPHA, 2)
+
+
+def test_biorthogonality_compares_a_diagonal_that_has_no_pairing_term(monkeypatch):
+    # with <H[0,0], H[0,0]> taken out of the undeformed Gram, level 0's own
+    # block has no term and no pairing of it is summed; its diagonal is still
+    # compared, and fails, and every pairing is still counted
+    def unpaired(ps, qs):
+        rows = gram(ps, qs)
+        del rows[0][0]
+        return rows
+
+    monkeypatch.setattr(deform, "gram", unpaired)
+    rep = biorthogonality_check(G_ALPHA, 2)
+    assert rep.summary == "biorthogonality up to level 2: fail (36 pairings)"
+    assert rep.payload["violations"] == [
+        {"L": 0, "M": 0, "n": 0, "k": 0, "value": "0", "expected": "1"}
+    ]
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,36 @@ def test_orthonormality_check_names_each_wrong_pairing(monkeypatch):
     ]
 
 
+def test_orthonormality_check_reads_the_sectors_of_the_terms(monkeypatch):
+    # a stray zbar in H'[2,0] = z^2 + zbar, sector -1 where m - n = 2: it
+    # pairs with H[0,1] = zbar, which the index m - n alone would not pair
+    real = hermite.hermite_sum
+    monkeypatch.setattr(
+        hermite, "hermite_sum", lambda m, n: real(m, n) + ZB if (m, n) == (2, 0) else real(m, n)
+    )
+    rep = orthonormality_check(2)
+    assert rep.status == "fail" and rep.payload["pairs"] == 36
+    assert rep.payload["violations"] == [
+        {"m": 0, "n": 1, "k": 2, "l": 0, "value": "1", "expected": "0"},
+        {"m": 2, "n": 0, "k": 0, "l": 1, "value": "1", "expected": "0"},
+        {"m": 2, "n": 0, "k": 2, "l": 0, "value": "3", "expected": "2"},
+    ]
+
+
+def test_orthonormality_check_compares_a_zero_polynomial_with_itself(monkeypatch):
+    # H'[1,1] = 0 pairs with nothing, itself included: its diagonal is
+    # compared all the same, and every pair is still counted
+    real = hermite.hermite_sum
+    monkeypatch.setattr(
+        hermite, "hermite_sum", lambda m, n: BiPoly.zero() if (m, n) == (1, 1) else real(m, n)
+    )
+    rep = orthonormality_check(3)
+    assert rep.status == "fail" and rep.payload["pairs"] == 100
+    assert rep.payload["violations"] == [
+        {"m": 1, "n": 1, "k": 1, "l": 1, "value": "0", "expected": "1"},
+    ]
+
+
 def test_real_orthogonality():
     assert real_orthogonality_check(6).ok
 

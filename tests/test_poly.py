@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from bihermite.coeffs import Coeff
 from bihermite.poly import BiPoly, RealPoly, gram, inner_product, real_inner_product
 
-from conftest import bipolys
+from conftest import bipolys, dense_gram
 
 Z, ZB, ONE = BiPoly.z(), BiPoly.zbar(), BiPoly.one()
 
@@ -106,13 +107,16 @@ def test_gram_matches_all_pairs_oracle(exact, seed):
     qs = [random_bipoly(rng, exact) for _ in range(rng.randint(1, 5))] + [BiPoly.zero(), ps[0]]
     rng.shuffle(ps)
     # <p, p> of a nonzero p pairs; the zero polynomial pairs with nothing
-    rows = gram(ps, qs)
+    sparse = gram(ps, qs)
+    rows = dense_gram(sparse, len(qs))
     assert len(rows) == len(ps) and all(len(row) == len(qs) for row in rows)
     unpaired = paired = 0
-    for p, row in zip(ps, rows):
-        for q, got in zip(qs, row):
+    for p, entries, row in zip(ps, sparse, rows):
+        for j, (q, got) in enumerate(zip(qs, row)):
             assert inner_product(p, q) == got
             want = naive_inner(p, q, exact)
+            # a row holds exactly the pairs with a pairing term
+            assert (j in entries) == (want is not None)
             if want is None:
                 unpaired += 1
                 assert got.exact and got == Coeff(0)
@@ -128,7 +132,8 @@ def test_gram_matches_all_pairs_oracle(exact, seed):
 
 def chain_gram(ps, qs) -> list:
     """gram's route before its entries went through one kernel: each pairing
-    product conj(p_c) q_c (a+d)! added to the entry one at a time."""
+    product conj(p_c) q_c (a+d)! added to the entry one at a time, over every
+    pair; None where no pair of terms pairs."""
     rows = []
     for p in ps:
         row = []
@@ -139,9 +144,26 @@ def chain_gram(ps, qs) -> list:
                     if a - b == c - d:
                         v = pc.conj() * qc * factorial(a + d)
                         acc = v if acc is None else acc + v
-            row.append(Coeff(0) if acc is None else acc)
+            row.append(acc)
         rows.append(row)
     return rows
+
+
+def assert_gram_is_the_chain(ps, qs):
+    """gram(ps, qs) holds an entry exactly where the chain pairs a term, and
+    each entry is the chain's value, float bits and signed zeros included."""
+    sparse = gram(ps, qs)
+    chain = chain_gram(ps, qs)
+    for entries, want_row in zip(sparse, chain, strict=True):
+        assert list(entries) == [j for j, want in enumerate(want_row) if want is not None]
+    for got_row, want_row in zip(dense_gram(sparse, len(qs)), chain, strict=True):
+        for got, want in zip(got_row, want_row, strict=True):
+            want = Coeff(0) if want is None else want
+            assert got.exact == want.exact
+            assert (got.a, got.b, got.c, got.d, got.q) == (want.a, want.b, want.c, want.d, want.q)
+            if not got.exact:  # the float entries keep the chain's bits
+                assert (got.a.hex(), got.b.hex()) == (want.a.hex(), want.b.hex())
+    return sparse
 
 
 def _kernel_coeff(rng: random.Random, kind: str) -> Coeff:
@@ -167,19 +189,38 @@ def test_gram_matches_the_per_product_chain(kinds, seed):
 
     ps = [poly() for _ in range(5)] + [BiPoly.zero()]
     qs = [poly() for _ in range(5)] + [ps[0]]
-    for got_row, want_row in zip(gram(ps, qs), chain_gram(ps, qs), strict=True):
-        for got, want in zip(got_row, want_row, strict=True):
-            assert got.exact == want.exact
-            assert (got.a, got.b, got.c, got.d, got.q) == (want.a, want.b, want.c, want.d, want.q)
-            if not got.exact:  # the float entries keep the chain's bits
-                assert (got.a.hex(), got.b.hex()) == (want.a.hex(), want.b.hex())
-    # the zero polynomial pairs with nothing: its row is the exact zero
-    assert all(c.exact and c == 0 and c.q == 1 for c in gram(ps, qs)[-1])
+    rows = assert_gram_is_the_chain(ps, qs)
+    # the zero polynomial pairs with nothing: its row is empty, densely the exact zero
+    assert rows[-1] == {}
+    assert all(c.exact and c == 0 and c.q == 1 for c in dense_gram(rows, len(qs))[-1])
+
+
+def test_gram_pairs_every_sector_of_a_polynomial():
+    # terms in the sectors a-b = 1, -1, 0 and 2: each row pairs every column
+    # that shares one of its sectors, whichever term of either side holds it
+    f = lambda re, im=0.0: Coeff(re, im, exact=False)  # noqa: E731
+    ps = [
+        BiPoly({(1, 0): f(1.0), (2, 1): f(-0.5, -0.0)}),  # sector 1 alone
+        BiPoly({(0, 1): f(-0.0, 1.0), (1, 1): f(2.0)}),  # sectors -1 and 0
+        BiPoly({(3, 1): f(0.25, -2.0)}),  # sector 2 alone
+    ]
+    qs = [
+        BiPoly({(0, 0): f(1.0), (1, 0): f(1.0, 0.0)}),  # sectors 0 and 1
+        BiPoly({(2, 0): f(3.0), (1, 2): f(0.0, -1.0)}),  # sectors 2 and -1
+        BiPoly({(4, 0): f(1.0)}),  # sector 4: pairs with nothing
+    ]
+    rows = assert_gram_is_the_chain(ps, qs)
+    assert [list(row) for row in rows] == [[0], [0, 1], [1]]
+    # <z - z^2 zbar/2, 1 + z> = 1 - 2!/2 pairs: a float zero, present; and
+    # <i zbar + 2 z zbar, 3 z^2 - i z zbar^2> = -2 - 0i keeps its signed zero
+    zero, signed = rows[0][0], rows[1][1]
+    assert not zero.exact and zero == 0
+    assert (signed.a, math.copysign(1, signed.b)) == (-2.0, -1.0)
 
 
 def test_gram_of_empty_lists():
     assert gram([], [ONE, Z]) == []
-    assert gram([ONE, Z], []) == [[], []]
+    assert gram([ONE, Z], []) == [{}, {}]
 
 
 def test_conjugate_swaps_variables():

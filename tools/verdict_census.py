@@ -48,7 +48,7 @@ MUTANTS = (
     # -- each verdict forced to pass ------------------------------------
     Mutant(
         "hermite.py",
-        't.compare(got, want, {"m": m, "n": n, "k": k, "l": l})',
+        't.compare(row.get(j, ZERO), want, {"m": m, "n": n, "k": k, "l": l})',
         't.compare(want, want, {"m": m, "n": n, "k": k, "l": l})',
         "orthonormality-pass",
         ("tests/test_hermite.py",),
@@ -207,6 +207,42 @@ MUTANTS = (
         "verify-eigen-pass",
         ("tests/test_cli.py",),
     ),
+    # -- the pairs left uncompared -----------------------------------------
+    Mutant(
+        "poly.py",
+        "for diff in by_diff:",
+        "for diff in list(by_diff)[:1]:",
+        "gram-first-sector-only",
+        ("tests/test_poly.py",),
+    ),
+    Mutant(
+        "hermite.py",
+        "paired = row if i in row else sorted([*row, i])",
+        "paired = row",
+        "orthonormality-diagonal-dropped",
+        ("tests/test_hermite.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "elif L == M:",
+        "elif False:",
+        "biorth-diagonal-dropped",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "hermite.py",
+        "t.checks += unpaired",
+        "t.checks += unpaired - 1",
+        "orthonormality-count-off-by-one",
+        ("tests/test_hermite.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "t.checks += absent",
+        "t.checks += absent + 1",
+        "biorth-count-off-by-one",
+        ("tests/test_deform.py",),
+    ),
     # -- the primitive itself -------------------------------------------
     Mutant(
         "report.py",
@@ -239,9 +275,9 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "for s, c in enumerate(row[start[M] : start[M + 1]])",
-        "for s, c in enumerate(row[start[L] : start[L] + M + 1])",
-        "biorth-gram-wrong-block",
+        "terms[L, M].append((i - start[L], j - start[M], c.a))",
+        "terms[L, M].append((i - start[L], j - start[M] - 1, c.a))",
+        "biorth-gram-column-shifted",
         ("tests/test_deform.py",),
     ),
     Mutant(
