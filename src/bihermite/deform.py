@@ -27,9 +27,9 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, lcm
-from operator import add, mul
+from operator import add, eq, mul
 
-from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import (
     _berkowitz,
@@ -40,7 +40,6 @@ from .linalg import (
     _ring,
     _values,
     mat_inverse,
-    mat_mul,
 )
 from .poly import BiPoly, gram
 from .report import Report, Tally
@@ -275,8 +274,8 @@ def deformed_hermite(g: GL2, k: int, l: int) -> BiPoly:
     """Scaled deformed polynomial Hg[k,l] = R1^k R2^l applied to 1 (on g's backend).
 
     R2 is applied l times and then R1 k times, one degree-1 operator at a
-    time, the steps by which _raised_levels reaches the same entry, so the two
-    agree bit for bit on float too."""
+    time, the steps by which _raised_walk raises the same polynomial in its
+    component term maps."""
     _check_indices(k, l)
     r1, r2 = deformed_raising(g)
     p = BiPoly.monomial(0, 0, g.det**0)
@@ -285,20 +284,6 @@ def deformed_hermite(g: GL2, k: int, l: int) -> BiPoly:
     for _ in range(k):
         p = r1.apply(p)
     return p
-
-
-def _raised_levels(g: GL2):
-    """The deformed families [Hg[k, L-k]]_k of levels L = 0, 1, 2, ..., each
-    raised from the one below: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] =
-    R1 Hg[k-1, L-k].  This operator route shares nothing with M(g, L) or
-    hermite_sum, so it verifies them.  The Coeff walk of the float laws,
-    step for step that of deformed_hermite; exact checks raise the integral
-    families of _raised_walk."""
-    r1, r2 = deformed_raising(g)
-    family = [BiPoly.monomial(0, 0, g.det**0)]
-    while True:
-        yield family
-        family = [r2.apply(family[0])] + [r1.apply(p) for p in family]
 
 
 def deformed_generating_series(g: GL2, N: int) -> SeriesTruncation:
@@ -356,7 +341,7 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
     return RepMatrix(rows)
 
 
-# -- the integral level walk ------------------------------------------------
+# -- the level walk ------------------------------------------------------
 #
 # M(g, L) and the family Hg[k, L-k] are homogeneous of degree L in the
 # entries of g.  So the walks run on G = q_g g, q_g the lcm of g's
@@ -366,9 +351,17 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
 
 
 def _cleared(g: GL2):
-    """(q_g, G = q_g g), q_g the lcm of g's denominators; (1, g) on float."""
+    """(q_g, G = q_g g), q_g the lcm of g's denominators; (1, g with every
+    entry a float) when an entry is a float."""
+    if not g.is_exact():
+        return 1, _on_float(g)
     qg = lcm(*(c.q for c in g.entries()))
     return qg, (GL2(*(c * qg for c in g.entries())) if qg != 1 else g)
+
+
+def _on_float(g: GL2) -> GL2:
+    """g with every entry on the float backend."""
+    return GL2(*(c.to_float() for c in g.entries()))
 
 
 def _scalars(G: GL2, radical):
@@ -416,20 +409,23 @@ def _level_walk(G: GL2, radical):
         ]
 
 
+def _coeff_rows(columns, q=1) -> list:
+    """The Coeff rows of a level matrix held as its columns of component
+    lists: _make(..., q) of integral lists, the slots themselves of float
+    lists (q = 1), those of the same walk in Coeff arithmetic, bit for bit."""
+    if type(columns[0][0][0]) is int:
+        view = [[_make(*v, q, True) for v in _values(c)] for c in columns]
+    else:
+        view = [[_make(x, y, 0.0, 0.0, 1, False) for x, y in zip(*c)] for c in columns]
+    return [list(row) for row in zip(*view)]
+
+
 def _level_matrices(g: GL2):
     """The level matrices M(g, 0), M(g, 1), M(g, 2), ... as RepMatrix: the
-    Coeff view of the walk of G = q_g g, one _make(..., q_g^L) per entry.
-    On float g the entries hold the walk's float slots, those of the same
-    walk in Coeff arithmetic, bit for bit."""
+    Coeff view of the walk of G = q_g g, with M(g, L) = M(G, L) / q_g^L."""
     qg, G = _cleared(g)
-    exact = g.is_exact()
     for L, columns in enumerate(_level_walk(G, _radical(G.entries()))):
-        q = qg**L
-        if exact:
-            view = [[_make(*v, q, True) for v in _values(c)] for c in columns]
-        else:
-            view = [[_make(x, y, 0.0, 0.0, 1, False) for x, y in zip(*c)] for c in columns]
-        yield RepMatrix([list(row) for row in zip(*view)])
+        yield RepMatrix(_coeff_rows(columns, qg**L))
 
 
 def _raised(p, x, y, times):
@@ -444,14 +440,16 @@ def _raised(p, x, y, times):
 
 
 def _raised_walk(G: GL2, radical):
-    """The deformed families [Hg[k, L-k]]_k of an integral G, levels L = 0,
-    1, 2, ..., each polynomial as one {(a, b): int} term map per component.
-    Each level is raised from the one below, one raise per polynomial, as
-    _raised_levels raises it: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] =
-    R1 Hg[k-1, L-k], with R1 = G11 ad1 + G21 ad2 and R2 = G12 ad1 + G22 ad2."""
+    """The deformed families [Hg[k, L-k]]_k of an integral or float G,
+    levels L = 0, 1, 2, ..., each polynomial as one {(a, b): value} term map
+    per component.  Each level is raised from the one below, one raise per
+    polynomial: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] = R1 Hg[k-1, L-k],
+    with R1 = G11 ad1 + G21 ad2 and R2 = G12 ad1 + G22 ad2.  It shares
+    nothing with M(G, L) or hermite_sum, so it verifies them."""
     g11, g12, g21, g22 = _scalars(G, radical)
     _, times = _ring(radical)
-    family = [({(0, 0): 1},) + ({},) * (3 if radical else 1)]
+    one = _components([G.g11**0], 1, radical)  # 1 on G's backend
+    family = [tuple({(0, 0): x for x in m if x} for m in one)]
     while True:
         yield family
         family = [_raised(family[0], g12, g22, times)] + [
@@ -461,9 +459,9 @@ def _raised_walk(G: GL2, radical):
 
 def _combination(column, basis):
     """sum_r column[r] basis[r] as one term map per component, for a column
-    of component lists and integral term maps basis[r] whose keys never
-    meet, such as those of H[r, L-r]: each term is one product.  None when
-    the column needs a basis[r] that is None, one with no integral form."""
+    of integral or float component lists and integral term maps basis[r]
+    whose keys never meet, such as those of H[r, L-r]: each term is one
+    product.  None when the column needs a basis[r] that is None."""
     if None in basis and any(comp[r] for comp in column for r, m in enumerate(basis) if m is None):
         return None
     return tuple(
@@ -474,7 +472,8 @@ def _combination(column, basis):
 
 def _integral_terms(p: BiPoly) -> dict | None:
     """The {(a, b): int} term map of a polynomial with rational integer
-    coefficients, or None when a coefficient is not one."""
+    coefficients, or None when a coefficient is not one: the basis[r] of
+    _combination, for integral and float columns alike."""
     if any([c.q != 1 or c.b or c.c or c.d for c in p.terms.values()]):
         return None
     return {key: c.a for key, c in p.terms.items()}
@@ -521,11 +520,8 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     adjoint of M(g, L) is M(g*, L), M(g, L) is inverted by M(g^-1, L), and
     M(g, L) acts on the deformed family.
 
-    On exact g and h each law is a literal identity between integral
-    matrices (_integral_laws).  Otherwise the laws run on the Coeff view,
-    within the tolerance, and invert by elimination: M(g, L)^-1 =
-    M(g^-1, L), whose rounding stays inside the tolerance where that of the
-    adjugate product, growing with det(g)^L, does not.
+    Each law is an identity between the component lists of the level walks
+    (_laws): literal on exact g and h, within the tolerance otherwise.
 
     The action law certifies the index convention: each Hg[k, L-k], raised by
     the operators R1 and R2 in one walk up the levels, equals
@@ -536,9 +532,8 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
 
     Failures are listed as {"L", "law"}, level by level in that law order."""
     _check_lmax(Lmax)
-    laws = _integral_laws(g, h) if g.is_exact() and h.is_exact() else _float_laws(g, h)
     t = Tally()
-    for L, holds in zip(range(Lmax + 1), laws):
+    for L, holds in zip(range(Lmax + 1), _laws(g, h)):
         for law, ok in holds.items():
             t.check(ok, {"L": L, "law": law})
     return t.report(
@@ -559,28 +554,51 @@ def _scalar_columns(x, n) -> list:
     return [tuple([m[0] if r == k else 0 for r in range(n)] for m in x) for k in range(n)]
 
 
-def _integral_laws(g: GL2, h: GL2):
-    """The laws of rep_laws_check on exact g and h at L = 0, 1, 2, ..., each
-    a literal identity between the integral component lists of G = q_g g and
-    H = q_h h, with W_L = diag(r!(L-r)!):
+def _close(a, b) -> bool:
+    """Whether two float vectors, or two lists of them, agree under close:
+    (re, im) component lists entry by entry, (re, im) term maps key by key
+    with a key that one side lacks read as 0.0.  None agrees only with None."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_close, a, b))
+    (ar, ai), (br, bi) = a, b
+    if isinstance(ar, dict):
+        keys = ar.keys() | ai.keys() | br.keys() | bi.keys()
+        ar, ai, br, bi = ([m.get(k, 0.0) for k in keys] for m in (ar, ai, br, bi))
+    return len(ar) == len(br) and all(
+        close(_make(x, y, 0.0, 0.0, 1, False), _make(u, v, 0.0, 0.0, 1, False))
+        for x, y, u, v in zip(ar, ai, br, bi)
+    )
+
+
+def _laws(g: GL2, h: GL2):
+    """The laws of rep_laws_check at L = 0, 1, 2, ... between the component
+    lists of the walks of G = q_g g and H = q_h h, W_L = diag(r!(L-r)!):
         identity  M(1, L) = I;
         product   M(G, L) M(H, L) = M(GH, L);
         adjoint   W_L M(G*, L) = M(G, L)* W_L;
         inverse   M(adj G, L) M(G, L) = det(G)^L I, adj G = [[G22, -G12],
-                  [-G21, G11]]: no division;
+                  [-G21, G11]], with no division, on exact input; on float,
+                  M(G, L)^-1 = M(G^-1, L) by elimination, whose rounding stays
+                  within the tolerance where the adjugate product's does not;
         action    raised_G[k] = sum_r M(G)[r, k] H[r, L-r].
     Each is the law for g and h times a power of q_g and q_h, so it is that
-    law."""
-    (_, G), (_, H) = _cleared(g), _cleared(h)
+    law.  Exact input compares literally; a pair with a float entry runs on
+    float, identity walk included, and compares by _close."""
+    exact = g.is_exact() and h.is_exact()
+    (_, G), (_, H) = (_cleared(m) if exact else (1, _on_float(m)) for m in (g, h))
     radical = _radical([*G.entries(), *H.entries()])
     matvec, times = _ring(radical)
-    adj = GL2(G.g22, -G.g12, -G.g21, G.g11)
-    walks = (GL2.identity(), G, H, G @ H, G.conj_transpose(), adj)
-    one, det = (_components([c], 1, radical) for c in (ONE, G.det))
-    det_L = one  # det(G)^L
-    signs = (1, -1, 1, -1)[: len(one)]  # those of the conjugate's components
+    one = G.det**0  # 1 on G's backend, so that a float identity law stays a float check
+    inverse = GL2(G.g22, -G.g12, -G.g21, G.g11) if exact else G.inverse()
+    walks = (GL2(one, one * 0, one * 0, one), G, H, G @ H, G.conj_transpose(), inverse)
+    unit, det = (_components([c], 1, radical) for c in (one, G.det))
+    det_L = unit  # det(G)^L
+    signs = (1, -1, 1, -1)[: len(unit)]  # those of the conjugate's components
+    same = eq if exact else _close
     levels = zip(_raised_walk(G, radical), *(_level_walk(m, radical) for m in walks))
-    for L, (raised, M1, MG, MH, MGH, MG_dagger, M_adj) in enumerate(levels):
+    for L, (raised, M1, MG, MH, MGH, MG_dagger, M_inv) in enumerate(levels):
         n, rows = L + 1, _rows(MG)
         w = [normalizer_sq(r, L - r) for r in range(n)]
         # row r of W_L M(G*, L) is w_r times that of M(G*, L), and column k
@@ -588,34 +606,17 @@ def _integral_laws(g: GL2, h: GL2):
         left = [tuple(list(map(mul, w, m)) for m in c) for c in MG_dagger]
         right = [tuple([s * wk * x for x in m] for s, m in zip(signs, row)) for wk, row in zip(w, rows)]
         hermite = [_integral_terms(hermite_sum(r, L - r)) for r in range(n)]
+        if exact:
+            inverts = [matvec(_rows(M_inv), c) for c in MG] == _scalar_columns(det_L, n)
+            det_L = times(det_L, det)
+        else:
+            inverts = close(mat_inverse(_coeff_rows(MG)), _coeff_rows(M_inv))
         yield {
-            "identity": M1 == _scalar_columns(one, n),
-            "product": [matvec(rows, c) for c in MH] == MGH,
-            "adjoint": left == right,
-            "inverse": [matvec(_rows(M_adj), c) for c in MG] == _scalar_columns(det_L, n),
-            "action": raised == [_combination(c, hermite) for c in MG],
-        }
-        det_L = times(det_L, det)
-
-
-def _float_laws(g: GL2, h: GL2):
-    """The laws of rep_laws_check at L = 0, 1, 2, ... on the Coeff view,
-    compared within the tolerance where an entry is a float; the inverse
-    law by elimination."""
-    one = g.det**0  # the identity on g's backend, so a float law stays a float check
-    zero = one * 0
-    walks = (GL2(one, zero, zero, one), g, h, g @ h, g.conj_transpose(), g.inverse())
-    levels = zip(_raised_levels(g), *map(_level_matrices, walks))
-    for L, (raised, M1, Mg, Mh, Mgh, Mg_adj, Mg_inv) in enumerate(levels):
-        n = L + 1
-        family = _level_basis(L, Mg)[::-1]  # family[k] = Hg[k, L-k]
-        unit = [[one if r == k else zero for k in range(n)] for r in range(n)]
-        yield {
-            "identity": M1.entries == unit,
-            "product": close(mat_mul(Mg.entries, Mh.entries), Mgh.entries),
-            "adjoint": close(Mg.adjoint().entries, Mg_adj.entries),
-            "inverse": close(mat_inverse(Mg.entries), Mg_inv.entries),
-            "action": all(close(p, q) for p, q in zip(raised, family)),
+            "identity": same(M1, _scalar_columns(unit, n)),
+            "product": same([matvec(rows, c) for c in MH], MGH),
+            "adjoint": same(left, right),
+            "inverse": inverts,
+            "action": same(raised, [_combination(c, hermite) for c in MG]),
         }
 
 
@@ -759,10 +760,10 @@ def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
     # h_(L-1) and h_L at every j at once, one step of the recurrence a level
     h_prev = tuple([0] * len(traces) for _ in S)
     h = ([1] * len(traces), *h_prev[1:])
-    if exact:
-        polys = (_berkowitz(columns, radical) for columns in _level_walk(G, radical))
-    else:
-        polys = (_charpoly_cleared(M.entries)[1] for M in _level_matrices(G))
+    polys = (
+        _berkowitz(c, radical) if exact else _charpoly_cleared(_coeff_rows(c))[1]
+        for c in _level_walk(G, radical)
+    )
     t = Tally()
     for L, poly in zip(range(Lmax + 1), polys):
         for j, (x, y) in enumerate(zip(_values(_newton_sums(poly)), _values(h)), 1):
@@ -801,12 +802,12 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
     level L <= Lmax and column k, applying E to sum_r M[r,k] z^r zbar^(L-r)
     gives the deformed polynomial Hg[k, L-k].
 
-    On exact g the second is checked for G = q_g g, whose M(G, L) and raised
-    family are integral: E is linear, so the image of the sum is
-    sum_r M(G)[r, k] E(z^r zbar^(L-r)) over the images of the first part,
-    each integral, and it must equal the raised family literally.  A column
-    that needs an image with a coefficient other than a rational integer
-    fails.
+    The second is checked for G = q_g g (q_g = 1 on float): E is linear, so
+    the image of the sum is sum_r M(G)[r, k] E(z^r zbar^(L-r)) over the
+    images of the first part, each integral, and it must equal the raised
+    family of G, literally on exact g and within the tolerance on float g.
+    A column that needs an image with a coefficient other than a rational
+    integer fails.
     """
     _check_lmax(Lmax)
     t = Tally()
@@ -816,19 +817,14 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
             n = total - m
             images[m, n] = image = monomial_to_hermite(BiPoly.monomial(m, n))
             t.check(close(image, hermite_sum(m, n)), {"kind": "monomial", "m": m, "n": n})
-    if g.is_exact():
-        _, G = _cleared(g)
-        radical = _radical(G.entries())
-        levels = zip(_raised_walk(G, radical), _level_walk(G, radical))
-        for L, (raised, columns) in zip(range(Lmax + 1), levels):
-            basis = [_integral_terms(images[r, L - r]) for r in range(L + 1)]
-            for k, column in enumerate(columns):
-                image = _combination(column, basis)
-                t.check(image == raised[k], {"kind": "operator", "L": L, "k": k})
-    else:
-        for L, raised, M in zip(range(Lmax + 1), _raised_levels(g), _level_matrices(g)):
-            for k in range(L + 1):
-                combo = BiPoly({(r, L - r): M[r, k] for r in range(L + 1)})
-                image = monomial_to_hermite(combo)
-                t.check(close(image, raised[k]), {"kind": "operator", "L": L, "k": k})
+    exact = g.is_exact()
+    _, G = _cleared(g)
+    radical = _radical(G.entries())
+    levels = zip(_raised_walk(G, radical), _level_walk(G, radical))
+    for L, (raised, columns) in zip(range(Lmax + 1), levels):
+        basis = [_integral_terms(images[r, L - r]) for r in range(L + 1)]
+        for k, column in enumerate(columns):
+            image = _combination(column, basis)
+            ok = image == raised[k] if exact else _close(image, raised[k])
+            t.check(ok, {"kind": "operator", "L": L, "k": k})
     return t.report(f"intertwining up to level {Lmax}", {"Lmax": Lmax, "failures": t.failures})

@@ -281,6 +281,9 @@ def gram(ps, qs) -> list:
     pairings, p's terms in order and each against its bucket in order, in one
     ``_sum_products`` call, so it is on the polynomials' backend.
     """
+    top = max((a for p in ps for a, _ in p.terms), default=0)
+    top += max((d for q in qs for _, d in q.terms), default=0)
+    factorials = [factorial(n) for n in range(top + 1)]  # every (a+d)!, once per call
     buckets = []
     columns = defaultdict(list)  # sector a-b: the j whose q has a term there
     for j, q in enumerate(qs):
@@ -299,7 +302,7 @@ def gram(ps, qs) -> list:
             {
                 j: _sum_products(
                     [
-                        (pconj, qc, factorial(a + d))
+                        (pconj, qc, factorials[a + d])
                         for diff, a, pconj in terms
                         for d, qc in buckets[j].get(diff, ())
                     ]

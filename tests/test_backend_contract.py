@@ -19,10 +19,13 @@ from bihermite import (
     basis_change,
     bilinear_generators,
     build_dictionary,
+    deform,
     deformed_generating_series,
     deformed_hermite,
     dual_family,
+    intertwine_check,
     level_basis,
+    rep_laws_check,
     rep_matrix,
     rescale,
     structure_constants,
@@ -74,6 +77,32 @@ def test_level_matrices_stay_on_the_backend(backend):
             f"mat_mul(M(g, {L}), M(g, {L}))": mat_mul(M.entries, M.entries),
         }
     assert_on_backend(results, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_level_checks_walk_on_the_backend(monkeypatch, backend):
+    # every matrix the level laws and the intertwiner walk, the identity of
+    # the identity law included, and every slot of the walks' lists
+    g = BACKENDS[backend]
+    walked, slots = {}, set()
+
+    def recording(walk):
+        def run(G, radical):
+            walked[f"{walk.__name__} {len(walked)}"] = list(G.entries())
+            for level in walk(G, radical):
+                for vector in level:
+                    for m in vector:
+                        slots.update(map(type, m.values() if isinstance(m, dict) else m))
+                yield level
+
+        return run
+
+    for name in ("_level_walk", "_raised_walk"):
+        monkeypatch.setattr(deform, name, recording(getattr(deform, name)))
+    assert rep_laws_check(g, g, 3).ok and intertwine_check(g, 3).ok
+    assert len(walked) == 7 + 2
+    assert_on_backend(walked, backend)
+    assert slots == {int if backend == "exact" else float}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

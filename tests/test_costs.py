@@ -7,13 +7,14 @@ product bounds sit well above the counts of the current routes and far
 below those of the per-term routes they replaced.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 
 from bihermite import coeffs, deform, lie, linalg, poly
-from bihermite.cli import main
+from bihermite.cli import _random_rational_gl2, main
 from bihermite.coeffs import Coeff
 from bihermite.deform import (
     GL2,
@@ -180,6 +181,30 @@ def test_exact_eigenvalue_check_never_leaves_the_field(g):
     assert calls[0] == 0
 
 
+def _seed_pair(seed):
+    """The float g and h of `verify repmat --seed <seed> --backend float`."""
+    rng = random.Random(seed)
+    return _random_rational_gl2(rng, False), _random_rational_gl2(rng, False)
+
+
+def test_float_rep_laws_products_and_conversions():
+    with counted_products() as products, counted_conversions(exact_only=True) as conversions:
+        assert rep_laws_check(*_seed_pair(0), 5).ok
+    # 2,007 products and 340 exact-to-float conversions with the Coeff laws
+    # beside the walk (WeylOp.apply raises, E on level views, the Fraction
+    # weights of RepMatrix.adjoint); 914 and 91 on the walk's float lists,
+    # nearly all in the elimination inverse, whose identity half is exact
+    assert 0 < products[0] <= 1000 and conversions[0] <= 100
+
+
+def test_float_intertwine_products_and_conversions():
+    with counted_products() as products, counted_conversions(exact_only=True) as conversions:
+        assert intertwine_check(alpha_matrix(AlphaPoint.make(0.6)), 5).ok
+    # 702 products and 67 conversions when E was applied to each column's
+    # Coeff combination; E applied to the monomials makes the 52 left
+    assert 0 < products[0] <= 60 and conversions[0] == 0
+
+
 @contextmanager
 def counted_inverses():
     """Count Coeff inverses."""
@@ -274,6 +299,15 @@ def test_orthonormality_sums_and_compares_only_the_paired_entries(monkeypatch):
     assert sums[0] == compares[0] == 256
 
 
+def test_gram_builds_one_factorial_table(monkeypatch):
+    calls = count_calls(monkeypatch, poly, "factorial")
+    assert orthonormality_check(10).ok
+    # one gram call, whose table holds 0!..20!: a + d is at most 10 + 10.
+    # One factorial call per pairing triple made 1,925 here and 226,848 at
+    # total degree 30
+    assert calls[0] == 21
+
+
 def test_biorthogonality_compares_only_the_paired_blocks(monkeypatch):
     compares = count_calls(monkeypatch, coeffs, "close")
     rep = biorthogonality_check(alpha_matrix(POINT), 6)
@@ -309,9 +343,8 @@ def test_deformed_families_are_raised_without_operator_products(check, point, Lm
     with counted_weyl_products() as calls:
         assert check(alpha_matrix(point), Lmax).ok
     # 81 and 285 (117 and 465 WeylOp.__mul__ calls) at Lmax 8 with
-    # normal-ordered powers.  Exact input raises integer term maps
-    # (_raised_walk), float input one degree-1 WeylOp.apply step at a time
-    # (_raised_levels)
+    # normal-ordered powers.  Both backends raise term maps, integral or
+    # float (_raised_walk)
     assert calls[0] == 0
 
 
@@ -333,11 +366,10 @@ def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies
     monkeypatch.setattr(deform, "_raised", counted("_raised", deform._raised))
     monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
     assert main(["verify", "repmat", "--Lmax", str(Lmax), "--backend", backend]) == 0
-    # one walk raises L + 1 polynomials at each level 1..Lmax: exact input as
-    # integer term maps (deform._raised steps), float input as WeylOp.apply
-    # steps; raising levels 0..L again for each L made 50 and 112
-    other = "apply" if backend == "exact" else "_raised"
-    assert calls == {"_raised": applies, "apply": applies, other: 0}
+    # one walk raises L + 1 polynomials at each level 1..Lmax, as integral or
+    # float term maps (deform._raised steps); raising levels 0..L again for
+    # each L made 50 and 112, and float input took WeylOp.apply steps
+    assert calls == {"_raised": applies, "apply": 0}
 
 
 LAW_PAIR = GL2(Coeff(1, 2), 1, 0, Coeff(3)), GL2(2, Coeff(0, 1), 1, 1)

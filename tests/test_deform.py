@@ -246,7 +246,7 @@ def test_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mut
 
 @pytest.mark.parametrize("mutant", ACTION_MUTANTS)
 def test_float_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mutant):
-    # the float laws read the walk's Coeff view
+    # the float laws read the walk's float lists
     wrong, levels = ACTION_MUTANTS[mutant]
     g = _float_gl2(rational_gl2(random.Random(13)))
     monkeypatch.setattr(deform, "_level_walk", walk_of(wrong))
@@ -255,6 +255,23 @@ def test_float_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatc
 
 
 LAWS = ("identity", "product", "adjoint", "inverse", "action")
+
+
+def test_float_comparator_reads_both_components_and_every_key():
+    agree = deform._close
+    # (re, im) component lists, entry by entry under close
+    assert agree(([1.0, 2.0], [0.5, 0.0]), ([1.0, 2.0 + 1e-13], [0.5, -0.0]))
+    assert not agree(([1.0, 2.0], [0.5, 0.0]), ([1.0, 2.0], [0.5, 1e-3]))  # imaginary only
+    assert not agree(([1.0], [0.0]), ([1.0, 0.0], [0.0, 0.0]))
+    # (re, im) term maps, key by key: an absent key reads 0.0
+    assert agree(({(1, 0): 2.0}, {(0, 1): -0.0}), ({(1, 0): 2.0}, {}))
+    assert not agree(({(1, 0): 2.0}, {(1, 0): 1e-3}), ({(1, 0): 2.0}, {}))  # imaginary only
+    assert not agree(({(1, 0): 2.0}, {(0, 1): 1e-3}), ({(1, 0): 2.0}, {}))  # a key on one side
+    assert not agree(({(1, 0): 2.0, (0, 1): 1e-3}, {}), ({(1, 0): 2.0}, {}))
+    # lists of vectors, and a missing image
+    assert agree([([1.0], [0.0])], [([1.0], [-0.0])])
+    assert not agree([([1.0], [0.0])], [])
+    assert agree(None, None) and not agree(None, ({}, {})) and not agree(({}, {}), None)
 
 
 def _perturbed_inverse(rows):
@@ -275,13 +292,14 @@ ADJ_G_LAW = GL2(G_LAW.g22, -G_LAW.g12, -G_LAW.g21, G_LAW.g11)
 # each broken piece of M(., L), the pair (g, h) it is checked at, and the
 # (L, law) failures it must cause up to level 4
 LAW_MUTANTS = {
-    # the weights w_k = k!(L-k)! are all equal below level 2.  Float g reads
-    # the level adjoint of M(g, L); exact g, W_L M(G*, L) = M(G, L)* W_L
+    # the weights w_k = k!(L-k)! are all equal below level 2.  Both backends
+    # check W_L M(G*, L) = M(G, L)* W_L on the walks' lists: without W_L, the
+    # plain conjugate transpose, on the float pair and on the exact one
     "plain-adjoint": (
         tuple(map(_float_gl2, LAW_PAIR)),
-        RepMatrix,
-        "adjoint",
-        plain_conj_transpose,
+        deform,
+        "normalizer_sq",
+        lambda m, n: 1,
         [(L, "adjoint") for L in range(2, 5)],
     ),
     "unweighted-adjoint": (
@@ -382,27 +400,34 @@ def test_float_level_basis_is_close_to_the_operator_power_family(g):
         assert close(dual_family(gf, L).polys, _family_by_operator_powers(gf_dual, L))
 
 
-def _bits(p):
-    """The terms of a float polynomial, in order, with the bits of each slot."""
-    return [(key, c.a.hex(), c.b.hex()) for key, c in p.terms.items()]
+def _float_poly(p):
+    """The BiPoly of a float polynomial held as its (re, im) term maps."""
+    re, im = p
+    keys = re.keys() | im.keys()
+    return BiPoly({k: Coeff.from_complex(complex(re.get(k, 0.0), im.get(k, 0.0))) for k in keys})
 
 
 @pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
 def test_raised_levels_are_the_operator_power_family(g):
-    for L, family in zip(range(9), deform._raised_levels(g)):
+    # the raised walk of G = q_g g holds q_g^L times the family, integral
+    qg, G = deform._cleared(g)
+    radical = _radical(G.entries())
+    for L, family in zip(range(9), deform._raised_walk(G, radical)):
         assert len(family) == L + 1
-        assert family == _family_by_operator_powers(g, L)[::-1]  # family[k] = Hg[k, L-k]
+        want = _family_by_operator_powers(g, L)[::-1]  # want[k] = Hg[k, L-k]
+        assert family == [_term_maps(p * qg**L, radical) for p in want]
 
 
 @pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
 def test_float_raised_levels_are_close_to_the_operator_power_family(g):
     gf = _float_gl2(g)
-    for L, family in zip(range(9), deform._raised_levels(gf)):
-        assert all(not c.exact for p in family for c in p.terms.values())
-        assert close(family, _family_by_operator_powers(gf, L)[::-1])
-        # deformed_hermite takes the same steps in the same order
-        singles = [deformed_hermite(gf, k, L - k) for k in range(L + 1)]
-        assert [_bits(p) for p in singles] == [_bits(p) for p in family]
+    for L, family in zip(range(9), deform._raised_walk(gf, False)):
+        assert len(family) == L + 1
+        assert all(type(x) is float for p in family for m in p for x in m.values())
+        want = _family_by_operator_powers(gf, L)[::-1]
+        assert close([_float_poly(p) for p in family], want)
+        # deformed_hermite raises the same polynomials, one operator at a time
+        assert close([deformed_hermite(gf, k, L - k) for k in range(L + 1)], want)
 
 
 def test_dual_family_identity():
@@ -688,6 +713,17 @@ def test_eigenvalue_structure_repeated_eigenvalues():
         gf = _float_gl2(g)
         rep = eigenvalue_structure_check(gf, 2)
         assert rep.status == "error" and rep.payload["mode"] == "float"
+
+
+def test_level_checks_run_a_matrix_with_a_float_entry_on_float():
+    # exact entries with a sqrt2 part and denominators beside one float entry:
+    # the walks run on g with every entry a float, as they do for a float pair
+    g = GL2(Coeff(F(1, 3), 0, 1), 0.5, Coeff(0, F(1, 2)), 2)
+    exact_g = GL2(Coeff(F(1, 3), 0, 1), Coeff(F(1, 2)), Coeff(0, F(1, 2)), 2)
+    assert rep_laws_check(g, g, 4).ok and rep_laws_check(exact_g, _float_gl2(g), 4).ok
+    assert intertwine_check(g, 4).ok
+    rep = eigenvalue_structure_check(g, 4)
+    assert rep.ok and rep.payload["mode"] == "float"
 
 
 def test_intertwiner_on_monomials():
