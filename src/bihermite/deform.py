@@ -25,11 +25,12 @@ from __future__ import annotations
 import cmath
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import comb, factorial, lcm
 from operator import add, eq, mul
 
-from .coeffs import FLOAT_TOL, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ZERO, Coeff, I, _make, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import (
     _berkowitz,
@@ -409,23 +410,16 @@ def _level_walk(G: GL2, radical):
         ]
 
 
-def _coeff_rows(columns, q=1) -> list:
-    """The Coeff rows of a level matrix held as its columns of component
-    lists: _make(..., q) of integral lists, the slots themselves of float
-    lists (q = 1), those of the same walk in Coeff arithmetic, bit for bit."""
-    if type(columns[0][0][0]) is int:
-        view = [[_make(*v, q, True) for v in _values(c)] for c in columns]
-    else:
-        view = [[_make(x, y, 0.0, 0.0, 1, False) for x, y in zip(*c)] for c in columns]
+def _coeff_rows(columns) -> list:
+    """The Coeff rows of a float level matrix held as its columns: its slots,
+    those of the same walk in Coeff arithmetic, bit for bit."""
+    view = [[_make(x, y, 0.0, 0.0, 1, False) for x, y in zip(*c)] for c in columns]
     return [list(row) for row in zip(*view)]
 
 
-def _level_matrices(g: GL2):
-    """The level matrices M(g, 0), M(g, 1), M(g, 2), ... as RepMatrix: the
-    Coeff view of the walk of G = q_g g, with M(g, L) = M(G, L) / q_g^L."""
-    qg, G = _cleared(g)
-    for L, columns in enumerate(_level_walk(G, _radical(G.entries()))):
-        yield RepMatrix(_coeff_rows(columns, qg**L))
+def _conj(vector, scale=1) -> tuple:
+    """The conjugate of a vector of component lists, times the int scale."""
+    return tuple([s * x for x in m] for s, m in zip((scale, -scale, scale, -scale), vector))
 
 
 def _raised(p, x, y, times):
@@ -595,7 +589,6 @@ def _laws(g: GL2, h: GL2):
     walks = (GL2(one, one * 0, one * 0, one), G, H, G @ H, G.conj_transpose(), inverse)
     unit, det = (_components([c], 1, radical) for c in (one, G.det))
     det_L = unit  # det(G)^L
-    signs = (1, -1, 1, -1)[: len(unit)]  # those of the conjugate's components
     same = eq if exact else _close
     levels = zip(_raised_walk(G, radical), *(_level_walk(m, radical) for m in walks))
     for L, (raised, M1, MG, MH, MGH, MG_dagger, M_inv) in enumerate(levels):
@@ -604,7 +597,7 @@ def _laws(g: GL2, h: GL2):
         # row r of W_L M(G*, L) is w_r times that of M(G*, L), and column k
         # of M(G, L)* W_L is w_k times the conjugate of row k of M(G, L)
         left = [tuple(list(map(mul, w, m)) for m in c) for c in MG_dagger]
-        right = [tuple([s * wk * x for x in m] for s, m in zip(signs, row)) for wk, row in zip(w, rows)]
+        right = [_conj(row, wk) for wk, row in zip(w, rows)]
         hermite = [_integral_terms(hermite_sum(r, L - r)) for r in range(n)]
         if exact:
             inverts = [matvec(_rows(M_inv), c) for c in MG] == _scalar_columns(det_L, n)
@@ -676,12 +669,17 @@ def _biorth_pairings(g: GL2, Lmax: int) -> dict:
     M <= Lmax, summed by bilinearity: with D = M(g_dual, L) and F = M(g, M)
     it is sum_(r,s) conj(D[r, L-n]) F[s, M-k] <H[r, L-r], H[s, M-s]>.  The
     undeformed Gram is computed, its cross-level pairs too, so no
-    orthogonality is assumed; its entries are checked to be integers and
-    weigh one _sum_products call per pairing over its block's nonzero
-    entries.  A block with none is left out: each of its pairings is the
-    exact ZERO.
-    """
+    orthogonality is assumed, and checked to be integral.  A block with no
+    nonzero entry is left out: each of its pairings is the exact ZERO.
+
+    D and F are read from the walks of q_d g_dual and q_g g.  Each pairing
+    reduces (conj(D[r]) F[s]) w left to right, as the Coeff chain acc + x y w
+    does, to keep its float bits (sum() compensates), over q_d^L q_g^M."""
     g_dual = g.conj_transpose().inverse()
+    exact = g.is_exact()
+    (qd, D), (qg, G) = _cleared(g_dual), _cleared(g)
+    radical = _radical([*D.entries(), *G.entries()])
+    _, times = _ring(radical)
     levels = range(Lmax + 1)
     start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
     level = [L for L in levels for _ in range(L + 1)]  # level[i] of basis[i]
@@ -697,19 +695,20 @@ def _biorth_pairings(g: GL2, Lmax: int) -> dict:
             if c:
                 M = level[j]
                 terms[L, M].append((i - start[L], j - start[M], c.a))
-    # duals[L][n][r] = conj(D[r, L-n]) and fams[M][k][s] = F[s, M-k]
-    duals = [
-        [[c.conj() for c in col] for col in list(zip(*D.entries))[::-1]]
-        for _, D in zip(levels, _level_matrices(g_dual))
-    ]
-    fams = [list(zip(*F.entries))[::-1] for _, F in zip(levels, _level_matrices(g))]
-    return {
-        (L, M): [
-            [_sum_products([(dual[r], fam[s], w) for r, s, w in block]) for fam in fams[M]]
-            for dual in duals[L]
+    # duals[L][n][.][r] = conj(D[r, L-n]) and fams[M][k][.][s] = F[s, M-k]
+    walks = zip(levels, _level_walk(D, radical), _level_walk(G, radical))
+    duals, fams = zip(*(([_conj(c) for c in dual[::-1]], fam[::-1]) for _, dual, fam in walks))
+    pad = () if radical else (0, 0) if exact else (0.0, 0.0)  # the radical slots
+    blocks = {}
+    for (L, M), block in terms.items():
+        rs, ss, ws = zip(*block)
+        picked = [tuple([m[s] for s in ss] for m in fam) for fam in fams[M]]
+        q = qd**L * qg**M
+        blocks[L, M] = [
+            [_make(*[reduce(add, map(mul, p, ws)) for p in times(x, y)], *pad, q, exact) for y in picked]
+            for x in (tuple([m[r] for r in rs] for m in dual) for dual in duals[L])
         ]
-        for (L, M), block in terms.items()
-    }
+    return blocks
 
 
 def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:

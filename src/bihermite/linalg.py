@@ -101,8 +101,9 @@ def _eliminate(rows, tol, ncols):
 
 def mat_inverse(a):
     n = len(a)
-    # each row is scaled by its pivot's inverse, so the identity half ends on a's backend
-    rows = [list(row) + unit for row, unit in zip(a, identity_matrix(n))]
+    one = _zero_like(a) ** 0  # the identity half on a's backend: no exact 1 or 0 meets a float
+    zero = one * 0
+    rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     # first nonzero pivot on both backends: a largest-pivot search would move
     # float results, such as which `verify repmat --backend float` seeds fail
     pivots = _eliminate(rows, 0.0, n)

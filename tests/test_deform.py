@@ -25,7 +25,7 @@ from bihermite.deform import (
     rep_matrix,
 )
 from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
-from bihermite.linalg import _components, _radical, charpoly, identity_matrix, mat_inverse, mat_mul
+from bihermite.linalg import _components, _radical, _values, charpoly, identity_matrix, mat_inverse, mat_mul
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, gram, inner_product
 
@@ -868,8 +868,12 @@ def test_level_walk_equals_closed_form(entries, shape):
         g = GL2(*entries)
     except ValueError:
         assume(False)
-    for L, M in zip(range(13), deform._level_matrices(g)):
-        assert M.L == L and M == rep_matrix(g, L), (g, L)
+    # the walk of G = q_g g over q_g^L, column by column
+    qg, G = deform._cleared(g)
+    for L, columns in zip(range(13), deform._level_walk(G, _radical(G.entries()))):
+        walked = [[Coeff(*v) * F(1, qg**L) for v in _values(c)] for c in columns]
+        assert len(walked) == L + 1, (g, L)
+        assert walked == [list(c) for c in zip(*rep_matrix(g, L).entries)], (g, L)
 
 
 def _shaped_gl2(entries, shape):
@@ -942,12 +946,14 @@ def test_float_level_view_is_the_coeff_chain_bit_for_bit(entries, shape):
     # the real and imaginary slots, signed zeros included; the radical slots
     # of a float value are zeros
     g = _shaped_gl2(entries, shape)
-    walks = zip(range(13), deform._level_matrices(g), _coeff_level_matrices(g))
-    for L, got, want in walks:
-        assert [[(c.a.hex(), c.b.hex()) for c in row] for row in got.entries] == [
+    _, G = deform._cleared(g)
+    walks = zip(range(13), deform._level_walk(G, False), _coeff_level_matrices(g))
+    for L, columns, want in walks:
+        got = deform._coeff_rows(columns)
+        assert [[(c.a.hex(), c.b.hex()) for c in row] for row in got] == [
             [(c.a.hex(), c.b.hex()) for c in row] for row in want.entries
         ], (g, L)
-        assert all(not c.exact and c.q == 1 and not (c.c or c.d) for row in got.entries for c in row)
+        assert all(not c.exact and c.q == 1 and not (c.c or c.d) for row in got for c in row)
 
 
 @pytest.mark.parametrize(
@@ -966,9 +972,9 @@ def test_float_level_walk_agrees_with_closed_form(g):
     # the walk sums in another order than the closed form, so on float the
     # two agree to rounding
     gf = _float_gl2(g)
-    for L, M in zip(range(13), deform._level_matrices(gf)):
-        want = rep_matrix(gf, L)
-        assert not M[0, 0].exact and close(M.entries, want.entries), L
+    for L, columns in zip(range(13), deform._level_walk(gf, False)):
+        M, want = deform._coeff_rows(columns), rep_matrix(gf, L)
+        assert not M[0][0].exact and close(M, want.entries), L
 
 
 def test_rep_matrix_matches_triple_sum_on_the_battery_matrices():

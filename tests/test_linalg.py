@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bihermite import linalg
 from bihermite.coeffs import ZERO, Coeff, close
-from bihermite.deform import GL2, _level_matrices
+from bihermite.deform import GL2, rep_matrix
 from bihermite.linalg import _charpoly_cleared, _hessenberg_charpoly, _newton_sums, _values, charpoly, mat_mul
 
 from conftest import coeffs, radical_coeffs
@@ -83,7 +83,8 @@ def test_cleared_polynomial_is_that_of_q_times_a():
     ids=["Q(i)", "Q(i, sqrt2)"],
 )
 def test_level_matrices_give_the_hessenberg_polynomial(g):
-    for L, M in zip(range(10), _level_matrices(g)):
+    for L in range(10):
+        M = rep_matrix(g, L)
         same_slots(charpoly(M.entries), _hessenberg_charpoly(M.entries))
 
 
@@ -125,8 +126,8 @@ def test_triangular_and_diagonal_matrices_form_no_krylov_product(monkeypatch):
         monkeypatch.setattr(linalg, name, counting)
     # M(g, L) of a lower triangular g is upper triangular, and the reverse
     for g in (GL2(2, 1, 0, 3), GL2(2, 0, Coeff(1, 0, 1), 3), GL2.diagonal(2, Coeff(0, 3))):
-        for L, M in zip(range(8), _level_matrices(g)):
-            charpoly(M.entries)
+        for L in range(8):
+            charpoly(rep_matrix(g, L).entries)
     assert calls == []
     full = [[Coeff(1), Coeff(2)], [Coeff(3), Coeff(4)]]
     charpoly(full)

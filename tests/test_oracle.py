@@ -22,7 +22,7 @@ from bihermite import deform  # noqa: E402
 from bihermite.coeffs import Coeff, close  # noqa: E402
 from bihermite.deform import GL2, deformed_hermite, eigenvalue_structure_check, rep_matrix  # noqa: E402
 from bihermite.hermite import generating_series_complex, hermite_sum  # noqa: E402
-from bihermite.linalg import _charpoly_cleared, _newton_sums, _values, charpoly  # noqa: E402
+from bihermite.linalg import _charpoly_cleared, _newton_sums, _radical, _values, charpoly  # noqa: E402
 from bihermite.weyl import commutator  # noqa: E402
 
 from conftest import bipolys, weylops  # noqa: E402
@@ -127,10 +127,10 @@ def test_deformed_family_by_raising_operators():
 
 def test_level_matrices_by_binomial_expansion():
     # M[r, k] is the coefficient of s^r t^(L-r) in (g11 s + g21 t)^k
-    # (g12 s + g22 t)^(L-k); the closed form and the level walk must both
-    # give it, for the g of the deformed family above, and the walk of its
-    # adjugate must give the matrices whose product with those of g is
-    # det(g)^L I
+    # (g12 s + g22 t)^(L-k); the closed form must give it, and the level
+    # walk of G = q_g g must give q_g^L times it, for the g of the deformed
+    # family above; the walk of its adjugate must give q^L times the
+    # matrices whose product with those of g is det(g)^L I
     r2 = sympy.sqrt(2)
     s11, s12, s21, s22 = 1 + r2, sympy.I, sympy.Rational(1, 2), -1 + r2 * sympy.I
     g = GL2(Coeff(1, 0, 1), Coeff(0, 1), Coeff(F(1, 2)), Coeff(-1, 0, 0, 1))
@@ -147,16 +147,19 @@ def test_level_matrices_by_binomial_expansion():
                 rows[r][k] = column.coeff_monomial(s**r * t ** (L - r))
         return sympy.Matrix(rows)
 
-    walks = zip(deform._level_matrices(g), deform._level_matrices(adj))
-    for L, (walked, walked_adj) in zip(range(6), walks):
+    (qg, G), (qa, A) = deform._cleared(g), deform._cleared(adj)
+    walks = zip(*(deform._level_walk(m, _radical(m.entries())) for m in (G, A)))
+    for L, columns in zip(range(6), walks):
         want = expanded(s11, s12, s21, s22, L)
         want_adj = expanded(s22, -s12, -s21, s11, L)
         closed = rep_matrix(g, L)
+        # walked[k][r] = M(G, L)[r, k], and the same of the adjugate's walk
+        walked, walked_adj = ([list(_values(c)) for c in m] for m in columns)
         for r in range(L + 1):
             for k in range(L + 1):
                 assert same(scalar(closed[r, k]), want[r, k]), (L, r, k)
-                assert same(scalar(walked[r, k]), want[r, k]), (L, r, k)
-                assert same(scalar(walked_adj[r, k]), want_adj[r, k]), (L, r, k)
+                assert same(scalar(Coeff(*walked[k][r])), qg**L * want[r, k]), (L, r, k)
+                assert same(scalar(Coeff(*walked_adj[k][r])), qa**L * want_adj[r, k]), (L, r, k)
         product = (want_adj * want - det**L * sympy.eye(L + 1)).applyfunc(sympy.expand)
         assert product == sympy.zeros(L + 1, L + 1), L
 
@@ -280,7 +283,8 @@ def test_exact_eigen_power_sums(g):
     for _ in range(9):
         traces.append((power[0][0] + power[1][1]).rem(RELATIONS))
         power = ring_mat_mul(power, two)
-    for L, walked in zip(range(9), deform._level_matrices(g)):
+    for L in range(9):
+        walked = rep_matrix(g, L)
         M = ring_level_matrix(g, L)
         assert [[ring_scalar(c) for c in row] for row in walked.entries] == M, L
         Q, poly = _charpoly_cleared(walked.entries)

@@ -2,11 +2,12 @@
 
 On the float backend a few seeded draws fail a law that holds exactly, when
 rounding leaves a comparison outside close's tolerance.  Which draws fail
-depends on the order in which a route rounds, so a change that moves a float
-route is checked by running this script before and after it and comparing
-the two outputs:
+depends on the order in which a route rounds.  The expected output is
+committed as tools/float_verdicts.json, and a change is checked against it:
 
-    PYTHONPATH=src python tools/float_verdicts.py > after.json
+    PYTHONPATH=src python tools/float_verdicts.py | diff -u tools/float_verdicts.json -
+
+A change that moves a verdict on purpose rewrites that file and says so.
 
 It prints one object with three sets, each a map from a seed or an alpha to
 what failed there; a draw that passes is left out:

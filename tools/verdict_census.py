@@ -268,8 +268,8 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "[[c.conj() for c in col] for col in list(zip(*D.entries))[::-1]]",
-        "[[c for c in col] for col in list(zip(*D.entries))[::-1]]",
+        "([_conj(c) for c in dual[::-1]], fam[::-1])",
+        "(dual[::-1], fam[::-1])",
         "biorth-dual-unconjugated",
         ("tests/test_deform.py",),
     ),
@@ -324,9 +324,16 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "_coeff_rows(columns, qg**L)",
-        "_coeff_rows(columns, qg ** max(L - 1, 0))",
-        "view-scale-lags",
+        "q = qd**L * qg**M",
+        "q = qd ** max(L - 1, 0) * qg**M",
+        "biorth-scale-lags",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "reduce(add, map(mul, p, ws))",
+        "reduce(add, p)",
+        "biorth-weight-dropped",
         ("tests/test_deform.py",),
     ),
     Mutant(
