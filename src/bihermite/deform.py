@@ -17,7 +17,8 @@ the deformation matrix is [[alpha, i b], [-i b, alpha]] with b = sqrt(1 -
 alpha^2), and theta = 2 alpha b measures the induced noncommutativity.  The
 type of alpha picks the backend: an int or Fraction alpha runs exactly and
 must make b rational (Pythagorean points such as 3/5, 5/13, 8/17); a float
-alpha runs on the float backend.
+alpha runs on the float backend.  The level checks but the eigenvalue one
+decide a float g exactly, at the dyadic rational value it holds (_exact).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from __future__ import annotations
 import cmath
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
 from math import comb, factorial, lcm
-from operator import add, eq, mul
+from operator import add, mul
 
-from .coeffs import FLOAT_TOL, ZERO, Coeff, I, _make, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _make, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import (
     _berkowitz,
@@ -348,14 +348,30 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
 # entries of g.  So the walks run on G = q_g g, q_g the lcm of g's
 # denominators, whose M(G, L) = q_g^L M(g, L) and raised families are
 # integral, held in linalg's component lists (over Z[i, sqrt2] when radical,
-# else over Z[i]).  On float g, q_g = 1 and the lists hold float slots.
+# else over Z[i]).  A float g is walked at the exact value it holds
+# (_exact); only eigenvalue_structure_check walks float slots.
+
+
+def _exact(g: GL2) -> GL2:
+    """g at the exact value it holds, the one place where a float entry
+    becomes exact: each float slot x is the dyadic rational Fraction(x).
+    Exact entries stay as they are, sqrt2 slots included."""
+    if g.is_exact():
+        return g
+    return GL2(*(c if c.exact else Coeff(Fraction(c.a), Fraction(c.b)) for c in g.entries()))
 
 
 def _cleared(g: GL2):
-    """(q_g, G = q_g g), q_g the lcm of g's denominators; (1, g with every
-    entry a float) when an entry is a float."""
-    if not g.is_exact():
-        return 1, _on_float(g)
+    """(q_g, G = q_g g), q_g the lcm of the denominators of g at its exact
+    value (_exact); on a float g, a power of 2.
+
+    No input is refused for its size, and a float g costs what its doubles'
+    exponents make of G: 1e-300 has a denominator of 2^1049.  With g =
+    GL2(1e-300+0.3j, 1e300, 0.7, 1.5), rep_laws_check(g, g, L),
+    biorthogonality_check and intertwine_check took 39, 57 and 4 ms at
+    L = 5 (2.1, 1.2 and 1.0 ms at float alpha 0.6), and 2.4, 4.4 and 0.15 s
+    at L = 12 (CPython 3.11, 2-vCPU VM)."""
+    g = _exact(g)
     qg = lcm(*(c.q for c in g.entries()))
     return qg, (GL2(*(c * qg for c in g.entries())) if qg != 1 else g)
 
@@ -434,7 +450,7 @@ def _raised(p, x, y, times):
 
 
 def _raised_walk(G: GL2, radical):
-    """The deformed families [Hg[k, L-k]]_k of an integral or float G,
+    """The deformed families [Hg[k, L-k]]_k of an integral G,
     levels L = 0, 1, 2, ..., each polynomial as one {(a, b): value} term map
     per component.  Each level is raised from the one below, one raise per
     polynomial: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] = R1 Hg[k-1, L-k],
@@ -453,7 +469,7 @@ def _raised_walk(G: GL2, radical):
 
 def _combination(column, basis):
     """sum_r column[r] basis[r] as one term map per component, for a column
-    of integral or float component lists and integral term maps basis[r]
+    of integral component lists and integral term maps basis[r]
     whose keys never meet, such as those of H[r, L-r]: each term is one
     product.  None when the column needs a basis[r] that is None."""
     if None in basis and any(comp[r] for comp in column for r, m in enumerate(basis) if m is None):
@@ -467,7 +483,7 @@ def _combination(column, basis):
 def _integral_terms(p: BiPoly) -> dict | None:
     """The {(a, b): int} term map of a polynomial with rational integer
     coefficients, or None when a coefficient is not one: the basis[r] of
-    _combination, for integral and float columns alike."""
+    _combination."""
     if any([c.q != 1 or c.b or c.c or c.d for c in p.terms.values()]):
         return None
     return {key: c.a for key, c in p.terms.items()}
@@ -515,7 +531,9 @@ def rep_laws_check(g: GL2, h: GL2, Lmax: int) -> Report:
     M(g, L) acts on the deformed family.
 
     Each law is an identity between the component lists of the level walks
-    (_laws): literal on exact g and h, within the tolerance otherwise.
+    (_laws), compared literally.  A float entry is read as the dyadic
+    rational it holds (_exact), so on float g and h a pass means that the
+    laws hold at the matrices passed, not near them.
 
     The action law certifies the index convention: each Hg[k, L-k], raised by
     the operators R1 and R2 in one walk up the levels, equals
@@ -548,24 +566,6 @@ def _scalar_columns(x, n) -> list:
     return [tuple([m[0] if r == k else 0 for r in range(n)] for m in x) for k in range(n)]
 
 
-def _close(a, b) -> bool:
-    """Whether two float vectors, or two lists of them, agree under close:
-    (re, im) component lists entry by entry, (re, im) term maps key by key
-    with a key that one side lacks read as 0.0.  None agrees only with None."""
-    if a is None or b is None:
-        return a is b
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_close, a, b))
-    (ar, ai), (br, bi) = a, b
-    if isinstance(ar, dict):
-        keys = ar.keys() | ai.keys() | br.keys() | bi.keys()
-        ar, ai, br, bi = ([m.get(k, 0.0) for k in keys] for m in (ar, ai, br, bi))
-    return len(ar) == len(br) and all(
-        close(_make(x, y, 0.0, 0.0, 1, False), _make(u, v, 0.0, 0.0, 1, False))
-        for x, y, u, v in zip(ar, ai, br, bi)
-    )
-
-
 def _laws(g: GL2, h: GL2):
     """The laws of rep_laws_check at L = 0, 1, 2, ... between the component
     lists of the walks of G = q_g g and H = q_h h, W_L = diag(r!(L-r)!):
@@ -573,25 +573,19 @@ def _laws(g: GL2, h: GL2):
         product   M(G, L) M(H, L) = M(GH, L);
         adjoint   W_L M(G*, L) = M(G, L)* W_L;
         inverse   M(adj G, L) M(G, L) = det(G)^L I, adj G = [[G22, -G12],
-                  [-G21, G11]], with no division, on exact input; on float,
-                  M(G, L)^-1 = M(G^-1, L) by elimination, whose rounding stays
-                  within the tolerance where the adjugate product's does not;
+                  [-G21, G11]], with no division;
         action    raised_G[k] = sum_r M(G)[r, k] H[r, L-r].
     Each is the law for g and h times a power of q_g and q_h, so it is that
-    law.  Exact input compares literally; a pair with a float entry runs on
-    float, identity walk included, and compares by _close."""
-    exact = g.is_exact() and h.is_exact()
-    (_, G), (_, H) = (_cleared(m) if exact else (1, _on_float(m)) for m in (g, h))
+    law, and each compares literally: _exact reads a float entry at its
+    exact value."""
+    (_, G), (_, H) = _cleared(g), _cleared(h)
     radical = _radical([*G.entries(), *H.entries()])
     matvec, times = _ring(radical)
-    one = G.det**0  # 1 on G's backend, so that a float identity law stays a float check
-    inverse = GL2(G.g22, -G.g12, -G.g21, G.g11) if exact else G.inverse()
-    walks = (GL2(one, one * 0, one * 0, one), G, H, G @ H, G.conj_transpose(), inverse)
-    unit, det = (_components([c], 1, radical) for c in (one, G.det))
+    walks = (GL2.identity(), G, H, G @ H, G.conj_transpose(), GL2(G.g22, -G.g12, -G.g21, G.g11))
+    unit, det = (_components([c], 1, radical) for c in (ONE, G.det))
     det_L = unit  # det(G)^L
-    same = eq if exact else _close
     levels = zip(_raised_walk(G, radical), *(_level_walk(m, radical) for m in walks))
-    for L, (raised, M1, MG, MH, MGH, MG_dagger, M_inv) in enumerate(levels):
+    for L, (raised, M1, MG, MH, MGH, MG_dagger, M_adj) in enumerate(levels):
         n, rows = L + 1, _rows(MG)
         w = [normalizer_sq(r, L - r) for r in range(n)]
         # row r of W_L M(G*, L) is w_r times that of M(G*, L), and column k
@@ -599,18 +593,14 @@ def _laws(g: GL2, h: GL2):
         left = [tuple(list(map(mul, w, m)) for m in c) for c in MG_dagger]
         right = [_conj(row, wk) for wk, row in zip(w, rows)]
         hermite = [_integral_terms(hermite_sum(r, L - r)) for r in range(n)]
-        if exact:
-            inverts = [matvec(_rows(M_inv), c) for c in MG] == _scalar_columns(det_L, n)
-            det_L = times(det_L, det)
-        else:
-            inverts = close(mat_inverse(_coeff_rows(MG)), _coeff_rows(M_inv))
         yield {
-            "identity": same(M1, _scalar_columns(unit, n)),
-            "product": same([matvec(rows, c) for c in MH], MGH),
-            "adjoint": same(left, right),
-            "inverse": inverts,
-            "action": same(raised, [_combination(c, hermite) for c in MG]),
+            "identity": M1 == _scalar_columns(unit, n),
+            "product": [matvec(rows, c) for c in MH] == MGH,
+            "adjoint": left == right,
+            "inverse": [matvec(_rows(M_adj), c) for c in MG] == _scalar_columns(det_L, n),
+            "action": raised == [_combination(c, hermite) for c in MG],
         }
+        det_L = times(det_L, det)
 
 
 class DualFamily:
@@ -635,7 +625,9 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     """Exact pairing of the deformed family with its dual across levels.
 
     <Hdual[L-n, n], Hg[M-k, k]> must be (L-n)! n! when (L,n) == (M,k) and 0
-    otherwise, including all cross-level pairs up to Lmax.
+    otherwise, including all cross-level pairs up to Lmax.  A float g is
+    paired at the dyadic value it holds (_exact), with the dual of that
+    value, so its pairings are exact too.
     """
     _check_lmax(Lmax)
     blocks = _biorth_pairings(g, Lmax)
@@ -672,11 +664,11 @@ def _biorth_pairings(g: GL2, Lmax: int) -> dict:
     orthogonality is assumed, and checked to be integral.  A block with no
     nonzero entry is left out: each of its pairings is the exact ZERO.
 
-    D and F are read from the walks of q_d g_dual and q_g g.  Each pairing
-    reduces (conj(D[r]) F[s]) w left to right, as the Coeff chain acc + x y w
-    does, to keep its float bits (sum() compensates), over q_d^L q_g^M."""
+    D and F are read from the walks of q_d g_dual and q_g g, with g and
+    g_dual at their exact values (_exact).  Each pairing sums the integers
+    (conj(D[r]) F[s]) w, over q_d^L q_g^M."""
+    g = _exact(g)
     g_dual = g.conj_transpose().inverse()
-    exact = g.is_exact()
     (qd, D), (qg, G) = _cleared(g_dual), _cleared(g)
     radical = _radical([*D.entries(), *G.entries()])
     _, times = _ring(radical)
@@ -698,14 +690,14 @@ def _biorth_pairings(g: GL2, Lmax: int) -> dict:
     # duals[L][n][.][r] = conj(D[r, L-n]) and fams[M][k][.][s] = F[s, M-k]
     walks = zip(levels, _level_walk(D, radical), _level_walk(G, radical))
     duals, fams = zip(*(([_conj(c) for c in dual[::-1]], fam[::-1]) for _, dual, fam in walks))
-    pad = () if radical else (0, 0) if exact else (0.0, 0.0)  # the radical slots
+    pad = () if radical else (0, 0)  # the radical slots
     blocks = {}
     for (L, M), block in terms.items():
         rs, ss, ws = zip(*block)
         picked = [tuple([m[s] for s in ss] for m in fam) for fam in fams[M]]
         q = qd**L * qg**M
         blocks[L, M] = [
-            [_make(*[reduce(add, map(mul, p, ws)) for p in times(x, y)], *pad, q, exact) for y in picked]
+            [_make(*[sum(map(mul, p, ws)) for p in times(x, y)], *pad, q, True) for y in picked]
             for x in (tuple([m[r] for r in rs] for m in dual) for dual in duals[L])
         ]
     return blocks
@@ -721,14 +713,16 @@ def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
     spectrum has p_j = h_L(tr g^j, det g^j) with h_(-1) = 0, h_0 = 1 and
     h_(n+1) = s h_n - q h_(n-1).
 
-    The levels walked are those of G = q_g g, q_g the lcm of g's
-    denominators (1 on float).  Both sides of p_j(M(G, L)) = h_L(tr G^j,
-    det G^j) are those of the claim for g times q_g^(jL), so it is the
-    claim: a literal equality of integers on exact g, repeated eigenvalues
-    included, and one within FLOAT_TOL on float g, whose eigenvalues must be
-    distinct.  On exact g the walk's integral lists go straight to
-    _berkowitz; float g reads the walk's Coeff view into _charpoly_cleared,
-    which takes the Hessenberg route.
+    On exact g the levels walked are those of G = q_g g, q_g the lcm of g's
+    denominators, and float g is walked on float as it is (q_g = 1).  Both
+    sides of p_j(M(G, L)) = h_L(tr G^j, det G^j) are those of the claim for
+    g times q_g^(jL), so it is the claim: a literal equality of integers on
+    exact g, repeated eigenvalues included, and one within FLOAT_TOL on
+    float g, whose eigenvalues must be distinct (at its dyadic value, as the
+    other level checks read it, Lmax 8 cost 2.9 times as much).  On exact g
+    the walk's integral lists go straight to _berkowitz; float g reads the
+    walk's Coeff view into _charpoly_cleared, which takes the Hessenberg
+    route.
 
     Failures are listed as {"L", "power_sum"}, level by level.
     """
@@ -736,7 +730,7 @@ def eigenvalue_structure_check(g: GL2, Lmax: int) -> Report:
     exact = g.is_exact()
     mode = "exact-power-sums" if exact else "float"
     payload = {"Lmax": Lmax, "mode": mode}
-    _, G = _cleared(g)
+    G = _cleared(g)[1] if exact else _on_float(g)
     s, q = G.g11 + G.g22, G.det
     if not exact:
         # defective pairs are only resolvable to ~sqrt(machine eps), so
@@ -801,12 +795,11 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
     level L <= Lmax and column k, applying E to sum_r M[r,k] z^r zbar^(L-r)
     gives the deformed polynomial Hg[k, L-k].
 
-    The second is checked for G = q_g g (q_g = 1 on float): E is linear, so
-    the image of the sum is sum_r M(G)[r, k] E(z^r zbar^(L-r)) over the
-    images of the first part, each integral, and it must equal the raised
-    family of G, literally on exact g and within the tolerance on float g.
-    A column that needs an image with a coefficient other than a rational
-    integer fails.
+    The second is checked for G = q_g g, a float entry read at its exact
+    value (_exact): E is linear, so the image of the sum is sum_r M(G)[r, k]
+    E(z^r zbar^(L-r)) over the images of the first part, each integral, and
+    it must equal the raised family of G literally.  A column that needs an
+    image with a coefficient other than a rational integer fails.
     """
     _check_lmax(Lmax)
     t = Tally()
@@ -816,14 +809,11 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
             n = total - m
             images[m, n] = image = monomial_to_hermite(BiPoly.monomial(m, n))
             t.check(close(image, hermite_sum(m, n)), {"kind": "monomial", "m": m, "n": n})
-    exact = g.is_exact()
     _, G = _cleared(g)
     radical = _radical(G.entries())
     levels = zip(_raised_walk(G, radical), _level_walk(G, radical))
     for L, (raised, columns) in zip(range(Lmax + 1), levels):
         basis = [_integral_terms(images[r, L - r]) for r in range(L + 1)]
         for k, column in enumerate(columns):
-            image = _combination(column, basis)
-            ok = image == raised[k] if exact else _close(image, raised[k])
-            t.check(ok, {"kind": "operator", "L": L, "k": k})
+            t.check(_combination(column, basis) == raised[k], {"kind": "operator", "L": L, "k": k})
     return t.report(f"intertwining up to level {Lmax}", {"Lmax": Lmax, "failures": t.failures})

@@ -8,6 +8,7 @@ invisible to the identity checks, which compare across backends with
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -82,7 +83,8 @@ def test_level_matrices_stay_on_the_backend(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_level_checks_walk_on_the_backend(monkeypatch, backend):
     # every matrix the level laws and the intertwiner walk, the identity of
-    # the identity law included, and every slot of the walks' lists
+    # the identity law included, and every slot of the walks' lists: exact
+    # on both backends, since a float g is walked at the dyadic value it holds
     g = BACKENDS[backend]
     walked, slots = {}, set()
 
@@ -101,8 +103,14 @@ def test_level_checks_walk_on_the_backend(monkeypatch, backend):
         monkeypatch.setattr(deform, name, recording(getattr(deform, name)))
     assert rep_laws_check(g, g, 3).ok and intertwine_check(g, 3).ok
     assert len(walked) == 7 + 2
-    assert_on_backend(walked, backend)
-    assert slots == {int if backend == "exact" else float}
+    assert_on_backend(walked, "exact")
+    assert slots == {int}
+    # G = q_g g, each float slot read as the Fraction it is: q_g is a power
+    # of 2 and G is integral
+    dyadic = [c if c.exact else Coeff(F(c.a), F(c.b)) for c in g.entries()]
+    qg = lcm(*(c.q for c in dyadic))
+    assert walked["_raised_walk 0"] == walked["_level_walk 2"] == [c * qg for c in dyadic]
+    assert backend == "exact" or qg & (qg - 1) == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -194,7 +194,9 @@ def test_float_rep_laws_products_and_conversions():
     # 2,007 products and 340 exact-to-float conversions with the Coeff laws
     # beside the walk (WeylOp.apply raises, E on level views, the Fraction
     # weights of RepMatrix.adjoint); 914 and 91 on the walk's float lists,
-    # the 91 in the elimination inverse while its identity half was exact
+    # the 91 in the elimination inverse while its identity half was exact.
+    # At the dyadic value of g and h, 34 products clear them and form GH,
+    # G*, adj G and det G
     assert 0 < products[0] <= 1000 and conversions[0] == 0
 
 
@@ -202,7 +204,8 @@ def test_float_intertwine_products_and_conversions():
     with counted_products() as products, counted_conversions(exact_only=True) as conversions:
         assert intertwine_check(alpha_matrix(AlphaPoint.make(0.6)), 5).ok
     # 702 products and 67 conversions when E was applied to each column's
-    # Coeff combination; E applied to the monomials makes the 52 left
+    # Coeff combination; E applied to the monomials makes 52 of the 58 left,
+    # and clearing g at its dyadic value the other 6
     assert 0 < products[0] <= 60 and conversions[0] == 0
 
 
@@ -322,11 +325,11 @@ def test_biorthogonality_compares_only_the_paired_blocks(monkeypatch):
 def test_float_biorthogonality_conversions():
     # 314 exact values converted with the expanded families paired by gram,
     # whose exact Hermite coefficients met float level-matrix entries; 86
-    # through the undeformed Gram, all in comparing the pairings with
-    # their exact targets
+    # through the undeformed Gram, all in comparing float pairings with
+    # their exact targets.  The pairings are exact at the dyadic value of g
     with counted_conversions(exact_only=True) as calls:
         assert biorthogonality_check(alpha_matrix(AlphaPoint.make(0.6)), 4).ok
-    assert 0 < calls[0] <= 100
+    assert calls[0] == 0
 
 
 def test_float_biorthogonality_products():
@@ -334,22 +337,20 @@ def test_float_biorthogonality_products():
     with counted_products() as calls:
         rep = biorthogonality_check(g, 6)
     # 1,564 when the pairings were Coeff chains over the walks' Coeff view;
-    # summed on the walks' float lists, the 14 left invert g and take the
-    # determinants that each GL2 checks.  Two of the pairings fall outside
-    # FLOAT_TOL at this level on either route, so the verdict is not asserted
-    assert rep.summary.endswith("(784 pairings)")
+    # summed on the walks' lists, the 30 left read g at its dyadic value,
+    # invert it, clear both matrices and take the determinants that each
+    # GL2 checks.  Two pairings fell outside FLOAT_TOL when they were float
+    assert rep.ok and rep.summary == "biorthogonality up to level 6: pass (784 pairings)"
     assert 0 < calls[0] <= 50
 
 
-# float alpha 0.6 stops at Lmax 6: from level 7 its inverse law, checked by
-# elimination, fails under close (M(g, 7) has condition number about 7^7)
 @pytest.mark.parametrize(
     "check, point, Lmax",
     [
         (lambda g, L: rep_laws_check(g, g, L), POINT, 8),
         (intertwine_check, POINT, 8),
-        (lambda g, L: rep_laws_check(g, g, L), AlphaPoint.make(0.6), 6),
-        (intertwine_check, AlphaPoint.make(0.6), 6),
+        (lambda g, L: rep_laws_check(g, g, L), AlphaPoint.make(0.6), 8),
+        (intertwine_check, AlphaPoint.make(0.6), 8),
     ],
     ids=["rep_laws_check", "intertwine_check", "float-rep_laws_check", "float-intertwine_check"],
 )
@@ -357,8 +358,8 @@ def test_deformed_families_are_raised_without_operator_products(check, point, Lm
     with counted_weyl_products() as calls:
         assert check(alpha_matrix(point), Lmax).ok
     # 81 and 285 (117 and 465 WeylOp.__mul__ calls) at Lmax 8 with
-    # normal-ordered powers.  Both backends raise term maps, integral or
-    # float (_raised_walk)
+    # normal-ordered powers.  Both backends raise integral term maps
+    # (_raised_walk), a float g at its dyadic value
     assert calls[0] == 0
 
 
@@ -380,9 +381,9 @@ def test_verify_repmat_raises_each_level_once(monkeypatch, capsys, Lmax, applies
     monkeypatch.setattr(deform, "_raised", counted("_raised", deform._raised))
     monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
     assert main(["verify", "repmat", "--Lmax", str(Lmax), "--backend", backend]) == 0
-    # one walk raises L + 1 polynomials at each level 1..Lmax, as integral or
-    # float term maps (deform._raised steps); raising levels 0..L again for
-    # each L made 50 and 112, and float input took WeylOp.apply steps
+    # one walk raises L + 1 polynomials at each level 1..Lmax, as integral
+    # term maps (deform._raised steps); raising levels 0..L again for each L
+    # made 50 and 112, and float input took WeylOp.apply steps
     assert calls == {"_raised": applies, "apply": 0}
 
 
@@ -454,16 +455,17 @@ def test_rep_laws_check_walks_each_level_matrix_once(monkeypatch):
     # laws hold
     (_, G), (_, H) = deform._cleared(g), deform._cleared(h)
     adj = GL2(G.g22, -G.g12, -G.g21, G.g11)
-    assert walked == [GL2(1, 0, 0, 1), G, H, G @ H, G.conj_transpose(), adj]
-    # float g inverts by elimination, so its last walk is g^-1
-    g, h = FLOAT_LAW_PAIR
+    want = [GL2(1, 0, 0, 1), G, H, G @ H, G.conj_transpose(), adj]
+    assert walked == want
+    # a float pair is walked at the exact value it holds, here the exact pair
+    # itself, adjugate included: no walk of g^-1 and no float slot
     walked.clear()
-    assert rep_laws_check(g, h, 4).ok
-    assert walked == [GL2(1.0, 0.0, 0.0, 1.0), g, h, g @ h, g.conj_transpose(), g.inverse()]
+    assert rep_laws_check(*FLOAT_LAW_PAIR, 4).ok
+    assert walked == want and all(m.is_exact() for m in walked)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_rep_laws_check_eliminates_only_on_float(monkeypatch, exact):
+def test_rep_laws_check_eliminates_on_neither_backend(monkeypatch, exact):
     eliminate = linalg._eliminate
     calls = [0]
 
@@ -473,8 +475,9 @@ def test_rep_laws_check_eliminates_only_on_float(monkeypatch, exact):
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     assert rep_laws_check(*(LAW_PAIR if exact else FLOAT_LAW_PAIR), 4).ok
-    # exact g checks M(adj g, L) M(g, L) = det(g)^L I; float g inverts each level
-    assert calls[0] == (0 if exact else 5)
+    # both check M(adj G, L) M(G, L) = det(G)^L I, a float g at its dyadic
+    # value; float g inverted each level by elimination, 5 calls here
+    assert calls[0] == 0
 
 
 def test_lie_report_solves_each_table_in_one_elimination(monkeypatch):

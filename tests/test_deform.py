@@ -24,7 +24,7 @@ from bihermite.deform import (
     rep_laws_check,
     rep_matrix,
 )
-from bihermite.hermite import generating_series_complex, hermite_sum, orthonormality_check
+from bihermite.hermite import generating_series_complex, hermite_sum, normalizer_sq, orthonormality_check
 from bihermite.linalg import _components, _radical, _values, charpoly, identity_matrix, mat_inverse, mat_mul
 from bihermite.ncqm import AlphaPoint, alpha_matrix
 from bihermite.poly import BiPoly, gram, inner_product
@@ -246,7 +246,7 @@ def test_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mut
 
 @pytest.mark.parametrize("mutant", ACTION_MUTANTS)
 def test_float_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatch, mutant):
-    # the float laws read the walk's float lists
+    # a float pair is walked at the dyadic value it holds, whose lists the laws read
     wrong, levels = ACTION_MUTANTS[mutant]
     g = _float_gl2(rational_gl2(random.Random(13)))
     monkeypatch.setattr(deform, "_level_walk", walk_of(wrong))
@@ -257,37 +257,20 @@ def test_float_action_law_fails_at_each_level_a_column_mutant_changes(monkeypatc
 LAWS = ("identity", "product", "adjoint", "inverse", "action")
 
 
-def test_float_comparator_reads_both_components_and_every_key():
-    agree = deform._close
-    # (re, im) component lists, entry by entry under close
-    assert agree(([1.0, 2.0], [0.5, 0.0]), ([1.0, 2.0 + 1e-13], [0.5, -0.0]))
-    assert not agree(([1.0, 2.0], [0.5, 0.0]), ([1.0, 2.0], [0.5, 1e-3]))  # imaginary only
-    assert not agree(([1.0], [0.0]), ([1.0, 0.0], [0.0, 0.0]))
-    # (re, im) term maps, key by key: an absent key reads 0.0
-    assert agree(({(1, 0): 2.0}, {(0, 1): -0.0}), ({(1, 0): 2.0}, {}))
-    assert not agree(({(1, 0): 2.0}, {(1, 0): 1e-3}), ({(1, 0): 2.0}, {}))  # imaginary only
-    assert not agree(({(1, 0): 2.0}, {(0, 1): 1e-3}), ({(1, 0): 2.0}, {}))  # a key on one side
-    assert not agree(({(1, 0): 2.0, (0, 1): 1e-3}, {}), ({(1, 0): 2.0}, {}))
-    # lists of vectors, and a missing image
-    assert agree([([1.0], [0.0])], [([1.0], [-0.0])])
-    assert not agree([([1.0], [0.0])], [])
-    assert agree(None, None) and not agree(None, ({}, {})) and not agree(({}, {}), None)
-
-
-def _perturbed_inverse(rows):
-    rows = mat_inverse(rows)
-    rows[0][0] = rows[0][0] + F(1, 10**6)
-    return rows
-
-
 def _float_gl2(g):
     return GL2(*(c.to_float() for c in g.entries()))
 
 
+def _adjugate(g):
+    return GL2(g.g22, -g.g12, -g.g21, g.g11)
+
+
 _rng = random.Random(13)
 LAW_PAIR = (rational_gl2(_rng), rational_gl2(_rng))
-G_LAW = deform._cleared(LAW_PAIR[0])[1]  # G = q_g g, whose walks the exact laws read
-ADJ_G_LAW = GL2(G_LAW.g22, -G_LAW.g12, -G_LAW.g21, G_LAW.g11)
+FLOAT_LAW_PAIR = tuple(map(_float_gl2, LAW_PAIR))
+# G = q_g g, whose walks the laws read: a float g at the dyadic value it holds
+ADJ_G_LAW = _adjugate(deform._cleared(LAW_PAIR[0])[1])
+ADJ_G_FLOAT_LAW = _adjugate(deform._cleared(FLOAT_LAW_PAIR[0])[1])
 
 # each broken piece of M(., L), the pair (g, h) it is checked at, and the
 # (L, law) failures it must cause up to level 4
@@ -296,7 +279,7 @@ LAW_MUTANTS = {
     # check W_L M(G*, L) = M(G, L)* W_L on the walks' lists: without W_L, the
     # plain conjugate transpose, on the float pair and on the exact one
     "plain-adjoint": (
-        tuple(map(_float_gl2, LAW_PAIR)),
+        FLOAT_LAW_PAIR,
         deform,
         "normalizer_sq",
         lambda m, n: 1,
@@ -321,12 +304,17 @@ LAW_MUTANTS = {
         ),
         [(L, "inverse") for L in range(5)],
     ),
-    # float g: M(g, L)^-1 = M(g^-1, L) by elimination
+    # float g: the same law at the dyadic value of g, broken on its
+    # adjugate's walk only
     "perturbed-inverse": (
-        tuple(map(_float_gl2, LAW_PAIR)),
+        FLOAT_LAW_PAIR,
         deform,
-        "mat_inverse",
-        _perturbed_inverse,
+        "_level_walk",
+        walk_of(
+            lambda m, L: _raise_last_column_of_row_zero(rep_matrix(m, L))
+            if m == ADJ_G_FLOAT_LAW
+            else rep_matrix(m, L)
+        ),
         [(L, "inverse") for L in range(5)],
     ),
     # M[0][L] + 1 breaks every law at every level, except the adjoint at
@@ -565,32 +553,42 @@ def _block(matrix, L, M):
     return [row[first[2] : first[3]] for row in matrix[first[0] : first[1]]]
 
 
-# 20/29 lies near 1/sqrt2, where both float routes round beyond FLOAT_TOL
+# 20/29 lies near 1/sqrt2, where the pairwise float route rounds beyond FLOAT_TOL
 FLOAT_PARITY = {name: g for name, g in PARITY_MATRICES.items() if name != "alpha 20/29"}
 
 
 @pytest.mark.parametrize("g", FLOAT_PARITY.values(), ids=FLOAT_PARITY.keys())
 def test_float_factored_pairings_are_close_to_the_pairwise_gram(g):
     gf = _float_gl2(g)
-    # at level 6 the pairwise gram itself rounds beyond FLOAT_TOL at 3/5
+    # the families of g at the dyadic value it holds, whose entries are
+    # those of gf read as Fractions
+    dyadic = GL2(*(Coeff(F(c.a), F(c.b)) for c in gf.entries()))
+    # at level 6 the pairwise float gram itself rounds beyond FLOAT_TOL at 3/5
     for Lmax in (1, 3, 5):
         got = _dense_pairings(deform._biorth_pairings(gf, Lmax), Lmax)
+        assert got == _pairwise_pairings(dyadic, Lmax), Lmax
         assert close(got, _pairwise_pairings(gf, Lmax)), Lmax
-        # the undeformed Gram has no nonzero cross-level entry, so a
-        # cross-level pairing is the exact ZERO; the others are floats
+        # every pairing is exact, and literally the theorem's: (L-n)! n! on
+        # the diagonal and zero elsewhere, across levels too
+        assert all(c.exact for row in got for c in row)
         for L, M in itertools.product(range(Lmax + 1), repeat=2):
-            entries = [c for row in _block(got, L, M) for c in row]
-            assert all(not c.exact if L == M else c.exact and not c for c in entries)
+            want = [
+                [normalizer_sq(L - n, n) if (L, n) == (M, k) else 0 for k in range(M + 1)]
+                for n in range(L + 1)
+            ]
+            assert _block(got, L, M) == want, (L, M)
 
 
 def test_float_biorthogonality_at_its_alpha_points():
-    # the fixed tolerance fails near alpha = 1/sqrt2: summed through the
-    # undeformed Gram, on 2 pairings at 0.68 and 20 at 0.7
-    for alpha in (0.3, 0.62, 0.66, 0.75, 0.9):
-        assert biorthogonality_check(alpha_matrix(AlphaPoint.make(alpha)), 4).ok, alpha
-    for alpha, most in ((0.68, 2), (0.7, 20)):
-        rep = biorthogonality_check(alpha_matrix(AlphaPoint.make(alpha)), 4)
-        assert len(rep.payload["violations"]) <= most, alpha
+    # the pairings are exact at the dyadic value of the float matrix, so the
+    # theorem holds literally at every alpha and level.  Compared under
+    # FLOAT_TOL, 2 pairings failed at 0.68 and 20 at 0.7 (Lmax 4), and the
+    # alphas 0.43-0.90 failed at Lmax 8
+    for alpha in (0.3, 0.6, 0.62, 0.66, 0.68, 0.7, 0.73, 0.75, 0.9):
+        g = alpha_matrix(AlphaPoint.make(alpha))
+        for Lmax in (4, 8):
+            rep = biorthogonality_check(g, Lmax)
+            assert rep.ok and rep.payload["violations"] == [], (alpha, Lmax)
 
 
 def test_biorth_pairings_reject_a_gram_entry_that_is_not_an_integer(monkeypatch):
@@ -717,13 +715,47 @@ def test_eigenvalue_structure_repeated_eigenvalues():
 
 def test_level_checks_run_a_matrix_with_a_float_entry_on_float():
     # exact entries with a sqrt2 part and denominators beside one float entry:
-    # the walks run on g with every entry a float, as they do for a float pair
+    # the laws and the intertwiner walk g at its exact value, whose sqrt2
+    # slots stay, and only the eigenvalue check runs on float
     g = GL2(Coeff(F(1, 3), 0, 1), 0.5, Coeff(0, F(1, 2)), 2)
     exact_g = GL2(Coeff(F(1, 3), 0, 1), Coeff(F(1, 2)), Coeff(0, F(1, 2)), 2)
+    assert deform._cleared(g) == deform._cleared(exact_g)
     assert rep_laws_check(g, g, 4).ok and rep_laws_check(exact_g, _float_gl2(g), 4).ok
     assert intertwine_check(g, 4).ok
     rep = eigenvalue_structure_check(g, 4)
     assert rep.ok and rep.payload["mode"] == "float"
+
+
+@given(gl2s(float_coeffs))
+@settings(max_examples=30, deadline=None)
+def test_float_entries_are_read_at_their_dyadic_value(g):
+    # each float slot is the Fraction it holds, so q_g is a power of 2 and
+    # G = q_g g is that value cleared, neither rounded nor with a part dropped
+    dyadic = [Coeff(F(c.a), F(c.b)) for c in g.entries()]
+    qg, G = deform._cleared(g)
+    assert qg == max(c.q for c in dyadic) and qg & (qg - 1) == 0
+    assert list(G.entries()) == [c * qg for c in dyadic] and G.is_exact()
+
+
+@given(gl2s(float_coeffs), st.integers(0, 6))
+@settings(max_examples=20, deadline=None)
+def test_float_level_checks_pass_at_every_float_matrix(g, Lmax):
+    # the theorems hold at every g in GL(2, C), and a float g is one: the
+    # laws, the pairings and the intertwiner are decided at its exact value
+    h = GL2(*reversed(g.entries()))  # det h = det g
+    assert rep_laws_check(g, h, Lmax).ok
+    assert biorthogonality_check(g, Lmax).ok
+    assert intertwine_check(g, Lmax).ok
+
+
+def test_float_level_checks_pass_at_a_double_near_the_float_range():
+    # 1e300 is an integer of 997 bits: compared under FLOAT_TOL, biorth and
+    # the intertwiner failed at Lmax 5, and rep_laws_check raised forming GH
+    # in float
+    g = GL2(1e300, 1.0, 1.0, 0.0)
+    assert deform._cleared(g) == (1, GL2(int(1e300), 1, 1, 0))
+    assert biorthogonality_check(g, 5).ok and intertwine_check(g, 5).ok
+    assert rep_laws_check(g, g, 5).ok
 
 
 def test_intertwiner_on_monomials():
@@ -769,7 +801,7 @@ def test_intertwine_check_names_each_wrong_column(monkeypatch, g):
         return RepMatrix(rows)
 
     Lmax = 6
-    _, G = deform._cleared(g)  # exact g walks the integral G = q_g g, float g itself
+    _, G = deform._cleared(g)  # the integral G = q_g g, of a float g at its dyadic value
     right = {L: rep_matrix(G, L) for L in range(Lmax + 1)}
     want = []
     for L in range(Lmax + 1):
@@ -946,8 +978,7 @@ def test_float_level_view_is_the_coeff_chain_bit_for_bit(entries, shape):
     # the real and imaginary slots, signed zeros included; the radical slots
     # of a float value are zeros
     g = _shaped_gl2(entries, shape)
-    _, G = deform._cleared(g)
-    walks = zip(range(13), deform._level_walk(G, False), _coeff_level_matrices(g))
+    walks = zip(range(13), deform._level_walk(g, False), _coeff_level_matrices(g))
     for L, columns, want in walks:
         got = deform._coeff_rows(columns)
         assert [[(c.a.hex(), c.b.hex()) for c in row] for row in got] == [
