@@ -79,6 +79,9 @@ def invocations() -> list:
                 ["genfun", "deformed", "--order", "4", *point, "--format", fmt],
             ]
         runs.append(["deform", "2", "2", *point, "--format", "csv"])
+    # float duals whose consistency was once decided under a fixed tolerance
+    runs += [["dual", "--L", "4", "--alpha", "0.05", "--backend", "float", "--format", fmt] for fmt in FORMATS]
+    runs.append(["dual", "--L", "8", "--alpha", "0.5", "--backend", "float", "--format", "json"])
     runs += [
         ["hermite", "--table", "--Lmax", "4", "--format", fmt] for fmt in (*FORMATS, "csv")
     ]
