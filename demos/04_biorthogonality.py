@@ -32,7 +32,7 @@ print()
 print(f"dual matrix (inverse conjugate transpose), level {L}:")
 for (m, n), p in zip(indices, fam.polys):
     print(f"  Hdual[{m},{n}] = {p.pretty()}")
-print(f"  matrix route consistency (direct vs inverse-adjoint): {fam.consistent}")
+print(f"  biorthogonal to the family at its level (exact pairing block): {fam.consistent}")
 
 print()
 print("pairings against the dual are exact deltas:")

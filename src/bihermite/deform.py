@@ -30,7 +30,7 @@ from itertools import repeat
 from math import comb, factorial, lcm
 from operator import add, mul
 
-from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _make, close, rational_sqrt
+from .coeffs import FLOAT_TOL, ONE, ZERO, Coeff, I, _make, _sum_products, close, rational_sqrt
 from .hermite import SeriesTruncation, _check_indices, _check_lmax, hermite_sum, normalizer_sq
 from .linalg import (
     _berkowitz,
@@ -40,7 +40,6 @@ from .linalg import (
     _radical,
     _ring,
     _values,
-    mat_inverse,
 )
 from .poly import BiPoly, gram
 from .report import Report, Tally
@@ -328,18 +327,12 @@ def rep_matrix(g: GL2, L: int) -> RepMatrix:
     # left[n][q] = C(n,q) g11^q g21^(n-q), right[n][p] = C(n,p) g12^p g22^(n-p)
     left = [[p11[q] * p21[n - q] * comb(n, q) for q in range(n + 1)] for n in range(L + 1)]
     right = [[p12[p] * p22[n - p] * comb(n, p) for p in range(n + 1)] for n in range(L + 1)]
-    rows = []
-    for r in range(L + 1):
-        row = []
-        for k in range(L + 1):
-            a, b = left[k], right[L - k]
-            lo = max(0, r + k - L)
-            acc = a[lo] * b[r - lo]
-            for q in range(lo + 1, min(r, k) + 1):
-                acc = acc + a[q] * b[r - q]
-            row.append(acc)
-        rows.append(row)
-    return RepMatrix(rows)
+
+    def entry(r, k):  # one chain, reduced once when exact
+        a, b = left[k], right[L - k]
+        return _sum_products([(a[q], b[r - q], 1) for q in range(max(0, r + k - L), min(r, k) + 1)])
+
+    return RepMatrix([[entry(r, k) for k in range(L + 1)] for r in range(L + 1)])
 
 
 # -- the level walk ------------------------------------------------------
@@ -509,18 +502,20 @@ def _level_basis(L: int, M: RepMatrix) -> list[BiPoly]:
     matrix M, with k = L first.
 
     Each H[r, L-r] holds only keys with z-degree minus zbar-degree 2r - L,
-    so the terms of the sum never meet and each is one product.
+    so the terms of the sum never meet and each is one product, of M[r,k]
+    and an int: a float M[r,k] meets no exact value.
     """
-    basis = [hermite_sum(r, L - r) for r in range(L + 1)]  # basis[r] = H[r, L-r]
+    basis = [_integral_terms(hermite_sum(r, L - r)) for r in range(L + 1)]  # basis[r] = H[r, L-r]
+    empty = BiPoly()
     polys = []
     for k in range(L, -1, -1):
         terms = {}
         for r, h in enumerate(basis):
             m = M[r, k]
             if m:
-                for key, c in h.terms.items():
+                for key, c in h.items():
                     terms[key] = m * c
-        polys.append(basis[0]._like(terms))
+        polys.append(empty._like(terms))
     return polys
 
 
@@ -604,7 +599,7 @@ def _laws(g: GL2, h: GL2):
 
 
 class DualFamily:
-    """Level-L dual family; consistent says whether its matrix's two constructions agree."""
+    """Level-L dual family; consistent says whether it is biorthogonal to g's family at the level."""
 
     __slots__ = ("g_dual", "polys", "matrix_direct", "consistent")
 
@@ -614,10 +609,13 @@ class DualFamily:
 
 
 def dual_family(g: GL2, L: int) -> DualFamily:
+    """The level-L family of g_dual = (g*)^-1 and M(g_dual, L), on g's backend.
+    consistent: the (L, L) block of _biorth_pairings, at g's exact value, is
+    diag((L-n)! n!) literally, as when M(g_dual, L) inverts M(g, L)'s level adjoint."""
     g_dual = g.conj_transpose().inverse()
     direct = rep_matrix(g_dual, L)
-    inverse_route = mat_inverse(rep_matrix(g, L).adjoint().entries)
-    consistent = close(direct.entries, inverse_route)
+    want = [[Coeff(normalizer_sq(L - n, n)) if n == k else ZERO for k in range(L + 1)] for n in range(L + 1)]
+    consistent = _biorth_pairings(g, L).get((L, L)) == want
     return DualFamily(g_dual, _level_basis(L, direct), direct, consistent)
 
 
@@ -808,7 +806,7 @@ def intertwine_check(g: GL2, Lmax: int) -> Report:
         for m in range(total + 1):
             n = total - m
             images[m, n] = image = monomial_to_hermite(BiPoly.monomial(m, n))
-            t.check(close(image, hermite_sum(m, n)), {"kind": "monomial", "m": m, "n": n})
+            t.check(image == hermite_sum(m, n), {"kind": "monomial", "m": m, "n": n})
     _, G = _cleared(g)
     radical = _radical(G.entries())
     levels = zip(_raised_walk(G, radical), _level_walk(G, radical))

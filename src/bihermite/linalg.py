@@ -20,9 +20,8 @@ Newton sums (_newton_sums) read either polynomial's lists.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import repeat
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 
 from .coeffs import ONE, ZERO, Coeff, _make, _sum_products, backend_tol
 
@@ -48,14 +47,11 @@ def identity_matrix(n: int):
 
 
 def mat_mul(a, b):
-    """The product a b.  When every entry is exact, each entry is one
-    _sum_products call over its row and column, reduced once; otherwise
-    each is the chain a[i][0] b[0][j] + a[i][1] b[1][j] + ..., whose bits
-    float results keep.  The backend is read once per product."""
+    """The product a b: each entry is one _sum_products call over its row
+    and column, reduced once when exact, and on float the chain
+    a[i][0] b[0][j] + a[i][1] b[1][j] + ..., whose bits it keeps."""
     columns = list(zip(*b))
-    if all(c.exact for row in a for c in row) and all(c.exact for col in columns for c in col):
-        return [[_sum_products([(x, y, 1) for x, y in zip(row, col)]) for col in columns] for row in a]
-    return [[reduce(add, map(mul, row, col)) for col in columns] for row in a]
+    return [[_sum_products([(x, y, 1) for x, y in zip(row, col)]) for col in columns] for row in a]
 
 
 def _pivot_index(column, start, tol):

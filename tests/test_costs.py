@@ -518,14 +518,32 @@ def test_dual_family_builds_each_matrix_once(monkeypatch):
         calls.append(g)
         return rep_matrix(g, L)
 
+    def refused(*args):
+        raise AssertionError("consistent is read off the level walk's pairings")
+
     monkeypatch.setattr(deform, "rep_matrix", counting)
+    for name in ("mat_inverse", "mat_mul"):
+        monkeypatch.setattr(linalg, name, refused)
+    monkeypatch.setattr(deform.RepMatrix, "adjoint", refused)
+    monkeypatch.setattr(deform, "close", refused)
     g = alpha_matrix(POINT)
     for L in range(5):
         calls.clear()
         dual_family(g, L)
-        # one M(g_dual, L) serves the basis and the direct matrix, M(g, L) the
-        # inverse route; 3 calls when the basis built its own M(g_dual, L)
-        assert calls == [g.conj_transpose().inverse(), g]
+        # one M(g_dual, L) serves the basis and the direct matrix, and the
+        # pairings read the walks; 2 calls when consistent inverted the level
+        # adjoint of M(g, L)
+        assert calls == [g.conj_transpose().inverse()]
+
+
+def test_float_dual_family_converts_no_exact_value():
+    # 70 with the inverse of the level adjoint and the Coeff Hermite
+    # coefficients: 25 when float entries met the adjoint's exact weights,
+    # 45 when they met the coefficients of H[r, L-r]
+    g = alpha_matrix(AlphaPoint.make(0.6))
+    with counted_conversions(exact_only=True) as calls:
+        assert dual_family(g, 4).consistent
+    assert calls[0] == 0
 
 
 def test_jacobi_products_on_the_alpha_tables():

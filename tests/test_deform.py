@@ -442,11 +442,29 @@ def test_dual_family_alpha():
 
 
 def test_dual_family_consistent_fails_on_the_plain_adjoint(monkeypatch):
-    # the weights w_k = k!(L-k)! are all equal below level 2
+    # paired with every Gram weight r!(L-r)! read as 1, the pairing is that
+    # of the plain conjugate transpose, which is the level adjoint only below
+    # level 2, where the weights are all 1
     g = rational_gl2(random.Random(13))
     assert all(dual_family(g, L).consistent for L in range(5))
-    monkeypatch.setattr(RepMatrix, "adjoint", plain_conj_transpose)
+    monkeypatch.setattr(deform, "gram", lambda a, b: [{j: Coeff(1) for j in row} for row in gram(a, b)])
     assert [L for L in range(5) if not dual_family(g, L).consistent] == [2, 3, 4]
+    # the dual columns left unconjugated: g is not real, so every level
+    # above 0 fails
+    monkeypatch.undo()
+    monkeypatch.setattr(deform, "_conj", lambda vector: vector)
+    assert [L for L in range(5) if not dual_family(g, L).consistent] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("L", [4, 8])
+def test_float_dual_family_is_consistent_at_its_alpha_points(L):
+    # decided at the dyadic value of g, the float dual is biorthogonal at
+    # every alpha k/100; a fixed tolerance on the inverse of the level
+    # adjoint read False at 8 of them at level 4 and 81 at level 8
+    inconsistent = [
+        k for k in range(1, 100) if not dual_family(alpha_matrix(AlphaPoint.make(k / 100)), L).consistent
+    ]
+    assert inconsistent == []
 
 
 def test_biorthogonality_alpha():

@@ -69,14 +69,21 @@ MUTANTS = (
     ),
     Mutant(
         "deform.py",
-        "consistent = close(direct.entries, inverse_route)",
+        "consistent = _biorth_pairings(g, L).get((L, L)) == want",
         "consistent = True",
         "dual-consistent-pass",
         ("tests/test_deform.py",),
     ),
     Mutant(
         "deform.py",
-        "t.check(close(image, hermite_sum(m, n)),",
+        "_biorth_pairings(g, L).get((L, L))",
+        "_biorth_pairings(g, L).get((L, 0))",
+        "dual-block-wrong-level",
+        ("tests/test_deform.py",),
+    ),
+    Mutant(
+        "deform.py",
+        "t.check(image == hermite_sum(m, n),",
         "t.check(True,",
         "intertwine-monomial-pass",
         ("tests/test_deform.py",),
