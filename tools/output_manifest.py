@@ -82,6 +82,11 @@ def invocations() -> list:
     # float duals whose consistency was once decided under a fixed tolerance
     runs += [["dual", "--L", "4", "--alpha", "0.05", "--backend", "float", "--format", fmt] for fmt in FORMATS]
     runs.append(["dual", "--L", "8", "--alpha", "0.5", "--backend", "float", "--format", "json"])
+    # deep duals, whose consistency reads one level's pairing block
+    for backend in BACKENDS:
+        point = ["--alpha", "3/5" if backend == "exact" else "0.6", "--backend", backend]
+        g = ["--g", "1/2+1/3i", "2", "1/4i", "3", "--backend", backend]
+        runs += [["dual", "--L", "12", *point, "--format", "json"], ["dual", "--L", "10", *g, "--format", "json"]]
     runs += [
         ["hermite", "--table", "--Lmax", "4", "--format", fmt] for fmt in (*FORMATS, "csv")
     ]
