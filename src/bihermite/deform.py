@@ -24,7 +24,6 @@ decide a float g exactly, at the dyadic rational value it holds (_exact).
 from __future__ import annotations
 
 import cmath
-from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, lcm
@@ -610,12 +609,12 @@ class DualFamily:
 
 def dual_family(g: GL2, L: int) -> DualFamily:
     """The level-L family of g_dual = (g*)^-1 and M(g_dual, L), on g's backend.
-    consistent: the (L, L) block of _biorth_pairings, at g's exact value, is
+    consistent: level L's block of _biorth_pairings, at g's exact value, is
     diag((L-n)! n!) literally, as when M(g_dual, L) inverts M(g, L)'s level adjoint."""
     g_dual = g.conj_transpose().inverse()
     direct = rep_matrix(g_dual, L)
     want = [[Coeff(normalizer_sq(L - n, n)) if n == k else ZERO for k in range(L + 1)] for n in range(L + 1)]
-    consistent = _biorth_pairings(g, L).get((L, L)) == want
+    consistent = _biorth_pairings(g, (L,))[L] == want
     return DualFamily(g_dual, _level_basis(L, direct), direct, consistent)
 
 
@@ -623,30 +622,26 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     """Exact pairing of the deformed family with its dual across levels.
 
     <Hdual[L-n, n], Hg[M-k, k]> must be (L-n)! n! when (L,n) == (M,k) and 0
-    otherwise, including all cross-level pairs up to Lmax.  A float g is
-    paired at the dyadic value it holds (_exact), with the dual of that
-    value, so its pairings are exact too.
+    otherwise, including all cross-level pairs up to Lmax.  Each level's own
+    block is summed and compared.  The undeformed Gram, checked to be
+    integral and diagonal, pairs no two levels, so each cross-level pairing
+    sums no term and is counted as the exact zero.  A float g is paired at
+    the dyadic value it holds (_exact), with the dual of that value, so its
+    pairings are exact too.
     """
     _check_lmax(Lmax)
-    blocks = _biorth_pairings(g, Lmax)
     levels = range(Lmax + 1)
+    blocks = _biorth_pairings(g, levels)
     t = Tally()
-    absent = 0
     for L in levels:
-        for M in levels:
-            if (L, M) in blocks:
-                entries = [(n, k, c) for n, row in enumerate(blocks[L, M]) for k, c in enumerate(row)]
-            elif L == M:
-                # no pairing term in the level's own block: its diagonal still must hold
-                entries = [(n, n, ZERO) for n in range(L + 1)]
-            else:
-                entries = []
-            absent += (L + 1) * (M + 1) - len(entries)
-            for n, k, got in entries:
-                want = Coeff(normalizer_sq(L - n, n)) if (L == M and n == k) else ZERO
-                t.compare(got, want, {"L": L, "M": M, "n": n, "k": k})
-    # every other pairing is summed over no term: it is the exact ZERO wanted
-    t.checks += absent
+        for n, row in enumerate(blocks[L]):
+            for k, got in enumerate(row):
+                want = Coeff(normalizer_sq(L - n, n)) if n == k else ZERO
+                t.compare(got, want, {"L": L, "M": L, "n": n, "k": k})
+    # the undeformed Gram is diagonal, so each cross-level pairing sums no
+    # term: it is the exact ZERO wanted
+    N = sum(L + 1 for L in levels)
+    t.checks += N * N - sum((L + 1) ** 2 for L in levels)
     return t.report(
         f"biorthogonality up to level {Lmax}",
         {"Lmax": Lmax, "violations": t.failures},
@@ -654,50 +649,41 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
     )
 
 
-def _biorth_pairings(g: GL2, Lmax: int) -> dict:
-    """The blocks {(L, M): P} of <Hdual[L-n, n], Hg[M-k, k]> = P[n][k], L,
-    M <= Lmax, summed by bilinearity: with D = M(g_dual, L) and F = M(g, M)
-    it is sum_(r,s) conj(D[r, L-n]) F[s, M-k] <H[r, L-r], H[s, M-s]>.  The
-    undeformed Gram is computed, its cross-level pairs too, so no
-    orthogonality is assumed, and checked to be integral.  A block with no
-    nonzero entry is left out: each of its pairings is the exact ZERO.
+def _biorth_pairings(g: GL2, levels) -> dict:
+    """The blocks {L: P} of <Hdual[L-n, n], Hg[L-k, k]> = P[n][k], one for
+    each level L in levels, summed by bilinearity: with D = M(g_dual, L) and
+    F = M(g, L) it is sum_r conj(D[r, L-n]) F[r, L-k] w_r, w_r = <H[r, L-r],
+    H[r, L-r]>.  The undeformed Gram of every basis polynomial of the levels
+    is computed, its cross-level pairs too, so no orthogonality is assumed:
+    it must be integral and diagonal, so that no two levels pair.  A diagonal
+    entry that the Gram leaves out reads as the weight 0.
 
     D and F are read from the walks of q_d g_dual and q_g g, with g and
     g_dual at their exact values (_exact).  Each pairing sums the integers
-    (conj(D[r]) F[s]) w, over q_d^L q_g^M."""
+    conj(D[r]) F[r] w_r over whole columns, over (q_d q_g)^L."""
     g = _exact(g)
     g_dual = g.conj_transpose().inverse()
     (qd, D), (qg, G) = _cleared(g_dual), _cleared(g)
     radical = _radical([*D.entries(), *G.entries()])
     _, times = _ring(radical)
-    levels = range(Lmax + 1)
-    start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
-    level = [L for L in levels for _ in range(L + 1)]  # level[i] of basis[i]
     basis = [hermite_sum(r, L - r) for L in levels for r in range(L + 1)]
-    weights = gram(basis, basis)
-    if not all(c.exact and c.q == 1 and c.is_rational() for row in weights for c in row.values()):
+    rows = gram(basis, basis)
+    if not all(c.exact and c.q == 1 and c.is_rational() for row in rows for c in row.values()):
         raise ArithmeticError("the Gram matrix of the undeformed basis is not integral")
-    # (r, s, <H[r, L-r], H[s, M-s]>) where that is nonzero, row by row
-    terms = defaultdict(list)
-    for i, row in enumerate(weights):
-        L = level[i]
-        for j, c in row.items():
-            if c:
-                M = level[j]
-                terms[L, M].append((i - start[L], j - start[M], c.a))
-    # duals[L][n][.][r] = conj(D[r, L-n]) and fams[M][k][.][s] = F[s, M-k]
-    walks = zip(levels, _level_walk(D, radical), _level_walk(G, radical))
-    duals, fams = zip(*(([_conj(c) for c in dual[::-1]], fam[::-1]) for _, dual, fam in walks))
+    if any(c for i, row in enumerate(rows) for j, c in row.items() if j != i):
+        raise ArithmeticError("the Gram matrix of the undeformed basis is not diagonal")
+    weights = iter([row.get(i, ZERO).a for i, row in enumerate(rows)])
+    w = {L: [next(weights) for _ in range(L + 1)] for L in levels}
     pad = () if radical else (0, 0)  # the radical slots
     blocks = {}
-    for (L, M), block in terms.items():
-        rs, ss, ws = zip(*block)
-        picked = [tuple([m[s] for s in ss] for m in fam) for fam in fams[M]]
-        q = qd**L * qg**M
-        blocks[L, M] = [
-            [_make(*[sum(map(mul, p, ws)) for p in times(x, y)], *pad, q, True) for y in picked]
-            for x in (tuple([m[r] for r in rs] for m in dual) for dual in duals[L])
-        ]
+    for L, dual, fam in zip(range(max(levels) + 1), _level_walk(D, radical), _level_walk(G, radical)):
+        if L in w:
+            q = qd**L * qg**L
+            # conj(D[., L-n]) at row n and F[., L-k] at column k
+            blocks[L] = [
+                [_make(*[sum(map(mul, p, w[L])) for p in times(x, y)], *pad, q, True) for y in fam[::-1]]
+                for x in [_conj(c) for c in dual[::-1]]
+            ]
     return blocks
 
 

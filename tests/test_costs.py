@@ -29,7 +29,7 @@ from bihermite.deform import (
     rep_laws_check,
     rep_matrix,
 )
-from bihermite.hermite import orthonormality_check
+from bihermite.hermite import hermite_sum, orthonormality_check
 from bihermite.lie import (
     StructureConstants,
     basis_change,
@@ -512,16 +512,21 @@ def test_float_lie_report_converts_no_exact_value():
 
 
 def test_dual_family_builds_each_matrix_once(monkeypatch):
-    calls = []
+    calls, grams = [], []
 
     def counting(g, L):
         calls.append(g)
         return rep_matrix(g, L)
 
+    def recorded(ps, qs):
+        grams.append((list(ps), list(qs)))
+        return poly.gram(ps, qs)
+
     def refused(*args):
         raise AssertionError("consistent is read off the level walk's pairings")
 
     monkeypatch.setattr(deform, "rep_matrix", counting)
+    monkeypatch.setattr(deform, "gram", recorded)
     for name in ("mat_inverse", "mat_mul"):
         monkeypatch.setattr(linalg, name, refused)
     monkeypatch.setattr(deform.RepMatrix, "adjoint", refused)
@@ -529,11 +534,16 @@ def test_dual_family_builds_each_matrix_once(monkeypatch):
     g = alpha_matrix(POINT)
     for L in range(5):
         calls.clear()
+        grams.clear()
         dual_family(g, L)
         # one M(g_dual, L) serves the basis and the direct matrix, and the
         # pairings read the walks; 2 calls when consistent inverted the level
         # adjoint of M(g, L)
         assert calls == [g.conj_transpose().inverse()]
+        # one Gram, of the L + 1 polynomials of level L alone; (L+1)(L+2)/2,
+        # those of levels 0..L, when every block up to L was paired
+        level = [hermite_sum(r, L - r) for r in range(L + 1)]
+        assert grams == [(level, level)]
 
 
 def test_float_dual_family_converts_no_exact_value():

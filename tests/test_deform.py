@@ -524,15 +524,21 @@ def _pairwise_pairings(g, Lmax):
 
 
 def _dense_pairings(blocks, Lmax):
-    """_biorth_pairings' blocks {(L, M): P} as one matrix over the levels up
-    to Lmax, an absent block's entries the exact zero."""
+    """_biorth_pairings' blocks {L: P} as one matrix over the levels up to
+    Lmax, each cross-level block's entries the exact zero."""
+    assert sorted(blocks) == list(range(Lmax + 1))
     start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
     out = [[Coeff(0)] * start[-1] for _ in range(start[-1])]
-    for (L, M), block in blocks.items():
-        assert len(block) == L + 1 and all(len(row) == M + 1 for row in block)
+    for L, block in blocks.items():
+        assert len(block) == L + 1 and all(len(row) == L + 1 for row in block)
         for n, row in enumerate(block):
-            out[start[L] + n][start[M] : start[M + 1]] = row
+            out[start[L] + n][start[L] : start[L + 1]] = row
     return out
+
+
+def _cross_level_blocks(matrix, Lmax):
+    """Every (L, M) block, L != M, of a matrix over the levels up to Lmax."""
+    return [_block(matrix, L, M) for L, M in itertools.permutations(range(Lmax + 1), 2)]
 
 
 def radical_gl2(rng) -> GL2:
@@ -557,12 +563,16 @@ PARITY_MATRICES = {
 @pytest.mark.parametrize("g", PARITY_MATRICES.values(), ids=PARITY_MATRICES.keys())
 def test_factored_pairings_equal_the_pairwise_gram(g):
     for Lmax in (0, 1, 3, 6):
-        blocks = deform._biorth_pairings(g, Lmax)
-        # the undeformed Gram pairs no two levels, so no cross-level block has a term
-        assert sorted(blocks) == [(L, L) for L in range(Lmax + 1)]
+        blocks = deform._biorth_pairings(g, range(Lmax + 1))
+        # one block a level: the undeformed Gram pairs no two levels, and the
+        # pairwise gram of the families pairs none either
+        pairwise = _pairwise_pairings(g, Lmax)
+        assert all(c == 0 for block in _cross_level_blocks(pairwise, Lmax) for row in block for c in row)
         got = _dense_pairings(blocks, Lmax)
-        assert got == _pairwise_pairings(g, Lmax), Lmax
+        assert got == pairwise, Lmax
         assert all(c.exact for row in got for c in row)
+        # a level paired alone is its block among all the levels
+        assert all(deform._biorth_pairings(g, (L,)) == {L: blocks[L]} for L in range(Lmax + 1))
 
 
 def _block(matrix, L, M):
@@ -583,8 +593,11 @@ def test_float_factored_pairings_are_close_to_the_pairwise_gram(g):
     dyadic = GL2(*(Coeff(F(c.a), F(c.b)) for c in gf.entries()))
     # at level 6 the pairwise float gram itself rounds beyond FLOAT_TOL at 3/5
     for Lmax in (1, 3, 5):
-        got = _dense_pairings(deform._biorth_pairings(gf, Lmax), Lmax)
-        assert got == _pairwise_pairings(dyadic, Lmax), Lmax
+        blocks = deform._biorth_pairings(gf, range(Lmax + 1))
+        pairwise = _pairwise_pairings(dyadic, Lmax)
+        assert all(c == 0 for block in _cross_level_blocks(pairwise, Lmax) for row in block for c in row)
+        got = _dense_pairings(blocks, Lmax)
+        assert got == pairwise, Lmax
         assert close(got, _pairwise_pairings(gf, Lmax)), Lmax
         # every pairing is exact, and literally the theorem's: (L-n)! n! on
         # the diagonal and zero elsewhere, across levels too
@@ -620,8 +633,8 @@ def test_biorth_pairings_reject_a_gram_entry_that_is_not_an_integer(monkeypatch)
 
 def test_biorthogonality_compares_a_diagonal_that_has_no_pairing_term(monkeypatch):
     # with <H[0,0], H[0,0]> taken out of the undeformed Gram, level 0's own
-    # block has no term and no pairing of it is summed; its diagonal is still
-    # compared, and fails, and every pairing is still counted
+    # block is summed with the weight 0; its diagonal is still compared, and
+    # fails, and every pairing is still counted
     def unpaired(ps, qs):
         rows = gram(ps, qs)
         del rows[0][0]
@@ -633,6 +646,20 @@ def test_biorthogonality_compares_a_diagonal_that_has_no_pairing_term(monkeypatc
     assert rep.payload["violations"] == [
         {"L": 0, "M": 0, "n": 0, "k": 0, "value": "0", "expected": "1"}
     ]
+
+
+def test_biorth_pairings_reject_a_gram_that_is_not_diagonal(monkeypatch):
+    # H[0,0] and H[1,1] share sector 0, so the Gram of levels 0..2 holds
+    # their pair; made nonzero, it would pair levels 0 and 2
+    def coupled(ps, qs):
+        rows = gram(ps, qs)
+        assert rows[0][4] == rows[4][0] == 0
+        rows[0][4] = rows[4][0] = Coeff(1)
+        return rows
+
+    monkeypatch.setattr(deform, "gram", coupled)
+    with pytest.raises(ArithmeticError, match="not diagonal"):
+        biorthogonality_check(G_ALPHA, 2)
 
 
 @pytest.mark.parametrize(

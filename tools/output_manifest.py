@@ -17,7 +17,7 @@ Each invocation runs in-process through cli.main.  The manifest maps its
 argv, joined by spaces, to {"status": exit status, "stdout": sha256 hex},
 one invocation a line.  No output carries a timing field, so the digest is
 of the whole of stdout.  It needs only the standard library and bihermite,
-and takes about 2 s on one core.
+and takes about 3 s on one core.
 """
 
 from __future__ import annotations
