@@ -87,6 +87,12 @@ def invocations() -> list:
         point = ["--alpha", "3/5" if backend == "exact" else "0.6", "--backend", backend]
         g = ["--g", "1/2+1/3i", "2", "1/4i", "3", "--backend", backend]
         runs += [["dual", "--L", "12", *point, "--format", "json"], ["dual", "--L", "10", *g, "--format", "json"]]
+    # deep biorth runs, whose pairings sum the largest walk integers
+    runs += [
+        ["verify", "biorth", "--Lmax", "16", "--alpha", "0.6", "--backend", "float", "--format", "json"],
+        ["verify", "biorth", "--Lmax", "16", "--alpha", "20/29", "--format", "json"],
+        ["verify", "biorth", "--Lmax", "12", "--alpha", "0.7", "--backend", "float", "--format", "json"],
+    ]
     runs += [
         ["hermite", "--table", "--Lmax", "4", "--format", fmt] for fmt in (*FORMATS, "csv")
     ]
