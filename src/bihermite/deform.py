@@ -360,8 +360,8 @@ def _cleared(g: GL2):
     No input is refused for its size, and a float g costs what its doubles'
     exponents make of G: 1e-300 has a denominator of 2^1049.  With g =
     GL2(1e-300+0.3j, 1e300, 0.7, 1.5), rep_laws_check(g, g, L),
-    biorthogonality_check and intertwine_check took 39, 57 and 4 ms at
-    L = 5 (2.1, 1.2 and 1.0 ms at float alpha 0.6), and 2.4, 4.4 and 0.15 s
+    biorthogonality_check and intertwine_check took 39, 14 and 4 ms at
+    L = 5 (2.1, 0.9 and 1.0 ms at float alpha 0.6), and 2.4, 1.0 and 0.15 s
     at L = 12 (CPython 3.11, 2-vCPU VM)."""
     g = _exact(g)
     qg = lcm(*(c.q for c in g.entries()))
@@ -425,11 +425,6 @@ def _coeff_rows(columns) -> list:
     return [list(row) for row in zip(*view)]
 
 
-def _conj(vector, scale=1) -> tuple:
-    """The conjugate of a vector of component lists, times the int scale."""
-    return tuple([s * x for x in m] for s, m in zip((scale, -scale, scale, -scale), vector))
-
-
 def _raised(p, x, y, times):
     """x ad1 p + y ad2 p for a polynomial p held as one term map per
     component: weyl's ad1 and ad2 raise each component, and the scalars x
@@ -442,16 +437,16 @@ def _raised(p, x, y, times):
 
 
 def _raised_walk(G: GL2, radical):
-    """The deformed families [Hg[k, L-k]]_k of an integral G,
-    levels L = 0, 1, 2, ..., each polynomial as one {(a, b): value} term map
-    per component.  Each level is raised from the one below, one raise per
+    """The deformed families [Hg[k, L-k]]_k of an integral G, levels L = 0,
+    1, 2, ..., each polynomial as one {(a, b): int} term map per component.
+    It walks integral G only: a float g is raised at its dyadic value
+    (_cleared).  Each level is raised from the one below, one raise per
     polynomial: Hg[0, L] = R2 Hg[0, L-1] and Hg[k, L-k] = R1 Hg[k-1, L-k],
     with R1 = G11 ad1 + G21 ad2 and R2 = G12 ad1 + G22 ad2.  It shares
     nothing with M(G, L) or hermite_sum, so it verifies them."""
     g11, g12, g21, g22 = _scalars(G, radical)
     _, times = _ring(radical)
-    one = _components([G.g11**0], 1, radical)  # 1 on G's backend
-    family = [tuple({(0, 0): x for x in m if x} for m in one)]
+    family = [tuple({(0, 0): x for x in m if x} for m in _components([ONE], 1, radical))]
     while True:
         yield family
         family = [_raised(family[0], g12, g22, times)] + [
@@ -554,10 +549,11 @@ def _rows(columns) -> list:
     return [tuple([c[i][r] for c in columns] for i in parts) for r in range(len(columns))]
 
 
-def _scalar_columns(x, n) -> list:
-    """The columns of x I, n x n, for the scalar x given as a vector of
-    component lists of length 1."""
-    return [tuple([m[0] if r == k else 0 for r in range(n)] for m in x) for k in range(n)]
+def _diagonal(x, weights) -> list:
+    """The columns of x diag(weights), which are its rows too, for the
+    scalar x given as a vector of component lists of length 1."""
+    n = len(weights)
+    return [tuple([m[0] * v if r == k else 0 for r in range(n)] for m in x) for k, v in enumerate(weights)]
 
 
 def _laws(g: GL2, h: GL2):
@@ -585,13 +581,13 @@ def _laws(g: GL2, h: GL2):
         # row r of W_L M(G*, L) is w_r times that of M(G*, L), and column k
         # of M(G, L)* W_L is w_k times the conjugate of row k of M(G, L)
         left = [tuple(list(map(mul, w, m)) for m in c) for c in MG_dagger]
-        right = [_conj(row, wk) for wk, row in zip(w, rows)]
+        right = [tuple([s * x for x in m] for s, m in zip((wk, -wk, wk, -wk), row)) for wk, row in zip(w, rows)]
         hermite = [_integral_terms(hermite_sum(r, L - r)) for r in range(n)]
         yield {
-            "identity": M1 == _scalar_columns(unit, n),
+            "identity": M1 == _diagonal(unit, [1] * n),
             "product": [matvec(rows, c) for c in MH] == MGH,
             "adjoint": left == right,
-            "inverse": [matvec(_rows(M_adj), c) for c in MG] == _scalar_columns(det_L, n),
+            "inverse": [matvec(_rows(M_adj), c) for c in MG] == _diagonal(det_L, [1] * n),
             "action": raised == [_combination(c, hermite) for c in MG],
         }
         det_L = times(det_L, det)
@@ -610,11 +606,11 @@ class DualFamily:
 def dual_family(g: GL2, L: int) -> DualFamily:
     """The level-L family of g_dual = (g*)^-1 and M(g_dual, L), on g's backend.
     consistent: level L's block of _biorth_pairings, at g's exact value, is
-    diag((L-n)! n!) literally, as when M(g_dual, L) inverts M(g, L)'s level adjoint."""
+    det(G)^L W_L literally; it reads neither g_dual nor its matrix."""
     g_dual = g.conj_transpose().inverse()
     direct = rep_matrix(g_dual, L)
-    want = [[Coeff(normalizer_sq(L - n, n)) if n == k else ZERO for k in range(L + 1)] for n in range(L + 1)]
-    consistent = _biorth_pairings(g, (L,))[L] == want
+    S, det_L = _biorth_pairings(g, (L,))[L]
+    consistent = S == _diagonal(det_L, [normalizer_sq(r, L - r) for r in range(L + 1)])
     return DualFamily(g_dual, _level_basis(L, direct), direct, consistent)
 
 
@@ -623,23 +619,27 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
 
     <Hdual[L-n, n], Hg[M-k, k]> must be (L-n)! n! when (L,n) == (M,k) and 0
     otherwise, including all cross-level pairs up to Lmax.  Each level's own
-    block is summed and compared.  The undeformed Gram, checked to be
-    integral and diagonal, pairs no two levels, so each cross-level pairing
-    sums no term and is counted as the exact zero.  A float g is paired at
-    the dyadic value it holds (_exact), with the dual of that value, so its
-    pairings are exact too.
+    block is the identity S = det(G)^L W_L of _biorth_pairings, compared
+    literally one pairing at a time; a failed one records S[n][k]/det(G)^L.
+    The undeformed Gram, checked to be integral and diagonal, pairs no two
+    levels, so each cross-level pairing sums no term and is counted as the
+    exact zero.  A float g is paired exactly, at the dyadic value it holds
+    (_exact).
     """
     _check_lmax(Lmax)
     levels = range(Lmax + 1)
     blocks = _biorth_pairings(g, levels)
     t = Tally()
     for L in levels:
-        for n, row in enumerate(blocks[L]):
-            for k, got in enumerate(row):
-                want = Coeff(normalizer_sq(L - n, n)) if n == k else ZERO
-                t.compare(got, want, {"L": L, "M": L, "n": n, "k": k})
+        S, det_L = blocks[L]
+        wants = _diagonal(det_L, [normalizer_sq(r, L - r) for r in range(L + 1)])
+        for n, (row, wanted) in enumerate(zip(S, wants)):
+            for k, (got, want) in enumerate(zip(_values(row), _values(wanted))):
+                if not t.check(got == want, where := {"L": L, "M": L, "n": n, "k": k}):
+                    value = _make(*got, 1, True) / _make(*next(_values(det_L)), 1, True)
+                    where.update(value=str(value), expected=str(normalizer_sq(L - n, n) if n == k else 0))
     # the undeformed Gram is diagonal, so each cross-level pairing sums no
-    # term: it is the exact ZERO wanted
+    # term: it is the exact zero wanted
     N = sum(L + 1 for L in levels)
     t.checks += N * N - sum((L + 1) ** 2 for L in levels)
     return t.report(
@@ -650,22 +650,20 @@ def biorthogonality_check(g: GL2, Lmax: int) -> Report:
 
 
 def _biorth_pairings(g: GL2, levels) -> dict:
-    """The blocks {L: P} of <Hdual[L-n, n], Hg[L-k, k]> = P[n][k], one for
-    each level L in levels, summed by bilinearity: with D = M(g_dual, L) and
-    F = M(g, L) it is sum_r conj(D[r, L-n]) F[r, L-k] w_r, w_r = <H[r, L-r],
-    H[r, L-r]>.  The undeformed Gram of every basis polynomial of the levels
-    is computed, its cross-level pairs too, so no orthogonality is assumed:
-    it must be integral and diagonal, so that no two levels pair.  A diagonal
-    entry that the Gram leaves out reads as the weight 0.
+    """The blocks {L: (S, det(G)^L)} of the pairings <Hdual[L-n, n], Hg[L-k,
+    k]> = S[n][k] / det(G)^L for each L in levels: S as its rows of component
+    lists, det(G)^L as a vector of length 1, G = q_g g at g's exact value.
 
-    D and F are read from the walks of q_d g_dual and q_g g, with g and
-    g_dual at their exact values (_exact).  Each pairing sums the integers
-    conj(D[r]) F[r] w_r over whole columns, over (q_d q_g)^L."""
-    g = _exact(g)
-    g_dual = g.conj_transpose().inverse()
-    (qd, D), (qg, G) = _cleared(g_dual), _cleared(g)
-    radical = _radical([*D.entries(), *G.entries()])
-    _, times = _ring(radical)
+    conj(g_dual) is q_g A / det(G), A = adj(G^T) = [[G22, -G21], [-G12, G11]],
+    so S[n][k] = sum_r M(A)[r, L-n] M(G)[r, L-k] w_r, w_r = <H[r, L-r],
+    H[r, L-r]>, sums integers on whole walk columns, with no inverse and no
+    conjugate: biorthogonality is M(A, L)^T W_L M(G, L) = det(G)^L W_L.  The
+    undeformed Gram of the levels' basis, cross-level pairs included, must be
+    integral and diagonal, so no orthogonality is assumed and no two levels
+    pair; a diagonal entry that it leaves out reads as the weight 0."""
+    _, G = _cleared(g)
+    radical = _radical(G.entries())
+    matvec, times = _ring(radical)
     basis = [hermite_sum(r, L - r) for L in levels for r in range(L + 1)]
     rows = gram(basis, basis)
     if not all(c.exact and c.q == 1 and c.is_rational() for row in rows for c in row.values()):
@@ -674,16 +672,13 @@ def _biorth_pairings(g: GL2, levels) -> dict:
         raise ArithmeticError("the Gram matrix of the undeformed basis is not diagonal")
     weights = iter([row.get(i, ZERO).a for i, row in enumerate(rows)])
     w = {L: [next(weights) for _ in range(L + 1)] for L in levels}
-    pad = () if radical else (0, 0)  # the radical slots
+    det, det_L = (_components([c], 1, radical) for c in (G.det, ONE))
+    walks = _level_walk(GL2(G.g22, -G.g21, -G.g12, G.g11), radical), _level_walk(G, radical)
     blocks = {}
-    for L, dual, fam in zip(range(max(levels) + 1), _level_walk(D, radical), _level_walk(G, radical)):
-        if L in w:
-            q = qd**L * qg**L
-            # conj(D[., L-n]) at row n and F[., L-k] at column k
-            blocks[L] = [
-                [_make(*[sum(map(mul, p, w[L])) for p in times(x, y)], *pad, q, True) for y in fam[::-1]]
-                for x in [_conj(c) for c in dual[::-1]]
-            ]
+    for L, MA, MG in zip(range(max(levels) + 1), *walks):
+        if L in w:  # row n: w_r M(A)[r, L-n] against each column M(G)[., L-k]
+            blocks[L] = [matvec(MG[::-1], tuple(list(map(mul, w[L], m)) for m in a)) for a in MA[::-1]], det_L
+        det_L = times(det, det_L)
     return blocks
 
 

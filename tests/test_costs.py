@@ -7,13 +7,14 @@ product bounds sit well above the counts of the current routes and far
 below those of the per-term routes they replaced.
 """
 
+import functools
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 
-from bihermite import coeffs, deform, lie, linalg, poly
+from bihermite import coeffs, deform, lie, linalg, poly, report
 from bihermite.cli import _random_rational_gl2, main
 from bihermite.coeffs import Coeff
 from bihermite.deform import (
@@ -276,8 +277,9 @@ def test_biorthogonality_products_at_level_six():
         assert biorthogonality_check(g, 6).ok
     # 17,378 with a product and a sum per pairing term in gram, 1,002 with
     # the expanded families paired by gram, 462 through the undeformed Gram
-    # with the Coeff level matrices; 22 on the walks' integral lists
-    assert 0 < calls[0] <= 500
+    # with the Coeff level matrices, 22 on the walks' integral lists with
+    # g_dual cleared beside g; 10 with adj(G^T) walked in its place
+    assert 0 < calls[0] <= 12
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -315,11 +317,65 @@ def test_gram_builds_one_factorial_table(monkeypatch):
 
 def test_biorthogonality_compares_only_the_paired_blocks(monkeypatch):
     compares = count_calls(monkeypatch, coeffs, "close")
+    checks = count_calls(monkeypatch, report.Tally, "check")
     rep = biorthogonality_check(alpha_matrix(POINT), 6)
     assert rep.summary.endswith("(784 pairings)")
-    # the 140 pairings of the levels' own blocks; all 784 were compared when
-    # every block was summed, the cross-level ones to the exact zero
-    assert compares[0] == 140
+    # the 140 pairings of the levels' own blocks, each compared with
+    # det(G)^L W_L as component ints, not as Coeffs under close; all 784 were
+    # compared when every block was summed, the cross-level ones to the
+    # exact zero
+    assert checks[0] == 140 and compares[0] == 0
+
+
+@contextmanager
+def counted_coeffs():
+    """Count Coeff objects built, by _make or by the constructor."""
+    calls = [0]
+    new, init = coeffs._new, Coeff.__dict__["__init__"]
+
+    def counting_new(cls):
+        calls[0] += 1
+        return new(cls)
+
+    def counting_init(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    coeffs._new, Coeff.__init__ = counting_new, counting_init
+    try:
+        yield calls
+    finally:
+        coeffs._new, Coeff.__init__ = new, init
+
+
+@pytest.mark.parametrize("point", [POINT, AlphaPoint.make(0.6)], ids=["exact", "float"])
+def test_biorthogonality_inverts_nothing_and_builds_no_coeff_per_pairing(monkeypatch, point):
+    # the undeformed Gram and its basis polynomials are kept from a first
+    # call, so the count is of the pairing route alone
+    grams = {}
+
+    def kept_gram(ps, qs):
+        if len(ps) not in grams:
+            grams[len(ps)] = poly.gram(ps, qs)
+        return grams[len(ps)]
+
+    monkeypatch.setattr(deform, "gram", kept_gram)
+    monkeypatch.setattr(deform, "hermite_sum", functools.cache(hermite_sum))
+    gl2_inverses = count_calls(monkeypatch, GL2, "inverse")
+    g = alpha_matrix(point)
+    built = []
+    for Lmax in (4, 8):
+        assert biorthogonality_check(g, Lmax).ok
+        with counted_coeffs() as coeffs_built, counted_inverses() as inverses:
+            rep = biorthogonality_check(g, Lmax)
+        assert rep.ok and inverses[0] == 0
+        built.append(coeffs_built[0])
+    # reading g at its exact value, clearing it and forming adj(G^T) and
+    # det(G) build the same few Coeffs at any Lmax: 15 exact, 22 float.  A
+    # Coeff per pairing and per target made 104 and 364 (111 and 371 float),
+    # and the inverse of g^† made g_dual and its q_d
+    assert gl2_inverses[0] == 0
+    assert built[0] == built[1] <= 25
 
 
 def test_float_biorthogonality_conversions():
@@ -336,12 +392,13 @@ def test_float_biorthogonality_products():
     g = alpha_matrix(AlphaPoint.make(0.6))
     with counted_products() as calls:
         rep = biorthogonality_check(g, 6)
-    # 1,564 when the pairings were Coeff chains over the walks' Coeff view;
-    # summed on the walks' lists, the 30 left read g at its dyadic value,
-    # invert it, clear both matrices and take the determinants that each
-    # GL2 checks.  Two pairings fell outside FLOAT_TOL when they were float
+    # 1,564 when the pairings were Coeff chains over the walks' Coeff view,
+    # and 24 when g^† was inverted and g_dual cleared beside g.  The 12 left
+    # clear g at its dyadic value and take det(G) and the determinants that
+    # each GL2 checks.  Two pairings fell outside FLOAT_TOL when they were
+    # float
     assert rep.ok and rep.summary == "biorthogonality up to level 6: pass (784 pairings)"
-    assert 0 < calls[0] <= 50
+    assert 0 < calls[0] <= 12
 
 
 @pytest.mark.parametrize(

@@ -388,13 +388,6 @@ def test_float_level_basis_is_close_to_the_operator_power_family(g):
         assert close(dual_family(gf, L).polys, _family_by_operator_powers(gf_dual, L))
 
 
-def _float_poly(p):
-    """The BiPoly of a float polynomial held as its (re, im) term maps."""
-    re, im = p
-    keys = re.keys() | im.keys()
-    return BiPoly({k: Coeff.from_complex(complex(re.get(k, 0.0), im.get(k, 0.0))) for k in keys})
-
-
 @pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
 def test_raised_levels_are_the_operator_power_family(g):
     # the raised walk of G = q_g g holds q_g^L times the family, integral
@@ -408,14 +401,20 @@ def test_raised_levels_are_the_operator_power_family(g):
 
 @pytest.mark.parametrize("g", FAMILY_MATRICES, ids=["qi-101", "qi-102", "qi-103", "sqrt2", "alpha"])
 def test_float_raised_levels_are_close_to_the_operator_power_family(g):
+    # a float g is raised at the dyadic value it holds: the walk of G =
+    # q_g g, integral, holds q_g^L times that g's family exactly
     gf = _float_gl2(g)
-    for L, family in zip(range(9), deform._raised_walk(gf, False)):
+    dyadic = GL2(*(Coeff(F(c.a), F(c.b)) for c in gf.entries()))
+    qg, G = deform._cleared(gf)
+    assert G.is_exact() and G == GL2(*(c * qg for c in dyadic.entries()))
+    for L, family in zip(range(9), deform._raised_walk(G, False)):
         assert len(family) == L + 1
-        assert all(type(x) is float for p in family for m in p for x in m.values())
-        want = _family_by_operator_powers(gf, L)[::-1]
-        assert close([_float_poly(p) for p in family], want)
-        # deformed_hermite raises the same polynomials, one operator at a time
-        assert close([deformed_hermite(gf, k, L - k) for k in range(L + 1)], want)
+        want = _family_by_operator_powers(dyadic, L)[::-1]
+        assert family == [_term_maps(p * qg**L, False) for p in want]
+        # deformed_hermite raises the float polynomials, one operator at a
+        # time, close to the operator powers of gf
+        float_want = _family_by_operator_powers(gf, L)[::-1]
+        assert close([deformed_hermite(gf, k, L - k) for k in range(L + 1)], float_want)
 
 
 def test_dual_family_identity():
@@ -449,10 +448,10 @@ def test_dual_family_consistent_fails_on_the_plain_adjoint(monkeypatch):
     assert all(dual_family(g, L).consistent for L in range(5))
     monkeypatch.setattr(deform, "gram", lambda a, b: [{j: Coeff(1) for j in row} for row in gram(a, b)])
     assert [L for L in range(5) if not dual_family(g, L).consistent] == [2, 3, 4]
-    # the dual columns left unconjugated: g is not real, so every level
-    # above 0 fails
+    # adj(G) walked in place of adj(G^T): the family of conj(g^-1) is not
+    # the dual, as g is not symmetric, so every level above 0 fails
     monkeypatch.undo()
-    monkeypatch.setattr(deform, "_conj", lambda vector: vector)
+    _walk_the_untransposed_adjugate(monkeypatch, g)
     assert [L for L in range(5) if not dual_family(g, L).consistent] == [1, 2, 3, 4]
 
 
@@ -482,11 +481,23 @@ def test_biorthogonality_cross_level_blocks():
             assert inner_product(dp, fp) == Coeff(0)
 
 
+def _walk_the_untransposed_adjugate(monkeypatch, g):
+    """Make _biorth_pairings walk adj(G) where it walks adj(G^T), G = q_g g:
+    the pairings become those of g's family with the family of conj(g^-1),
+    since q_g adj(G) / det(G) = g^-1, in place of (g^†)^-1."""
+    _, G = deform._cleared(g)
+    adj_transposed = GL2(G.g22, -G.g21, -G.g12, G.g11)
+    walk = deform._level_walk
+    monkeypatch.setattr(
+        deform, "_level_walk", lambda m, radical: walk(_adjugate(G) if m == adj_transposed else m, radical)
+    )
+
+
 def test_biorthogonality_check_names_each_wrong_pairing(monkeypatch):
-    # a dual built from g^† instead of (g^†)^-1: the check inverts what
-    # conj_transpose returns, so returning (g^†)^-1 makes its dual g^†
+    # the dual walked from adj(G) instead of adj(G^T) is the family of
+    # conj(g^-1); each record is computed here from that family itself
     g = rational_gl2(random.Random(13))
-    gh = g.conj_transpose()
+    gh = GL2(*(c.conj() for c in g.inverse().entries()))
     want = []
     for L in range(3):
         for M in range(3):
@@ -501,8 +512,7 @@ def test_biorthogonality_check_names_each_wrong_pairing(monkeypatch):
     # the cross-level pairs stay zero, and level 0 pairs 1 with 1 for any g;
     # every other pair within a level is wrong
     assert [(f["L"], f["M"]) for f in want] == [(1, 1)] * 4 + [(2, 2)] * 9
-    real = GL2.conj_transpose
-    monkeypatch.setattr(GL2, "conj_transpose", lambda self: real(self).inverse())
+    _walk_the_untransposed_adjugate(monkeypatch, g)
     rep = biorthogonality_check(g, 2)
     assert rep.summary == "biorthogonality up to level 2: fail (36 pairings)"
     assert rep.payload["violations"] == want
@@ -516,7 +526,8 @@ def test_biorthogonality_random_rational():
 def _pairwise_pairings(g, Lmax):
     """The biorth pairings as the gram of the dual and deformed families
     expanded over the monomials: the route the factored form replaced, kept
-    as its independent verifier."""
+    as its independent verifier.  Its dual is the library's g_dual =
+    (g^†)^-1, so it ties that dual to the adjugate route, which reads none."""
     g_dual = g.conj_transpose().inverse()
     duals = [p for L in range(Lmax + 1) for p in level_basis(L, g_dual)]
     fams = [p for L in range(Lmax + 1) for p in level_basis(L, g)]
@@ -524,15 +535,17 @@ def _pairwise_pairings(g, Lmax):
 
 
 def _dense_pairings(blocks, Lmax):
-    """_biorth_pairings' blocks {L: P} as one matrix over the levels up to
-    Lmax, each cross-level block's entries the exact zero."""
+    """_biorth_pairings' blocks {L: (S, det(G)^L)} as one matrix of the
+    pairings S[n][k] / det(G)^L over the levels up to Lmax, each cross-level
+    block's entries the exact zero."""
     assert sorted(blocks) == list(range(Lmax + 1))
     start = [L * (L + 1) // 2 for L in range(Lmax + 2)]
     out = [[Coeff(0)] * start[-1] for _ in range(start[-1])]
-    for L, block in blocks.items():
-        assert len(block) == L + 1 and all(len(row) == L + 1 for row in block)
-        for n, row in enumerate(block):
-            out[start[L] + n][start[L] : start[L + 1]] = row
+    for L, (S, det_L) in blocks.items():
+        assert len(S) == L + 1 and all(len(m) == L + 1 for row in S for m in row)
+        (det,) = _values(det_L)
+        for n, row in enumerate(S):
+            out[start[L] + n][start[L] : start[L + 1]] = [Coeff(*s) / Coeff(*det) for s in _values(row)]
     return out
 
 
@@ -573,6 +586,13 @@ def test_factored_pairings_equal_the_pairwise_gram(g):
         assert all(c.exact for row in got for c in row)
         # a level paired alone is its block among all the levels
         assert all(deform._biorth_pairings(g, (L,)) == {L: blocks[L]} for L in range(Lmax + 1))
+
+
+@pytest.mark.parametrize("g", PARITY_MATRICES.values(), ids=PARITY_MATRICES.keys())
+def test_dual_family_matrix_is_the_inverse_adjoint(g):
+    # consistent no longer reads g_dual, so the printed g_dual is checked
+    # here: g_dual^† g = 1 exactly
+    assert dual_family(g, 1).g_dual.conj_transpose() @ g == GL2.identity()
 
 
 def _block(matrix, L, M):
